@@ -14,16 +14,13 @@ from dataclasses import dataclass
 
 from .insertion import Factorization
 from .permwords import (
+    FLAVORS,
     FpfInvolution,
-    fpf_target,
-    involution_target,
-    is_fpf_involution_word,
-    is_involution_word,
+    get_flavor,
     is_reduced_word,
+    word_target,
     word_to_permutation,
 )
-
-FLAVORS = ("reduced", "involution", "fpf")
 
 
 @dataclass(frozen=True)
@@ -46,18 +43,9 @@ def delete_letter(w, i):
     return w[:i - 1] + w[i:]
 
 
-def _class_target(w, flavor):
-    if flavor == "reduced":
-        pi = word_to_permutation(w)
-        return pi if pi.length() == len(w) else None
-    if flavor == "involution":
-        return involution_target(tuple(w))
-    return fpf_target(tuple(w))
-
-
 def is_marked(w, i, pi, flavor):
     """Whether (w, i) is a pi-marked word of the flavor."""
-    return _class_target(delete_letter(w, i), flavor) == pi
+    return word_target(delete_letter(w, i), flavor) == pi
 
 
 def marked_indices(w, pi, flavor):
@@ -66,18 +54,11 @@ def marked_indices(w, pi, flavor):
     )
 
 
-def in_word_class(w, flavor):
-    if flavor == "reduced":
-        return is_reduced_word(w)
-    if flavor == "involution":
-        return is_involution_word(w)
-    return is_fpf_involution_word(w)
-
-
 def is_semi_reduced(w, pi):
     """Reduced words whose underlying permutation conjugates the base
-    matching to pi; these pause the companion search in the fpf flavor."""
-    if not is_reduced_word(w):
+    matching to the fpf involution pi; these pause the companion search in
+    the fpf flavor, and no word is semi-reduced for any other target."""
+    if not isinstance(pi, FpfInvolution) or not is_reduced_word(w):
         return False
     sigma = word_to_permutation(w)
     try:
@@ -87,13 +68,9 @@ def is_semi_reduced(w, pi):
     return conj == pi
 
 
-def _push_in_place(w, i, pi, flavor):
-    """Whether the push from (w, i) increments the marked letter itself."""
-    if flavor == "reduced":
-        return is_reduced_word(w)
-    if flavor == "involution":
-        return is_involution_word(w)
-    return is_fpf_involution_word(w) or is_semi_reduced(w, pi)
+def _push_in_place(w, pi, flavor):
+    """Whether the push from a marked w increments the marked letter itself."""
+    return word_target(w, flavor) is not None or is_semi_reduced(w, pi)
 
 
 def companion_index(w, i, pi, flavor):
@@ -110,7 +87,7 @@ def push_step(mw, pi):
     w, i, flavor = mw.word, mw.mark, mw.flavor
     if not is_marked(w, i, pi, flavor):
         raise ValueError(f"({w}, {i}) is not marked for {pi}")
-    j = i if _push_in_place(w, i, pi, flavor) else companion_index(
+    j = i if _push_in_place(w, pi, flavor) else companion_index(
         w, i, pi, flavor)
     v = w[:j - 1] + (w[j - 1] + 1,) + w[j:]
     return MarkedWord(v, j, flavor)
@@ -125,7 +102,7 @@ def bump_chain(w, pi, flavor, cap=None):
     """The full push chain: the list of marked words visited, or None when
     no letter of w is marked for pi (the operator fixes w)."""
     w = tuple(w)
-    if not in_word_class(w, flavor):
+    if word_target(w, flavor) is None:
         raise ValueError(f"{w} is not in the {flavor} word class")
     marks = marked_indices(w, pi, flavor)
     if not marks:
@@ -139,7 +116,7 @@ def bump_chain(w, pi, flavor, cap=None):
     for _ in range(cap):
         mw = push_step(mw, pi)
         chain.append(mw)
-        if in_word_class(mw.word, flavor):
+        if word_target(mw.word, flavor) is not None:
             return chain
     raise RuntimeError(f"push chain from {w} exceeded {cap} steps")
 
@@ -168,7 +145,7 @@ def decompose_bump(w, pi, flavor, cap=None):
     its atom is the permutation of the deleted subword at the index about
     to be pushed.  Returns () when the bump fixes w.
     """
-    if flavor == "reduced":
+    if not get_flavor(flavor).queer:
         raise ValueError("decompose_bump applies to involution and fpf flavors")
     chain = bump_chain(w, pi, flavor, cap=cap)
     if chain is None:
@@ -176,7 +153,7 @@ def decompose_bump(w, pi, flavor, cap=None):
     atoms = []
     for mw in chain[:-1]:
         word, i = mw.word, mw.mark
-        j = i if _push_in_place(word, i, pi, flavor) else companion_index(
+        j = i if _push_in_place(word, pi, flavor) else companion_index(
             word, i, pi, flavor)
         if is_reduced_word(word):
             atoms.append(word_to_permutation(delete_letter(word, j)))

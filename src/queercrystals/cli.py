@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 theorem failure, 2 bad input, 3 resource cap,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -19,9 +20,12 @@ from .crystals import (
 )
 from .insertion import Factorization, insert
 from .permwords import (
+    FLAVORS,
     FpfInvolution,
     Permutation,
     equivalence_class,
+    get_flavor,
+    insertion_flavor,
     word_target,
 )
 from .symchar import expand, stanley_poly
@@ -80,7 +84,7 @@ def parse_permutation(text, flavor):
     cycles = parse_cycles(text)
     try:
         if flavor == "fpf":
-            return FpfInvolution.from_window(cycles)
+            return FpfInvolution(cycles)
         pi = Permutation.from_cycles(cycles)
         if flavor == "involution" and not pi.is_involution():
             raise InputError(f"{text} is not an involution")
@@ -116,7 +120,7 @@ def cmd_crystal(args):
         shape = tuple(int(p) for p in args.shape.split(","))
         crys = shifted_tableau_crystal(args.n, shape)
     else:
-        flavor = {"eg": "reduced", "oeg": "involution", "speg": "fpf"}[args.flavor]
+        flavor = insertion_flavor(args.flavor).name
         pi = parse_permutation(args.perm, flavor)
         crys = factorization_crystal(pi, flavor, args.n)
     if len(crys) > args.cap:
@@ -151,7 +155,7 @@ def cmd_expand(args):
     flavor = args.flavor
     pi = parse_permutation(args.perm, flavor)
     p = stanley_poly(pi, flavor, args.n)
-    basis = "schur" if flavor == "reduced" else "schurP"
+    basis = get_flavor(flavor).basis
     coeffs = expand(p, basis)
     out = {",".join(map(str, shape)): c for shape, c in sorted(coeffs.items())}
     print(json.dumps({"character": str(p), "basis": basis, "coefficients": out},
@@ -167,15 +171,19 @@ def cmd_class(args):
 
 
 def cmd_verify(args):
+    signature = inspect.signature(TARGETS[args.target])
     bounds = {}
-    if args.maxlen is not None:
-        bounds["max_len"] = args.maxlen
-    if args.n is not None:
-        bounds["n"] = args.n
-    try:
-        res = run_target(args.target, **bounds)
-    except TypeError:
-        res = run_target(args.target)
+    for flag, name in (("maxlen", "max_len"), ("n", "n")):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        try:
+            signature.bind(**{name: value})
+        except TypeError:
+            raise InputError(
+                f"verify {args.target} does not accept --{flag}") from None
+        bounds[name] = value
+    res = run_target(args.target, **bounds)
     print(res.summary())
     if res.ok:
         return EXIT_PASS
@@ -188,40 +196,39 @@ def build_parser():
         description="Crystals of factorized involution words: insertion, "
                     "bumping, characters, and a theorem verifier.")
     sub = parser.add_subparsers(dest="command", required=True)
+    insertions = tuple(flav.insertion for flav in FLAVORS.values())
 
     p = sub.add_parser("insert", help="run an insertion algorithm")
     p.add_argument("input", help="factorization like '(4)(23)(12)', or a word for hm")
-    p.add_argument("--flavor", choices=("eg", "oeg", "speg", "hm"), default="oeg")
+    p.add_argument("--flavor", choices=insertions + ("hm",), default="oeg")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_insert)
 
     p = sub.add_parser("crystal", help="emit a crystal graph")
     p.add_argument("perm", nargs="?", default="", help="cycles like (1,3)(2,5)")
-    p.add_argument("--flavor", choices=("eg", "oeg", "speg"), default="oeg")
+    p.add_argument("--flavor", choices=insertions, default="oeg")
     p.add_argument("--shape", help="strict partition like 3,1 for a tableau crystal")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--dot", action="store_true", help="DOT output (default)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_crystal)
 
     p = sub.add_parser("bump", help="run a Little bump and print the chain")
     p.add_argument("word")
     p.add_argument("perm", help="cycles of the bump target")
-    p.add_argument("--flavor", choices=("reduced", "involution", "fpf"),
-                   default="involution")
+    p.add_argument("--flavor", choices=tuple(FLAVORS), default="involution")
     p.set_defaults(fn=cmd_bump)
 
     p = sub.add_parser("expand", help="Schur/Schur-P expansion of a Stanley polynomial")
     p.add_argument("perm")
-    p.add_argument("--flavor", choices=("reduced", "involution", "fpf"),
-                   default="involution")
+    p.add_argument("--flavor", choices=tuple(FLAVORS), default="involution")
     p.add_argument("--n", type=int, default=4)
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("class", help="list a Coxeter-Knuth equivalence class")
     p.add_argument("word")
-    p.add_argument("--relation", choices=("K", "O", "Sp"), default="O")
+    p.add_argument("--relation", default="O",
+                   choices=tuple(flav.relation for flav in FLAVORS.values()))
     p.set_defaults(fn=cmd_class)
 
     p = sub.add_parser("verify", help="run a theorem-verification target")

@@ -12,13 +12,9 @@ from __future__ import annotations
 import os
 from bisect import insort
 
+from . import permwords
 from .insertion import Factorization, split_word
-from .permwords import (
-    Permutation,
-    fpf_involution_words,
-    involution_words,
-    reduced_words,
-)
+from .permwords import Permutation, get_flavor
 from .tableaux import (
     ShiftedTableau,
     entry_primed,
@@ -29,6 +25,7 @@ from .tableaux import (
     shword_boxes,
     unprimed,
 )
+from .tableaux import weight as tab_weight
 
 QBAR = "1bar"
 
@@ -471,12 +468,6 @@ class Crystal:
                       name=self.name)
         return sub
 
-    def component_of(self, x):
-        for comp in self.components():
-            if x in comp.vertex_set:
-                return comp
-        raise ValueError("vertex not in crystal")
-
     def sources(self):
         """Vertices with every raising operator undefined."""
         return tuple(
@@ -603,11 +594,11 @@ def product_words(n, m):
     return [tuple(w) for w in product(range(1, n + 1), repeat=m)]
 
 
-def _fac_ops(queer_flavor):
-    """(f, e) closures for factorization carriers; queer_flavor in
-    {None, "O", "Sp"}."""
-    fq = {None: None, "O": fac_fq_o, "Sp": fac_fq_sp}[queer_flavor]
-    eq = {None: None, "O": fac_eq_o, "Sp": fac_eq_sp}[queer_flavor]
+def _fac_ops(relation):
+    """(f, e) closures for factorization carriers; the relation "O" or "Sp"
+    picks the queer operators, and "K" has none."""
+    fq, eq = {"K": (None, None), "O": (fac_fq_o, fac_eq_o),
+              "Sp": (fac_fq_sp, fac_eq_sp)}[relation]
 
     def f(x, i):
         return fq(x) if i == QBAR else fac_f(x, i)
@@ -625,42 +616,18 @@ def _factorizations(words, n):
     return out
 
 
-def reduced_factorization_crystal(pi, n):
-    """The gl_n-crystal of n-fold increasing factorizations of R(pi)."""
-    f, e = _fac_ops(None)
-    verts = _factorizations(reduced_words(pi), n)
-    return Crystal(verts, n, Factorization.weight, f, e, queer=False,
-                   name=f"R_{n}({pi})")
-
-
-def orthogonal_factorization_crystal(pi, n):
-    """The q_n-crystal of factorized involution words for pi."""
-    f, e = _fac_ops("O")
-    verts = _factorizations(involution_words(pi), n)
-    return Crystal(verts, n, Factorization.weight, f, e, queer=True,
-                   name=f"R^O_{n}({pi})")
-
-
-def symplectic_factorization_crystal(pi, n):
-    """The q_n-crystal of factorized fpf-involution words for pi."""
-    f, e = _fac_ops("Sp")
-    verts = _factorizations(fpf_involution_words(pi), n)
-    return Crystal(verts, n, Factorization.weight, f, e, queer=True,
-                   name=f"R^Sp_{n}({pi})")
-
-
 def factorization_crystal(pi, flavor, n):
-    if flavor == "reduced":
-        return reduced_factorization_crystal(pi, n)
-    if flavor == "involution":
-        return orthogonal_factorization_crystal(pi, n)
-    if flavor == "fpf":
-        return symplectic_factorization_crystal(pi, n)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    """The crystal of n-fold increasing factorizations of the flavor's words
+    for pi: a gl_n-crystal for reduced words, a q_n-crystal otherwise."""
+    flav = get_flavor(flavor)
+    f, e = _fac_ops(flav.relation)
+    verts = _factorizations(getattr(permwords, flav.words)(pi), n)
+    return Crystal(verts, n, Factorization.weight, f, e, queer=flav.queer,
+                   name=f"{flav.carrier}_{n}({pi})")
 
 
-def shifted_tableau_crystal(n, shape):
-    """The q_n-crystal on semistandard shifted tableaux of one shape."""
+def _shtab_crystal(verts, n, name):
+    """The q_n-crystal on the given semistandard shifted tableaux."""
 
     def f(t, i):
         return shtab_fqbar(t) if i == QBAR else shtab_f(t, i)
@@ -668,11 +635,14 @@ def shifted_tableau_crystal(n, shape):
     def e(t, i):
         return shtab_eqbar(t) if i == QBAR else shtab_e(t, i)
 
-    verts = semistandard_shifted_tableaux(tuple(shape), n)
-    from .tableaux import weight as tab_weight
-
     return Crystal(verts, n, lambda t: tab_weight(t, n), f, e, queer=True,
-                   name=f"ShTab_{n}({tuple(shape)})")
+                   name=name)
+
+
+def shifted_tableau_crystal(n, shape):
+    """The q_n-crystal on semistandard shifted tableaux of one shape."""
+    return _shtab_crystal(semistandard_shifted_tableaux(tuple(shape), n), n,
+                          f"ShTab_{n}({tuple(shape)})")
 
 
 def strict_partitions(m, max_parts=None):
@@ -694,20 +664,10 @@ def strict_partitions(m, max_parts=None):
 
 def shifted_tableau_crystal_all(n, m):
     """The q_n-crystal on all semistandard shifted tableaux with m boxes."""
-
-    def f(t, i):
-        return shtab_fqbar(t) if i == QBAR else shtab_f(t, i)
-
-    def e(t, i):
-        return shtab_eqbar(t) if i == QBAR else shtab_e(t, i)
-
     verts = []
     for mu in strict_partitions(m, max_parts=n):
         verts.extend(semistandard_shifted_tableaux(mu, n))
-    from .tableaux import weight as tab_weight
-
-    return Crystal(verts, n, lambda t: tab_weight(t, n), f, e, queer=True,
-                   name=f"ShTab_{n}[{m}]")
+    return _shtab_crystal(verts, n, f"ShTab_{n}[{m}]")
 
 
 # ---------------------------------------------------------------------------
@@ -733,13 +693,13 @@ def perm_crystal(n, m):
                    name=f"Perm_{n}({m})")
 
 
-def even_crystal(n, m, flavor="O"):
+def even_crystal(n, m, relation="O"):
     """Even_n(m): factorized permutations of 2,4,...,2m.
 
-    The orthogonal and symplectic queer operators coincide here; the flavor
-    argument picks which family realizes the crystal.
+    The orthogonal and symplectic queer operators coincide here; the
+    relation "O" or "Sp" picks which family realizes the crystal.
     """
-    f, e = _fac_ops(flavor)
+    f, e = _fac_ops(relation)
     verts = _factorizations(even_words(m), n)
     return Crystal(verts, n, Factorization.weight, f, e, queer=True,
                    name=f"Even_{n}({m})")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .permwords import (
     equivalence_class,
+    insertion_flavor,
     is_fpf_involution_word,
     is_involution_word,
     is_reduced_word,
@@ -25,8 +26,6 @@ from .tableaux import (
     primed,
     unprimed,
 )
-
-FLAVOR_RELATION = {"eg": "K", "oeg": "O", "speg": "Sp"}
 
 
 class Factorization(tuple):
@@ -343,8 +342,7 @@ def invert_insertion(P, Q, flavor, n=None):
     """
     if flavor == "hm":
         return _invert_hm(P, Q)
-    if flavor not in FLAVOR_RELATION:
-        raise ValueError(f"unknown insertion flavor {flavor!r}")
+    relation = insertion_flavor(flavor).relation
     from .tableaux import row_word
 
     qent = _q_entries(Q)
@@ -355,7 +353,7 @@ def invert_insertion(P, Q, flavor, n=None):
     if P.shape != Q.shape:
         raise ValueError("P and Q must have equal shapes")
     w0 = row_word(P)
-    for v in sorted(equivalence_class(w0, FLAVOR_RELATION[flavor])):
+    for v in sorted(equivalence_class(w0, relation)):
         res = insert(Factorization.from_word(v), flavor, check=False)
         if res.P != P:
             continue

@@ -9,9 +9,8 @@ moves whose closures characterize insertion-tableau fibers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-
-FLAVORS = ("reduced", "involution", "fpf")
 
 
 class Permutation:
@@ -161,10 +160,6 @@ class Permutation:
         pi, pj = self(i), self(i + 1)
         return (pi == i and pj == i + 1) or (pi == i + 1 and pj == i)
 
-    def demazure_step(self, i):
-        """The Demazure product with s_i: pi s_i if i is an ascent, else pi."""
-        return self.times_s(i) if self(i) < self(i + 1) else self
-
     def rtimes_step(self, i):
         """The involution product: s_i pi s_i unless they commute, then pi s_i."""
         if self.commutes_with_s(i):
@@ -227,15 +222,6 @@ class FpfInvolution:
     def identity(cls):
         """The base matching 1_fpf itself."""
         return cls()
-
-    @classmethod
-    def from_window(cls, cycles):
-        """Lift a perfect matching given on a finite window to I^fpf of Z.
-
-        The listed cycles must cover a base-pair-closed set; everything
-        outside is completed by the base matching.
-        """
-        return cls(cycles)
 
     @classmethod
     def from_word(cls, w):
@@ -334,18 +320,6 @@ class FpfInvolution:
         return {"flavor": "fpf", "cycles": [list(c) for c in self.cycles]}
 
 
-def simple_transposition(i):
-    return Permutation.s(i)
-
-
-def demazure_step(pi, i):
-    return pi.demazure_step(i)
-
-
-def rtimes_step(pi, i):
-    return pi.rtimes_step(i)
-
-
 def word_to_permutation(w):
     """The product s_{w_1} s_{w_2} ... s_{w_l}."""
     pi = Permutation.identity()
@@ -389,15 +363,15 @@ def is_fpf_involution_word(w):
     return fpf_target(tuple(w)) is not None
 
 
+def _reduced_target(w):
+    """The permutation of w, or None when w is not reduced."""
+    pi = word_to_permutation(w)
+    return pi if pi.length() == len(w) else None
+
+
 def word_target(w, flavor):
-    if flavor == "reduced":
-        pi = word_to_permutation(w)
-        return pi if pi.length() == len(w) else None
-    if flavor == "involution":
-        return involution_target(tuple(w))
-    if flavor == "fpf":
-        return fpf_target(tuple(w))
-    raise ValueError(f"unknown flavor {flavor!r}")
+    """The target whose word class of the flavor contains w, or None."""
+    return get_flavor(flavor).target(tuple(w))
 
 
 _reduced_cache = {}
@@ -465,24 +439,17 @@ def fpf_involution_words(pi):
 
 
 def enumerate_words(pi, flavor):
-    if flavor == "reduced":
-        if not isinstance(pi, Permutation):
-            raise ValueError("reduced words require a Permutation")
-        return reduced_words(pi)
-    if flavor == "involution":
-        if not isinstance(pi, Permutation) or not pi.is_involution():
-            raise ValueError("involution words require an involution in S_Z")
-        return involution_words(pi)
-    if flavor == "fpf":
-        if not isinstance(pi, FpfInvolution):
-            raise ValueError("fpf-involution words require an FpfInvolution")
-        return fpf_involution_words(pi)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    """All words of the flavor for the target pi, sorted."""
+    flav = get_flavor(flavor)
+    kind = type(flav.identity)
+    if not isinstance(pi, kind):
+        raise ValueError(f"{flavor} words require a {kind.__name__}")
+    return globals()[flav.words](pi)
 
 
 def atoms(pi, flavor):
     """The permutations whose reduced words partition the word class."""
-    if flavor == "reduced":
+    if not get_flavor(flavor).queer:
         raise ValueError("atoms are defined for involution and fpf flavors")
     return frozenset(word_to_permutation(w) for w in enumerate_words(pi, flavor))
 
@@ -580,6 +547,76 @@ def ell_sp(pi):
     """Common length of fpf-involution words, via a base-closed window."""
     sigma, m = pi.window_involution()
     return (sigma.length() - m) // 2
+
+
+@dataclass(frozen=True)
+class Flavor:
+    """One word class and the theory the paper builds on it.
+
+    perfbench/tracer.py wraps the enumerators, the inserters, the crystal
+    operators and word_to_permutation by rebinding module attributes and
+    module-level dict values, so the record names those functions instead
+    of holding them: `words` is a permwords attribute and `insertion` a key
+    of insertion._INSERTERS.
+    """
+
+    name: str          # "reduced", "involution" or "fpf"
+    insertion: str     # "eg", "oeg" or "speg"
+    relation: str      # "K", "O" or "Sp"; also picks the queer operators
+    ck0: object        # initial Coxeter-Knuth move, None for "K"
+    ell: object        # common length of a target's words
+    target: object     # word -> its target, or None outside the class
+    words: str         # name of the enumerator of a target's words
+    identity: object   # target of the empty word
+    step: object       # (target, i) -> target of the word extended by i
+    window: tuple      # default letter window of the verify corpora
+    sort_key: object   # order of the verify corpora
+    carrier: str       # name prefix of the factorization crystals
+    basis: str         # expansion basis of their characters
+
+    @property
+    def queer(self):
+        """Whether the factorization crystals are q_n-crystals."""
+        return self.ck0 is not None
+
+
+def _length_order(pi):
+    return (pi.length(), pi.pairs)
+
+
+FLAVORS = {flav.name: flav for flav in (
+    Flavor(name="reduced", insertion="eg", relation="K", ck0=None,
+           ell=Permutation.length, target=_reduced_target,
+           words="reduced_words", identity=Permutation(),
+           step=Permutation.times_s, window=(1, 4), sort_key=_length_order,
+           carrier="R", basis="schur"),
+    Flavor(name="involution", insertion="oeg", relation="O", ck0=ck0_o,
+           ell=ell_o, target=involution_target,
+           words="involution_words", identity=Permutation(),
+           step=Permutation.rtimes_step, window=(1, 5),
+           sort_key=_length_order, carrier="R^O", basis="schurP"),
+    Flavor(name="fpf", insertion="speg", relation="Sp", ck0=ck0_sp,
+           ell=ell_sp, target=fpf_target,
+           words="fpf_involution_words", identity=FpfInvolution(),
+           step=FpfInvolution.conjugate_s, window=(1, 6),
+           sort_key=lambda pi: pi.cycles, carrier="R^Sp", basis="schurP"),
+)}
+
+
+def get_flavor(name):
+    """The Flavor record of a word class name."""
+    try:
+        return FLAVORS[name]
+    except KeyError:
+        raise ValueError(f"unknown flavor {name!r}") from None
+
+
+def insertion_flavor(key):
+    """The Flavor record whose insertion algorithm is key."""
+    for flav in FLAVORS.values():
+        if flav.insertion == key:
+            return flav
+    raise ValueError(f"unknown insertion flavor {key!r}")
 
 
 def length_invariants(pi):

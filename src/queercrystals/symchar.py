@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 
+from .crystals import _trim
 from .tableaux import semistandard_shifted_tableaux, semistandard_tableaux, weight
 
 
@@ -167,13 +168,6 @@ def stanley_poly(pi, flavor, n):
     from .crystals import factorization_crystal
 
     return character(factorization_crystal(pi, flavor, n))
-
-
-def _trim(e):
-    e = tuple(e)
-    while e and e[-1] == 0:
-        e = e[:-1]
-    return e
 
 
 def expand(p, basis, min_n=None):

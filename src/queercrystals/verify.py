@@ -34,20 +34,21 @@ from .crystals import (
 )
 from .insertion import Factorization, hm_insert, insert, oeg_insert, speg_insert, split_word
 from .permwords import (
+    FLAVORS,
     FpfInvolution,
     Permutation,
     ck,
-    ck0_o,
-    ck0_sp,
     descent_set,
-    ell_o,
-    ell_sp,
     enumerate_words,
     equivalence_class,
+    get_flavor,
+    word_target,
     word_to_permutation,
 )
 from .symchar import character, expand, is_supersymmetric, is_symmetric
 from .tableaux import standard_shifted_tableaux, tableau_descents, shword_descents
+
+QUEER_FLAVORS = tuple(flav for flav in FLAVORS.values() if flav.queer)
 
 
 @dataclass
@@ -74,69 +75,26 @@ class VerifyResult:
 # Corpora
 
 @lru_cache(maxsize=None)
-def involution_corpus(max_len=5, lo=1, hi=5):
-    """Involutions with an involution word over [lo, hi] of length <= max_len."""
-    found = {Permutation.identity()}
-    frontier = [(Permutation.identity(), 0)]
+def corpus(flavor, max_len, window=None):
+    """The targets other than the identity that have a word of the flavor of
+    length <= max_len over the letters of window (lo, hi), by default the
+    flavor's window, in the flavor's corpus order."""
+    flav = get_flavor(flavor)
+    lo, hi = window or flav.window
+    found = {flav.identity}
+    frontier = [(flav.identity, 0)]
     while frontier:
         pi, l = frontier.pop()
         if l == max_len:
             continue
         for i in range(lo, hi + 1):
             if not pi.is_descent(i):
-                nxt = pi.rtimes_step(i)
+                nxt = flav.step(pi, i)
                 if nxt not in found:
                     found.add(nxt)
                     frontier.append((nxt, l + 1))
-    return tuple(sorted(found, key=lambda p: (p.length(), p.pairs)))
-
-
-@lru_cache(maxsize=None)
-def fpf_corpus(max_len=5, lo=1, hi=6):
-    """Fpf involutions with an fpf word over [lo, hi] of length <= max_len."""
-    base = FpfInvolution.identity()
-    found = {base}
-    frontier = [(base, 0)]
-    while frontier:
-        pi, l = frontier.pop()
-        if l == max_len:
-            continue
-        for i in range(lo, hi + 1):
-            if not pi.is_descent(i):
-                nxt = pi.conjugate_s(i)
-                if nxt not in found:
-                    found.add(nxt)
-                    frontier.append((nxt, l + 1))
-    return tuple(sorted(found, key=lambda p: p.cycles))
-
-
-@lru_cache(maxsize=None)
-def reduced_corpus(max_len=5, lo=1, hi=4):
-    """Permutations with a reduced word over [lo, hi] of length <= max_len."""
-    found = {Permutation.identity()}
-    frontier = [(Permutation.identity(), 0)]
-    while frontier:
-        pi, l = frontier.pop()
-        if l == max_len:
-            continue
-        for i in range(lo, hi + 1):
-            if not pi.is_descent(i):
-                nxt = pi.times_s(i)
-                if nxt not in found:
-                    found.add(nxt)
-                    frontier.append((nxt, l + 1))
-    return tuple(sorted(found, key=lambda p: (p.length(), p.pairs)))
-
-
-def _flavored(flavor, max_len, window=None):
-    if flavor == "involution":
-        corpus = involution_corpus(max_len, *(window or (1, 5)))
-        return [p for p in corpus if not p.is_identity()]
-    if flavor == "fpf":
-        corpus = fpf_corpus(max_len, *(window or (1, 6)))
-        return [p for p in corpus if not p.is_identity()]
-    corpus = reduced_corpus(max_len, *(window or (1, 4)))
-    return [p for p in corpus if not p.is_identity()]
+    found.remove(flav.identity)
+    return tuple(sorted(found, key=flav.sort_key))
 
 
 @lru_cache(maxsize=None)
@@ -149,14 +107,10 @@ def _q_tableau(w, flavor):
     return insert(Factorization.from_word(w), flavor, check=False).Q
 
 
-_INSERT_FLAVOR = {"reduced": "eg", "involution": "oeg", "fpf": "speg"}
-_RELATION = {"reduced": "K", "involution": "O", "fpf": "Sp"}
-
-
 # ---------------------------------------------------------------------------
 # Targets
 
-def check_crystal_axioms(max_len=4, n=3, _mutate=None):
+def check_crystal_axioms(_mutate=None):
     """Definitions of gl_n- and q_n-crystals on every constructed carrier."""
     res = VerifyResult("crystal-axioms", True)
     carriers = [
@@ -190,10 +144,13 @@ def check_crystal_axioms(max_len=4, n=3, _mutate=None):
     return res
 
 
-def _fiber_check(res, flavor, max_len, n):
-    rel = _RELATION[flavor]
-    ins = _INSERT_FLAVOR[flavor]
-    for pi in _flavored(flavor, max_len):
+def _fiber_check(flavor, max_len, n):
+    """Coxeter-Knuth classes = P fibers; components of the factorization
+    crystal = P fibers."""
+    flav = get_flavor(flavor)
+    rel, ins = flav.relation, flav.insertion
+    res = VerifyResult(f"{ins}-fibers", True)
+    for pi in corpus(flavor, max_len):
         words = enumerate_words(pi, flavor)
         fibers = {}
         for w in words:
@@ -206,7 +163,7 @@ def _fiber_check(res, flavor, max_len, n):
                 res.counterexample = (str(pi), sorted(fib)[0])
                 res.lines.append(
                     f"{pi}: P-fiber differs from the {rel}-class")
-                return
+                return res
         crys = factorization_crystal(pi, flavor, n)
         comps = {frozenset(c.vertices) for c in crys.components()}
         byp = {}
@@ -217,32 +174,21 @@ def _fiber_check(res, flavor, max_len, n):
             res.ok = False
             res.counterexample = str(pi)
             res.lines.append(f"{pi}: components differ from P-fibers")
-            return
+            return res
+    res.lines.append(f"{rel}-classes, fibers, and components all agree")
+    return res
 
 
 def check_eg_fibers(max_len=5, n=3):
-    """Coxeter-Knuth classes = P fibers; components of R_n = P fibers."""
-    res = VerifyResult("eg-fibers", True)
-    _fiber_check(res, "reduced", max_len, n)
-    if res.ok:
-        res.lines.append("K-classes, fibers, and components all agree")
-    return res
+    return _fiber_check("reduced", max_len, n)
 
 
 def check_oeg_fibers(max_len=5, n=3):
-    res = VerifyResult("oeg-fibers", True)
-    _fiber_check(res, "involution", max_len, n)
-    if res.ok:
-        res.lines.append("O-classes, fibers, and components all agree")
-    return res
+    return _fiber_check("involution", max_len, n)
 
 
 def check_speg_fibers(max_len=5, n=3):
-    res = VerifyResult("speg-fibers", True)
-    _fiber_check(res, "fpf", max_len, n)
-    if res.ok:
-        res.lines.append("Sp-classes, fibers, and components all agree")
-    return res
+    return _fiber_check("fpf", max_len, n)
 
 
 @lru_cache(maxsize=None)
@@ -255,13 +201,16 @@ def _word_component_certs(n, m):
     return out
 
 
-def _q_morphism_check(res, flavor, max_len, n):
+def _q_morphism_check(flavor, max_len, n):
+    """The recording map is a quasi-isomorphism onto shifted tableaux and
+    every component of the factorization crystal is normal."""
     from .crystals import _component_certificate
 
-    ins = _INSERT_FLAVOR[flavor]
-    ell = ell_o if flavor == "involution" else ell_sp
-    for pi in _flavored(flavor, max_len):
-        m = ell(pi)
+    flav = get_flavor(flavor)
+    ins = flav.insertion
+    res = VerifyResult(f"q-morphism-{flav.relation}", True)
+    for pi in corpus(flavor, max_len):
+        m = flav.ell(pi)
         crys = factorization_crystal(pi, flavor, n)
         tab = shifted_tableau_crystal_all(n, m)
         res.checks += 1
@@ -270,7 +219,7 @@ def _q_morphism_check(res, flavor, max_len, n):
             res.ok = False
             res.counterexample = str(pi)
             res.lines.append(f"{pi}: Q is not a quasi-isomorphism")
-            return
+            return res
         certs = _word_component_certs(n, m)
         for comp in crys.components():
             res.checks += 1
@@ -279,35 +228,40 @@ def _q_morphism_check(res, flavor, max_len, n):
                 res.counterexample = str(pi)
                 res.lines.append(
                     f"{pi}: a component is not normal (no match in W_{n}({m}))")
-                return
+                return res
+    res.lines.append("recording map is a quasi-isomorphism; all components normal")
+    return res
 
 
 def check_q_morphism_o(max_len=5, n=3):
-    """Q^O is a quasi-isomorphism and the crystals are normal."""
-    res = VerifyResult("q-morphism-O", True)
-    _q_morphism_check(res, "involution", max_len, n)
-    if res.ok:
-        res.lines.append("recording map is a quasi-isomorphism; all components normal")
-    return res
+    return _q_morphism_check("involution", max_len, n)
 
 
 def check_q_morphism_sp(max_len=5, n=3):
-    res = VerifyResult("q-morphism-Sp", True)
-    _q_morphism_check(res, "fpf", max_len, n)
-    if res.ok:
-        res.lines.append("recording map is a quasi-isomorphism; all components normal")
-    return res
+    return _q_morphism_check("fpf", max_len, n)
 
 
 def _bump_targets(w, flavor):
     """Class representatives pi for which some (w, i) is pi-marked."""
     out = set()
     for i in range(1, len(w) + 1):
-        sub = bumping.delete_letter(w, i)
-        pi = bumping._class_target(sub, flavor)
+        pi = word_target(bumping.delete_letter(w, i), flavor)
         if pi is not None:
             out.add(pi)
     return out
+
+
+def _bump_corpus(flavor, max_len):
+    """The corpus words of the flavor, sorted, and every bump target marked
+    on one of them, sorted by name."""
+    words = set()
+    for pi in corpus(flavor, max_len):
+        words.update(enumerate_words(pi, flavor))
+    words = sorted(words)
+    targets = set()
+    for w in words:
+        targets |= _bump_targets(w, flavor)
+    return words, sorted(targets, key=str)
 
 
 def check_bump_properties(max_len=5, n=3):
@@ -320,18 +274,10 @@ def check_bump_properties(max_len=5, n=3):
         res.counterexample = cex
         res.lines.append(msg)
 
-    for flavor in ("reduced", "involution", "fpf"):
-        rel = _RELATION[flavor]
-        ins = _INSERT_FLAVOR[flavor]
-        ck0 = {"reduced": None, "involution": ck0_o, "fpf": ck0_sp}[flavor]
-        words = []
-        for pi in _flavored(flavor, max_len):
-            words.extend(enumerate_words(pi, flavor))
-        words = sorted(set(words))
-        targets = set()
-        for w in words:
-            targets |= _bump_targets(w, flavor)
-        for pi in sorted(targets, key=str):
+    for flavor, flav in FLAVORS.items():
+        ins, ck0 = flav.insertion, flav.ck0
+        words, targets = _bump_corpus(flavor, max_len)
+        for pi in targets:
             images = {}
             for w in words:
                 v = bump(w, pi, flavor)
@@ -341,9 +287,8 @@ def check_bump_properties(max_len=5, n=3):
                 images[v] = w
                 if descent_set(v) != descent_set(w):
                     return fail(f"{flavor}: descents not preserved", (str(pi), w))
-                if flavor == "reduced":
-                    if set(increments(w, v)) - {0, 1}:
-                        return fail("reduced: increment bound broken", (str(pi), w))
+                if not flav.queer and set(increments(w, v)) - {0, 1}:
+                    return fail(f"{flavor}: increment bound broken", (str(pi), w))
                 if _q_tableau(w, ins) != _q_tableau(v, ins):
                     return fail(f"{flavor}: recording tableau changed", (str(pi), w))
                 for i in range(1, len(w) - 1):
@@ -351,18 +296,17 @@ def check_bump_properties(max_len=5, n=3):
                         return fail(f"{flavor}: ck_{i} commutation", (str(pi), w))
                 if ck0 is not None and bump(ck0(w), pi, flavor) != ck0(v):
                     return fail(f"{flavor}: ck_0 commutation", (str(pi), w))
-                if flavor != "reduced" and v != w:
+                if flav.queer and v != w:
                     atoms_seq = decompose_bump(w, pi, flavor)
                     if replay_decomposition(w, atoms_seq) != v:
                         return fail(f"{flavor}: decomposition replay", (str(pi), w))
     # crystal-operator commutation on factorizations (qi theorems)
     from .crystals import _fac_ops
 
-    for flavor in ("reduced", "involution", "fpf"):
-        queer_flavor = {"reduced": None, "involution": "O", "fpf": "Sp"}[flavor]
-        f_op, _ = _fac_ops(queer_flavor)
-        indices = ([QBAR] if queer_flavor else []) + list(range(1, n))
-        for sigma in _flavored(flavor, min(max_len, 4)):
+    for flavor, flav in FLAVORS.items():
+        f_op, _ = _fac_ops(flav.relation)
+        indices = ([QBAR] if flav.queer else []) + list(range(1, n))
+        for sigma in corpus(flavor, min(max_len, 4)):
             words = enumerate_words(sigma, flavor)
             targets = set()
             for w in words:
@@ -399,10 +343,9 @@ def check_dual_equivalence(max_len=6, max_boxes=7, n=3):
         res.counterexample = cex
         res.lines.append(msg)
 
-    for flavor in ("involution", "fpf"):
-        ins = _INSERT_FLAVOR[flavor]
-        ck0 = ck0_o if flavor == "involution" else ck0_sp
-        for pi in _flavored(flavor, max_len):
+    for flav in QUEER_FLAVORS:
+        flavor, ins, ck0 = flav.name, flav.insertion, flav.ck0
+        for pi in corpus(flavor, max_len):
             for w in enumerate_words(pi, flavor):
                 q = _q_tableau(w, ins)
                 res.checks += 1
@@ -509,10 +452,9 @@ def check_supersymmetry(max_len=4, n=3):
     res = VerifyResult("supersymmetry", True)
     carriers = [word_crystal(2, 4), word_crystal(3, 4),
                 shifted_tableau_crystal_all(3, 4)]
-    for pi in _flavored("involution", max_len)[:40]:
-        carriers.append(factorization_crystal(pi, "involution", n))
-    for pi in _flavored("fpf", max_len)[:40]:
-        carriers.append(factorization_crystal(pi, "fpf", n))
+    for flav in QUEER_FLAVORS:
+        for pi in corpus(flav.name, max_len)[:40]:
+            carriers.append(factorization_crystal(pi, flav.name, n))
     for crys in carriers:
         ch = character(crys)
         res.checks += 1
@@ -547,9 +489,10 @@ def check_schurp_positivity(max_len=5, n=None):
         res.counterexample = cex
         res.lines.append(msg)
 
-    for flavor, ell in (("involution", ell_o), ("fpf", ell_sp)):
+    for flav in QUEER_FLAVORS:
+        flavor, ell = flav.name, flav.ell
         seen = set()
-        for pi in _flavored(flavor, max_len):
+        for pi in corpus(flavor, max_len):
             key = _translation_class(pi)
             if key in seen:
                 continue
@@ -558,18 +501,17 @@ def check_schurp_positivity(max_len=5, n=None):
             if nn == 0:
                 continue
             crys = factorization_crystal(pi, flavor, nn)
-            coeffs = expand(character(crys), "schurP", min_n=ell(pi))
+            coeffs = expand(character(crys), flav.basis, min_n=ell(pi))
             res.checks += 1
             if any(c <= 0 for c in coeffs.values()):
                 return fail(f"{flavor}: negative Schur-P coefficient", str(pi))
             if coeffs != _hw_counts(crys):
                 return fail(f"{flavor}: coefficients != highest weight counts", str(pi))
-    for sigma in reduced_corpus(4, 1, 3):
-        if sigma.is_identity():
-            continue
-        nn = sigma.length()
+    reduced = get_flavor("reduced")
+    for sigma in corpus("reduced", 4, (1, 3)):
+        nn = reduced.ell(sigma)
         crys = factorization_crystal(sigma, "reduced", nn)
-        coeffs = expand(character(crys), "schur", min_n=nn)
+        coeffs = expand(character(crys), reduced.basis, min_n=nn)
         res.checks += 1
         if any(c <= 0 for c in coeffs.values()):
             return fail("reduced: negative Schur coefficient", str(sigma))
@@ -593,17 +535,10 @@ def _translation_class(pi):
     return pi.shift(shiftby)
 
 
-def _conjecture_bounds(flavor, allowed, max_len):
-    name = f"conjecture-{'ib' if flavor == 'involution' else 'fb'}-bound"
+def _conjecture_bounds(name, flavor, allowed, max_len):
     res = VerifyResult(name, True, conjecture=True)
-    words = []
-    for pi in _flavored(flavor, max_len):
-        words.extend(enumerate_words(pi, flavor))
-    words = sorted(set(words))
-    targets = set()
-    for w in words:
-        targets |= _bump_targets(w, flavor)
-    for pi in sorted(targets, key=str):
+    words, targets = _bump_corpus(flavor, max_len)
+    for pi in targets:
         for w in words:
             v = bump(w, pi, flavor)
             res.checks += 1
@@ -617,12 +552,12 @@ def _conjecture_bounds(flavor, allowed, max_len):
     return res
 
 
-def check_conjecture_ib_bound(max_len=5, n=None):
-    return _conjecture_bounds("involution", {0, 1}, max_len)
+def check_conjecture_ib_bound(max_len=5):
+    return _conjecture_bounds("conjecture-ib-bound", "involution", {0, 1}, max_len)
 
 
-def check_conjecture_fb_bound(max_len=5, n=None):
-    return _conjecture_bounds("fpf", {0, 1, 2}, max_len)
+def check_conjecture_fb_bound(max_len=5):
+    return _conjecture_bounds("conjecture-fb-bound", "fpf", {0, 1, 2}, max_len)
 
 
 TARGETS = {

@@ -12,11 +12,10 @@ import pytest
 from queercrystals.bumping import bump, increments
 from queercrystals.crystals import (
     crystals_isomorphic,
+    factorization_crystal,
     is_quasi_isomorphism,
-    orthogonal_factorization_crystal,
     shifted_tableau_crystal,
     shifted_tableau_crystal_all,
-    symplectic_factorization_crystal,
 )
 from queercrystals.insertion import (
     Factorization,
@@ -93,9 +92,8 @@ def test_criterion_1_golden_examples():
 def test_criterion_2_figures():
     t0 = time.time()
     tab = shifted_tableau_crystal(3, (3, 1))
-    orth = orthogonal_factorization_crystal(P.from_cycles([(1, 3), (2, 5)]), 3)
-    symp = symplectic_factorization_crystal(
-        FpfInvolution([(1, 4), (2, 6), (3, 5)]), 3)
+    orth = factorization_crystal(P.from_cycles([(1, 3), (2, 5)]), "involution", 3)
+    symp = factorization_crystal(FpfInvolution([(1, 4), (2, 6), (3, 5)]), "fpf", 3)
     for crys, fig in ((tab, figures.shtab_figure()),
                       (orth, figures.orth_figure()),
                       (symp, figures.symp_figure())):
@@ -116,9 +114,12 @@ def test_criterion_2_figures():
 
 def test_criterion_3_fiber_theorems():
     t0 = time.time()
-    for target in ("oeg-fibers", "speg-fibers", "eg-fibers"):
+    for target, checks in (("oeg-fibers", 124), ("speg-fibers", 99),
+                           ("eg-fibers", 157), ("q-morphism-O", 124),
+                           ("q-morphism-Sp", 99)):
         res = run_target(target, max_len=5, n=3)
         assert res.ok, res.summary()
+        assert res.checks == checks, target
     report(3, "fiber theorems", t0)
 
 
@@ -126,6 +127,7 @@ def test_criterion_4_bump_properties():
     t0 = time.time()
     res = run_target("bump-properties", max_len=5, n=3)
     assert res.ok, res.summary()
+    assert res.checks == 68325
     report(4, "bump property suite", t0)
 
 
@@ -133,14 +135,17 @@ def test_criterion_5_reduction_suite():
     t0 = time.time()
     res = run_target("reduction-lemma", max_m=5, n=3)
     assert res.ok, res.summary()
+    assert res.checks == 435
     report(5, "reduction suite", t0)
 
 
 def test_criterion_6_axioms_and_characters():
     t0 = time.time()
-    for target in ("crystal-axioms", "supersymmetry", "schurP-positivity"):
+    for target, checks in (("crystal-axioms", 758), ("supersymmetry", 73),
+                           ("schurP-positivity", 81)):
         res = run_target(target)
         assert res.ok, res.summary()
+        assert res.checks == checks, target
     report(6, "axiom and character suite", t0)
 
 
@@ -148,6 +153,7 @@ def test_criterion_7_dual_equivalence():
     t0 = time.time()
     res = run_target("dual-equivalence", max_len=6, max_boxes=7)
     assert res.ok, res.summary()
+    assert res.checks == 3995
     report(7, "dual equivalence", t0)
 
 
@@ -155,17 +161,21 @@ def test_criterion_8_increment_bounds():
     t0 = time.time()
     # the proven bound for ordinary bumps is asserted
     from queercrystals.permwords import enumerate_words, reduced_words
-    from queercrystals.verify import _bump_targets, _flavored
+    from queercrystals.verify import _bump_targets, corpus
 
-    for sigma in _flavored("reduced", 5):
+    for sigma in corpus("reduced", 5):
         for w in reduced_words(sigma):
             for target in _bump_targets(w, "reduced"):
                 v = bump(w, target, "reduced")
                 assert set(increments(w, v)) <= {0, 1}, (w, target)
     # the conjectural bounds are checked and reported, never asserted
-    for target in ("conjecture-ib-bound", "conjecture-fb-bound"):
+    for target, checks in (("conjecture-ib-bound", 23951),
+                           ("conjecture-fb-bound", 16771)):
         res = run_target(target, max_len=5)
         print(f"\n{res.summary()}")
+        # a counterexample stops the sweep early, so only a clean run has
+        # the full count
+        assert not res.ok or res.checks == checks, target
         if not res.ok:
             print(f"*** CONJECTURE COUNTEREXAMPLE ({target}): "
                   f"{res.counterexample} ***")

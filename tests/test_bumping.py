@@ -104,11 +104,11 @@ class TestDecomposition:
         assert replay_decomposition((2, 4, 3), atoms) == (4, 6, 5)
 
     def test_replay_on_corpus(self):
-        from queercrystals.verify import _flavored, _bump_targets
+        from queercrystals.verify import _bump_targets, corpus
 
         for flavor in ("involution", "fpf"):
             count = 0
-            for pi in _flavored(flavor, 4):
+            for pi in corpus(flavor, 4):
                 for w in enumerate_words(pi, flavor):
                     for target in _bump_targets(w, flavor):
                         v = bump(w, target, flavor)
@@ -147,18 +147,18 @@ class TestProperties:
         assert out.weight() == fac.weight()
         assert out.word() == bump(fac.word(), PI25, "involution")
         # re-split factors stay strictly increasing across a small corpus
-        from queercrystals.verify import _flavored, _bump_targets
+        from queercrystals.verify import _bump_targets, corpus
 
-        for pi in _flavored("involution", 4)[:12]:
+        for pi in corpus("involution", 4)[:12]:
             for w in enumerate_words(pi, "involution"):
                 for target in _bump_targets(w, "involution"):
                     for fac in split_word(w, 2):
                         bump_factorization(fac, target, "involution")
 
     def test_factorization_bump_preserves_recording(self):
-        from queercrystals.verify import _flavored, _bump_targets
+        from queercrystals.verify import _bump_targets, corpus
 
-        for pi in _flavored("involution", 4)[:10]:
+        for pi in corpus("involution", 4)[:10]:
             for w in enumerate_words(pi, "involution"):
                 for target in _bump_targets(w, "involution"):
                     for fac in split_word(w, 2):
@@ -167,10 +167,10 @@ class TestProperties:
                             oeg_insert(fac, check=False).Q
 
     def test_increment_bound_plain(self):
-        from queercrystals.verify import _flavored, _bump_targets
+        from queercrystals.verify import _bump_targets, corpus
         from queercrystals.permwords import reduced_words
 
-        for pi in _flavored("reduced", 4)[:15]:
+        for pi in corpus("reduced", 4)[:15]:
             for w in reduced_words(pi):
                 for target in _bump_targets(w, "reduced"):
                     v = bump(w, target, "reduced")

@@ -158,3 +158,24 @@ class TestVerifyCommand:
                 counterexample="w"))
         code, out, _ = run(capsys, "verify", "conjecture-ib-bound")
         assert code == 4 and "COUNTEREXAMPLE" in out
+
+    def test_unsupported_bound_exit_2(self, capsys):
+        # reduction-lemma is bounded by max_m, so --maxlen must not fall
+        # back to the default bounds
+        code, out, err = run(capsys, "verify", "reduction-lemma", "--maxlen", "2")
+        assert code == 2 and out == ""
+        assert "--maxlen" in err
+        code, out, _ = run(capsys, "verify", "crystal-axioms", "--n", "4")
+        assert code == 2 and out == ""
+
+    def test_target_type_error_not_rerun(self, capsys, monkeypatch):
+        calls = []
+
+        def broken(max_len=5):
+            calls.append(max_len)
+            raise TypeError("bug inside the target")
+
+        monkeypatch.setitem(cli.TARGETS, "eg-fibers", broken)
+        with pytest.raises(TypeError):
+            cli.main(["verify", "eg-fibers", "--maxlen", "3"])
+        assert calls == [3]

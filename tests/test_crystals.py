@@ -28,7 +28,6 @@ from queercrystals.crystals import (
     inv_map_inverse,
     is_quasi_isomorphism,
     morphism_report,
-    orthogonal_factorization_crystal,
     pair,
     perm_crystal,
     perm_words,
@@ -40,7 +39,6 @@ from queercrystals.crystals import (
     shtab_fqbar,
     sigma_set,
     sigma_set_pattern,
-    symplectic_factorization_crystal,
     word_crystal,
     word_e,
     word_eqbar,
@@ -119,21 +117,21 @@ class TestFigures:
         assert {(x, str(i), y) for x, i, y in c.edges()} == es
 
     def test_orth_figure(self):
-        c = orthogonal_factorization_crystal(PI, 3)
+        c = factorization_crystal(PI, "involution", 3)
         vs, es = figures.orth_figure()
         assert set(c.vertices) == vs
         assert {(x, str(i), y) for x, i, y in c.edges()} == es
 
     def test_symp_figure(self):
-        c = symplectic_factorization_crystal(FPI, 3)
+        c = factorization_crystal(FPI, "fpf", 3)
         vs, es = figures.symp_figure()
         assert set(c.vertices) == vs
         assert {(x, str(i), y) for x, i, y in c.edges()} == es
 
     def test_pairwise_isomorphic(self):
         a = shifted_tableau_crystal(3, (3, 1))
-        b = orthogonal_factorization_crystal(PI, 3)
-        c = symplectic_factorization_crystal(FPI, 3)
+        b = factorization_crystal(PI, "involution", 3)
+        c = factorization_crystal(FPI, "fpf", 3)
         assert crystals_isomorphic(a, b)
         assert crystals_isomorphic(b, c)
         assert crystals_isomorphic(a, c)
@@ -168,7 +166,7 @@ class TestQueerFactorizationOps:
         assert fac_eq_sp(fac) == Factorization([(4, 5), (), (2, 3)])
 
     def test_inverse_pairing_on_figure(self):
-        c = symplectic_factorization_crystal(FPI, 3)
+        c = factorization_crystal(FPI, "fpf", 3)
         for x in c.vertices:
             y = fac_fq_sp(x)
             if y is not None:
@@ -228,7 +226,7 @@ class TestCrystalGraph:
 
     def test_components_are_p_fibers(self):
         pi = P.from_cycles([(2, 5)])
-        c = orthogonal_factorization_crystal(pi, 2)
+        c = factorization_crystal(pi, "involution", 2)
         fibers = {}
         for fac in c.vertices:
             fibers.setdefault(oeg_insert(fac, check=False).P, set()).add(fac)
@@ -251,7 +249,7 @@ class TestCrystalGraph:
         c = shifted_tableau_crystal(3, (3, 1))
         hw = c.highest_weights()
         assert hw == ((S([["1", "1", "1"], ["2"]]), (3, 1, 0)),)
-        c2 = orthogonal_factorization_crystal(PI, 3)
+        c2 = factorization_crystal(PI, "involution", 3)
         assert c2.highest_weights() == (
             (Factorization([(1, 3, 4), (2,), ()]), (3, 1, 0)),)
         # the graph has a second source, which is not a highest weight
@@ -259,7 +257,7 @@ class TestCrystalGraph:
 
     def test_every_component_has_one_highest_weight(self):
         for crys in (word_crystal(2, 4), word_crystal(3, 4),
-                     orthogonal_factorization_crystal(PI, 3)):
+                     factorization_crystal(PI, "involution", 3)):
             for comp in crys.components():
                 assert len(comp.highest_weights()) == 1
 
@@ -301,10 +299,10 @@ class TestMorphisms:
         assert dbl_map_inverse(dbl_map(fac)) == fac
 
     def test_q_map_is_quasi_iso(self):
-        c = orthogonal_factorization_crystal(PI, 3)
+        c = factorization_crystal(PI, "involution", 3)
         tab = shifted_tableau_crystal_all(3, ell_o(PI))
         assert is_quasi_isomorphism(lambda x: oeg_insert(x, check=False).Q, c, tab)
-        cs = symplectic_factorization_crystal(FPI, 3)
+        cs = factorization_crystal(FPI, "fpf", 3)
         tab2 = shifted_tableau_crystal_all(3, ell_sp(FPI))
         assert is_quasi_isomorphism(lambda x: speg_insert(x, check=False).Q, cs, tab2)
 

@@ -138,11 +138,11 @@ class TestFibersAndDescents:
 
     def test_fibers_are_classes_length_six(self):
         # word-level fiber identity pushed one letter past the graph suites
-        from queercrystals.verify import _flavored
+        from queercrystals.verify import corpus
 
         for flavor, ins, rel in (("involution", oeg_insert, "O"),
                                  ("fpf", speg_insert, "Sp")):
-            for pi in _flavored(flavor, 6):
+            for pi in corpus(flavor, 6):
                 fibers = {}
                 for w in enumerate_words(pi, flavor):
                     p = ins(Factorization.from_word(w), check=False).P
@@ -151,10 +151,10 @@ class TestFibersAndDescents:
                     assert equivalence_class(min(fib), rel) == fib
 
     def test_descent_compatibility(self):
-        from queercrystals.verify import _flavored
+        from queercrystals.verify import corpus
 
         for flavor, ins in (("involution", oeg_insert), ("fpf", speg_insert)):
-            for pi in _flavored(flavor, 6):
+            for pi in corpus(flavor, 6):
                 for w in enumerate_words(pi, flavor):
                     q = ins(Factorization.from_word(w), check=False).Q
                     assert descent_set(w) == tableau_descents(q)
@@ -166,9 +166,9 @@ class TestIncrementMonotonicity:
             yield tuple(a + d for a, d in zip(w, mask))
 
     def test_eg_recording_stable_under_increments(self):
-        from queercrystals.verify import reduced_corpus
+        from queercrystals.verify import corpus
 
-        for pi in reduced_corpus(5, 1, 4):
+        for pi in corpus("reduced", 5, (1, 4)):
             for w in reduced_words(pi):
                 q = eg_insert(Factorization.from_word(w), check=False).Q
                 for v in self.masks(w):
@@ -177,9 +177,9 @@ class TestIncrementMonotonicity:
                                          check=False).Q == q
 
     def test_oeg_recording_stable_under_increments(self):
-        from queercrystals.verify import involution_corpus
+        from queercrystals.verify import corpus
 
-        for pi in involution_corpus(5, 1, 5):
+        for pi in corpus("involution", 5, (1, 5)):
             for w in involution_words(pi):
                 q = oeg_insert(Factorization.from_word(w), check=False).Q
                 for v in self.masks(w):
@@ -212,10 +212,10 @@ class TestDiagonalParity:
         # whenever symplectic row insertion meets the diagonal with x <= y,
         # y is even and either x is even or x = y - 1
         from queercrystals import insertion as ins
-        from queercrystals.verify import _flavored
+        from queercrystals.verify import corpus
 
         total = 0
-        for pi in _flavored("fpf", 6, (1, 6)):
+        for pi in corpus("fpf", 6, (1, 6)):
             for w in enumerate_words(pi, "fpf"):
                 rows = []
                 for a in w:
@@ -241,10 +241,10 @@ class TestInversion:
             assert invert_insertion(res.P, res.Q, flavor, n=len(fac)) == fac
 
     def test_round_trips_exhaustive_small(self):
-        from queercrystals.verify import _flavored
+        from queercrystals.verify import corpus
 
         count = 0
-        for pi in _flavored("involution", 5):
+        for pi in corpus("involution", 5):
             if len(enumerate_words(pi, "involution")[0]) > 5:
                 continue
             for w in enumerate_words(pi, "involution"):

@@ -22,7 +22,7 @@ from queercrystals.permwords import (
     is_reduced_word,
     word_to_permutation,
 )
-from queercrystals.verify import fpf_corpus, involution_corpus
+from queercrystals.verify import corpus
 
 
 def demazure_right(x, i):
@@ -77,10 +77,10 @@ def test_fpf_words_match_conjugation_characterization():
 def test_corpus_lengths_agree_with_enumeration():
     from queercrystals.permwords import enumerate_words
 
-    for pi in involution_corpus(5, 1, 5):
+    for pi in corpus("involution", 5, (1, 5)):
         ws = enumerate_words(pi, "involution")
         assert {len(w) for w in ws} <= {ell_o(pi)}
-    for pi in fpf_corpus(5, 1, 6):
+    for pi in corpus("fpf", 5, (1, 6)):
         ws = enumerate_words(pi, "fpf")
         assert {len(w) for w in ws} <= {ell_sp(pi)}
 

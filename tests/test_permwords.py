@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_oracles import demazure_right
 
 from queercrystals.permwords import (
     FpfInvolution,
@@ -9,7 +10,6 @@ from queercrystals.permwords import (
     ck,
     ck0_o,
     ck0_sp,
-    demazure_step,
     descent_set,
     ell_o,
     ell_sp,
@@ -26,10 +26,8 @@ from queercrystals.permwords import (
     is_reduced_word,
     length_invariants,
     reduced_words,
-    rtimes_step,
     shift_t,
     shift_word,
-    simple_transposition,
     star,
     star_word,
     word_to_permutation,
@@ -42,10 +40,10 @@ words = st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=7).
 
 class TestPermutation:
     def test_simple_transposition(self):
-        assert simple_transposition(1) == P({1: 2, 2: 1})
-        assert simple_transposition(0) == P({0: 1, 1: 0})
+        assert P.s(1) == P({1: 2, 2: 1})
+        assert P.s(0) == P({0: 1, 1: 0})
         for i in (-2, 0, 3):
-            s = simple_transposition(i)
+            s = P.s(i)
             assert s * s == P.identity()
 
     def test_bijection_validation(self):
@@ -61,19 +59,19 @@ class TestPermutation:
         assert set(pi.descents()) == {i for i in range(-2, 8) if pi(i) > pi(i + 1)}
 
     def test_demazure(self):
-        assert demazure_step(P.identity(), 1) == P.s(1)
-        assert demazure_step(P.s(1), 1) == P.s(1)
+        assert demazure_right(P.identity(), 1) == P.s(1)
+        assert demazure_right(P.s(1), 1) == P.s(1)
         d = P.identity()
         for i in (2, 3, 4):
-            d = demazure_step(d, i)
+            d = demazure_right(d, i)
         assert d == P.s(2) * P.s(3) * P.s(4)
 
     def test_rtimes(self):
-        assert rtimes_step(P.identity(), 2) == P.s(2)
-        assert rtimes_step(P.from_cycles([(2, 3)]), 1) == P.from_cycles([(1, 3)])
+        assert P.identity().rtimes_step(2) == P.s(2)
+        assert P.from_cycles([(2, 3)]).rtimes_step(1) == P.from_cycles([(1, 3)])
         r = P.identity()
         for i in (1, 3, 2):
-            r = rtimes_step(r, i)
+            r = r.rtimes_step(i)
         assert involution_target((1, 3, 2)) == r
         assert is_involution_word((1, 3, 2))
 

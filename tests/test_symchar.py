@@ -3,9 +3,7 @@ import pytest
 from queercrystals.crystals import (
     Crystal,
     factorization_crystal,
-    orthogonal_factorization_crystal,
     shifted_tableau_crystal,
-    symplectic_factorization_crystal,
     word_crystal,
 )
 from queercrystals.permwords import FpfInvolution, Permutation, atoms, ell_o
@@ -57,7 +55,7 @@ class TestSchurFamilies:
         c = shifted_tableau_crystal(3, (3, 1))
         assert character(c) == schurp_poly((3, 1), 3)
         pi = P.from_cycles([(1, 3), (2, 5)])
-        assert character(orthogonal_factorization_crystal(pi, 3)) == \
+        assert character(factorization_crystal(pi, "involution", 3)) == \
             schurp_poly((3, 1), 3)
 
     def test_singleton_character(self):
@@ -96,7 +94,7 @@ class TestStanley:
 
     def test_supersymmetric_characters(self):
         pi = FpfInvolution([(1, 4), (2, 6), (3, 5)])
-        for crys in (symplectic_factorization_crystal(pi, 3),
+        for crys in (factorization_crystal(pi, "fpf", 3),
                      word_crystal(3, 4)):
             assert is_supersymmetric(character(crys))
 

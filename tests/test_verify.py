@@ -7,17 +7,15 @@ from queercrystals.crystals import Crystal
 from queercrystals.verify import (
     TARGETS,
     check_crystal_axioms,
-    fpf_corpus,
-    involution_corpus,
-    reduced_corpus,
+    corpus,
     run_target,
 )
 
 
 def test_corpora_nonempty():
-    assert len(involution_corpus(4, 1, 4)) > 10
-    assert len(fpf_corpus(4, 1, 6)) > 5
-    assert len(reduced_corpus(4, 1, 3)) > 10
+    assert len(corpus("involution", 4, (1, 4))) > 10
+    assert len(corpus("fpf", 4, (1, 6))) > 5
+    assert len(corpus("reduced", 4, (1, 3))) > 10
 
 
 @pytest.mark.parametrize("name,bounds", [
