@@ -143,7 +143,8 @@ def decompose_bump(w, pi, flavor, cap=None):
 
     A new ordinary bump starts at every plain-reduced word of the chain;
     its atom is the permutation of the deleted subword at the index about
-    to be pushed.  Returns () when the bump fixes w.
+    to be pushed, which is the mark of the next chain step.  Returns () when
+    the bump fixes w.
     """
     if not get_flavor(flavor).queer:
         raise ValueError("decompose_bump applies to involution and fpf flavors")
@@ -151,12 +152,9 @@ def decompose_bump(w, pi, flavor, cap=None):
     if chain is None:
         return ()
     atoms = []
-    for mw in chain[:-1]:
-        word, i = mw.word, mw.mark
-        j = i if _push_in_place(word, pi, flavor) else companion_index(
-            word, i, pi, flavor)
-        if is_reduced_word(word):
-            atoms.append(word_to_permutation(delete_letter(word, j)))
+    for mw, nxt in zip(chain, chain[1:]):
+        if is_reduced_word(mw.word):
+            atoms.append(word_to_permutation(delete_letter(mw.word, nxt.mark)))
     return tuple(atoms)
 
 

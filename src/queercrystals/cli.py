@@ -255,6 +255,9 @@ def main(argv=None):
     except VertexCapExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RuntimeError as exc:  # an internal invariant of a theorem broke
+        print(f"theorem failure: {exc}", file=sys.stderr)
+        return EXIT_THEOREM_FAIL
 
 
 if __name__ == "__main__":

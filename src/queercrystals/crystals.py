@@ -292,7 +292,7 @@ def shtab_f(t, i):
                 unprimed(i), primed(i + 1)):
             return t.with_entry(x, y, unprimed(i)).with_entry(
                 tr, tc, primed(i + 1))
-    raise RuntimeError("L2(c) found no landing position")
+    raise RuntimeError(f"L2(c) found no landing position for f_{i} on {t!r}")
 
 
 def shtab_e(t, i):
@@ -320,7 +320,8 @@ def shtab_e(t, i):
                     unprimed(i), primed(i + 1)):
                 return t.with_entry(x, y, primed(i + 1)).with_entry(
                     tr, tc, unprimed(i))
-        raise RuntimeError("R1(c) found no landing position")
+        raise RuntimeError(
+            f"R1(c) found no landing position for e_{i} on {t!r}")
     # R2
     if south == unprimed(i):
         return t.with_entry(x, y, unprimed(i)).with_entry(
@@ -490,9 +491,6 @@ class Crystal:
                 continue
             out.append((x, wt))
         return tuple(out)
-
-    def weights(self):
-        return tuple(self.wt(x) for x in self.vertices)
 
     def to_json(self):
         verts = [pretty_element(x) for x in self.vertices]

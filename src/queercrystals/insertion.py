@@ -22,6 +22,7 @@ from .tableaux import (
     ShiftedTableau,
     Tableau,
     entry_primed,
+    entry_str,
     entry_value,
     primed,
     unprimed,
@@ -153,14 +154,17 @@ def _column_entries(rows, c):
 
 def _append_to_column(rows, c, x):
     """Add x at the top of column c; the spot must be a legal new box."""
-    h = len(_column_entries(rows, c))
+    col = [y for _, y in _column_entries(rows, c)]
+    h = len(col)
     if h + 1 > len(rows):
         if c != h + 1:
-            raise RuntimeError(f"cannot open row {h + 1} at column {c}")
+            raise RuntimeError(
+                f"cannot open row {h + 1} at column {c} {col} for letter {x}")
         rows.append([x])
     else:
         if h + 1 + len(rows[h]) != c:
-            raise RuntimeError(f"column {c} append does not extend row {h + 1}")
+            raise RuntimeError(f"appending letter {x} to column {c} {col} "
+                               f"does not extend row {h + 1}")
         rows[h].append(x)
     return (h + 1, c)
 
@@ -284,7 +288,10 @@ def _hm_letter(rows, x):
                 return _append_to_column(rows, c, x)
             rr, y = col[idx]
             if rr == c:
-                raise RuntimeError("mixed insertion bumped a diagonal entry from a column")
+                raise RuntimeError(
+                    f"mixed insertion of {entry_str(x)} bumped the diagonal "
+                    f"entry {entry_str(y)} from column {c} of rows "
+                    f"{[[entry_str(e) for e in row] for row in rows]}")
             rows[rr - 1][c - rr] = x
             if entry_primed(y):
                 pos, x = c + 1, y

@@ -41,12 +41,6 @@ class Permutation:
         return cls({i: i + 1, i + 1: i})
 
     @classmethod
-    def transposition(cls, a, b):
-        if a == b:
-            return cls()
-        return cls({a: b, b: a})
-
-    @classmethod
     def from_cycles(cls, cycles):
         m = {}
         for cyc in cycles:
@@ -695,10 +689,3 @@ def fpf_grassmannian_shape(pi):
         return None
     return tuple(p - 1 for p in mu if p > 1)
 
-
-def clear_caches():
-    _reduced_cache.clear()
-    _involution_cache.clear()
-    _fpf_cache.clear()
-    involution_target.cache_clear()
-    fpf_target.cache_clear()

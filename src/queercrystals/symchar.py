@@ -129,7 +129,6 @@ def is_supersymmetric(p):
 
 def character(crys):
     """Sum of x^wt(b) over the crystal's vertices."""
-    p = Polynomial.zero(crys.n)
     out = {}
     for x in crys.vertices:
         e = tuple(crys.wt(x))

@@ -8,12 +8,14 @@ counterexample.  Conjecture targets never fail the build; they report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import bumping, tableaux
 from .bumping import bump, decompose_bump, increments, replay_decomposition
 from .crystals import (
     QBAR,
+    _component_certificate,
+    _fac_ops,
     axioms_report,
     dbl_map,
     even_crystal,
@@ -27,6 +29,8 @@ from .crystals import (
     perm_words,
     shifted_tableau_crystal,
     shifted_tableau_crystal_all,
+    shtab_e,
+    shtab_f,
     sigma_set,
     sigma_set_pattern,
     strict_partitions,
@@ -70,6 +74,13 @@ class VerifyResult:
             head += f"\n  counterexample: {self.counterexample}"
         return "\n".join([head] + [f"  {l}" for l in self.lines])
 
+    def fail(self, line, counterexample):
+        """Record the first failure of a target and return the result."""
+        self.ok = False
+        self.counterexample = counterexample
+        self.lines.append(line)
+        return self
+
 
 # ---------------------------------------------------------------------------
 # Corpora
@@ -110,7 +121,7 @@ def _q_tableau(w, flavor):
 # ---------------------------------------------------------------------------
 # Targets
 
-def check_crystal_axioms(_mutate=None):
+def check_crystal_axioms():
     """Definitions of gl_n- and q_n-crystals on every constructed carrier."""
     res = VerifyResult("crystal-axioms", True)
     carriers = [
@@ -131,20 +142,16 @@ def check_crystal_axioms(_mutate=None):
         perm_crystal(3, 4), even_crystal(2, 3),
     ]
     for crys in carriers:
-        if _mutate is not None:
-            crys = _mutate(crys)
         bad = axioms_report(crys)
         res.checks += len(crys)
         if bad:
-            res.ok = False
-            res.counterexample = (crys.name, bad[0])
-            res.lines.append(f"{crys.name}: {len(bad)} violations")
-            return res
+            return res.fail(f"{crys.name}: {len(bad)} violations",
+                            (crys.name, bad[0]))
         res.lines.append(f"{crys.name}: {len(crys)} vertices ok")
     return res
 
 
-def _fiber_check(flavor, max_len, n):
+def _fiber_check(flavor, max_len=5, n=3):
     """Coxeter-Knuth classes = P fibers; components of the factorization
     crystal = P fibers."""
     flav = get_flavor(flavor)
@@ -155,15 +162,12 @@ def _fiber_check(flavor, max_len, n):
         fibers = {}
         for w in words:
             fibers.setdefault(_p_tableau(w, ins), set()).add(w)
-        for p, fib in fibers.items():
+        for fib in fibers.values():
             cls = equivalence_class(next(iter(sorted(fib))), rel)
             res.checks += 1
             if cls != fib:
-                res.ok = False
-                res.counterexample = (str(pi), sorted(fib)[0])
-                res.lines.append(
-                    f"{pi}: P-fiber differs from the {rel}-class")
-                return res
+                return res.fail(f"{pi}: P-fiber differs from the {rel}-class",
+                                (str(pi), sorted(fib)[0]))
         crys = factorization_crystal(pi, flavor, n)
         comps = {frozenset(c.vertices) for c in crys.components()}
         byp = {}
@@ -171,41 +175,22 @@ def _fiber_check(flavor, max_len, n):
             byp.setdefault(_p_tableau(fac.word(), ins), set()).add(fac)
         res.checks += 1
         if comps != {frozenset(v) for v in byp.values()}:
-            res.ok = False
-            res.counterexample = str(pi)
-            res.lines.append(f"{pi}: components differ from P-fibers")
-            return res
+            return res.fail(f"{pi}: components differ from P-fibers", str(pi))
     res.lines.append(f"{rel}-classes, fibers, and components all agree")
     return res
 
 
-def check_eg_fibers(max_len=5, n=3):
-    return _fiber_check("reduced", max_len, n)
-
-
-def check_oeg_fibers(max_len=5, n=3):
-    return _fiber_check("involution", max_len, n)
-
-
-def check_speg_fibers(max_len=5, n=3):
-    return _fiber_check("fpf", max_len, n)
-
-
 @lru_cache(maxsize=None)
 def _word_component_certs(n, m):
-    from .crystals import _component_certificate
-
     out = {}
     for c in word_crystal(n, m).components():
         out.setdefault(len(c), []).append(_component_certificate(c))
     return out
 
 
-def _q_morphism_check(flavor, max_len, n):
+def _q_morphism_check(flavor, max_len=5, n=3):
     """The recording map is a quasi-isomorphism onto shifted tableaux and
     every component of the factorization crystal is normal."""
-    from .crystals import _component_certificate
-
     flav = get_flavor(flavor)
     ins = flav.insertion
     res = VerifyResult(f"q-morphism-{flav.relation}", True)
@@ -216,29 +201,16 @@ def _q_morphism_check(flavor, max_len, n):
         res.checks += 1
         if not is_quasi_isomorphism(
                 lambda x: insert(x, ins, check=False).Q, crys, tab):
-            res.ok = False
-            res.counterexample = str(pi)
-            res.lines.append(f"{pi}: Q is not a quasi-isomorphism")
-            return res
+            return res.fail(f"{pi}: Q is not a quasi-isomorphism", str(pi))
         certs = _word_component_certs(n, m)
         for comp in crys.components():
             res.checks += 1
             if _component_certificate(comp) not in certs.get(len(comp), []):
-                res.ok = False
-                res.counterexample = str(pi)
-                res.lines.append(
-                    f"{pi}: a component is not normal (no match in W_{n}({m}))")
-                return res
+                return res.fail(
+                    f"{pi}: a component is not normal (no match in W_{n}({m}))",
+                    str(pi))
     res.lines.append("recording map is a quasi-isomorphism; all components normal")
     return res
-
-
-def check_q_morphism_o(max_len=5, n=3):
-    return _q_morphism_check("involution", max_len, n)
-
-
-def check_q_morphism_sp(max_len=5, n=3):
-    return _q_morphism_check("fpf", max_len, n)
 
 
 def _bump_targets(w, flavor):
@@ -268,12 +240,6 @@ def check_bump_properties(max_len=5, n=3):
     """Bijectivity, descent preservation, ck commutation, recording
     invariance, the factorization lift, and the atom decomposition."""
     res = VerifyResult("bump-properties", True)
-
-    def fail(msg, cex):
-        res.ok = False
-        res.counterexample = cex
-        res.lines.append(msg)
-
     for flavor, flav in FLAVORS.items():
         ins, ck0 = flav.insertion, flav.ck0
         words, targets = _bump_corpus(flavor, max_len)
@@ -283,26 +249,24 @@ def check_bump_properties(max_len=5, n=3):
                 v = bump(w, pi, flavor)
                 res.checks += 1
                 if v in images and images[v] != w:
-                    return fail(f"{flavor}: bump not injective", (str(pi), w))
+                    return res.fail(f"{flavor}: bump not injective", (str(pi), w))
                 images[v] = w
                 if descent_set(v) != descent_set(w):
-                    return fail(f"{flavor}: descents not preserved", (str(pi), w))
+                    return res.fail(f"{flavor}: descents not preserved", (str(pi), w))
                 if not flav.queer and set(increments(w, v)) - {0, 1}:
-                    return fail(f"{flavor}: increment bound broken", (str(pi), w))
+                    return res.fail(f"{flavor}: increment bound broken", (str(pi), w))
                 if _q_tableau(w, ins) != _q_tableau(v, ins):
-                    return fail(f"{flavor}: recording tableau changed", (str(pi), w))
+                    return res.fail(f"{flavor}: recording tableau changed", (str(pi), w))
                 for i in range(1, len(w) - 1):
                     if bump(ck(w, i), pi, flavor) != ck(v, i):
-                        return fail(f"{flavor}: ck_{i} commutation", (str(pi), w))
+                        return res.fail(f"{flavor}: ck_{i} commutation", (str(pi), w))
                 if ck0 is not None and bump(ck0(w), pi, flavor) != ck0(v):
-                    return fail(f"{flavor}: ck_0 commutation", (str(pi), w))
+                    return res.fail(f"{flavor}: ck_0 commutation", (str(pi), w))
                 if flav.queer and v != w:
                     atoms_seq = decompose_bump(w, pi, flavor)
                     if replay_decomposition(w, atoms_seq) != v:
-                        return fail(f"{flavor}: decomposition replay", (str(pi), w))
+                        return res.fail(f"{flavor}: decomposition replay", (str(pi), w))
     # crystal-operator commutation on factorizations (qi theorems)
-    from .crystals import _fac_ops
-
     for flavor, flav in FLAVORS.items():
         f_op, _ = _fac_ops(flav.relation)
         indices = ([QBAR] if flav.queer else []) + list(range(1, n))
@@ -321,28 +285,21 @@ def check_bump_properties(max_len=5, n=3):
                             res.checks += 1
                             if lhs is None:
                                 if f_op(bumped, i) is not None:
-                                    return fail(
+                                    return res.fail(
                                         f"{flavor}: f_{i} definedness vs bump",
                                         (str(pi), fac))
                             elif bumping.bump_factorization(
                                     lhs, pi, flavor) != f_op(bumped, i):
-                                return fail(
+                                return res.fail(
                                     f"{flavor}: bump/f_{i} commutation",
                                     (str(pi), fac))
-    if res.ok:
-        res.lines.append("parts (a)-(d) and the crystal commutation all hold")
+    res.lines.append("parts (a)-(d) and the crystal commutation all hold")
     return res
 
 
 def check_dual_equivalence(max_len=6, max_boxes=7, n=3):
     """Recording tableaux intertwine ck moves with the d_i operators."""
     res = VerifyResult("dual-equivalence", True)
-
-    def fail(msg, cex):
-        res.ok = False
-        res.counterexample = cex
-        res.lines.append(msg)
-
     for flav in QUEER_FLAVORS:
         flavor, ins, ck0 = flav.name, flav.insertion, flav.ck0
         for pi in corpus(flavor, max_len):
@@ -350,53 +307,48 @@ def check_dual_equivalence(max_len=6, max_boxes=7, n=3):
                 q = _q_tableau(w, ins)
                 res.checks += 1
                 if _q_tableau(ck0(w), ins) != tableaux.dual_equiv(q, 0):
-                    return fail(f"{flavor}: ck_0 vs d_0", w)
+                    return res.fail(f"{flavor}: ck_0 vs d_0", w)
                 for i in range(1, len(w) - 1):
                     if _q_tableau(ck(w, i), ins) != tableaux.dual_equiv(q, i):
-                        return fail(f"{flavor}: ck_{i} vs d_{i}", w)
+                        return res.fail(f"{flavor}: ck_{i} vs d_{i}", w)
     # involutivity, standardness, descent mirroring, operator composites
-    from .crystals import shtab_e, shtab_f
-
     for m in range(1, max_boxes + 1):
         for mu in strict_partitions(m):
             for t in standard_shifted_tableaux(mu, primes=True):
                 des = tableau_descents(t)
                 res.checks += 1
                 if des != shword_descents(t):
-                    return fail("descent characterizations disagree", t)
+                    return res.fail("descent characterizations disagree", t)
                 for i in range(0, m - 1):
                     u = tableaux.dual_equiv(t, i)
                     if not tableaux.is_standard(u) or tableaux.dual_equiv(u, i) != t:
-                        return fail("d_i not a standard involution", (t, i))
+                        return res.fail("d_i not a standard involution", (t, i))
                 for i in range(1, m):
                     if i in des:
                         if shtab_e(t, i) is not None or shtab_f(t, i) is not None:
-                            return fail("e_i/f_i do not vanish on a descent", (t, i))
+                            return res.fail("e_i/f_i do not vanish on a descent", (t, i))
                     else:
                         box = t.find_value(i)
                         if shtab_f(t, i) != t.with_entry(*box, t.entry(*box) + 2):
-                            return fail("f_i is not the +1 move off descents", (t, i))
+                            return res.fail("f_i is not the +1 move off descents", (t, i))
                         box = t.find_value(i + 1)
                         if shtab_e(t, i) != t.with_entry(*box, t.entry(*box) - 2):
-                            return fail("e_i is not the -1 move off descents", (t, i))
+                            return res.fail("e_i is not the -1 move off descents", (t, i))
                 for i in range(1, m - 1):
                     both = des & {i, i + 1}
                     if both == {i}:
                         seq = _compose(t, [("e", i + 1), ("e", i), ("f", i + 1), ("f", i)])
                         if seq != tableaux.dual_equiv(t, i):
-                            return fail("f f e e composite (descent i)", (t, i))
+                            return res.fail("f f e e composite (descent i)", (t, i))
                     elif both == {i + 1}:
                         seq = _compose(t, [("e", i), ("e", i + 1), ("f", i), ("f", i + 1)])
                         if seq != tableaux.dual_equiv(t, i):
-                            return fail("f f e e composite (descent i+1)", (t, i))
-    if res.ok:
-        res.lines.append("ck/d intertwining and the operator composites hold")
+                            return res.fail("f f e e composite (descent i+1)", (t, i))
+    res.lines.append("ck/d intertwining and the operator composites hold")
     return res
 
 
 def _compose(t, ops):
-    from .crystals import shtab_e, shtab_f
-
     for kind, i in ops:
         t = shtab_e(t, i) if kind == "e" else shtab_f(t, i)
         if t is None:
@@ -408,12 +360,6 @@ def check_reduction_lemma(max_m=5, n=3):
     """The inv/dbl dictionary between insertion algorithms, and the
     decomposition of permutations into involution word classes."""
     res = VerifyResult("reduction-lemma", True)
-
-    def fail(msg, cex):
-        res.ok = False
-        res.counterexample = cex
-        res.lines.append(msg)
-
     for m in range(1, max_m + 1):
         for nn in range(1, n + 1):
             for w in perm_words(m):
@@ -425,25 +371,24 @@ def check_reduction_lemma(max_m=5, n=3):
                     o2 = oeg_insert(dbl_map(fac), check=False)
                     res.checks += 1
                     if o.P != hm.Q:
-                        return fail("P^O != Q_HM(inverse)", fac)
+                        return res.fail("P^O != Q_HM(inverse)", fac)
                     if not (o.Q == o2.Q == sp2.Q == hm.P):
-                        return fail("recording identities fail", fac)
+                        return res.fail("recording identities fail", fac)
         sig = sigma_set(m)
         res.checks += 1
         if set(sig) != sigma_set_pattern(m):
-            return fail("Sigma(m) pattern mismatch", m)
+            return res.fail("Sigma(m) pattern mismatch", m)
         if sum(len(v) for v in sig.values()) != len(perm_words(m)):
-            return fail("Perm(m) does not partition", m)
+            return res.fail("Perm(m) does not partition", m)
         if sorted(enumerate_words(even_target_o(m), "involution")) != sorted(even_words(m)):
-            return fail("Even(m) != R^O(tau)", m)
+            return res.fail("Even(m) != R^O(tau)", m)
         if sorted(enumerate_words(even_target_sp(m), "fpf")) != sorted(even_words(m)):
-            return fail("Even(m) != R^Sp(pi)", m)
+            return res.fail("Even(m) != R^Sp(pi)", m)
         eo = even_crystal(2, m, "O")
         es = even_crystal(2, m, "Sp")
         if eo.edges() != es.edges():
-            return fail("O/Sp structures differ on Even", m)
-    if res.ok:
-        res.lines.append("insertion dictionary and decompositions all hold")
+            return res.fail("O/Sp structures differ on Even", m)
+    res.lines.append("insertion dictionary and decompositions all hold")
     return res
 
 
@@ -459,15 +404,10 @@ def check_supersymmetry(max_len=4, n=3):
         ch = character(crys)
         res.checks += 1
         if not is_symmetric(ch):
-            res.ok = False
-            res.counterexample = crys.name
-            res.lines.append(f"{crys.name}: character not symmetric")
-            return res
+            return res.fail(f"{crys.name}: character not symmetric", crys.name)
         if not is_supersymmetric(ch):
-            res.ok = False
-            res.counterexample = crys.name
-            res.lines.append(f"{crys.name}: character not supersymmetric")
-            return res
+            return res.fail(f"{crys.name}: character not supersymmetric",
+                            crys.name)
     res.lines.append(f"{len(carriers)} characters symmetric and supersymmetric")
     return res
 
@@ -483,12 +423,6 @@ def _hw_counts(crys):
 def check_schurp_positivity(max_len=5, n=None):
     """Schur-P (and Schur) expansion coefficients equal highest-weight counts."""
     res = VerifyResult("schurP-positivity", True)
-
-    def fail(msg, cex):
-        res.ok = False
-        res.counterexample = cex
-        res.lines.append(msg)
-
     for flav in QUEER_FLAVORS:
         flavor, ell = flav.name, flav.ell
         seen = set()
@@ -504,9 +438,9 @@ def check_schurp_positivity(max_len=5, n=None):
             coeffs = expand(character(crys), flav.basis, min_n=ell(pi))
             res.checks += 1
             if any(c <= 0 for c in coeffs.values()):
-                return fail(f"{flavor}: negative Schur-P coefficient", str(pi))
+                return res.fail(f"{flavor}: negative Schur-P coefficient", str(pi))
             if coeffs != _hw_counts(crys):
-                return fail(f"{flavor}: coefficients != highest weight counts", str(pi))
+                return res.fail(f"{flavor}: coefficients != highest weight counts", str(pi))
     reduced = get_flavor("reduced")
     for sigma in corpus("reduced", 4, (1, 3)):
         nn = reduced.ell(sigma)
@@ -514,11 +448,10 @@ def check_schurp_positivity(max_len=5, n=None):
         coeffs = expand(character(crys), reduced.basis, min_n=nn)
         res.checks += 1
         if any(c <= 0 for c in coeffs.values()):
-            return fail("reduced: negative Schur coefficient", str(sigma))
+            return res.fail("reduced: negative Schur coefficient", str(sigma))
         if coeffs != _hw_counts(crys):
-            return fail("reduced: coefficients != highest weight counts", str(sigma))
-    if res.ok:
-        res.lines.append("all expansions nonnegative and equal to source counts")
+            return res.fail("reduced: coefficients != highest weight counts", str(sigma))
+    res.lines.append("all expansions nonnegative and equal to source counts")
     return res
 
 
@@ -531,11 +464,10 @@ def _translation_class(pi):
     shiftby = 1 - min(sup)
     if isinstance(pi, FpfInvolution):
         shiftby += shiftby % 2
-        return pi.shift(shiftby)
     return pi.shift(shiftby)
 
 
-def _conjecture_bounds(name, flavor, allowed, max_len):
+def _conjecture_bounds(name, flavor, allowed, max_len=5):
     res = VerifyResult(name, True, conjecture=True)
     words, targets = _bump_corpus(flavor, max_len)
     for pi in targets:
@@ -543,37 +475,29 @@ def _conjecture_bounds(name, flavor, allowed, max_len):
             v = bump(w, pi, flavor)
             res.checks += 1
             if set(increments(w, v)) - allowed:
-                res.ok = False
-                res.counterexample = (str(pi), w, v)
-                res.lines.append(
-                    f"increment outside {sorted(allowed)}: {w} -> {v}")
-                return res
+                return res.fail(
+                    f"increment outside {sorted(allowed)}: {w} -> {v}",
+                    (str(pi), w, v))
     res.lines.append(f"all increments within {sorted(allowed)}")
     return res
 
 
-def check_conjecture_ib_bound(max_len=5):
-    return _conjecture_bounds("conjecture-ib-bound", "involution", {0, 1}, max_len)
-
-
-def check_conjecture_fb_bound(max_len=5):
-    return _conjecture_bounds("conjecture-fb-bound", "fpf", {0, 1, 2}, max_len)
-
-
 TARGETS = {
     "crystal-axioms": check_crystal_axioms,
-    "eg-fibers": check_eg_fibers,
-    "oeg-fibers": check_oeg_fibers,
-    "speg-fibers": check_speg_fibers,
-    "q-morphism-O": check_q_morphism_o,
-    "q-morphism-Sp": check_q_morphism_sp,
+    "eg-fibers": partial(_fiber_check, "reduced"),
+    "oeg-fibers": partial(_fiber_check, "involution"),
+    "speg-fibers": partial(_fiber_check, "fpf"),
+    "q-morphism-O": partial(_q_morphism_check, "involution"),
+    "q-morphism-Sp": partial(_q_morphism_check, "fpf"),
     "bump-properties": check_bump_properties,
     "dual-equivalence": check_dual_equivalence,
     "reduction-lemma": check_reduction_lemma,
     "supersymmetry": check_supersymmetry,
     "schurP-positivity": check_schurp_positivity,
-    "conjecture-ib-bound": check_conjecture_ib_bound,
-    "conjecture-fb-bound": check_conjecture_fb_bound,
+    "conjecture-ib-bound": partial(
+        _conjecture_bounds, "conjecture-ib-bound", "involution", {0, 1}),
+    "conjecture-fb-bound": partial(
+        _conjecture_bounds, "conjecture-fb-bound", "fpf", {0, 1, 2}),
 }
 
 

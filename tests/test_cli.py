@@ -179,3 +179,27 @@ class TestVerifyCommand:
         with pytest.raises(TypeError):
             cli.main(["verify", "eg-fibers", "--maxlen", "3"])
         assert calls == [3]
+
+
+class TestInternalInvariantFailure:
+    """A broken internal invariant is a theorem failure: exit 1, the message
+    on stderr, nothing on stdout."""
+
+    def test_bump_chain_runtime_error_exit_1(self, capsys, monkeypatch):
+        def broken(w, pi, flavor):
+            raise RuntimeError(f"expected a unique companion for {w}")
+
+        monkeypatch.setattr(cli, "bump_chain", broken)
+        code, out, err = run(capsys, "bump", "2134", "(2,5)",
+                             "--flavor", "involution")
+        assert code == cli.EXIT_THEOREM_FAIL and out == ""
+        assert "theorem failure: expected a unique companion for (2, 1, 3, 4)" in err
+
+    def test_target_runtime_error_exit_1(self, capsys, monkeypatch):
+        def broken(max_len=5, n=3):
+            raise RuntimeError("L2(c) found no landing position")
+
+        monkeypatch.setitem(cli.TARGETS, "oeg-fibers", broken)
+        code, out, err = run(capsys, "verify", "oeg-fibers")
+        assert code == cli.EXIT_THEOREM_FAIL and out == ""
+        assert "theorem failure: L2(c)" in err

@@ -274,3 +274,13 @@ class TestInversion:
     def test_no_preimage(self):
         with pytest.raises(ValueError):
             invert_insertion(S([["2"]]), S([["1'"]]), "oeg", n=1)
+
+
+def test_illegal_column_append_names_its_input():
+    from queercrystals.insertion import _append_to_column
+
+    # column 3 of a one-box shifted row list is not the next box of row 1
+    with pytest.raises(RuntimeError, match=r"letter 5 to column 3 \[\]"):
+        _append_to_column([[2]], 3, 5)
+    with pytest.raises(RuntimeError, match=r"row 2 at column 3 \[6\] for letter 5"):
+        _append_to_column([[2, 4, 6]], 3, 5)
