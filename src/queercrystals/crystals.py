@@ -12,9 +12,8 @@ from __future__ import annotations
 import os
 from bisect import insort
 
-from . import permwords
 from .insertion import Factorization, split_word
-from .permwords import Permutation, get_flavor
+from .permwords import Permutation, enumerate_words, get_flavor
 from .tableaux import (
     ShiftedTableau,
     entry_primed,
@@ -619,7 +618,7 @@ def factorization_crystal(pi, flavor, n):
     for pi: a gl_n-crystal for reduced words, a q_n-crystal otherwise."""
     flav = get_flavor(flavor)
     f, e = _fac_ops(flav.relation)
-    verts = _factorizations(getattr(permwords, flav.words)(pi), n)
+    verts = _factorizations(enumerate_words(pi, flavor), n)
     return Crystal(verts, n, Factorization.weight, f, e, queer=flav.queer,
                    name=f"{flav.carrier}_{n}({pi})")
 

@@ -10,6 +10,7 @@ letters in the shifted algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, combinations_with_replacement, product
 
 from .permwords import (
     equivalence_class,
@@ -25,8 +26,10 @@ from .tableaux import (
     entry_str,
     entry_value,
     primed,
+    row_word,
     unprimed,
 )
+from .tableaux import weight as tab_weight
 
 
 class Factorization(tuple):
@@ -58,24 +61,23 @@ class Factorization(tuple):
 
 
 def split_word(w, n):
-    """All ways to cut w into n strictly increasing, possibly empty factors."""
+    """All ways to cut w into n strictly increasing, possibly empty factors.
+
+    Every weak descent w_k >= w_{k+1} needs a cut between its letters and
+    the remaining cuts may fall anywhere, so the factorizations correspond
+    to the multisets of n - 1 cut positions holding all weak descents.
+    """
     w = tuple(w)
     if n == 0:
         return (Factorization(),) if not w else ()
+    forced = [k for k in range(1, len(w)) if w[k - 1] >= w[k]]
+    if len(forced) > n - 1:
+        return ()
     out = []
-
-    def rec(rest, k, acc):
-        if k == 1:
-            if all(rest[i] < rest[i + 1] for i in range(len(rest) - 1)):
-                out.append(Factorization(acc + [rest]))
-            return
-        for cut in range(len(rest) + 1):
-            head = rest[:cut]
-            if any(head[i] >= head[i + 1] for i in range(len(head) - 1)):
-                break
-            rec(rest[cut:], k - 1, acc + [head])
-
-    rec(w, n, [])
+    for free in combinations_with_replacement(range(len(w) + 1),
+                                              n - 1 - len(forced)):
+        cuts = (0, *sorted(forced + list(free)), len(w))
+        out.append(Factorization(w[a:b] for a, b in zip(cuts, cuts[1:])))
     return tuple(out)
 
 
@@ -326,74 +328,38 @@ def insert(w, flavor, check=True):
     return fn(w, check=check)
 
 
-def _q_entries(Q):
-    """(value, primed) at each box of a recording tableau, keyed by box."""
-    shifted = isinstance(Q, ShiftedTableau)
-    out = {}
-    for r, c in Q.boxes():
-        x = Q.entry(r, c)
-        if shifted:
-            out[(r, c)] = (entry_value(x), entry_primed(x))
-        else:
-            out[(r, c)] = (x, False)
-    return out
-
-
 def invert_insertion(P, Q, flavor, n=None):
     """The unique factorization inserting to (P, Q).
 
-    For the EG flavors this searches the Coxeter-Knuth class of the row
-    reading word of P, reconstructing the factor split from Q against the
-    standardized recording tableau; the fiber theorems guarantee uniqueness.
-    Raises ValueError when no preimage exists.
+    For the EG flavors the weight of Q gives the factor lengths, so this
+    cuts each word of the Coxeter-Knuth class of the row reading word of P
+    at those lengths and keeps the cut that re-inserts to (P, Q); the fiber
+    theorems guarantee uniqueness.  Raises ValueError when no preimage
+    exists.
     """
     if flavor == "hm":
         return _invert_hm(P, Q)
     relation = insertion_flavor(flavor).relation
-    from .tableaux import row_word
-
-    qent = _q_entries(Q)
     if n is None:
-        n = max((v for v, _ in qent.values()), default=0)
+        n = max((entry_value(x) if isinstance(Q, ShiftedTableau) else x
+                 for row in Q.rows for x in row), default=0)
     if P.size() == 0:
         return Factorization(((),) * n)
     if P.shape != Q.shape:
         raise ValueError("P and Q must have equal shapes")
-    w0 = row_word(P)
-    for v in sorted(equivalence_class(w0, relation)):
-        res = insert(Factorization.from_word(v), flavor, check=False)
-        if res.P != P:
-            continue
-        std = _q_entries(res.Q)
-        assignment = {}
-        ok = True
-        for box, (k, pr) in std.items():
-            val, qpr = qent[box]
-            if pr != qpr:
-                ok = False
-                break
-            assignment[k] = val
-        if not ok:
-            continue
-        factors = [k for _, k in sorted(assignment.items())]
-        if factors != sorted(factors) or (factors and factors[-1] > n):
-            continue
-        groups = [[] for _ in range(n)]
-        for letter, j in zip(v, factors):
-            groups[j - 1].append(letter)
+    cuts = (0, *accumulate(tab_weight(Q, n)))
+    for v in sorted(equivalence_class(row_word(P), relation)):
         try:
-            fac = Factorization(groups)
+            fac = Factorization(v[a:b] for a, b in zip(cuts, cuts[1:]))
         except ValueError:
             continue
-        check = insert(fac, flavor, check=False)
-        if check.P == P and check.Q == Q:
+        res = insert(fac, flavor, check=False)
+        if res.P == P and res.Q == Q:
             return fac
     raise ValueError("no factorization inserts to the given pair")
 
 
 def _invert_hm(P, Q):
-    from itertools import product
-
     m = P.size()
     if m == 0:
         return ()

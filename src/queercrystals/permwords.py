@@ -9,8 +9,8 @@ moves whose closures characterize insertion-tableau fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 
 class Permutation:
@@ -139,11 +139,6 @@ class Permutation:
         m[i], m[i + 1] = b, a
         return Permutation(m)
 
-    def s_times(self, i):
-        """Left multiplication by s_i."""
-        s = Permutation.s(i)
-        return Permutation({j: s(self(j)) for j in set(self.support()) | {i, i + 1}})
-
     def conjugate_s(self, i):
         """s_i * self * s_i."""
         s = Permutation.s(i)
@@ -217,13 +212,6 @@ class FpfInvolution:
         """The base matching 1_fpf itself."""
         return cls()
 
-    @classmethod
-    def from_word(cls, w):
-        pi = cls()
-        for a in w:
-            pi = pi.conjugate_s(a)
-        return pi
-
     def __call__(self, i):
         got = self._map.get(i)
         return self.base(i) if got is None else got
@@ -276,16 +264,14 @@ class FpfInvolution:
             pairs.add((min(x, y), max(x, y)))
         return FpfInvolution(p for p in pairs if self.base(p[0]) != p[1])
 
-    def descent_candidates(self):
-        """Descents i with pi(i) != i+1; only these start no word / end words."""
+    def descents(self):
+        """The descents next to the support; every other descent is a base
+        pair {i, i+1}, which conjugation by s_i fixes."""
         if not self.cycles:
             return ()
         lo = self.cycles[0][0] - 2
         hi = max(b for _, b in self.cycles) + 1
-        return tuple(
-            i for i in range(lo, hi)
-            if self.is_descent(i) and self(i) != i + 1
-        )
+        return tuple(i for i in range(lo, hi) if self.is_descent(i))
 
     def window_involution(self):
         """Restriction to a base-closed window as a Permutation, identity outside."""
@@ -322,20 +308,27 @@ def word_to_permutation(w):
     return pi
 
 
+def _ascent_walk(flavor, w):
+    """The target of w in the flavor's class, or None when some letter is a
+    descent of the target built so far (exactly the invalid-word condition).
+    For reduced words the target is the product s_{w_1} ... s_{w_l}."""
+    flav = FLAVORS[flavor]
+    pi = flav.identity
+    for a in w:
+        if pi.is_descent(a):
+            return None
+        pi = flav.step(pi, a)
+    return pi
+
+
 def is_reduced_word(w):
-    return word_to_permutation(w).length() == len(w)
+    return _ascent_walk("reduced", w) is not None
 
 
 @lru_cache(maxsize=None)
 def involution_target(w):
-    """The involution built by the twisted chain, or None when some step
-    would use a descent (exactly the invalid-word condition)."""
-    pi = Permutation.identity()
-    for a in w:
-        if pi.is_descent(a):
-            return None
-        pi = pi.rtimes_step(a)
-    return pi
+    """The involution built by the twisted chain, or None."""
+    return _ascent_walk("involution", w)
 
 
 def is_involution_word(w):
@@ -345,22 +338,11 @@ def is_involution_word(w):
 @lru_cache(maxsize=None)
 def fpf_target(w):
     """The fpf involution built by conjugating the base matching, or None."""
-    pi = FpfInvolution.identity()
-    for a in w:
-        if pi.is_descent(a):
-            return None
-        pi = pi.conjugate_s(a)
-    return pi
+    return _ascent_walk("fpf", w)
 
 
 def is_fpf_involution_word(w):
     return fpf_target(tuple(w)) is not None
-
-
-def _reduced_target(w):
-    """The permutation of w, or None when w is not reduced."""
-    pi = word_to_permutation(w)
-    return pi if pi.length() == len(w) else None
 
 
 def word_target(w, flavor):
@@ -373,72 +355,36 @@ _involution_cache = {}
 _fpf_cache = {}
 
 
-def reduced_words(pi):
-    """All reduced words for pi, sorted."""
-    got = _reduced_cache.get(pi)
-    if got is None:
-        if pi.is_identity():
-            got = ((),)
-        else:
-            got = tuple(sorted(
-                w + (i,)
-                for i in pi.descents()
-                for w in reduced_words(pi.times_s(i))
-            ))
-        _reduced_cache[pi] = got
-    return got
-
-
-def involution_words(pi):
-    """All involution words for pi, sorted.
-
-    Last letters are the descents i of pi; the shorter involution drops the
-    cycle (i, i+1) when present and otherwise un-conjugates by s_i.
-    """
-    got = _involution_cache.get(pi)
-    if got is None:
-        if pi.is_identity():
-            got = ((),)
-        else:
-            if not pi.is_involution():
-                raise ValueError("involution words require an involution")
-            acc = []
-            for i in pi.descents():
-                sub = pi.times_s(i) if pi(i) == i + 1 else pi.conjugate_s(i)
-                acc.extend(w + (i,) for w in involution_words(sub))
-            got = tuple(sorted(acc))
-        _involution_cache[pi] = got
-    return got
-
-
-def fpf_involution_words(pi):
-    """All fpf-involution words for pi, sorted.
-
-    Descents i with pi(i) = i+1 are dead ends (conjugation by s_i fixes pi),
-    so only the remaining descents can end a word.
-    """
-    got = _fpf_cache.get(pi)
-    if got is None:
-        if pi.is_identity():
-            got = ((),)
-        else:
-            acc = []
-            for i in pi.descent_candidates():
-                acc.extend(
-                    w + (i,) for w in fpf_involution_words(pi.conjugate_s(i))
-                )
-            got = tuple(sorted(acc))
-        _fpf_cache[pi] = got
-    return got
-
-
 def enumerate_words(pi, flavor):
-    """All words of the flavor for the target pi, sorted."""
+    """All words of the flavor for the target pi, sorted.
+
+    The ascent walk run backwards: a word ends in a descent i of pi that the
+    flavor's step moves, and its earlier letters form a word of step(pi, i).
+    """
     flav = get_flavor(flavor)
     kind = type(flav.identity)
     if not isinstance(pi, kind):
         raise ValueError(f"{flavor} words require a {kind.__name__}")
-    return globals()[flav.words](pi)
+    got = flav.cache.get(pi)
+    if got is None:
+        if pi.is_identity():
+            got = ((),)
+        else:
+            if flavor == "involution" and not pi.is_involution():
+                raise ValueError("involution words require an involution")
+            acc = []
+            for i in pi.descents():
+                sub = flav.step(pi, i)
+                if sub != pi:
+                    acc.extend(w + (i,) for w in enumerate_words(sub, flavor))
+            got = tuple(sorted(acc))
+        flav.cache[pi] = got
+    return got
+
+
+reduced_words = partial(enumerate_words, flavor="reduced")
+involution_words = partial(enumerate_words, flavor="involution")
+fpf_involution_words = partial(enumerate_words, flavor="fpf")
 
 
 def atoms(pi, flavor):
@@ -547,11 +493,10 @@ def ell_sp(pi):
 class Flavor:
     """One word class and the theory the paper builds on it.
 
-    perfbench/tracer.py wraps the enumerators, the inserters, the crystal
-    operators and word_to_permutation by rebinding module attributes and
-    module-level dict values, so the record names those functions instead
-    of holding them: `words` is a permwords attribute and `insertion` a key
-    of insertion._INSERTERS.
+    perfbench/tracer.py wraps the inserters, the crystal operators and
+    word_to_permutation by rebinding module attributes and module-level dict
+    values, so the record names the inserter instead of holding it:
+    `insertion` is a key of insertion._INSERTERS.
     """
 
     name: str          # "reduced", "involution" or "fpf"
@@ -560,9 +505,9 @@ class Flavor:
     ck0: object        # initial Coxeter-Knuth move, None for "K"
     ell: object        # common length of a target's words
     target: object     # word -> its target, or None outside the class
-    words: str         # name of the enumerator of a target's words
     identity: object   # target of the empty word
     step: object       # (target, i) -> target of the word extended by i
+    cache: dict = field(compare=False, repr=False)  # target -> its words
     window: tuple      # default letter window of the verify corpora
     sort_key: object   # order of the verify corpora
     carrier: str       # name prefix of the factorization crystals
@@ -580,19 +525,18 @@ def _length_order(pi):
 
 FLAVORS = {flav.name: flav for flav in (
     Flavor(name="reduced", insertion="eg", relation="K", ck0=None,
-           ell=Permutation.length, target=_reduced_target,
-           words="reduced_words", identity=Permutation(),
-           step=Permutation.times_s, window=(1, 4), sort_key=_length_order,
+           ell=Permutation.length, target=partial(_ascent_walk, "reduced"),
+           identity=Permutation(), step=Permutation.times_s,
+           cache=_reduced_cache, window=(1, 4), sort_key=_length_order,
            carrier="R", basis="schur"),
     Flavor(name="involution", insertion="oeg", relation="O", ck0=ck0_o,
-           ell=ell_o, target=involution_target,
-           words="involution_words", identity=Permutation(),
-           step=Permutation.rtimes_step, window=(1, 5),
-           sort_key=_length_order, carrier="R^O", basis="schurP"),
+           ell=ell_o, target=involution_target, identity=Permutation(),
+           step=Permutation.rtimes_step, cache=_involution_cache,
+           window=(1, 5), sort_key=_length_order, carrier="R^O",
+           basis="schurP"),
     Flavor(name="fpf", insertion="speg", relation="Sp", ck0=ck0_sp,
-           ell=ell_sp, target=fpf_target,
-           words="fpf_involution_words", identity=FpfInvolution(),
-           step=FpfInvolution.conjugate_s, window=(1, 6),
+           ell=ell_sp, target=fpf_target, identity=FpfInvolution(),
+           step=FpfInvolution.conjugate_s, cache=_fpf_cache, window=(1, 6),
            sort_key=lambda pi: pi.cycles, carrier="R^Sp", basis="schurP"),
 )}
 
