@@ -16,11 +16,15 @@ from .insertion import Factorization
 from .permwords import (
     FLAVORS,
     FpfInvolution,
+    _ascent_states,
+    _ascent_walk,
     get_flavor,
-    is_reduced_word,
-    word_target,
     word_to_permutation,
 )
+
+# flavor -> {word: walk_table(word, flavor)}, and one object per target
+_walk_tables = {name: {} for name in FLAVORS}
+_interned = {}
 
 
 @dataclass(frozen=True)
@@ -43,24 +47,48 @@ def delete_letter(w, i):
     return w[:i - 1] + w[i:]
 
 
+def walk_table(w, flavor):
+    """(target(w), target(w minus letter 1), ..., target(w minus letter l))
+    in the flavor's class, None outside it, so index i is the 1-based mark i.
+
+    Computed once per word: deletion i walks only w[i:], from the prefix
+    state i-1 of w's own walk.  Equal targets are stored as one object.
+    """
+    w = tuple(w)
+    table = _walk_tables[get_flavor(flavor).name]
+    got = table.get(w)
+    if got is None:
+        prefix = list(_ascent_states(flavor, w))
+        prefix += [None] * (len(w) + 1 - len(prefix))
+        targets = [prefix[-1]] + [
+            None if start is None else _ascent_walk(flavor, w[i:], start)
+            for i, start in enumerate(prefix[:-1], 1)]
+        got = table[w] = tuple(
+            t if t is None else _interned.setdefault(t, t) for t in targets)
+    return got
+
+
 def is_marked(w, i, pi, flavor):
     """Whether (w, i) is a pi-marked word of the flavor."""
-    return word_target(delete_letter(w, i), flavor) == pi
+    if not 1 <= i <= len(w):
+        raise IndexError(f"index {i} out of range")
+    return walk_table(w, flavor)[i] == pi
 
 
 def marked_indices(w, pi, flavor):
-    return tuple(
-        i for i in range(1, len(w) + 1) if is_marked(w, i, pi, flavor)
-    )
+    table = walk_table(w, flavor)
+    return tuple(i for i in range(1, len(table)) if table[i] == pi)
 
 
 def is_semi_reduced(w, pi):
     """Reduced words whose underlying permutation conjugates the base
     matching to the fpf involution pi; these pause the companion search in
     the fpf flavor, and no word is semi-reduced for any other target."""
-    if not isinstance(pi, FpfInvolution) or not is_reduced_word(w):
+    if not isinstance(pi, FpfInvolution):
         return False
-    sigma = word_to_permutation(w)
+    sigma = walk_table(w, "reduced")[0]
+    if sigma is None:
+        return False
     try:
         conj = FpfInvolution.identity().conjugate_by(sigma)
     except ValueError:
@@ -70,7 +98,7 @@ def is_semi_reduced(w, pi):
 
 def _push_in_place(w, pi, flavor):
     """Whether the push from a marked w increments the marked letter itself."""
-    return word_target(w, flavor) is not None or is_semi_reduced(w, pi)
+    return walk_table(w, flavor)[0] is not None or is_semi_reduced(w, pi)
 
 
 def companion_index(w, i, pi, flavor):
@@ -102,7 +130,7 @@ def bump_chain(w, pi, flavor, cap=None):
     """The full push chain: the list of marked words visited, or None when
     no letter of w is marked for pi (the operator fixes w)."""
     w = tuple(w)
-    if word_target(w, flavor) is None:
+    if walk_table(w, flavor)[0] is None:
         raise ValueError(f"{w} is not in the {flavor} word class")
     marks = marked_indices(w, pi, flavor)
     if not marks:
@@ -116,7 +144,7 @@ def bump_chain(w, pi, flavor, cap=None):
     for _ in range(cap):
         mw = push_step(mw, pi)
         chain.append(mw)
-        if word_target(mw.word, flavor) is not None:
+        if walk_table(mw.word, flavor)[0] is not None:
             return chain
     raise RuntimeError(f"push chain from {w} exceeded {cap} steps")
 
@@ -153,7 +181,7 @@ def decompose_bump(w, pi, flavor, cap=None):
         return ()
     atoms = []
     for mw, nxt in zip(chain, chain[1:]):
-        if is_reduced_word(mw.word):
+        if walk_table(mw.word, "reduced")[0] is not None:
             atoms.append(word_to_permutation(delete_letter(mw.word, nxt.mark)))
     return tuple(atoms)
 

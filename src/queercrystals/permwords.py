@@ -308,16 +308,27 @@ def word_to_permutation(w):
     return pi
 
 
-def _ascent_walk(flavor, w):
-    """The target of w in the flavor's class, or None when some letter is a
-    descent of the target built so far (exactly the invalid-word condition).
-    For reduced words the target is the product s_{w_1} ... s_{w_l}."""
+def _ascent_states(flavor, w, start=None):
+    """The targets of the prefixes of w, walked from start (by default the
+    flavor's identity), ending in None at the first letter that is a descent
+    of the target built so far (exactly the invalid-word condition).  For
+    reduced words the target is the product s_{w_1} ... s_{w_l}."""
     flav = FLAVORS[flavor]
-    pi = flav.identity
+    pi = flav.identity if start is None else start
+    yield pi
     for a in w:
         if pi.is_descent(a):
-            return None
+            yield None
+            return
         pi = flav.step(pi, a)
+        yield pi
+
+
+def _ascent_walk(flavor, w, start=None):
+    """The target of w in the flavor's class (of start followed by w when
+    start is given), or None: the last of its prefix states."""
+    for pi in _ascent_states(flavor, w, start):
+        pass
     return pi
 
 

@@ -46,7 +46,6 @@ from .permwords import (
     enumerate_words,
     equivalence_class,
     get_flavor,
-    word_target,
     word_to_permutation,
 )
 from .symchar import character, expand, is_supersymmetric, is_symmetric
@@ -215,12 +214,7 @@ def _q_morphism_check(flavor, max_len=5, n=3):
 
 def _bump_targets(w, flavor):
     """Class representatives pi for which some (w, i) is pi-marked."""
-    out = set()
-    for i in range(1, len(w) + 1):
-        pi = word_target(bumping.delete_letter(w, i), flavor)
-        if pi is not None:
-            out.add(pi)
-    return out
+    return set(bumping.walk_table(w, flavor)[1:]) - {None}
 
 
 def _bump_corpus(flavor, max_len):

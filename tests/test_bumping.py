@@ -1,5 +1,6 @@
 import pytest
 
+from queercrystals import bumping
 from queercrystals.bumping import (
     MarkedWord,
     bump,
@@ -43,6 +44,34 @@ class TestMarkedWords:
         assert is_marked((2, 1, 3, 4), 2, PI25, "involution")
         assert not is_marked((2, 1, 3, 4), 1, PI25, "involution")
         assert marked_indices((2, 1, 3, 4), PI25, "involution") == (2,)
+
+    def test_mark_out_of_range(self):
+        for i in (-1, 0, 5):
+            with pytest.raises(IndexError):
+                is_marked((2, 1, 3, 4), i, PI25, "involution")
+
+    def test_list_and_tuple_agree(self):
+        w = (2, 1, 3, 4)
+        for i in range(1, 5):
+            assert is_marked(list(w), i, PI25, "involution") == \
+                is_marked(w, i, PI25, "involution")
+        assert marked_indices(list(w), PI25, "involution") == \
+            marked_indices(w, PI25, "involution") == (2,)
+        assert bump(list(w), PI25, "involution") == \
+            bump(w, PI25, "involution") == (3, 2, 4, 5)
+
+    def test_walk_table_shares_equal_targets(self):
+        # one object per target keeps the memo at a few MB over a sweep
+        from queercrystals.verify import run_target
+
+        assert run_target("conjecture-ib-bound").ok
+        one = {}
+        for table in bumping._walk_tables.values():
+            for targets in table.values():
+                for t in targets:
+                    if t is not None:
+                        assert one.setdefault(t, t) is t
+        assert one
 
     def test_semi_reduced(self):
         assert is_semi_reduced((3, 4, 3), FPI)

@@ -6,26 +6,37 @@ the target.  Reduced words also have the length characterization, and the
 involution and fpf classes equivalent closed-form ones (a minimal-length
 Demazure expression, respectively a minimal-length conjugating word); these
 tests recompute membership through those and compare wholesale.  The word
-enumerator and split_word are checked against brute-force references.
+enumerator and split_word are checked against brute-force references, and
+the bumping walk table against one walk per deleted word.
 """
 
 from itertools import product
 
+from queercrystals.bumping import (
+    bump_chain,
+    delete_letter,
+    is_semi_reduced,
+    marked_indices,
+    walk_table,
+)
 from queercrystals.crystals import word_crystal
 from queercrystals.insertion import Factorization, hm_insert, split_word
 from queercrystals.permwords import (
     FLAVORS,
     FpfInvolution,
     Permutation,
+    _ascent_states,
+    _ascent_walk,
     ell_o,
     ell_sp,
     enumerate_words,
     fpf_target,
     involution_target,
     is_reduced_word,
+    word_target,
     word_to_permutation,
 )
-from queercrystals.verify import corpus
+from queercrystals.verify import _bump_corpus, corpus
 
 
 def demazure_right(x, i):
@@ -138,6 +149,58 @@ def test_split_word_matches_backtracking():
     for w in all_words(range(1, 5), 6):
         for n in range(5):
             assert split_word(w, n) == split_word_backtracking(w, n)
+
+
+def deletion_targets(w, flavor):
+    """w's target, then the target of each one-letter deletion, every one
+    walked from the identity."""
+    return (word_target(w, flavor),) + tuple(
+        word_target(delete_letter(w, i), flavor) for i in range(1, len(w) + 1))
+
+
+def semi_reduced_by_product(w, pi):
+    """A reduced-word test, then the plain product of w conjugating the base
+    matching."""
+    if not isinstance(pi, FpfInvolution) or not is_reduced_word(w):
+        return False
+    sigma = word_to_permutation(w)
+    try:
+        conj = FpfInvolution.identity().conjugate_by(sigma)
+    except ValueError:
+        return False
+    return conj == pi
+
+
+def chain_words(flavor):
+    """The default-bound bump corpus of the flavor, its targets, and the
+    (word, target) pairs on the bump chains of every corpus word."""
+    words, targets = _bump_corpus(flavor, 5)
+    pairs = set()
+    for pi in targets:
+        for w in words:
+            pairs.update((mw.word, pi) for mw in bump_chain(w, pi, flavor) or ())
+    return words, targets, pairs
+
+
+def test_walk_table_matches_per_deletion_walks():
+    semi = 0
+    for flavor in FLAVORS:
+        words, targets, pairs = chain_words(flavor)
+        for w in set(words) | {v for v, _ in pairs}:
+            expected = deletion_targets(w, flavor)
+            assert walk_table(w, flavor) == expected
+            for pi in targets:
+                assert marked_indices(w, pi, flavor) == tuple(
+                    i for i in range(1, len(w) + 1) if expected[i] == pi)
+            prefix = list(_ascent_states(flavor, w))
+            for i, start in enumerate(prefix[:len(w)], 1):
+                if start is not None:
+                    assert _ascent_walk(flavor, w[i:], start) == expected[i]
+        for w, pi in pairs:
+            got = is_semi_reduced(w, pi)
+            assert got == semi_reduced_by_product(w, pi)
+            semi += got
+    assert semi
 
 
 def test_corpus_lengths_agree_with_enumeration():
