@@ -87,13 +87,7 @@ def is_semi_reduced(w, pi):
     if not isinstance(pi, FpfInvolution):
         return False
     sigma = walk_table(w, "reduced")[0]
-    if sigma is None:
-        return False
-    try:
-        conj = FpfInvolution.identity().conjugate_by(sigma)
-    except ValueError:
-        return False
-    return conj == pi
+    return sigma is not None and FpfInvolution.identity().conjugate_by(sigma) == pi
 
 
 def _push_in_place(w, pi, flavor):
@@ -126,7 +120,7 @@ def _iteration_cap(w):
     return 10 * max(len(w), 1) * span
 
 
-def bump_chain(w, pi, flavor, cap=None):
+def bump_chain(w, pi, flavor):
     """The full push chain: the list of marked words visited, or None when
     no letter of w is marked for pi (the operator fixes w)."""
     w = tuple(w)
@@ -138,7 +132,7 @@ def bump_chain(w, pi, flavor, cap=None):
     if len(marks) > 1:
         raise RuntimeError(
             f"strong exchange violated: several marks {marks} on {w}")
-    cap = _iteration_cap(w) if cap is None else cap
+    cap = _iteration_cap(w)
     mw = MarkedWord(w, marks[0], flavor)
     chain = [mw]
     for _ in range(cap):
@@ -149,16 +143,16 @@ def bump_chain(w, pi, flavor, cap=None):
     raise RuntimeError(f"push chain from {w} exceeded {cap} steps")
 
 
-def bump(w, pi, flavor, cap=None):
+def bump(w, pi, flavor):
     """The Little bumping operator of pi on the flavor's word class."""
-    chain = bump_chain(w, pi, flavor, cap=cap)
+    chain = bump_chain(w, pi, flavor)
     return tuple(w) if chain is None else chain[-1].word
 
 
-def bump_factorization(fac, pi, flavor, cap=None):
+def bump_factorization(fac, pi, flavor):
     """Bump the concatenation and re-split at the original factor lengths."""
     fac = fac if isinstance(fac, Factorization) else Factorization(fac)
-    v = bump(fac.word(), pi, flavor, cap=cap)
+    v = bump(fac.word(), pi, flavor)
     out, k = [], 0
     for f in fac:
         out.append(v[k:k + len(f)])
@@ -166,7 +160,7 @@ def bump_factorization(fac, pi, flavor, cap=None):
     return Factorization(out)
 
 
-def decompose_bump(w, pi, flavor, cap=None):
+def decompose_bump(w, pi, flavor):
     """The atom sequence splitting a bump into ordinary Little bumps.
 
     A new ordinary bump starts at every plain-reduced word of the chain;
@@ -176,7 +170,7 @@ def decompose_bump(w, pi, flavor, cap=None):
     """
     if not get_flavor(flavor).queer:
         raise ValueError("decompose_bump applies to involution and fpf flavors")
-    chain = bump_chain(w, pi, flavor, cap=cap)
+    chain = bump_chain(w, pi, flavor)
     if chain is None:
         return ()
     atoms = []
@@ -186,11 +180,11 @@ def decompose_bump(w, pi, flavor, cap=None):
     return tuple(atoms)
 
 
-def replay_decomposition(w, atoms, cap=None):
+def replay_decomposition(w, atoms):
     """Apply ordinary bumps for the listed atoms in order."""
     v = tuple(w)
     for alpha in atoms:
-        v = bump(v, alpha, "reduced", cap=cap)
+        v = bump(v, alpha, "reduced")
     return v
 
 

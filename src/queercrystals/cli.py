@@ -15,8 +15,10 @@ import sys
 from .bumping import bump_chain
 from .crystals import (
     VertexCapExceeded,
+    _is_strict_partition,
     factorization_crystal,
     shifted_tableau_crystal,
+    vertex_cap,
 )
 from .insertion import Factorization, insert
 from .permwords import (
@@ -40,6 +42,14 @@ EXIT_CONJECTURE = 4
 
 class InputError(ValueError):
     pass
+
+
+def natural(text):
+    """An integer >= 0: the type of every bound option."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def parse_word(text):
@@ -80,6 +90,16 @@ def parse_cycles(text):
     return cycles
 
 
+def parse_shape(text):
+    try:
+        shape = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise InputError(f"cannot parse shape {text!r}") from None
+    if not _is_strict_partition(shape):
+        raise InputError(f"shape {text} is not a strict partition")
+    return shape
+
+
 def parse_permutation(text, flavor):
     cycles = parse_cycles(text)
     try:
@@ -117,8 +137,7 @@ def cmd_insert(args):
 
 def cmd_crystal(args):
     if args.shape:
-        shape = tuple(int(p) for p in args.shape.split(","))
-        crys = shifted_tableau_crystal(args.n, shape)
+        crys = shifted_tableau_crystal(args.n, parse_shape(args.shape))
     else:
         flavor = insertion_flavor(args.flavor).name
         pi = parse_permutation(args.perm, flavor)
@@ -208,8 +227,8 @@ def build_parser():
     p.add_argument("perm", nargs="?", default="", help="cycles like (1,3)(2,5)")
     p.add_argument("--flavor", choices=insertions, default="oeg")
     p.add_argument("--shape", help="strict partition like 3,1 for a tableau crystal")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--n", type=natural, default=3)
+    p.add_argument("--cap", type=natural, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_crystal)
 
@@ -222,7 +241,7 @@ def build_parser():
     p = sub.add_parser("expand", help="Schur/Schur-P expansion of a Stanley polynomial")
     p.add_argument("perm")
     p.add_argument("--flavor", choices=tuple(FLAVORS), default="involution")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=natural, default=4)
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("class", help="list a Coxeter-Knuth equivalence class")
@@ -233,8 +252,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a theorem-verification target")
     p.add_argument("target", choices=sorted(TARGETS))
-    p.add_argument("--maxlen", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--maxlen", type=natural, default=None)
+    p.add_argument("--n", type=natural, default=None)
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -244,8 +263,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "cap", None) is None and args.command == "crystal":
-        from .crystals import vertex_cap
-
         args.cap = vertex_cap()
     try:
         return args.fn(args)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import os
 from bisect import insort
+from itertools import permutations, product
 
 from .insertion import Factorization, split_word
-from .permwords import Permutation, enumerate_words, get_flavor
+from .permwords import Permutation, enumerate_words, get_flavor, word_target
 from .tableaux import (
     ShiftedTableau,
     entry_primed,
@@ -30,6 +31,8 @@ QBAR = "1bar"
 
 DEFAULT_VERTEX_CAP = 200_000
 
+STRING_CAP = 10_000  # longest i-string walked before VertexCapExceeded
+
 
 class VertexCapExceeded(RuntimeError):
     """Raised when graph exploration exceeds the configured vertex cap."""
@@ -37,6 +40,25 @@ class VertexCapExceeded(RuntimeError):
 
 def vertex_cap():
     return int(os.environ.get("QC_VERTEX_CAP", DEFAULT_VERTEX_CAP))
+
+
+def crystal_indices(n, queer):
+    """The operator labels 1..n-1, led by QBAR for a queer crystal, which
+    needs the two weight coordinates QBAR acts on."""
+    gl = tuple(range(1, n))
+    return (QBAR,) + gl if queer and n >= 2 else gl
+
+
+def queer_ops(f, e, fq, eq):
+    """(f, e) over every label: fq/eq at QBAR, f(x, i)/e(x, i) elsewhere."""
+
+    def f_all(x, i):
+        return fq(x) if i == QBAR else f(x, i)
+
+    def e_all(x, i):
+        return eq(x) if i == QBAR else e(x, i)
+
+    return f_all, e_all
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +223,8 @@ def fac_eq_sp(fac):
     if not w2 or (w1 and w1[0] <= w2[0]):
         return None
     x = w2[0]
-    if x % 2 == 0:
-        new_w1 = list(w1)
-        insort(new_w1, x)
-        return Factorization((tuple(new_w1), w2[1:]) + fac[2:])
     new_w1 = list(w1)
-    insort(new_w1, x + 2)
+    insort(new_w1, x if x % 2 == 0 else x + 2)
     return Factorization((tuple(new_w1), w2[1:]) + fac[2:])
 
 
@@ -386,8 +404,7 @@ class Crystal:
         self.e = e
         self.queer = queer
         self.name = name
-        gl = tuple(range(1, n))
-        self.indices = ((QBAR,) + gl if queer and n >= 2 else gl)
+        self.indices = crystal_indices(n, queer)
         self._edges = None
         self._in = None
         self._out = None
@@ -421,27 +438,18 @@ class Crystal:
             self._out, self._in = out, into
         return self._out, self._in
 
-    def string_lengths(self, x, i, cap=10_000):
+    def string_lengths(self, x, i):
         """(epsilon_i, phi_i): how often e_i and f_i apply before vanishing."""
-        eps = 0
-        y = x
-        while True:
-            y = self.e(y, i)
-            if y is None:
-                break
-            eps += 1
-            if eps > cap:
-                raise VertexCapExceeded(f"{i}-string too long at {x!r}")
-        phi = 0
-        y = x
-        while True:
-            y = self.f(y, i)
-            if y is None:
-                break
-            phi += 1
-            if phi > cap:
-                raise VertexCapExceeded(f"{i}-string too long at {x!r}")
-        return eps, phi
+        lengths = []
+        for op in (self.e, self.f):
+            k, y = 0, op(x, i)
+            while y is not None:
+                k += 1
+                if k > STRING_CAP:
+                    raise VertexCapExceeded(f"{i}-string too long at {x!r}")
+                y = op(y, i)
+            lengths.append(k)
+        return tuple(lengths)
 
     def components(self):
         """Weakly connected components as sub-crystals, deterministic order."""
@@ -460,13 +468,9 @@ class Crystal:
                             comp.add(y)
                             frontier.append(y)
             seen |= comp
-            comps.append(self.restrict(comp))
+            comps.append(Crystal(comp, self.n, self.wt, self.f, self.e,
+                                 self.queer, name=self.name))
         return comps
-
-    def restrict(self, vertices):
-        sub = Crystal(vertices, self.n, self.wt, self.f, self.e, self.queer,
-                      name=self.name)
-        return sub
 
     def sources(self):
         """Vertices with every raising operator undefined."""
@@ -550,13 +554,11 @@ def pretty_element(x):
 def explore(seed, n, wt, f, e, queer, cap=None, name=""):
     """BFS closure of one element under all operators, capped."""
     cap = vertex_cap() if cap is None else cap
-    gl = tuple(range(1, n))
-    indices = (QBAR,) + gl if queer and n >= 2 else gl
     seen = {seed}
     frontier = [seed]
     while frontier:
         x = frontier.pop()
-        for i in indices:
+        for i in crystal_indices(n, queer):
             for op in (f, e):
                 y = op(x, i)
                 if y is not None and y not in seen:
@@ -573,65 +575,44 @@ def explore(seed, n, wt, f, e, queer, cap=None, name=""):
 
 def word_crystal(n, m):
     """The crystal of all m-letter words over 1..n."""
-
-    def f(w, i):
-        return word_fqbar(w) if i == QBAR else word_f(w, i)
-
-    def e(w, i):
-        return word_eqbar(w) if i == QBAR else word_e(w, i)
-
+    f, e = queer_ops(word_f, word_e, word_fqbar, word_eqbar)
     return Crystal(
         product_words(n, m), n, lambda w: word_weight(w, n), f, e,
         queer=True, name=f"W_{n}({m})")
 
 
 def product_words(n, m):
-    from itertools import product
-
     return [tuple(w) for w in product(range(1, n + 1), repeat=m)]
 
 
 def _fac_ops(relation):
-    """(f, e) closures for factorization carriers; the relation "O" or "Sp"
-    picks the queer operators, and "K" has none."""
+    """(f, e) for factorization carriers; the relation "O" or "Sp" picks the
+    queer operators, and "K" has none."""
     fq, eq = {"K": (None, None), "O": (fac_fq_o, fac_eq_o),
               "Sp": (fac_fq_sp, fac_eq_sp)}[relation]
-
-    def f(x, i):
-        return fq(x) if i == QBAR else fac_f(x, i)
-
-    def e(x, i):
-        return eq(x) if i == QBAR else fac_e(x, i)
-
-    return f, e
+    return queer_ops(fac_f, fac_e, fq, eq)
 
 
-def _factorizations(words, n):
-    out = []
-    for w in words:
-        out.extend(split_word(w, n))
-    return out
+def _fac_crystal(words, n, relation, name):
+    """The crystal on the n-fold increasing factorizations of the words, with
+    the relation's operators: a q_n-crystal unless the relation is "K"."""
+    f, e = _fac_ops(relation)
+    verts = [fac for w in words for fac in split_word(w, n)]
+    return Crystal(verts, n, Factorization.weight, f, e,
+                   queer=relation != "K", name=name)
 
 
 def factorization_crystal(pi, flavor, n):
     """The crystal of n-fold increasing factorizations of the flavor's words
     for pi: a gl_n-crystal for reduced words, a q_n-crystal otherwise."""
     flav = get_flavor(flavor)
-    f, e = _fac_ops(flav.relation)
-    verts = _factorizations(enumerate_words(pi, flavor), n)
-    return Crystal(verts, n, Factorization.weight, f, e, queer=flav.queer,
-                   name=f"{flav.carrier}_{n}({pi})")
+    return _fac_crystal(enumerate_words(pi, flavor), n, flav.relation,
+                        f"{flav.carrier}_{n}({pi})")
 
 
 def _shtab_crystal(verts, n, name):
     """The q_n-crystal on the given semistandard shifted tableaux."""
-
-    def f(t, i):
-        return shtab_fqbar(t) if i == QBAR else shtab_f(t, i)
-
-    def e(t, i):
-        return shtab_eqbar(t) if i == QBAR else shtab_e(t, i)
-
+    f, e = queer_ops(shtab_f, shtab_e, shtab_fqbar, shtab_eqbar)
     return Crystal(verts, n, lambda t: tab_weight(t, n), f, e, queer=True,
                    name=name)
 
@@ -671,23 +652,16 @@ def shifted_tableau_crystal_all(n, m):
 # Reduction to permutations: Perm_n(m), Even_n(m), inv, dbl
 
 def perm_words(m):
-    from itertools import permutations
-
     return [tuple(p) for p in permutations(range(1, m + 1))]
 
 
 def even_words(m):
-    from itertools import permutations
-
     return [tuple(p) for p in permutations(range(2, 2 * m + 1, 2))]
 
 
 def perm_crystal(n, m):
     """Perm_n(m): factorized permutations of 1..m with the orthogonal ops."""
-    f, e = _fac_ops("O")
-    verts = _factorizations(perm_words(m), n)
-    return Crystal(verts, n, Factorization.weight, f, e, queer=True,
-                   name=f"Perm_{n}({m})")
+    return _fac_crystal(perm_words(m), n, "O", f"Perm_{n}({m})")
 
 
 def even_crystal(n, m, relation="O"):
@@ -696,10 +670,7 @@ def even_crystal(n, m, relation="O"):
     The orthogonal and symplectic queer operators coincide here; the
     relation "O" or "Sp" picks which family realizes the crystal.
     """
-    f, e = _fac_ops(relation)
-    verts = _factorizations(even_words(m), n)
-    return Crystal(verts, n, Factorization.weight, f, e, queer=True,
-                   name=f"Even_{n}({m})")
+    return _fac_crystal(even_words(m), n, relation, f"Even_{n}({m})")
 
 
 def inv_map(fac):
@@ -738,10 +709,8 @@ def dbl_map_inverse(fac):
 def sigma_set(m):
     """The involutions whose word classes partition the permutations of 1..m."""
     out = {}
-    from .permwords import involution_target
-
     for w in perm_words(m):
-        pi = involution_target(w)
+        pi = word_target(w, "involution")
         if pi is None:
             raise RuntimeError(f"permutation word {w} is not an involution word")
         out.setdefault(pi, []).append(w)
@@ -773,26 +742,25 @@ def sigma_set_pattern(m):
 
 def even_target_o(m):
     """tau with Even(m) = R^O(tau): the product s_2 s_4 ... s_{2m}."""
-    from .permwords import involution_target
-
-    return involution_target(tuple(range(2, 2 * m + 1, 2)))
+    return word_target(range(2, 2 * m + 1, 2), "involution")
 
 
 def even_target_sp(m):
     """pi with Even(m) = R^Sp(pi): conjugate the base matching by s_2 s_4 ... s_{2m}."""
-    from .permwords import fpf_target
-
-    return fpf_target(tuple(range(2, 2 * m + 1, 2)))
+    return word_target(range(2, 2 * m + 1, 2), "fpf")
 
 
 # ---------------------------------------------------------------------------
 # Axioms, morphisms, isomorphism
 
-def axioms_report(crys, cap=10_000):
+def axioms_report(crys):
     """Violations of the crystal axioms; empty means a clean pass."""
     bad = []
     gl = [i for i in crys.indices if i != QBAR]
-    n = crys.n
+    delta = {}  # f_i moves one unit of weight from coordinate k to k+1
+    for i in crys.indices:
+        k = {QBAR: 1}.get(i, i)
+        delta[i] = tuple((j == k) - (j == k - 1) for j in range(crys.n))
     for x in crys.vertices:
         wtx = crys.wt(x)
         for i in crys.indices:
@@ -800,27 +768,20 @@ def axioms_report(crys, cap=10_000):
             if y is not None:
                 if crys.e(y, i) != x:
                     bad.append(f"pairing: e_{i}(f_{i}(x)) != x at {pretty_element(x)}")
-                wty = crys.wt(y)
-                if i == QBAR:
-                    delta = [0] * n
-                    delta[0], delta[1] = -1, 1
-                else:
-                    delta = [0] * n
-                    delta[i - 1], delta[i] = -1, 1
-                if tuple(a + d for a, d in zip(wtx, delta)) != wty:
+                if tuple(a + d for a, d in zip(wtx, delta[i])) != crys.wt(y):
                     bad.append(f"weight shift across f_{i} at {pretty_element(x)}")
             z = crys.e(x, i)
             if z is not None and crys.f(z, i) != x:
                 bad.append(f"pairing: f_{i}(e_{i}(x)) != x at {pretty_element(x)}")
         for i in gl:
-            eps, phi = crys.string_lengths(x, i, cap=cap)
+            eps, phi = crys.string_lengths(x, i)
             if phi - eps != wtx[i - 1] - wtx[i]:
                 bad.append(f"string axiom phi-eps at {pretty_element(x)}, i={i}")
-    if crys.queer and QBAR in crys.indices:
+    if QBAR in crys.indices:
         far = [i for i in gl if i >= 3]
         for x in crys.vertices:
             wtx = crys.wt(x)
-            eps, phi = crys.string_lengths(x, QBAR, cap=cap)
+            eps, phi = crys.string_lengths(x, QBAR)
             if eps + phi > 1:
                 bad.append(f"queer string bound at {pretty_element(x)}")
             if (wtx[0] != 0 or wtx[1] != 0) and eps + phi != 1:
@@ -828,8 +789,8 @@ def axioms_report(crys, cap=10_000):
             c = crys.e(x, QBAR)
             if c is not None:
                 for i in far:
-                    if crys.string_lengths(x, i, cap=cap) != \
-                            crys.string_lengths(c, i, cap=cap):
+                    if crys.string_lengths(x, i) != \
+                            crys.string_lengths(c, i):
                         bad.append(
                             f"queer string preservation at {pretty_element(x)}, i={i}")
             for i in far:
@@ -850,7 +811,7 @@ def _chain(op1, op2, x):
     return op1(y)
 
 
-def morphism_report(phi, dom, cod, check_strings=True):
+def morphism_report(phi, dom, cod):
     """Violations of phi being a strict morphism dom -> cod."""
     bad = []
     if tuple(dom.indices) != tuple(cod.indices):
@@ -864,19 +825,13 @@ def morphism_report(phi, dom, cod, check_strings=True):
         if dom.wt(x) != cod.wt(y):
             bad.append(f"weight not preserved at {pretty_element(x)}")
         for i in dom.indices:
-            fx = dom.f(x, i)
-            fy = cod.f(y, i)
-            if (fx is None) != (fy is None):
-                bad.append(f"f_{i} definedness at {pretty_element(x)}")
-            elif fx is not None and phi(fx) != fy:
-                bad.append(f"f_{i} commutation at {pretty_element(x)}")
-            ex = dom.e(x, i)
-            ey = cod.e(y, i)
-            if (ex is None) != (ey is None):
-                bad.append(f"e_{i} definedness at {pretty_element(x)}")
-            elif ex is not None and phi(ex) != ey:
-                bad.append(f"e_{i} commutation at {pretty_element(x)}")
-            if check_strings and dom.string_lengths(x, i) != cod.string_lengths(y, i):
+            for op, dom_op, cod_op in (("f", dom.f, cod.f), ("e", dom.e, cod.e)):
+                ox, oy = dom_op(x, i), cod_op(y, i)
+                if (ox is None) != (oy is None):
+                    bad.append(f"{op}_{i} definedness at {pretty_element(x)}")
+                elif ox is not None and phi(ox) != oy:
+                    bad.append(f"{op}_{i} commutation at {pretty_element(x)}")
+            if dom.string_lengths(x, i) != cod.string_lengths(y, i):
                 bad.append(f"string lengths differ at {pretty_element(x)}, i={i}")
     return bad
 

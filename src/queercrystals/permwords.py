@@ -240,15 +240,14 @@ class FpfInvolution:
         return self(i) > self(i + 1)
 
     def conjugate_s(self, i):
-        """s_i * self * s_i, again a fixed-point-free involution."""
-        s = Permutation.s(i)
-        window = set(self.support()) | {i - 1, i, i + 1, i + 2}
-        window |= {self.base(x) for x in window}
-        pairs = set()
-        for x in window:
-            y = s(self(s(x)))
-            pairs.add((min(x, y), max(x, y)))
-        return FpfInvolution(p for p in pairs if self.base(p[0]) != p[1])
+        """s_i * self * s_i, again a fixed-point-free involution: the
+        partners a of i and b of i+1 swap, unless i and i+1 are partners."""
+        a, b = self(i), self(i + 1)
+        if a == i + 1:
+            return self
+        kept = [c for c in self.cycles if i not in c and i + 1 not in c]
+        return FpfInvolution(kept + [(min(i, b), max(i, b)),
+                                     (min(i + 1, a), max(i + 1, a))])
 
     def conjugate_by(self, sigma):
         """sigma^{-1} * 1_fpf * sigma for a finitely supported permutation."""
@@ -260,7 +259,7 @@ class FpfInvolution:
         for x in window:
             y = inv(self.base(sigma(x)))
             if y == x:
-                raise ValueError("conjugate is not fixed-point-free")
+                raise RuntimeError("conjugate is not fixed-point-free")
             pairs.add((min(x, y), max(x, y)))
         return FpfInvolution(p for p in pairs if self.base(p[0]) != p[1])
 

@@ -13,10 +13,10 @@ from functools import lru_cache, partial
 from . import bumping, tableaux
 from .bumping import bump, decompose_bump, increments, replay_decomposition
 from .crystals import (
-    QBAR,
     _component_certificate,
     _fac_ops,
     axioms_report,
+    crystal_indices,
     dbl_map,
     even_crystal,
     even_target_o,
@@ -263,7 +263,7 @@ def check_bump_properties(max_len=5, n=3):
     # crystal-operator commutation on factorizations (qi theorems)
     for flavor, flav in FLAVORS.items():
         f_op, _ = _fac_ops(flav.relation)
-        indices = ([QBAR] if flav.queer else []) + list(range(1, n))
+        indices = crystal_indices(n, flav.queer)
         for sigma in corpus(flavor, min(max_len, 4)):
             words = enumerate_words(sigma, flavor)
             targets = set()

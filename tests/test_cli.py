@@ -95,6 +95,18 @@ class TestCrystal:
         data = json.loads(out)
         assert len(data["vertices"]) == 1 and not data["edges"]
 
+    @pytest.mark.parametrize("shape", ["3,3", "0", "x", "-1"])
+    def test_malformed_shape_exit_2(self, capsys, shape):
+        code, out, err = run(capsys, "crystal", "--shape", shape)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ")
+
+    def test_zero_bounds_are_legal(self, capsys):
+        code, out, _ = run(capsys, "crystal", "(1,3)(2,5)", "--n", "0",
+                           "--cap", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["vertices"] == []
+
 
 class TestBump:
     def test_chain_trace(self, capsys):
@@ -179,6 +191,27 @@ class TestVerifyCommand:
         with pytest.raises(TypeError):
             cli.main(["verify", "eg-fibers", "--maxlen", "3"])
         assert calls == [3]
+
+
+class TestBoundValidation:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "eg-fibers", "--maxlen", "-1"),
+        ("verify", "bump-properties", "--n", "-1"),
+        ("crystal", "(1,3)(2,5)", "--n", "-1"),
+        ("crystal", "(1,3)(2,5)", "--cap", "-1"),
+        ("expand", "(1,3)", "--n", "-1"),
+    ])
+    def test_negative_bound_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bump_properties_with_one_factor(self, capsys):
+        # n = 1 leaves a single weight coordinate, so no 1bar operator
+        code, out, _ = run(capsys, "verify", "bump-properties", "--n", "1",
+                           "--maxlen", "2")
+        assert code == 0 and "pass" in out
 
 
 class TestInternalInvariantFailure:

@@ -6,8 +6,9 @@ the target.  Reduced words also have the length characterization, and the
 involution and fpf classes equivalent closed-form ones (a minimal-length
 Demazure expression, respectively a minimal-length conjugating word); these
 tests recompute membership through those and compare wholesale.  The word
-enumerator and split_word are checked against brute-force references, and
-the bumping walk table against one walk per deleted word.
+enumerator and split_word are checked against brute-force references, the
+bumping walk table against one walk per deleted word, and the fpf walk step
+against pointwise conjugation.
 """
 
 from itertools import product
@@ -238,3 +239,24 @@ def test_hm_recording_constant_under_queer_move():
             assert hm_insert(y).Q == hm_insert(w).Q
             moved += 1
     assert moved
+
+
+def conjugate_s_by_window(pi, i):
+    """s_i pi s_i evaluated pointwise on a base-closed window around pi's
+    support and i."""
+    s = Permutation.s(i)
+    window = set(pi.support()) | {i - 1, i, i + 1, i + 2}
+    window |= {pi.base(x) for x in window}
+    pairs = set()
+    for x in window:
+        y = s(pi(s(x)))
+        pairs.add((min(x, y), max(x, y)))
+    return FpfInvolution(p for p in pairs if pi.base(p[0]) != p[1])
+
+
+def test_conjugate_s_matches_window_evaluation():
+    # every fpf verify corpus, widened from letters 1..6 to 1..10
+    for pi in (FpfInvolution.identity(),) + corpus("fpf", 6, (1, 10)):
+        sup = pi.support() or (1, 2)
+        for i in range(min(sup) - 3, max(sup) + 3):
+            assert pi.conjugate_s(i) == conjugate_s_by_window(pi, i), (pi, i)
