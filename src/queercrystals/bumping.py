@@ -22,9 +22,10 @@ from .permwords import (
     word_to_permutation,
 )
 
-# flavor -> {word: walk_table(word, flavor)}, and one object per target
+# flavor -> {word: walk_table(word, flavor)}
 _walk_tables = {name: {} for name in FLAVORS}
-_interned = {}
+# reduced target sigma -> the base matching conjugated by sigma
+_base_conjugates = {}
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,8 @@ def walk_table(w, flavor):
     in the flavor's class, None outside it, so index i is the 1-based mark i.
 
     Computed once per word: deletion i walks only w[i:], from the prefix
-    state i-1 of w's own walk.  Equal targets are stored as one object.
+    state i-1 of w's own walk.  The walk yields interned targets, so equal
+    targets are stored as one object.
     """
     w = tuple(w)
     table = _walk_tables[get_flavor(flavor).name]
@@ -60,11 +62,9 @@ def walk_table(w, flavor):
     if got is None:
         prefix = list(_ascent_states(flavor, w))
         prefix += [None] * (len(w) + 1 - len(prefix))
-        targets = [prefix[-1]] + [
+        got = table[w] = (prefix[-1],) + tuple(
             None if start is None else _ascent_walk(flavor, w[i:], start)
-            for i, start in enumerate(prefix[:-1], 1)]
-        got = table[w] = tuple(
-            t if t is None else _interned.setdefault(t, t) for t in targets)
+            for i, start in enumerate(prefix[:-1], 1))
     return got
 
 
@@ -87,7 +87,13 @@ def is_semi_reduced(w, pi):
     if not isinstance(pi, FpfInvolution):
         return False
     sigma = walk_table(w, "reduced")[0]
-    return sigma is not None and FpfInvolution.identity().conjugate_by(sigma) == pi
+    if sigma is None:
+        return False
+    conj = _base_conjugates.get(sigma)
+    if conj is None:
+        conj = FpfInvolution.identity().conjugate_by(sigma)
+        _base_conjugates[sigma] = conj
+    return conj == pi
 
 
 def _push_in_place(w, pi, flavor):

@@ -15,7 +15,6 @@ import sys
 from .bumping import bump_chain
 from .crystals import (
     VertexCapExceeded,
-    _is_strict_partition,
     factorization_crystal,
     shifted_tableau_crystal,
     vertex_cap,
@@ -31,6 +30,7 @@ from .permwords import (
     word_target,
 )
 from .symchar import expand, stanley_poly
+from .tableaux import is_strict_partition
 from .verify import TARGETS, run_target
 
 EXIT_PASS = 0
@@ -95,7 +95,7 @@ def parse_shape(text):
         shape = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError(f"cannot parse shape {text!r}") from None
-    if not _is_strict_partition(shape):
+    if not is_strict_partition(shape):
         raise InputError(f"shape {text} is not a strict partition")
     return shape
 

@@ -20,6 +20,7 @@ from .tableaux import (
     entry_primed,
     entry_str,
     entry_value,
+    is_strict_partition,
     primed,
     semistandard_shifted_tableaux,
     shword_boxes,
@@ -490,7 +491,7 @@ class Crystal:
         for x in self.sources():
             wt = self.wt(x)
             trimmed = _trim(wt)
-            if self.queer and not _is_strict_partition(trimmed):
+            if self.queer and not is_strict_partition(trimmed):
                 continue
             out.append((x, wt))
         return tuple(out)
@@ -531,11 +532,6 @@ def _trim(wt):
     while wt and wt[-1] == 0:
         wt = wt[:-1]
     return wt
-
-
-def _is_strict_partition(parts):
-    return all(parts[i] > parts[i + 1] for i in range(len(parts) - 1)) and all(
-        p > 0 for p in parts)
 
 
 def pretty_element(x):

@@ -307,20 +307,43 @@ def word_to_permutation(w):
     return pi
 
 
+# every target a walk reached, as one object: equal targets of any flavor
+# (reduced and involution targets are both Permutations) are one object
+_targets = {}
+
+
+def _move_node(flav, pi):
+    """pi's node in the flavor's move table: (the stored object equal to pi,
+    {letter: node of the next target, or None when the letter is a
+    descent}).  A new target is interned on entry."""
+    node = flav.moves.get(pi)
+    if node is None:
+        pi = _targets.setdefault(pi, pi)
+        node = flav.moves[pi] = (pi, {})
+    return node
+
+
 def _ascent_states(flavor, w, start=None):
     """The targets of the prefixes of w, walked from start (by default the
     flavor's identity), ending in None at the first letter that is a descent
     of the target built so far (exactly the invalid-word condition).  For
-    reduced words the target is the product s_{w_1} ... s_{w_l}."""
+    reduced words the target is the product s_{w_1} ... s_{w_l}.
+
+    Each (target, letter) move is stepped once per process and kept in the
+    flavor's move table, so every state yielded is the interned target."""
     flav = FLAVORS[flavor]
-    pi = flav.identity if start is None else start
-    yield pi
+    node = _move_node(flav, flav.identity if start is None else start)
+    yield node[0]
     for a in w:
-        if pi.is_descent(a):
+        pi, moves = node
+        node = moves.get(a, False)
+        if node is False:
+            node = moves[a] = None if pi.is_descent(a) else _move_node(
+                flav, flav.step(pi, a))
+        if node is None:
             yield None
             return
-        pi = flav.step(pi, a)
-        yield pi
+        yield node[0]
 
 
 def _ascent_walk(flavor, w, start=None):
@@ -522,6 +545,8 @@ class Flavor:
     sort_key: object   # order of the verify corpora
     carrier: str       # name prefix of the factorization crystals
     basis: str         # expansion basis of their characters
+    # target -> its move-table node, filled by the ascent walk
+    moves: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def queer(self):

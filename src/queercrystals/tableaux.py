@@ -394,12 +394,18 @@ def semistandard_tableaux(shape, n):
     return tuple(sorted(results, key=lambda t: t.rows))
 
 
+def is_strict_partition(parts):
+    """Whether parts are positive and strictly decreasing; () is one."""
+    return all(parts[i] > parts[i + 1] for i in range(len(parts) - 1)) and all(
+        p > 0 for p in parts)
+
+
 @lru_cache(maxsize=None)
 def semistandard_shifted_tableaux(shape, n):
     """All semistandard shifted fillings with entries at most n."""
     shape = tuple(shape)
-    if any(shape[i] <= shape[i + 1] for i in range(len(shape) - 1)):
-        raise ValueError("shape must strictly decrease")
+    if not is_strict_partition(shape):
+        raise ValueError(f"shape {shape} is not a strict partition")
     if not shape:
         return (ShiftedTableau(),)
     results = []

@@ -230,6 +230,20 @@ def _bump_corpus(flavor, max_len):
     return words, sorted(targets, key=str)
 
 
+class _BumpMap(dict):
+    """{w: bump(w, pi, flavor)} for one target, each word bumped at its
+    first lookup.  Built per target and dropped with it: a map over every
+    target at once would hold every (word, target) pair of the run."""
+
+    def __init__(self, pi, flavor):
+        super().__init__()
+        self.pi, self.flavor = pi, flavor
+
+    def __missing__(self, w):
+        v = self[w] = bump(w, self.pi, self.flavor)
+        return v
+
+
 def check_bump_properties(max_len=5, n=3):
     """Bijectivity, descent preservation, ck commutation, recording
     invariance, the factorization lift, and the atom decomposition."""
@@ -237,24 +251,28 @@ def check_bump_properties(max_len=5, n=3):
     for flavor, flav in FLAVORS.items():
         ins, ck0 = flav.insertion, flav.ck0
         words, targets = _bump_corpus(flavor, max_len)
+        # each word's descents and ck images, whatever the target
+        sides = [(w, descent_set(w), [ck(w, i) for i in range(1, len(w) - 1)],
+                  None if ck0 is None else ck0(w)) for w in words]
         for pi in targets:
+            bumped = _BumpMap(pi, flavor)
             images = {}
-            for w in words:
-                v = bump(w, pi, flavor)
+            for w, des, cks, w0 in sides:
+                v = bumped[w]
                 res.checks += 1
                 if v in images and images[v] != w:
                     return res.fail(f"{flavor}: bump not injective", (str(pi), w))
                 images[v] = w
-                if descent_set(v) != descent_set(w):
+                if descent_set(v) != des:
                     return res.fail(f"{flavor}: descents not preserved", (str(pi), w))
                 if not flav.queer and set(increments(w, v)) - {0, 1}:
                     return res.fail(f"{flavor}: increment bound broken", (str(pi), w))
                 if _q_tableau(w, ins) != _q_tableau(v, ins):
                     return res.fail(f"{flavor}: recording tableau changed", (str(pi), w))
-                for i in range(1, len(w) - 1):
-                    if bump(ck(w, i), pi, flavor) != ck(v, i):
+                for i, u in enumerate(cks, 1):
+                    if bumped[u] != ck(v, i):
                         return res.fail(f"{flavor}: ck_{i} commutation", (str(pi), w))
-                if ck0 is not None and bump(ck0(w), pi, flavor) != ck0(v):
+                if ck0 is not None and bumped[w0] != ck0(v):
                     return res.fail(f"{flavor}: ck_0 commutation", (str(pi), w))
                 if flav.queer and v != w:
                     atoms_seq = decompose_bump(w, pi, flavor)
@@ -272,10 +290,10 @@ def check_bump_properties(max_len=5, n=3):
             targets = sorted(targets, key=str)
             for w in words:
                 for fac in split_word(w, n):
+                    lhs_all = [(i, f_op(fac, i)) for i in indices]
                     for pi in targets:
                         bumped = bumping.bump_factorization(fac, pi, flavor)
-                        for i in indices:
-                            lhs = f_op(fac, i)
+                        for i, lhs in lhs_all:
                             res.checks += 1
                             if lhs is None:
                                 if f_op(bumped, i) is not None:
@@ -465,8 +483,9 @@ def _conjecture_bounds(name, flavor, allowed, max_len=5):
     res = VerifyResult(name, True, conjecture=True)
     words, targets = _bump_corpus(flavor, max_len)
     for pi in targets:
+        bumped = _BumpMap(pi, flavor)
         for w in words:
-            v = bump(w, pi, flavor)
+            v = bumped[w]
             res.checks += 1
             if set(increments(w, v)) - allowed:
                 return res.fail(

@@ -7,13 +7,15 @@ involution and fpf classes equivalent closed-form ones (a minimal-length
 Demazure expression, respectively a minimal-length conjugating word); these
 tests recompute membership through those and compare wholesale.  The word
 enumerator and split_word are checked against brute-force references, the
-bumping walk table against one walk per deleted word, and the fpf walk step
-against pointwise conjugation.
+move-table walk against a plain step loop, the bumping walk table against
+one plain walk per deleted word, verify's per-target bump map against
+bump, and the fpf walk step against pointwise conjugation.
 """
 
 from itertools import product
 
 from queercrystals.bumping import (
+    bump,
     bump_chain,
     delete_letter,
     is_semi_reduced,
@@ -37,7 +39,7 @@ from queercrystals.permwords import (
     word_target,
     word_to_permutation,
 )
-from queercrystals.verify import _bump_corpus, corpus
+from queercrystals.verify import _bump_corpus, _BumpMap, corpus
 
 
 def demazure_right(x, i):
@@ -152,11 +154,48 @@ def test_split_word_matches_backtracking():
             assert split_word(w, n) == split_word_backtracking(w, n)
 
 
+def plain_states(flavor, w):
+    """The prefix targets of w, stepped from the flavor's identity with
+    flav.step letter by letter and no move table, ending in None at the
+    first descent."""
+    flav = FLAVORS[flavor]
+    pi = flav.identity
+    states = [pi]
+    for a in w:
+        if pi.is_descent(a):
+            return states + [None]
+        pi = flav.step(pi, a)
+        states.append(pi)
+    return states
+
+
 def deletion_targets(w, flavor):
     """w's target, then the target of each one-letter deletion, every one
-    walked from the identity."""
-    return (word_target(w, flavor),) + tuple(
-        word_target(delete_letter(w, i), flavor) for i in range(1, len(w) + 1))
+    walked plainly from the identity."""
+    return tuple(plain_states(flavor, v)[-1] for v in (w,) + tuple(
+        delete_letter(w, i) for i in range(1, len(w) + 1)))
+
+
+def test_table_walk_matches_plain_walk():
+    for flavor in FLAVORS:
+        words, _ = _bump_corpus(flavor, 5)
+        for w in words:
+            for v in (w,) + tuple(delete_letter(w, i)
+                                  for i in range(1, len(w) + 1)):
+                expected = plain_states(flavor, v)
+                assert list(_ascent_states(flavor, v)) == expected
+                assert word_target(v, flavor) == expected[-1]
+
+
+def test_bump_map_matches_bump():
+    for flavor in FLAVORS:
+        words, targets = _bump_corpus(flavor, 4)
+        for pi in targets:
+            bumped = _BumpMap(pi, flavor)
+            # the second pass reads what the first stored
+            for w in words + words[::-1]:
+                assert bumped[w] == bump(w, pi, flavor)
+            assert len(bumped) == len(words)
 
 
 def semi_reduced_by_product(w, pi):

@@ -128,6 +128,11 @@ class TestEnumeration:
         for t in semistandard_shifted_tableaux((2, 1), 3):
             assert is_semistandard(t)
 
+    @pytest.mark.parametrize("shape", [(-1,), (3, -1), (0,), (2, 0)])
+    def test_shifted_shape_with_non_positive_part(self, shape):
+        with pytest.raises(ValueError, match="is not a strict partition"):
+            semistandard_shifted_tableaux(shape, 3)
+
 
 class TestStarAndDual:
     def test_star_toggles_two(self):
