@@ -238,9 +238,10 @@ def unpaired_boxes(t, i):
     Boxes holding i or i' read as ')' and those holding i+1 or (i+1)' as
     '(' along the shifted reading word of the restriction.
     """
+    rows = t.rows
     order = []
     for r, c in shword_boxes(t):
-        v = entry_value(t.entry(r, c))
+        v = entry_value(rows[r - 1][c - r])
         if v in (i, i + 1):
             order.append((r, c, v))
     out, stack = [], []
@@ -261,7 +262,8 @@ def unpaired_boxes(t, i):
 def _value_ribbon(t, v, box):
     """The connected component of v-valued boxes through box, NW to SE."""
     cells = {
-        (r, c) for r, c in t.boxes() if entry_value(t.entry(r, c)) == v
+        (r, c) for r, row in enumerate(t.rows, 1)
+        for c, x in enumerate(row, r) if entry_value(x) == v
     }
     comp, frontier = {box}, [box]
     while frontier:
@@ -277,7 +279,7 @@ def shtab_f(t, i):
     """Lowering operator on semistandard shifted tableaux."""
     cand = [
         (r, c) for r, c in unpaired_boxes(t, i)
-        if entry_value(t.entry(r, c)) == i
+        if entry_value(t.rows[r - 1][c - r]) == i
     ]
     if not cand:
         return None
@@ -317,7 +319,7 @@ def shtab_e(t, i):
     """Raising operator on semistandard shifted tableaux."""
     cand = [
         (r, c) for r, c in unpaired_boxes(t, i)
-        if entry_value(t.entry(r, c)) == i + 1
+        if entry_value(t.rows[r - 1][c - r]) == i + 1
     ]
     if not cand:
         return None

@@ -363,7 +363,7 @@ def _invert_hm(P, Q):
     m = P.size()
     if m == 0:
         return ()
-    n = max(entry_value(P.entry(r, c)) for r, c in P.boxes())
+    n = max(entry_value(x) for row in P.rows for x in row)
     for w in product(range(1, n + 1), repeat=m):
         res = hm_insert(w)
         if res.P == P and res.Q == Q:

@@ -102,6 +102,20 @@ class Tableau:
         return cls([[int(x) for x in row] for row in data["rows"]])
 
 
+@lru_cache(maxsize=None)
+def _column_rows(shape):
+    """The rows of each column of the shifted shape, bottom to top: entry
+    c-1 lists the rows r whose box (r, c) exists, so that box holds
+    rows[r-1][c-r].  Every column's rows run from 1 up without a gap."""
+    cols = []
+    for r, length in enumerate(shape, 1):
+        for c in range(r, r + length):
+            if c > len(cols):
+                cols.append([])
+            cols[c - 1].append(r)
+    return tuple(map(tuple, cols))
+
+
 class ShiftedTableau:
     """A filling of a shifted diagram; row r occupies columns r..r+len-1.
 
@@ -126,7 +140,7 @@ class ShiftedTableau:
 
     @property
     def shape(self):
-        return tuple(len(r) for r in self.rows)
+        return tuple(map(len, self.rows))
 
     def size(self):
         return sum(len(r) for r in self.rows)
@@ -143,27 +157,30 @@ class ShiftedTableau:
         return None
 
     def with_entry(self, r, c, code):
-        """A copy with the box (r, c) set to code; the box must exist."""
+        """A copy with the box (r, c) set to code; the box must exist.
+
+        The shape is unchanged, so the copy skips the constructor's checks."""
         if self.entry(r, c) is None:
             raise ValueError(f"no box at {(r, c)}")
-        rows = [list(row) for row in self.rows]
-        rows[r - 1][c - r] = code
-        return ShiftedTableau(rows)
+        rows, k = self.rows, c - r
+        row = rows[r - 1]
+        out = object.__new__(ShiftedTableau)
+        out.rows = rows[:r - 1] + (row[:k] + (code,) + row[k + 1:],) + rows[r:]
+        return out
 
     def column(self, c):
         """Pairs (row, code) in column c, bottom to top."""
-        out = []
-        for r in range(1, min(c, len(self.rows)) + 1):
-            code = self.entry(r, c)
-            if code is not None:
-                out.append((r, code))
-        return out
+        cols = _column_rows(self.shape)
+        if not 1 <= c <= len(cols):
+            return []
+        return [(r, self.rows[r - 1][c - r]) for r in cols[c - 1]]
 
     def find_value(self, v):
         """The box holding v or v'; None when absent (first match wins)."""
-        for r, c in self.boxes():
-            if entry_value(self.entry(r, c)) == v:
-                return (r, c)
+        for r, row in enumerate(self.rows, 1):
+            for c, x in enumerate(row, r):
+                if entry_value(x) == v:
+                    return (r, c)
         return None
 
     def __eq__(self, other):
@@ -211,18 +228,18 @@ def is_semistandard(t):
             ):
                 return False
         return True
-    for r, c in t.boxes():
-        x = t.entry(r, c)
-        if x <= 0:
+    rows = t.rows
+    for row in rows:
+        # a positive, unprimed diagonal box; weakly increasing rows keep
+        # the rest positive
+        if row[0] <= 0 or entry_primed(row[0]):
             return False
-        if r == c and entry_primed(x):
-            return False
-        right = t.entry(r, c + 1)
-        if right is not None:
+        for x, right in zip(row, row[1:]):
             if right < x or (right == x and entry_primed(x)):
                 return False
-        up = t.entry(r + 1, c)
-        if up is not None:
+    for c, col in enumerate(_column_rows(t.shape), 1):
+        for r in col[1:]:
+            x, up = rows[r - 2][c - r + 1], rows[r - 1][c - r]
             if up < x or (up == x and not entry_primed(x)):
                 return False
     return True
@@ -239,17 +256,14 @@ def is_increasing(t):
             ):
                 return False
         return True
-    if any(entry_primed(x) for row in t.rows for x in row):
+    rows = t.rows
+    if any(entry_primed(x) for row in rows for x in row):
         return False
-    for r, c in t.boxes():
-        x = t.entry(r, c)
-        right = t.entry(r, c + 1)
-        up = t.entry(r + 1, c)
-        if right is not None and right <= x:
-            return False
-        if up is not None and up <= x:
-            return False
-    return True
+    if any(right <= x for row in rows for x, right in zip(row, row[1:])):
+        return False
+    return all(
+        rows[r - 1][c - r] > rows[r - 2][c - r + 1]
+        for c, col in enumerate(_column_rows(t.shape), 1) for r in col[1:])
 
 
 def is_standard(t):
@@ -273,21 +287,14 @@ def row_word(t):
 
 def col_word(t):
     """Entries down each column, starting with the first column."""
+    rows = t.rows
     if isinstance(t, Tableau):
-        cols = max((len(r) for r in t.rows), default=0)
-        out = []
-        for c in range(1, cols + 1):
-            for r in range(len(t.rows), 0, -1):
-                x = t.entry(r, c)
-                if x is not None:
-                    out.append(x)
-        return tuple(out)
-    cols = max((r + len(row) - 1 for r, row in enumerate(t.rows, 1)), default=0)
-    out = []
-    for c in range(1, cols + 1):
-        for r, x in reversed(t.column(c)):
-            out.append(entry_value(x))
-    return tuple(out)
+        cols = len(rows[0]) if rows else 0
+        return tuple(row[c] for c in range(cols)
+                     for row in reversed(rows) if c < len(row))
+    return tuple(entry_value(rows[r - 1][c - r])
+                 for c, col in enumerate(_column_rows(t.shape), 1)
+                 for r in reversed(col))
 
 
 def shword_boxes(t):
@@ -296,15 +303,15 @@ def shword_boxes(t):
     Reads C_q R_q ... C_1 R_1 where C_i lists the primed entries of column i
     bottom-to-top and R_i the unprimed entries of row i left-to-right.
     """
-    cols = max((r + len(row) - 1 for r, row in enumerate(t.rows, 1)), default=0)
+    rows = t.rows
+    cols = _column_rows(t.shape)
     order = []
-    for i in range(cols, 0, -1):
-        for r, x in t.column(i):
-            if entry_primed(x):
+    for i in range(len(cols), 0, -1):
+        for r in cols[i - 1]:
+            if entry_primed(rows[r - 1][i - r]):
                 order.append((r, i))
-        if i <= len(t.rows):
-            row = t.rows[i - 1]
-            for c, x in enumerate(row, i):
+        if i <= len(rows):
+            for c, x in enumerate(rows[i - 1], i):
                 if not entry_primed(x):
                     order.append((i, c))
     return tuple(order)
@@ -312,7 +319,8 @@ def shword_boxes(t):
 
 def shword(t):
     """The shifted reading word, primes removed."""
-    return tuple(entry_value(t.entry(r, c)) for r, c in shword_boxes(t))
+    rows = t.rows
+    return tuple(entry_value(rows[r - 1][c - r]) for r, c in shword_boxes(t))
 
 
 def tableau_descents(t):
@@ -324,10 +332,8 @@ def tableau_descents(t):
     """
     if not is_standard(t):
         raise ValueError("descents are defined for standard shifted tableaux")
-    pos = {}
-    for r, c in t.boxes():
-        x = t.entry(r, c)
-        pos[entry_value(x)] = (r, c, entry_primed(x))
+    pos = {entry_value(x): (r, c, entry_primed(x))
+           for r, row in enumerate(t.rows, 1) for c, x in enumerate(row, r)}
     out = set()
     for i in range(1, t.size()):
         r1, c1, p1 = pos[i]
@@ -447,6 +453,8 @@ def standard_shifted_tableaux(shape, primes=True):
     independent prime toggle per off-diagonal box.
     """
     shape = tuple(shape)
+    if not is_strict_partition(shape):
+        raise ValueError(f"shape {shape} is not a strict partition")
     if not shape:
         return (ShiftedTableau(),)
     m = sum(shape)
@@ -484,9 +492,9 @@ def star_op(t, i):
     n = t.size()
     if not 1 <= i <= n - 1:
         return t
-    pos = {entry_value(t.entry(r, c)): (r, c) for r, c in t.boxes()}
-    (r1, c1), (r2, c2) = pos[i], pos[i + 1]
-    x1, x2 = t.entry(r1, c1), t.entry(r2, c2)
+    pos = {entry_value(x): (r, c, x)
+           for r, row in enumerate(t.rows, 1) for c, x in enumerate(row, r)}
+    (r1, c1, x1), (r2, c2, x2) = pos[i], pos[i + 1]
     out = t
     if r1 == r2 or c1 == c2:
         if r1 != c1:

@@ -193,10 +193,13 @@ def _q_morphism_check(flavor, max_len=5, n=3):
     flav = get_flavor(flavor)
     ins = flav.insertion
     res = VerifyResult(f"q-morphism-{flav.relation}", True)
+    codomains = {}  # m -> the carrier of shifted tableaux with m boxes
     for pi in corpus(flavor, max_len):
         m = flav.ell(pi)
         crys = factorization_crystal(pi, flavor, n)
-        tab = shifted_tableau_crystal_all(n, m)
+        if m not in codomains:
+            codomains[m] = shifted_tableau_crystal_all(n, m)
+        tab = codomains[m]
         res.checks += 1
         if not is_quasi_isomorphism(
                 lambda x: insert(x, ins, check=False).Q, crys, tab):
@@ -309,31 +312,43 @@ def check_bump_properties(max_len=5, n=3):
     return res
 
 
+class _DualEquivMap(dict):
+    """{(t, i): dual_equiv(t, i)}, each pair computed at its first lookup.
+    Built per flavor or per shape and dropped with it: a map over the whole
+    run would hold every pair at once."""
+
+    def __missing__(self, key):
+        v = self[key] = tableaux.dual_equiv(*key)
+        return v
+
+
 def check_dual_equivalence(max_len=6, max_boxes=7, n=3):
     """Recording tableaux intertwine ck moves with the d_i operators."""
     res = VerifyResult("dual-equivalence", True)
     for flav in QUEER_FLAVORS:
         flavor, ins, ck0 = flav.name, flav.insertion, flav.ck0
+        d = _DualEquivMap()
         for pi in corpus(flavor, max_len):
             for w in enumerate_words(pi, flavor):
                 q = _q_tableau(w, ins)
                 res.checks += 1
-                if _q_tableau(ck0(w), ins) != tableaux.dual_equiv(q, 0):
+                if _q_tableau(ck0(w), ins) != d[q, 0]:
                     return res.fail(f"{flavor}: ck_0 vs d_0", w)
                 for i in range(1, len(w) - 1):
-                    if _q_tableau(ck(w, i), ins) != tableaux.dual_equiv(q, i):
+                    if _q_tableau(ck(w, i), ins) != d[q, i]:
                         return res.fail(f"{flavor}: ck_{i} vs d_{i}", w)
     # involutivity, standardness, descent mirroring, operator composites
     for m in range(1, max_boxes + 1):
         for mu in strict_partitions(m):
+            d = _DualEquivMap()  # d_i keeps the shape
             for t in standard_shifted_tableaux(mu, primes=True):
                 des = tableau_descents(t)
                 res.checks += 1
                 if des != shword_descents(t):
                     return res.fail("descent characterizations disagree", t)
                 for i in range(0, m - 1):
-                    u = tableaux.dual_equiv(t, i)
-                    if not tableaux.is_standard(u) or tableaux.dual_equiv(u, i) != t:
+                    u = d[t, i]
+                    if not tableaux.is_standard(u) or d[u, i] != t:
                         return res.fail("d_i not a standard involution", (t, i))
                 for i in range(1, m):
                     if i in des:
@@ -350,11 +365,11 @@ def check_dual_equivalence(max_len=6, max_boxes=7, n=3):
                     both = des & {i, i + 1}
                     if both == {i}:
                         seq = _compose(t, [("e", i + 1), ("e", i), ("f", i + 1), ("f", i)])
-                        if seq != tableaux.dual_equiv(t, i):
+                        if seq != d[t, i]:
                             return res.fail("f f e e composite (descent i)", (t, i))
                     elif both == {i + 1}:
                         seq = _compose(t, [("e", i), ("e", i + 1), ("f", i), ("f", i + 1)])
-                        if seq != tableaux.dual_equiv(t, i):
+                        if seq != d[t, i]:
                             return res.fail("f f e e composite (descent i+1)", (t, i))
     res.lines.append("ck/d intertwining and the operator composites hold")
     return res

@@ -9,7 +9,11 @@ tests recompute membership through those and compare wholesale.  The word
 enumerator and split_word are checked against brute-force references, the
 move-table walk against a plain step loop, the bumping walk table against
 one plain walk per deleted word, verify's per-target bump map against
-bump, and the fpf walk step against pointwise conjugation.
+bump, and the fpf walk step against pointwise conjugation.  The
+shifted-tableau geometry (columns, reading order, the predicates and the
+unpaired boxes, all read through the per-shape column record) is checked
+against row scans through ShiftedTableau.entry, and verify's scoped d_i
+map against dual_equiv.
 """
 
 from itertools import product
@@ -22,7 +26,12 @@ from queercrystals.bumping import (
     marked_indices,
     walk_table,
 )
-from queercrystals.crystals import word_crystal
+from queercrystals.crystals import (
+    shifted_tableau_crystal_all,
+    strict_partitions,
+    unpaired_boxes,
+    word_crystal,
+)
 from queercrystals.insertion import Factorization, hm_insert, split_word
 from queercrystals.permwords import (
     FLAVORS,
@@ -39,7 +48,19 @@ from queercrystals.permwords import (
     word_target,
     word_to_permutation,
 )
-from queercrystals.verify import _bump_corpus, _BumpMap, corpus
+from queercrystals.tableaux import (
+    ShiftedTableau,
+    col_word,
+    dual_equiv,
+    entry_primed,
+    entry_value,
+    is_increasing,
+    is_semistandard,
+    shword,
+    shword_boxes,
+    standard_shifted_tableaux,
+)
+from queercrystals.verify import _bump_corpus, _BumpMap, _DualEquivMap, corpus
 
 
 def demazure_right(x, i):
@@ -299,3 +320,152 @@ def test_conjugate_s_matches_window_evaluation():
         sup = pi.support() or (1, 2)
         for i in range(min(sup) - 3, max(sup) + 3):
             assert pi.conjugate_s(i) == conjugate_s_by_window(pi, i), (pi, i)
+
+
+# Row scans of shifted tableaux: every box looked up through entry(), which
+# checks the bounds of its row on each call.
+
+def column_scan(t, c):
+    out = []
+    for r in range(1, min(c, len(t.rows)) + 1):
+        code = t.entry(r, c)
+        if code is not None:
+            out.append((r, code))
+    return out
+
+
+def last_column(t):
+    return max((r + len(row) - 1 for r, row in enumerate(t.rows, 1)), default=0)
+
+
+def shword_boxes_scan(t):
+    order = []
+    for i in range(last_column(t), 0, -1):
+        for r, x in column_scan(t, i):
+            if entry_primed(x):
+                order.append((r, i))
+        if i <= len(t.rows):
+            for c, x in enumerate(t.rows[i - 1], i):
+                if not entry_primed(x):
+                    order.append((i, c))
+    return tuple(order)
+
+
+def is_semistandard_scan(t):
+    for r, c in t.boxes():
+        x = t.entry(r, c)
+        if x <= 0:
+            return False
+        if r == c and entry_primed(x):
+            return False
+        right = t.entry(r, c + 1)
+        if right is not None:
+            if right < x or (right == x and entry_primed(x)):
+                return False
+        up = t.entry(r + 1, c)
+        if up is not None:
+            if up < x or (up == x and not entry_primed(x)):
+                return False
+    return True
+
+
+def is_increasing_scan(t):
+    if any(entry_primed(x) for row in t.rows for x in row):
+        return False
+    for r, c in t.boxes():
+        x = t.entry(r, c)
+        for nb in (t.entry(r, c + 1), t.entry(r + 1, c)):
+            if nb is not None and nb <= x:
+                return False
+    return True
+
+
+def unpaired_boxes_scan(t, i):
+    order = []
+    for r, c in shword_boxes_scan(t):
+        v = entry_value(t.entry(r, c))
+        if v in (i, i + 1):
+            order.append((r, c, v))
+    out, stack = [], []
+    for r, c, v in order:
+        if v == i + 1:
+            stack.append((r, c))
+        elif stack:
+            stack.pop()
+        else:
+            out.append((r, c))
+    seen = set(stack)
+    tail = [(r, c) for r, c, v in order if v == i + 1 and (r, c) in seen]
+    return tuple(out) + tuple(tail)
+
+
+def with_entry_by_rows(t, r, c, code):
+    rows = [list(row) for row in t.rows]
+    rows[r - 1][c - r] = code
+    return ShiftedTableau(rows)
+
+
+def crystal_tableaux():
+    """Every vertex of shifted_tableau_crystal_all(n, m), n <= 4, m <= 7."""
+    return [t for n in range(1, 5) for m in range(8)
+            for t in shifted_tableau_crystal_all(n, m).vertices]
+
+
+def standard_tableaux():
+    """Every standard shifted tableau with at most 7 boxes, primes included."""
+    return [t for m in range(1, 8) for mu in strict_partitions(m)
+            for t in standard_shifted_tableaux(mu, primes=True)]
+
+
+def check_geometry(t, indices, codes):
+    """Column, reading order, reading word, unpaired boxes, find_value and
+    col_word of t against the scans; then with_entry on every box with each
+    of codes(x), and both predicates on every such variant."""
+    for c in range(-1, last_column(t) + 3):
+        assert t.column(c) == column_scan(t, c), (t, c)
+    boxes = shword_boxes_scan(t)
+    assert shword_boxes(t) == boxes, t
+    assert shword(t) == tuple(entry_value(t.entry(r, c)) for r, c in boxes)
+    assert col_word(t) == tuple(entry_value(x) for c in range(1, last_column(t) + 1)
+                                for _, x in reversed(column_scan(t, c)))
+    for i in indices:
+        assert unpaired_boxes(t, i) == unpaired_boxes_scan(t, i), (t, i)
+        assert t.find_value(i) == next(
+            (b for b in t.boxes() if entry_value(t.entry(*b)) == i), None)
+    assert is_semistandard(t) == is_semistandard_scan(t), t
+    assert is_increasing(t) == is_increasing_scan(t), t
+    for r, c in t.boxes():
+        for code in codes(t.entry(r, c)):
+            u = t.with_entry(r, c, code)
+            assert u == with_entry_by_rows(t, r, c, code), (t, r, c, code)
+            assert u.shape == t.shape
+            assert is_semistandard(u) == is_semistandard_scan(u), u
+            assert is_increasing(u) == is_increasing_scan(u), u
+
+
+def test_crystal_tableaux_geometry_matches_scans():
+    tabs = crystal_tableaux()
+    assert len(tabs) == 5726
+    for t in tabs:
+        check_geometry(t, range(0, 6), lambda x: (x - 1, x + 1))
+
+
+def test_standard_tableaux_geometry_matches_scans():
+    tabs = standard_tableaux()
+    assert len(tabs) == 1057
+    for t in tabs:
+        m = t.size()
+        check_geometry(t, range(0, m + 2), lambda x: (0, x - 2, x - 1, x + 1, x + 2))
+
+
+def test_dual_equiv_map_matches_dual_equiv():
+    for m in range(1, 8):
+        for mu in strict_partitions(m):
+            # one map per shape, as verify keeps it
+            d = _DualEquivMap()
+            keys = [(t, i) for t in standard_shifted_tableaux(mu, primes=True)
+                    for i in range(-1, m + 1)]
+            # the second pass reads what the first stored
+            for key in keys + keys[::-1]:
+                assert d[key] == dual_equiv(*key), key
+            assert len(d) == len(keys)

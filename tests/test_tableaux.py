@@ -58,6 +58,13 @@ class TestPredicates:
         assert is_semistandard(t) and is_standard(t)
         assert is_increasing(t)
 
+    def test_with_entry_missing_box(self):
+        t = S([["1", "2", "3"], ["4"]])
+        for box in [(0, 0), (1, 0), (1, 4), (2, 1), (2, 3), (3, 3)]:
+            with pytest.raises(ValueError, match="no box"):
+                t.with_entry(*box, unprimed(2))
+        assert t.with_entry(1, 2, primed(2)) == S([["1", "2'", "3"], ["4"]])
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             ShiftedTableau([[2, 4], [6, 8]])  # not strictly decreasing
@@ -132,6 +139,12 @@ class TestEnumeration:
     def test_shifted_shape_with_non_positive_part(self, shape):
         with pytest.raises(ValueError, match="is not a strict partition"):
             semistandard_shifted_tableaux(shape, 3)
+
+    @pytest.mark.parametrize("shape", [(-1,), (3, -1), (0,), (2, 0), (2, 2)])
+    def test_standard_shape_not_strict(self, shape):
+        for primes in (True, False):
+            with pytest.raises(ValueError, match="is not a strict partition"):
+                standard_shifted_tableaux(shape, primes=primes)
 
 
 class TestStarAndDual:
