@@ -16,6 +16,7 @@ from .bumping import bump_chain
 from .crystals import (
     VertexCapExceeded,
     factorization_crystal,
+    factorization_crystal_size,
     shifted_tableau_crystal,
     vertex_cap,
 )
@@ -135,16 +136,28 @@ def cmd_insert(args):
     return EXIT_PASS
 
 
+def check_cap(size, cap):
+    if size > cap:
+        raise VertexCapExceeded(
+            f"carrier has {size} vertices, above the cap {cap}")
+
+
 def cmd_crystal(args):
+    cap = args.cap
+    if cap is None:
+        try:
+            cap = vertex_cap()
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     if args.shape:
         crys = shifted_tableau_crystal(args.n, parse_shape(args.shape))
+        check_cap(len(crys), cap)
     else:
         flavor = insertion_flavor(args.flavor).name
         pi = parse_permutation(args.perm, flavor)
+        # refused before the build, so that the cap bounds the work done
+        check_cap(factorization_crystal_size(pi, flavor, args.n), cap)
         crys = factorization_crystal(pi, flavor, args.n)
-    if len(crys) > args.cap:
-        raise VertexCapExceeded(
-            f"carrier has {len(crys)} vertices, above the cap {args.cap}")
     if args.json:
         print(json.dumps(crys.to_json(), sort_keys=True))
     else:
@@ -262,8 +275,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cap", None) is None and args.command == "crystal":
-        args.cap = vertex_cap()
     try:
         return args.fn(args)
     except InputError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from bisect import insort
 from itertools import permutations, product
+from math import comb
 
 from .insertion import Factorization, split_word
 from .permwords import Permutation, enumerate_words, get_flavor, word_target
@@ -40,7 +41,17 @@ class VertexCapExceeded(RuntimeError):
 
 
 def vertex_cap():
-    return int(os.environ.get("QC_VERTEX_CAP", DEFAULT_VERTEX_CAP))
+    """QC_VERTEX_CAP, or DEFAULT_VERTEX_CAP when it is unset; a value that
+    is not an integer >= 0 raises ValueError."""
+    text = os.environ.get("QC_VERTEX_CAP")
+    if text is None:
+        return DEFAULT_VERTEX_CAP
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"QC_VERTEX_CAP={text!r} is not an integer >= 0")
 
 
 def crystal_indices(n, queer):
@@ -159,7 +170,8 @@ def fac_f(fac, i):
     new_a = tuple(v for v in a if v != x)
     new_b = list(b)
     insort(new_b, y)
-    return Factorization(fac[:i - 1] + (new_a, tuple(new_b)) + fac[i + 1:])
+    return Factorization._trusted(
+        fac[:i - 1] + (new_a, tuple(new_b)) + fac[i + 1:])
 
 
 def fac_e(fac, i):
@@ -176,7 +188,8 @@ def fac_e(fac, i):
     new_b = tuple(v for v in b if v != y)
     new_a = list(a)
     insort(new_a, x)
-    return Factorization(fac[:i - 1] + (tuple(new_a), new_b) + fac[i + 1:])
+    return Factorization._trusted(
+        fac[:i - 1] + (tuple(new_a), new_b) + fac[i + 1:])
 
 
 def fac_fq_o(fac):
@@ -184,7 +197,7 @@ def fac_fq_o(fac):
     w1, w2 = fac[0], fac[1]
     if not w1 or (w2 and w2[0] < w1[0]):
         return None
-    return Factorization(((w1[1:]), (w1[0],) + w2) + fac[2:])
+    return Factorization._trusted(((w1[1:]), (w1[0],) + w2) + fac[2:])
 
 
 def fac_eq_o(fac):
@@ -192,7 +205,7 @@ def fac_eq_o(fac):
     w1, w2 = fac[0], fac[1]
     if not w2 or (w1 and w1[0] < w2[0]):
         return None
-    return Factorization(((w2[0],) + w1, w2[1:]) + fac[2:])
+    return Factorization._trusted(((w2[0],) + w1, w2[1:]) + fac[2:])
 
 
 def fac_fq_sp(fac):
@@ -211,7 +224,7 @@ def fac_fq_sp(fac):
     else:
         new_w1 = w1[1:]
         new_w2 = (x,) + w2
-    return Factorization((new_w1, new_w2) + fac[2:])
+    return Factorization._trusted((new_w1, new_w2) + fac[2:])
 
 
 def fac_eq_sp(fac):
@@ -226,7 +239,7 @@ def fac_eq_sp(fac):
     x = w2[0]
     new_w1 = list(w1)
     insort(new_w1, x if x % 2 == 0 else x + 2)
-    return Factorization((tuple(new_w1), w2[1:]) + fac[2:])
+    return Factorization._trusted((tuple(new_w1), w2[1:]) + fac[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +404,36 @@ def _sort_key(x):
     return x
 
 
+class OperatorTable(dict):
+    """{(x, i): op(x, i)}, each entry computed at its first lookup."""
+
+    def __init__(self, op):
+        super().__init__()
+        self.op = op
+
+    def __missing__(self, key):
+        y = self[key] = self.op(*key)
+        return y
+
+
 class Crystal:
     """A finite crystal with explicit operator maps.
 
     indices lists the operator labels, QBAR first for queer crystals.
-    f(x, i) and e(x, i) return None when undefined.
+    f(x, i) and e(x, i) are the raw operators, None when undefined; every
+    reader except axioms_report goes through the tables f_table and e_table,
+    which compute each (x, i) once and which the components share.
     """
 
-    def __init__(self, vertices, n, wt, f, e, queer, name=""):
+    def __init__(self, vertices, n, wt, f, e, queer, name="", tables=None):
         self.vertices = tuple(sorted(set(vertices), key=_sort_key))
         self.vertex_set = frozenset(self.vertices)
         self.n = n
         self.wt = wt
         self.f = f
         self.e = e
+        self.f_table, self.e_table = tables or (
+            OperatorTable(f), OperatorTable(e))
         self.queer = queer
         self.name = name
         self.indices = crystal_indices(n, queer)
@@ -419,16 +448,15 @@ class Crystal:
         return x in self.vertex_set
 
     def edges(self):
-        """All labeled edges (x, i, y) with y = f_i(x), in canonical order."""
+        """All labeled edges (x, i, y) with y = f_i(x), in canonical order:
+        by x, then by str(i).  The vertices are sorted and each (x, i) has
+        at most one y, so walking them in that order needs no sort."""
         if self._edges is None:
-            acc = []
-            for x in self.vertices:
-                for i in self.indices:
-                    y = self.f(x, i)
-                    if y is not None:
-                        acc.append((x, i, y))
-            acc.sort(key=lambda t: (_sort_key(t[0]), str(t[1]), _sort_key(t[2])))
-            self._edges = tuple(acc)
+            labels = sorted(self.indices, key=str)
+            table = self.f_table
+            self._edges = tuple(
+                (x, i, y) for x in self.vertices for i in labels
+                if (y := table[x, i]) is not None)
         return self._edges
 
     def _adjacency(self):
@@ -444,13 +472,13 @@ class Crystal:
     def string_lengths(self, x, i):
         """(epsilon_i, phi_i): how often e_i and f_i apply before vanishing."""
         lengths = []
-        for op in (self.e, self.f):
-            k, y = 0, op(x, i)
+        for table in (self.e_table, self.f_table):
+            k, y = 0, table[x, i]
             while y is not None:
                 k += 1
                 if k > STRING_CAP:
                     raise VertexCapExceeded(f"{i}-string too long at {x!r}")
-                y = op(y, i)
+                y = table[y, i]
             lengths.append(k)
         return tuple(lengths)
 
@@ -472,14 +500,15 @@ class Crystal:
                             frontier.append(y)
             seen |= comp
             comps.append(Crystal(comp, self.n, self.wt, self.f, self.e,
-                                 self.queer, name=self.name))
+                                 self.queer, name=self.name,
+                                 tables=(self.f_table, self.e_table)))
         return comps
 
     def sources(self):
         """Vertices with every raising operator undefined."""
         return tuple(
             x for x in self.vertices
-            if all(self.e(x, i) is None for i in self.indices)
+            if all(self.e_table[x, i] is None for i in self.indices)
         )
 
     def highest_weights(self):
@@ -552,20 +581,21 @@ def pretty_element(x):
 def explore(seed, n, wt, f, e, queer, cap=None, name=""):
     """BFS closure of one element under all operators, capped."""
     cap = vertex_cap() if cap is None else cap
+    tables = OperatorTable(f), OperatorTable(e)
     seen = {seed}
     frontier = [seed]
     while frontier:
         x = frontier.pop()
         for i in crystal_indices(n, queer):
-            for op in (f, e):
-                y = op(x, i)
+            for table in tables:
+                y = table[x, i]
                 if y is not None and y not in seen:
                     if len(seen) + 1 > cap:
                         raise VertexCapExceeded(
                             f"exploration exceeded cap {cap}")
                     seen.add(y)
                     frontier.append(y)
-    return Crystal(seen, n, wt, f, e, queer, name=name)
+    return Crystal(seen, n, wt, f, e, queer, name=name, tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +636,23 @@ def factorization_crystal(pi, flavor, n):
     flav = get_flavor(flavor)
     return _fac_crystal(enumerate_words(pi, flavor), n, flav.relation,
                         f"{flav.carrier}_{n}({pi})")
+
+
+def factorization_crystal_size(pi, flavor, n):
+    """len(factorization_crystal(pi, flavor, n)), counted without building
+    it: a word with d weak descents has C(len + k, k) splits into n factors
+    when k = n - 1 - d >= 0 (the k free cuts form a multiset of the
+    len + 1 positions), and none otherwise; at n = 0 only the empty word
+    has a split."""
+    total = 0
+    for w in enumerate_words(pi, flavor):
+        if n == 0:
+            total += not w
+            continue
+        k = n - 1 - sum(a >= b for a, b in zip(w, w[1:]))
+        if k >= 0:
+            total += comb(len(w) + k, k)
+    return total
 
 
 def _shtab_crystal(verts, n, name):
@@ -823,8 +870,9 @@ def morphism_report(phi, dom, cod):
         if dom.wt(x) != cod.wt(y):
             bad.append(f"weight not preserved at {pretty_element(x)}")
         for i in dom.indices:
-            for op, dom_op, cod_op in (("f", dom.f, cod.f), ("e", dom.e, cod.e)):
-                ox, oy = dom_op(x, i), cod_op(y, i)
+            for op, dom_op, cod_op in (("f", dom.f_table, cod.f_table),
+                                       ("e", dom.e_table, cod.e_table)):
+                ox, oy = dom_op[x, i], cod_op[y, i]
                 if (ox is None) != (oy is None):
                     bad.append(f"{op}_{i} definedness at {pretty_element(x)}")
                 elif ox is not None and phi(ox) != oy:

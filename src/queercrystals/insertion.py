@@ -43,6 +43,13 @@ class Factorization(tuple):
         return super().__new__(cls, factors)
 
     @classmethod
+    def _trusted(cls, factors):
+        """A factorization of tuples already known to increase strictly:
+        the crystal operators and split_word build their results this way,
+        without the constructor's scan."""
+        return tuple.__new__(cls, factors)
+
+    @classmethod
     def from_word(cls, w):
         """One letter per factor."""
         return cls(tuple((a,) for a in w))
@@ -77,7 +84,8 @@ def split_word(w, n):
     for free in combinations_with_replacement(range(len(w) + 1),
                                               n - 1 - len(forced)):
         cuts = (0, *sorted(forced + list(free)), len(w))
-        out.append(Factorization(w[a:b] for a, b in zip(cuts, cuts[1:])))
+        out.append(Factorization._trusted(
+            w[a:b] for a, b in zip(cuts, cuts[1:])))
     return tuple(out)
 
 

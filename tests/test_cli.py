@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from queercrystals import cli
+from queercrystals import cli, crystals
 
 
 def run(capsys, *argv):
@@ -87,6 +87,28 @@ class TestCrystal:
                            "--n", "3", "--cap", "5")
         assert code == 3
         assert "resource" in err
+
+    @pytest.mark.parametrize("argv,size,cap", [
+        (("--cap", "5"), 24, 5), (("--cap", "23", "--json"), 24, 23),
+        (("--n", "2", "--cap", "3"), 4, 3), (("--n", "4", "--cap", "79"), 80, 79),
+    ])
+    def test_cap_refused_before_the_build(self, capsys, monkeypatch, argv,
+                                          size, cap):
+        def unbuilt(w, n):
+            raise AssertionError("the carrier was built")
+
+        monkeypatch.setattr(crystals, "split_word", unbuilt)
+        code, out, err = run(capsys, "crystal", "(1,3)(2,5)", "--flavor",
+                             "oeg", *argv)
+        assert code == 3 and out == ""
+        assert err == (f"resource limit: carrier has {size} vertices, "
+                       f"above the cap {cap}\n")
+
+    def test_vertex_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("QC_VERTEX_CAP", "5")
+        code, out, err = run(capsys, "crystal", "(1,3)(2,5)")
+        assert code == 3 and out == ""
+        assert err == "resource limit: carrier has 24 vertices, above the cap 5\n"
 
     def test_trivial_permutation_single_vertex(self, capsys):
         code, out, _ = run(capsys, "crystal", "", "--flavor", "oeg", "--n", "2",
@@ -206,6 +228,13 @@ class TestBoundValidation:
             cli.main(list(argv))
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["abc", "", "-5", "1.5"])
+    def test_malformed_vertex_cap_env_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QC_VERTEX_CAP", value)
+        code, out, err = run(capsys, "crystal", "(1,3)")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "QC_VERTEX_CAP" in err
 
     def test_bump_properties_with_one_factor(self, capsys):
         # n = 1 leaves a single weight coordinate, so no 1bar operator

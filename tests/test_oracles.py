@@ -13,10 +13,17 @@ bump, and the fpf walk step against pointwise conjugation.  The
 shifted-tableau geometry (columns, reading order, the predicates and the
 unpaired boxes, all read through the per-shape column record) is checked
 against row scans through ShiftedTableau.entry, and verify's scoped d_i
-map against dual_equiv.
+map against dual_equiv.  A crystal's edge tables (edges without a sort,
+string lengths, sources, and the components sharing the tables) are
+checked against the sort-based edge list and walks of the raw operators;
+the factorizations that split_word and the crystal operators build
+without the increasing-factor scan against the checking constructor; and
+the carrier size counted before a build against the built carrier.
 """
 
 from itertools import product
+
+import pytest
 
 from queercrystals.bumping import (
     bump,
@@ -26,7 +33,11 @@ from queercrystals.bumping import (
     marked_indices,
     walk_table,
 )
+from queercrystals import verify
 from queercrystals.crystals import (
+    _sort_key,
+    factorization_crystal,
+    factorization_crystal_size,
     shifted_tableau_crystal_all,
     strict_partitions,
     unpaired_boxes,
@@ -469,3 +480,105 @@ def test_dual_equiv_map_matches_dual_equiv():
             for key in keys + keys[::-1]:
                 assert d[key] == dual_equiv(*key), key
             assert len(d) == len(keys)
+
+
+def edges_by_sort(crys):
+    """Every edge (x, i, f_i(x)) from the raw operator, sorted by x, str(i)
+    and then y."""
+    acc = [(x, i, crys.f(x, i)) for x in crys.vertices for i in crys.indices]
+    acc = [edge for edge in acc if edge[2] is not None]
+    acc.sort(key=lambda t: (_sort_key(t[0]), str(t[1]), _sort_key(t[2])))
+    return tuple(acc)
+
+
+def string_lengths_raw(crys, x, i):
+    lengths = []
+    for op in (crys.e, crys.f):
+        k, y = 0, op(x, i)
+        while y is not None:
+            k, y = k + 1, op(y, i)
+        lengths.append(k)
+    return tuple(lengths)
+
+
+def sources_raw(crys):
+    return tuple(x for x in crys.vertices
+                 if all(crys.e(x, i) is None for i in crys.indices))
+
+
+def table_carriers():
+    """The carriers crystal-axioms checks, taken from the target itself, then
+    the factorization carriers of every corpus(flavor, 5) target at n = 3, 4,
+    the shifted-tableau carriers with n <= 4, m <= 7, and W_3(4), each built
+    when the previous one has been read."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "axioms_report",
+                   lambda crys: seen.append(crys) or [])
+        assert verify.check_crystal_axioms().ok
+    assert len(seen) == 13
+    yield from seen
+    for flavor in FLAVORS:
+        for n in (3, 4):
+            for pi in corpus(flavor, 5):
+                yield factorization_crystal(pi, flavor, n)
+    for n in range(1, 5):
+        for m in range(8):
+            yield shifted_tableau_crystal_all(n, m)
+    yield word_crystal(3, 4)
+
+
+def test_edge_tables_match_raw_operators():
+    carriers = []
+    for crys in table_carriers():
+        carriers.append(crys)
+        edges = edges_by_sort(crys)
+        assert crys.edges() == edges, crys.name
+        sources = sources_raw(crys)
+        assert crys.sources() == sources, crys.name
+        for x in crys.vertices:
+            for i in crys.indices:
+                assert crys.string_lengths(x, i) == \
+                    string_lengths_raw(crys, x, i), (crys.name, x, i)
+        for comp in crys.components():
+            assert comp.f_table is crys.f_table
+            assert comp.e_table is crys.e_table
+            # the sorted edges and sources of a component are the carrier's
+            # restricted to its vertices
+            assert comp.edges() == tuple(
+                edge for edge in edges if edge[0] in comp), crys.name
+            assert comp.sources() == tuple(
+                x for x in sources if x in comp), crys.name
+    # every carrier has tables of its own
+    tables = [id(t) for crys in carriers for t in (crys.f_table, crys.e_table)]
+    assert len(set(tables)) == len(tables)
+
+
+def test_trusted_factorizations_pass_the_check():
+    """Every split_word output and operator result built without the scan
+    is a factorization the checking constructor accepts unchanged."""
+    count = 0
+    for crys in table_carriers():
+        if not all(isinstance(x, Factorization) for x in crys.vertices):
+            continue
+        results = [crys.f_table[x, i] for x in crys.vertices
+                   for i in crys.indices]
+        results += [crys.e_table[x, i] for x in crys.vertices
+                    for i in crys.indices]
+        for r in (*crys.vertices, *filter(None, results)):
+            assert type(r) is Factorization
+            assert all(type(f) is tuple for f in r)
+            assert Factorization(tuple(r)) == r
+            count += 1
+    assert count > 50_000
+
+
+def test_factorization_crystal_size_matches_the_carrier():
+    cases = 0
+    for flavor in FLAVORS:
+        for pi in corpus(flavor, 6):
+            for n in range(5):
+                assert factorization_crystal_size(pi, flavor, n) == \
+                    len(factorization_crystal(pi, flavor, n)), (pi, n)
+                cases += 1
+    assert cases == 1070
