@@ -9,7 +9,6 @@ verification suite for the theorems tying all of these together.
 from .permwords import (
     FpfInvolution,
     Permutation,
-    atoms,
     ck,
     ck0_o,
     ck0_sp,
@@ -18,14 +17,9 @@ from .permwords import (
     ell_sp,
     enumerate_words,
     equivalence_class,
-    fpf_grassmannian_shape,
-    inv_grassmannian_shape,
     is_fpf_involution_word,
     is_involution_word,
     is_reduced_word,
-    length_invariants,
-    shift_t,
-    star,
     word_to_permutation,
 )
 from .tableaux import (
@@ -35,7 +29,6 @@ from .tableaux import (
     is_increasing,
     is_semistandard,
     is_standard,
-    row_word,
     shword,
     star_op,
     tableau_descents,
@@ -47,7 +40,6 @@ from .insertion import (
     eg_insert,
     hm_insert,
     insert,
-    invert_insertion,
     oeg_insert,
     speg_insert,
 )
@@ -55,9 +47,7 @@ from .crystals import (
     Crystal,
     QBAR,
     axioms_report,
-    crystals_isomorphic,
     dbl_map,
-    explore,
     factorization_crystal,
     inv_map,
     is_quasi_isomorphism,

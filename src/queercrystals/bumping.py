@@ -11,21 +11,23 @@ value of the bumping operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .insertion import Factorization
 from .permwords import (
     FLAVORS,
     FpfInvolution,
+    LazyMap,
     _ascent_states,
     _ascent_walk,
     get_flavor,
     word_to_permutation,
 )
 
-# flavor -> {word: walk_table(word, flavor)}
-_walk_tables = {name: {} for name in FLAVORS}
-# reduced target sigma -> the base matching conjugated by sigma
-_base_conjugates = {}
+# reduced target sigma -> the base matching conjugated by sigma, kept for
+# the process: a few hundred sigma recur over thousands of calls
+_base_conjugates = LazyMap(
+    lambda sigma: FpfInvolution.identity().conjugate_by(sigma))
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,19 @@ def delete_letter(w, i):
     return w[:i - 1] + w[i:]
 
 
+def _walk(flavor, w):
+    prefix = list(_ascent_states(flavor, w))
+    prefix += [None] * (len(w) + 1 - len(prefix))
+    return (prefix[-1],) + tuple(
+        None if start is None else _ascent_walk(flavor, w[i:], start)
+        for i, start in enumerate(prefix[:-1], 1))
+
+
+# flavor -> {word: walk_table(word, flavor)}, kept for the process: every
+# push step of every bump reads the tables of the words it passes
+_walk_tables = {name: LazyMap(partial(_walk, name)) for name in FLAVORS}
+
+
 def walk_table(w, flavor):
     """(target(w), target(w minus letter 1), ..., target(w minus letter l))
     in the flavor's class, None outside it, so index i is the 1-based mark i.
@@ -56,16 +71,7 @@ def walk_table(w, flavor):
     state i-1 of w's own walk.  The walk yields interned targets, so equal
     targets are stored as one object.
     """
-    w = tuple(w)
-    table = _walk_tables[get_flavor(flavor).name]
-    got = table.get(w)
-    if got is None:
-        prefix = list(_ascent_states(flavor, w))
-        prefix += [None] * (len(w) + 1 - len(prefix))
-        got = table[w] = (prefix[-1],) + tuple(
-            None if start is None else _ascent_walk(flavor, w[i:], start)
-            for i, start in enumerate(prefix[:-1], 1))
-    return got
+    return _walk_tables[get_flavor(flavor).name][tuple(w)]
 
 
 def is_marked(w, i, pi, flavor):
@@ -87,13 +93,7 @@ def is_semi_reduced(w, pi):
     if not isinstance(pi, FpfInvolution):
         return False
     sigma = walk_table(w, "reduced")[0]
-    if sigma is None:
-        return False
-    conj = _base_conjugates.get(sigma)
-    if conj is None:
-        conj = FpfInvolution.identity().conjugate_by(sigma)
-        _base_conjugates[sigma] = conj
-    return conj == pi
+    return sigma is not None and _base_conjugates[sigma] == pi
 
 
 def _push_in_place(w, pi, flavor):

@@ -23,8 +23,6 @@ from .crystals import (
 from .insertion import Factorization, insert
 from .permwords import (
     FLAVORS,
-    FpfInvolution,
-    Permutation,
     equivalence_class,
     get_flavor,
     insertion_flavor,
@@ -102,16 +100,16 @@ def parse_shape(text):
 
 
 def parse_permutation(text, flavor):
+    flav = get_flavor(flavor)
     cycles = parse_cycles(text)
     try:
-        if flavor == "fpf":
-            return FpfInvolution(cycles)
-        pi = Permutation.from_cycles(cycles)
-        if flavor == "involution" and not pi.is_involution():
-            raise InputError(f"{text} is not an involution")
-        return pi
+        pi = type(flav.identity).from_cycles(cycles)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    need = flav.invalid(pi)
+    if need:
+        raise InputError(f"{text} is not {need}")
+    return pi
 
 
 def cmd_insert(args):

@@ -15,7 +15,7 @@ from itertools import permutations, product
 from math import comb
 
 from .insertion import Factorization, split_word
-from .permwords import Permutation, enumerate_words, get_flavor, word_target
+from .permwords import LazyMap, Permutation, enumerate_words, get_flavor, word_target
 from .tableaux import (
     ShiftedTableau,
     entry_primed,
@@ -37,7 +37,7 @@ STRING_CAP = 10_000  # longest i-string walked before VertexCapExceeded
 
 
 class VertexCapExceeded(RuntimeError):
-    """Raised when graph exploration exceeds the configured vertex cap."""
+    """Raised when a carrier or an i-string exceeds its cap."""
 
 
 def vertex_cap():
@@ -404,25 +404,15 @@ def _sort_key(x):
     return x
 
 
-class OperatorTable(dict):
-    """{(x, i): op(x, i)}, each entry computed at its first lookup."""
-
-    def __init__(self, op):
-        super().__init__()
-        self.op = op
-
-    def __missing__(self, key):
-        y = self[key] = self.op(*key)
-        return y
-
-
 class Crystal:
     """A finite crystal with explicit operator maps.
 
     indices lists the operator labels, QBAR first for queer crystals.
     f(x, i) and e(x, i) are the raw operators, None when undefined; every
     reader except axioms_report goes through the tables f_table and e_table,
-    which compute each (x, i) once and which the components share.
+    {(x, i): f(x, i)} and {(x, i): e(x, i)}, which compute each (x, i) at its
+    first lookup and which the components share.  They live and die with the
+    carrier: a process-wide table would keep every carrier's edges.
     """
 
     def __init__(self, vertices, n, wt, f, e, queer, name="", tables=None):
@@ -433,7 +423,7 @@ class Crystal:
         self.f = f
         self.e = e
         self.f_table, self.e_table = tables or (
-            OperatorTable(f), OperatorTable(e))
+            LazyMap(lambda key: f(*key)), LazyMap(lambda key: e(*key)))
         self.queer = queer
         self.name = name
         self.indices = crystal_indices(n, queer)
@@ -578,26 +568,6 @@ def pretty_element(x):
     return str(x)
 
 
-def explore(seed, n, wt, f, e, queer, cap=None, name=""):
-    """BFS closure of one element under all operators, capped."""
-    cap = vertex_cap() if cap is None else cap
-    tables = OperatorTable(f), OperatorTable(e)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        for i in crystal_indices(n, queer):
-            for table in tables:
-                y = table[x, i]
-                if y is not None and y not in seen:
-                    if len(seen) + 1 > cap:
-                        raise VertexCapExceeded(
-                            f"exploration exceeded cap {cap}")
-                    seen.add(y)
-                    frontier.append(y)
-    return Crystal(seen, n, wt, f, e, queer, name=name, tables=tables)
-
-
 # ---------------------------------------------------------------------------
 # Concrete carriers
 
@@ -733,22 +703,8 @@ def inv_map(fac):
     return tuple(out)
 
 
-def inv_map_inverse(w, n):
-    """Factorization whose factor j collects the positions of j in w."""
-    groups = [[] for _ in range(n)]
-    for pos, j in enumerate(w, 1):
-        groups[j - 1].append(pos)
-    return Factorization(groups)
-
-
 def dbl_map(fac):
     return Factorization(tuple(tuple(2 * a for a in f) for f in fac))
-
-
-def dbl_map_inverse(fac):
-    if any(a % 2 for f in fac for a in f):
-        raise ValueError("dbl inverse needs even letters")
-    return Factorization(tuple(tuple(a // 2 for a in f) for f in fac))
 
 
 def sigma_set(m):
@@ -934,14 +890,3 @@ def _component_certificate(comp):
     best = min(rootkey(v) for v in comp.vertices)
     roots = [v for v in comp.vertices if rootkey(v) == best]
     return min(_certificate_from(comp, r) for r in roots)
-
-
-def crystals_isomorphic(c1, c2):
-    """Isomorphism of weighted labeled digraphs, componentwise."""
-    comps1 = c1.components()
-    comps2 = c2.components()
-    if len(comps1) != len(comps2):
-        return False
-    certs1 = sorted(_component_certificate(c) for c in comps1)
-    certs2 = sorted(_component_certificate(c) for c in comps2)
-    return certs1 == certs2

@@ -10,26 +10,10 @@ letters in the shifted algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
-from .permwords import (
-    equivalence_class,
-    insertion_flavor,
-    is_fpf_involution_word,
-    is_involution_word,
-    is_reduced_word,
-)
-from .tableaux import (
-    ShiftedTableau,
-    Tableau,
-    entry_primed,
-    entry_str,
-    entry_value,
-    primed,
-    row_word,
-    unprimed,
-)
-from .tableaux import weight as tab_weight
+from .permwords import is_fpf_involution_word, is_involution_word, is_reduced_word
+from .tableaux import ShiftedTableau, Tableau, entry_primed, entry_str, primed, unprimed
 
 
 class Factorization(tuple):
@@ -334,46 +318,3 @@ def insert(w, flavor, check=True):
     except KeyError:
         raise ValueError(f"unknown insertion flavor {flavor!r}") from None
     return fn(w, check=check)
-
-
-def invert_insertion(P, Q, flavor, n=None):
-    """The unique factorization inserting to (P, Q).
-
-    For the EG flavors the weight of Q gives the factor lengths, so this
-    cuts each word of the Coxeter-Knuth class of the row reading word of P
-    at those lengths and keeps the cut that re-inserts to (P, Q); the fiber
-    theorems guarantee uniqueness.  Raises ValueError when no preimage
-    exists.
-    """
-    if flavor == "hm":
-        return _invert_hm(P, Q)
-    relation = insertion_flavor(flavor).relation
-    if n is None:
-        n = max((entry_value(x) if isinstance(Q, ShiftedTableau) else x
-                 for row in Q.rows for x in row), default=0)
-    if P.size() == 0:
-        return Factorization(((),) * n)
-    if P.shape != Q.shape:
-        raise ValueError("P and Q must have equal shapes")
-    cuts = (0, *accumulate(tab_weight(Q, n)))
-    for v in sorted(equivalence_class(row_word(P), relation)):
-        try:
-            fac = Factorization(v[a:b] for a, b in zip(cuts, cuts[1:]))
-        except ValueError:
-            continue
-        res = insert(fac, flavor, check=False)
-        if res.P == P and res.Q == Q:
-            return fac
-    raise ValueError("no factorization inserts to the given pair")
-
-
-def _invert_hm(P, Q):
-    m = P.size()
-    if m == 0:
-        return ()
-    n = max(entry_value(x) for row in P.rows for x in row)
-    for w in product(range(1, n + 1), repeat=m):
-        res = hm_insert(w)
-        if res.P == P and res.Q == Q:
-            return w
-    raise ValueError("no word inserts to the given pair")

@@ -13,6 +13,21 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 
+class LazyMap(dict):
+    """A dict whose missing key k is filled with fn(k) at its first lookup:
+    the one memo type of the package."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class Permutation:
     """A bijection of Z fixing all but finitely many integers.
 
@@ -212,6 +227,11 @@ class FpfInvolution:
         """The base matching 1_fpf itself."""
         return cls()
 
+    @classmethod
+    def from_cycles(cls, cycles):
+        """The fpf involution with these 2-cycles, named as for Permutation."""
+        return cls(cycles)
+
     def __call__(self, i):
         got = self._map.get(i)
         return self.base(i) if got is None else got
@@ -235,6 +255,9 @@ class FpfInvolution:
 
     def is_identity(self):
         return not self.cycles
+
+    def is_involution(self):
+        return True
 
     def is_descent(self, i):
         return self(i) > self(i + 1)
@@ -395,16 +418,14 @@ def enumerate_words(pi, flavor):
     flavor's step moves, and its earlier letters form a word of step(pi, i).
     """
     flav = get_flavor(flavor)
-    kind = type(flav.identity)
-    if not isinstance(pi, kind):
-        raise ValueError(f"{flavor} words require a {kind.__name__}")
+    need = flav.invalid(pi)
+    if need:
+        raise ValueError(f"{flavor} words require {need}")
     got = flav.cache.get(pi)
     if got is None:
         if pi.is_identity():
             got = ((),)
         else:
-            if flavor == "involution" and not pi.is_involution():
-                raise ValueError("involution words require an involution")
             acc = []
             for i in pi.descents():
                 sub = flav.step(pi, i)
@@ -418,13 +439,6 @@ def enumerate_words(pi, flavor):
 reduced_words = partial(enumerate_words, flavor="reduced")
 involution_words = partial(enumerate_words, flavor="involution")
 fpf_involution_words = partial(enumerate_words, flavor="fpf")
-
-
-def atoms(pi, flavor):
-    """The permutations whose reduced words partition the word class."""
-    if not get_flavor(flavor).queer:
-        raise ValueError("atoms are defined for involution and fpf flavors")
-    return frozenset(word_to_permutation(w) for w in enumerate_words(pi, flavor))
 
 
 def descent_set(w):
@@ -487,21 +501,18 @@ def ck0_sp(w):
 def equivalence_class(w, relation):
     """BFS closure of w under Coxeter-Knuth moves.
 
-    relation "K" uses the ck_i alone; "O" adds the initial swap; "Sp" adds
-    the symplectic initial move.
+    The ck_i, and the initial move ck0 of the flavor whose relation it is:
+    "K" has none, "O" adds the initial swap, "Sp" the symplectic move.
     """
-    if relation not in ("K", "O", "Sp"):
-        raise ValueError(f"unknown relation {relation!r}")
+    ck0 = _flavor_with("relation", relation, "relation").ck0
     w = tuple(w)
     seen = {w}
     frontier = [w]
     while frontier:
         v = frontier.pop()
         images = [ck(v, i) for i in range(1, len(v) - 1)]
-        if relation == "O":
-            images.append(ck0_o(v))
-        elif relation == "Sp":
-            images.append(ck0_sp(v))
+        if ck0 is not None:
+            images.append(ck0(v))
         for u in images:
             if u not in seen:
                 seen.add(u)
@@ -553,6 +564,18 @@ class Flavor:
         """Whether the factorization crystals are q_n-crystals."""
         return self.ck0 is not None
 
+    def invalid(self, pi):
+        """None when pi is a target of the flavor, else what pi should be.
+
+        The one validity rule for targets: a target has the identity's type,
+        and the targets of a queer flavor are involutions."""
+        kind = type(self.identity)
+        if not isinstance(pi, kind):
+            return f"a {kind.__name__}"
+        if self.queer and not pi.is_involution():
+            return "an involution"
+        return None
+
 
 def _length_order(pi):
     return (pi.length(), pi.pairs)
@@ -584,87 +607,14 @@ def get_flavor(name):
         raise ValueError(f"unknown flavor {name!r}") from None
 
 
+def _flavor_with(field, value, noun):
+    """The Flavor record whose field is value."""
+    for flav in FLAVORS.values():
+        if getattr(flav, field) == value:
+            return flav
+    raise ValueError(f"unknown {noun} {value!r}")
+
+
 def insertion_flavor(key):
     """The Flavor record whose insertion algorithm is key."""
-    for flav in FLAVORS.values():
-        if flav.insertion == key:
-            return flav
-    raise ValueError(f"unknown insertion flavor {key!r}")
-
-
-def length_invariants(pi):
-    """(length, involution length, 2-cycle count).
-
-    For an fpf involution the first and last entries are those of its
-    base-closed window restriction, which is what the word-length formula
-    consumes; the middle entry is the common fpf-word length."""
-    if isinstance(pi, FpfInvolution):
-        sigma, _ = pi.window_involution()
-        return (sigma.length(), ell_sp(pi), sigma.kappa())
-    return (pi.length(), ell_o(pi), pi.kappa())
-
-
-def star_word(w):
-    return tuple(-a for a in w)
-
-
-def shift_word(m, w):
-    return tuple(a + m for a in w)
-
-
-def star(x):
-    if isinstance(x, (Permutation, FpfInvolution)):
-        return x.star()
-    return star_word(x)
-
-
-def shift_t(m, x):
-    if isinstance(x, (Permutation, FpfInvolution)):
-        return x.shift(m)
-    return shift_word(m, x)
-
-
-def inv_grassmannian_shape(pi):
-    """The strict partition shape when pi = (m+1, m+r+mu_r)...(m+r, m+r+mu_1),
-    else None.  The identity has shape ()."""
-    if not pi.is_involution():
-        raise ValueError("inv-Grassmannian test requires an involution")
-    cycs = pi.two_cycles()
-    if not cycs:
-        return ()
-    mins = [a for a, _ in cycs]
-    maxs = [b for _, b in cycs]
-    r = len(cycs)
-    if mins != list(range(mins[0], mins[0] + r)):
-        return None
-    if maxs != sorted(maxs) or len(set(maxs)) != r or maxs[0] <= mins[-1]:
-        return None
-    m = mins[0] - 1
-    mu = tuple(b - m - r for b in reversed(maxs))
-    return mu
-
-
-def fpf_hat(pi):
-    """The involution keeping only the cycles (i, pi(i)) that cross some
-    ascent j < pi(j); everything else becomes a fixed point."""
-    m = {}
-    for i in pi.support():
-        j = pi(i)
-        lo, hi = min(i, j), max(i, j)
-        if any(k < pi(k) for k in range(lo + 1, hi)):
-            m[i] = j
-    return Permutation(m)
-
-
-def fpf_grassmannian_shape(pi):
-    """The strict partition shape of an fpf-Grassmannian involution, else None.
-
-    The shape drops one from each part of the shape of the hat involution.
-    """
-    if not isinstance(pi, FpfInvolution):
-        raise ValueError("fpf-Grassmannian test requires an FpfInvolution")
-    mu = inv_grassmannian_shape(fpf_hat(pi))
-    if mu is None:
-        return None
-    return tuple(p - 1 for p in mu if p > 1)
-
+    return _flavor_with("insertion", key, "insertion flavor")

@@ -276,27 +276,6 @@ def is_standard(t):
     return used == list(range(1, m + 1)) and is_semistandard(t)
 
 
-def row_word(t):
-    """Entries row-by-row left-to-right, starting with the top row.
-
-    Shifted entries come back as plain values (primes stripped)."""
-    if isinstance(t, Tableau):
-        return tuple(x for row in reversed(t.rows) for x in row)
-    return tuple(entry_value(x) for row in reversed(t.rows) for x in row)
-
-
-def col_word(t):
-    """Entries down each column, starting with the first column."""
-    rows = t.rows
-    if isinstance(t, Tableau):
-        cols = len(rows[0]) if rows else 0
-        return tuple(row[c] for c in range(cols)
-                     for row in reversed(rows) if c < len(row))
-    return tuple(entry_value(rows[r - 1][c - r])
-                 for c, col in enumerate(_column_rows(t.shape), 1)
-                 for r in reversed(col))
-
-
 def shword_boxes(t):
     """Boxes of a shifted tableau in shifted-reading order.
 

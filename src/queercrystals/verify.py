@@ -40,7 +40,9 @@ from .insertion import Factorization, hm_insert, insert, oeg_insert, speg_insert
 from .permwords import (
     FLAVORS,
     FpfInvolution,
+    LazyMap,
     Permutation,
+    _ascent_walk,
     ck,
     descent_set,
     enumerate_words,
@@ -98,11 +100,10 @@ def corpus(flavor, max_len, window=None):
         if l == max_len:
             continue
         for i in range(lo, hi + 1):
-            if not pi.is_descent(i):
-                nxt = flav.step(pi, i)
-                if nxt not in found:
-                    found.add(nxt)
-                    frontier.append((nxt, l + 1))
+            nxt = _ascent_walk(flavor, (i,), pi)
+            if nxt is not None and nxt not in found:
+                found.add(nxt)
+                frontier.append((nxt, l + 1))
     found.remove(flav.identity)
     return tuple(sorted(found, key=flav.sort_key))
 
@@ -215,9 +216,14 @@ def _q_morphism_check(flavor, max_len=5, n=3):
     return res
 
 
-def _bump_targets(w, flavor):
-    """Class representatives pi for which some (w, i) is pi-marked."""
-    return set(bumping.walk_table(w, flavor)[1:]) - {None}
+def _marked_targets(words, flavor):
+    """Every target pi for which some (w, i) with w in words is pi-marked,
+    sorted by name."""
+    targets = set()
+    for w in words:
+        targets.update(bumping.walk_table(w, flavor)[1:])
+    targets.discard(None)
+    return sorted(targets, key=str)
 
 
 def _bump_corpus(flavor, max_len):
@@ -227,24 +233,7 @@ def _bump_corpus(flavor, max_len):
     for pi in corpus(flavor, max_len):
         words.update(enumerate_words(pi, flavor))
     words = sorted(words)
-    targets = set()
-    for w in words:
-        targets |= _bump_targets(w, flavor)
-    return words, sorted(targets, key=str)
-
-
-class _BumpMap(dict):
-    """{w: bump(w, pi, flavor)} for one target, each word bumped at its
-    first lookup.  Built per target and dropped with it: a map over every
-    target at once would hold every (word, target) pair of the run."""
-
-    def __init__(self, pi, flavor):
-        super().__init__()
-        self.pi, self.flavor = pi, flavor
-
-    def __missing__(self, w):
-        v = self[w] = bump(w, self.pi, self.flavor)
-        return v
+    return words, _marked_targets(words, flavor)
 
 
 def check_bump_properties(max_len=5, n=3):
@@ -258,7 +247,9 @@ def check_bump_properties(max_len=5, n=3):
         sides = [(w, descent_set(w), [ck(w, i) for i in range(1, len(w) - 1)],
                   None if ck0 is None else ck0(w)) for w in words]
         for pi in targets:
-            bumped = _BumpMap(pi, flavor)
+            # {w: bump(w, pi, flavor)}, built per target and dropped with it:
+            # a map over every target would hold every (word, target) pair
+            bumped = LazyMap(partial(bump, pi=pi, flavor=flavor))
             images = {}
             for w, des, cks, w0 in sides:
                 v = bumped[w]
@@ -287,10 +278,7 @@ def check_bump_properties(max_len=5, n=3):
         indices = crystal_indices(n, flav.queer)
         for sigma in corpus(flavor, min(max_len, 4)):
             words = enumerate_words(sigma, flavor)
-            targets = set()
-            for w in words:
-                targets |= _bump_targets(w, flavor)
-            targets = sorted(targets, key=str)
+            targets = _marked_targets(words, flavor)
             for w in words:
                 for fac in split_word(w, n):
                     lhs_all = [(i, f_op(fac, i)) for i in indices]
@@ -312,22 +300,14 @@ def check_bump_properties(max_len=5, n=3):
     return res
 
 
-class _DualEquivMap(dict):
-    """{(t, i): dual_equiv(t, i)}, each pair computed at its first lookup.
-    Built per flavor or per shape and dropped with it: a map over the whole
-    run would hold every pair at once."""
-
-    def __missing__(self, key):
-        v = self[key] = tableaux.dual_equiv(*key)
-        return v
-
-
-def check_dual_equivalence(max_len=6, max_boxes=7, n=3):
+def check_dual_equivalence(max_len=6, max_boxes=7):
     """Recording tableaux intertwine ck moves with the d_i operators."""
     res = VerifyResult("dual-equivalence", True)
     for flav in QUEER_FLAVORS:
         flavor, ins, ck0 = flav.name, flav.insertion, flav.ck0
-        d = _DualEquivMap()
+        # {(t, i): d_i(t)}, built per flavor or per shape and dropped with
+        # it: a map over the whole run would hold every pair at once
+        d = LazyMap(lambda key: tableaux.dual_equiv(*key))
         for pi in corpus(flavor, max_len):
             for w in enumerate_words(pi, flavor):
                 q = _q_tableau(w, ins)
@@ -340,7 +320,8 @@ def check_dual_equivalence(max_len=6, max_boxes=7, n=3):
     # involutivity, standardness, descent mirroring, operator composites
     for m in range(1, max_boxes + 1):
         for mu in strict_partitions(m):
-            d = _DualEquivMap()  # d_i keeps the shape
+            # one map per shape, since d_i keeps the shape
+            d = LazyMap(lambda key: tableaux.dual_equiv(*key))
             for t in standard_shifted_tableaux(mu, primes=True):
                 des = tableau_descents(t)
                 res.checks += 1
@@ -424,9 +405,13 @@ def check_supersymmetry(max_len=4, n=3):
     res = VerifyResult("supersymmetry", True)
     carriers = [word_crystal(2, 4), word_crystal(3, 4),
                 shifted_tableau_crystal_all(3, 4)]
+    cap = 40  # factorization carriers per flavor: the first of its corpus
+    taken = []
     for flav in QUEER_FLAVORS:
-        for pi in corpus(flav.name, max_len)[:40]:
-            carriers.append(factorization_crystal(pi, flav.name, n))
+        targets = corpus(flav.name, max_len)
+        carriers += [factorization_crystal(pi, flav.name, n)
+                     for pi in targets[:cap]]
+        taken.append(f"{min(len(targets), cap)} of {len(targets)} {flav.name}")
     for crys in carriers:
         ch = character(crys)
         res.checks += 1
@@ -435,7 +420,8 @@ def check_supersymmetry(max_len=4, n=3):
         if not is_supersymmetric(ch):
             return res.fail(f"{crys.name}: character not supersymmetric",
                             crys.name)
-    res.lines.append(f"{len(carriers)} characters symmetric and supersymmetric")
+    res.lines.append(f"{len(carriers)} characters symmetric and supersymmetric "
+                     f"({', '.join(taken)} targets)")
     return res
 
 
@@ -498,7 +484,7 @@ def _conjecture_bounds(name, flavor, allowed, max_len=5):
     res = VerifyResult(name, True, conjecture=True)
     words, targets = _bump_corpus(flavor, max_len)
     for pi in targets:
-        bumped = _BumpMap(pi, flavor)
+        bumped = LazyMap(partial(bump, pi=pi, flavor=flavor))  # per target
         for w in words:
             v = bumped[w]
             res.checks += 1

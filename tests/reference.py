@@ -1,0 +1,236 @@
+"""Functions of the theory that no verify target or CLI path calls.
+
+The tests call them: as fixtures (star, shifts, Grassmannian shapes, atoms,
+reading words), as inverses that check the library's maps (inverse
+insertion, inv^{-1}, dbl^{-1}), and as independent constructions of
+crystals (closure under the operators, isomorphism by certificates).
+"""
+
+from itertools import accumulate, product
+
+from queercrystals.crystals import (
+    Crystal,
+    VertexCapExceeded,
+    _component_certificate,
+    crystal_indices,
+    vertex_cap,
+)
+from queercrystals.insertion import Factorization, hm_insert, insert
+from queercrystals.permwords import (
+    FpfInvolution,
+    LazyMap,
+    Permutation,
+    ell_o,
+    ell_sp,
+    enumerate_words,
+    equivalence_class,
+    get_flavor,
+    insertion_flavor,
+    word_to_permutation,
+)
+from queercrystals.tableaux import ShiftedTableau, Tableau, _column_rows, entry_value
+from queercrystals.tableaux import weight as tab_weight
+
+# ---------------------------------------------------------------------------
+# Permutations and words
+
+
+def length_invariants(pi):
+    """(length, involution length, 2-cycle count).
+
+    For an fpf involution the first and last entries are those of its
+    base-closed window restriction, which is what the word-length formula
+    consumes; the middle entry is the common fpf-word length."""
+    if isinstance(pi, FpfInvolution):
+        sigma, _ = pi.window_involution()
+        return (sigma.length(), ell_sp(pi), sigma.kappa())
+    return (pi.length(), ell_o(pi), pi.kappa())
+
+
+def star_word(w):
+    return tuple(-a for a in w)
+
+
+def shift_word(m, w):
+    return tuple(a + m for a in w)
+
+
+def star(x):
+    if isinstance(x, (Permutation, FpfInvolution)):
+        return x.star()
+    return star_word(x)
+
+
+def shift_t(m, x):
+    if isinstance(x, (Permutation, FpfInvolution)):
+        return x.shift(m)
+    return shift_word(m, x)
+
+
+def atoms(pi, flavor):
+    """The permutations whose reduced words partition the word class."""
+    if not get_flavor(flavor).queer:
+        raise ValueError("atoms are defined for involution and fpf flavors")
+    return frozenset(word_to_permutation(w) for w in enumerate_words(pi, flavor))
+
+
+def inv_grassmannian_shape(pi):
+    """The strict partition shape when pi = (m+1, m+r+mu_r)...(m+r, m+r+mu_1),
+    else None.  The identity has shape ()."""
+    if not pi.is_involution():
+        raise ValueError("inv-Grassmannian test requires an involution")
+    cycs = pi.two_cycles()
+    if not cycs:
+        return ()
+    mins = [a for a, _ in cycs]
+    maxs = [b for _, b in cycs]
+    r = len(cycs)
+    if mins != list(range(mins[0], mins[0] + r)):
+        return None
+    if maxs != sorted(maxs) or len(set(maxs)) != r or maxs[0] <= mins[-1]:
+        return None
+    m = mins[0] - 1
+    mu = tuple(b - m - r for b in reversed(maxs))
+    return mu
+
+
+def fpf_hat(pi):
+    """The involution keeping only the cycles (i, pi(i)) that cross some
+    ascent j < pi(j); everything else becomes a fixed point."""
+    m = {}
+    for i in pi.support():
+        j = pi(i)
+        lo, hi = min(i, j), max(i, j)
+        if any(k < pi(k) for k in range(lo + 1, hi)):
+            m[i] = j
+    return Permutation(m)
+
+
+def fpf_grassmannian_shape(pi):
+    """The strict partition shape of an fpf-Grassmannian involution, else None.
+
+    The shape drops one from each part of the shape of the hat involution.
+    """
+    if not isinstance(pi, FpfInvolution):
+        raise ValueError("fpf-Grassmannian test requires an FpfInvolution")
+    mu = inv_grassmannian_shape(fpf_hat(pi))
+    if mu is None:
+        return None
+    return tuple(p - 1 for p in mu if p > 1)
+
+
+# ---------------------------------------------------------------------------
+# Tableaux and insertion
+
+
+def row_word(t):
+    """Entries row-by-row left-to-right, starting with the top row.
+
+    Shifted entries come back as plain values (primes stripped)."""
+    if isinstance(t, Tableau):
+        return tuple(x for row in reversed(t.rows) for x in row)
+    return tuple(entry_value(x) for row in reversed(t.rows) for x in row)
+
+
+def col_word(t):
+    """Entries down each column, starting with the first column."""
+    rows = t.rows
+    if isinstance(t, Tableau):
+        cols = len(rows[0]) if rows else 0
+        return tuple(row[c] for c in range(cols)
+                     for row in reversed(rows) if c < len(row))
+    return tuple(entry_value(rows[r - 1][c - r])
+                 for c, col in enumerate(_column_rows(t.shape), 1)
+                 for r in reversed(col))
+
+
+def invert_insertion(P, Q, flavor, n=None):
+    """The unique factorization inserting to (P, Q).
+
+    For the EG flavors the weight of Q gives the factor lengths, so this
+    cuts each word of the Coxeter-Knuth class of the row reading word of P
+    at those lengths and keeps the cut that re-inserts to (P, Q); the fiber
+    theorems guarantee uniqueness.  Raises ValueError when no preimage
+    exists.
+    """
+    if flavor == "hm":
+        return _invert_hm(P, Q)
+    relation = insertion_flavor(flavor).relation
+    if n is None:
+        n = max((entry_value(x) if isinstance(Q, ShiftedTableau) else x
+                 for row in Q.rows for x in row), default=0)
+    if P.size() == 0:
+        return Factorization(((),) * n)
+    if P.shape != Q.shape:
+        raise ValueError("P and Q must have equal shapes")
+    cuts = (0, *accumulate(tab_weight(Q, n)))
+    for v in sorted(equivalence_class(row_word(P), relation)):
+        try:
+            fac = Factorization(v[a:b] for a, b in zip(cuts, cuts[1:]))
+        except ValueError:
+            continue
+        res = insert(fac, flavor, check=False)
+        if res.P == P and res.Q == Q:
+            return fac
+    raise ValueError("no factorization inserts to the given pair")
+
+
+def _invert_hm(P, Q):
+    m = P.size()
+    if m == 0:
+        return ()
+    n = max(entry_value(x) for row in P.rows for x in row)
+    for w in product(range(1, n + 1), repeat=m):
+        res = hm_insert(w)
+        if res.P == P and res.Q == Q:
+            return w
+    raise ValueError("no word inserts to the given pair")
+
+
+# ---------------------------------------------------------------------------
+# Crystals
+
+
+def explore(seed, n, wt, f, e, queer, cap=None, name=""):
+    """BFS closure of one element under all operators, capped."""
+    cap = vertex_cap() if cap is None else cap
+    tables = LazyMap(lambda key: f(*key)), LazyMap(lambda key: e(*key))
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        x = frontier.pop()
+        for i in crystal_indices(n, queer):
+            for table in tables:
+                y = table[x, i]
+                if y is not None and y not in seen:
+                    if len(seen) + 1 > cap:
+                        raise VertexCapExceeded(
+                            f"exploration exceeded cap {cap}")
+                    seen.add(y)
+                    frontier.append(y)
+    return Crystal(seen, n, wt, f, e, queer, name=name, tables=tables)
+
+
+def crystals_isomorphic(c1, c2):
+    """Isomorphism of weighted labeled digraphs, componentwise."""
+    comps1 = c1.components()
+    comps2 = c2.components()
+    if len(comps1) != len(comps2):
+        return False
+    certs1 = sorted(_component_certificate(c) for c in comps1)
+    certs2 = sorted(_component_certificate(c) for c in comps2)
+    return certs1 == certs2
+
+
+def inv_map_inverse(w, n):
+    """Factorization whose factor j collects the positions of j in w."""
+    groups = [[] for _ in range(n)]
+    for pos, j in enumerate(w, 1):
+        groups[j - 1].append(pos)
+    return Factorization(groups)
+
+
+def dbl_map_inverse(fac):
+    if any(a % 2 for f in fac for a in f):
+        raise ValueError("dbl inverse needs even letters")
+    return Factorization(tuple(tuple(a // 2 for a in f) for f in fac))

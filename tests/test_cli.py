@@ -33,6 +33,9 @@ class TestParsing:
         assert fpi(1) == 4 and fpi(7) == 8
         with pytest.raises(cli.InputError):
             cli.parse_permutation("(1,2)(2,3)", "involution")
+        with pytest.raises(cli.InputError, match=r"^\(1,2,3\) is not an involution$"):
+            cli.parse_permutation("(1,2,3)", "involution")
+        assert cli.parse_permutation("(1,2,3)", "reduced")(3) == 1
         with pytest.raises(cli.InputError):
             cli.parse_permutation("(2,3)", "fpf")  # window not base-closed
 
@@ -171,6 +174,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "pass" in out
 
+    def test_supersymmetry_names_the_targets_it_takes(self, capsys):
+        # the target builds the first 40 carriers of each flavor's corpus
+        code, out, _ = run(capsys, "verify", "supersymmetry")
+        assert code == 0
+        assert out == ("supersymmetry: pass (73 checks)\n"
+                       "  73 characters symmetric and supersymmetric "
+                       "(40 of 42 involution, 30 of 30 fpf targets)\n")
+
     def test_dual_equivalence_at_contract_bounds(self, capsys):
         code, out, _ = run(capsys, "verify", "dual-equivalence", "--maxlen", "6")
         assert code == 0
@@ -201,6 +212,10 @@ class TestVerifyCommand:
         assert "--maxlen" in err
         code, out, _ = run(capsys, "verify", "crystal-axioms", "--n", "4")
         assert code == 2 and out == ""
+        # dual-equivalence builds no crystal, so --n is refused, not ignored
+        code, out, err = run(capsys, "verify", "dual-equivalence", "--n", "4")
+        assert code == 2 and out == ""
+        assert "--n" in err
 
     def test_target_type_error_not_rerun(self, capsys, monkeypatch):
         calls = []

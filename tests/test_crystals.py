@@ -4,19 +4,18 @@ import os
 import pytest
 
 import figures
+from reference import crystals_isomorphic, dbl_map_inverse, explore, inv_map_inverse
+
 from queercrystals.crystals import (
     QBAR,
     Crystal,
     VertexCapExceeded,
     axioms_report,
-    crystals_isomorphic,
     dbl_map,
-    dbl_map_inverse,
     even_crystal,
     even_target_o,
     even_target_sp,
     even_words,
-    explore,
     fac_e,
     fac_eq_o,
     fac_eq_sp,
@@ -25,7 +24,6 @@ from queercrystals.crystals import (
     fac_fq_sp,
     factorization_crystal,
     inv_map,
-    inv_map_inverse,
     is_quasi_isomorphism,
     morphism_report,
     pair,

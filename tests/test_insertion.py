@@ -1,13 +1,13 @@
 from itertools import product
 
 import pytest
+from reference import invert_insertion, row_word
 
 from queercrystals.insertion import (
     Factorization,
     eg_insert,
     hm_insert,
     insert,
-    invert_insertion,
     oeg_insert,
     speg_insert,
     split_word,
@@ -28,7 +28,6 @@ from queercrystals.tableaux import (
     is_increasing,
     is_semistandard,
     is_standard,
-    row_word,
     tableau_descents,
 )
 

@@ -21,9 +21,11 @@ without the increasing-factor scan against the checking constructor; and
 the carrier size counted before a build against the built carrier.
 """
 
+from functools import partial
 from itertools import product
 
 import pytest
+from reference import col_word
 
 from queercrystals.bumping import (
     bump,
@@ -47,6 +49,7 @@ from queercrystals.insertion import Factorization, hm_insert, split_word
 from queercrystals.permwords import (
     FLAVORS,
     FpfInvolution,
+    LazyMap,
     Permutation,
     _ascent_states,
     _ascent_walk,
@@ -61,7 +64,6 @@ from queercrystals.permwords import (
 )
 from queercrystals.tableaux import (
     ShiftedTableau,
-    col_word,
     dual_equiv,
     entry_primed,
     entry_value,
@@ -71,7 +73,7 @@ from queercrystals.tableaux import (
     shword_boxes,
     standard_shifted_tableaux,
 )
-from queercrystals.verify import _bump_corpus, _BumpMap, _DualEquivMap, corpus
+from queercrystals.verify import _bump_corpus, corpus
 
 
 def demazure_right(x, i):
@@ -223,7 +225,7 @@ def test_bump_map_matches_bump():
     for flavor in FLAVORS:
         words, targets = _bump_corpus(flavor, 4)
         for pi in targets:
-            bumped = _BumpMap(pi, flavor)
+            bumped = LazyMap(partial(bump, pi=pi, flavor=flavor))
             # the second pass reads what the first stored
             for w in words + words[::-1]:
                 assert bumped[w] == bump(w, pi, flavor)
@@ -473,7 +475,7 @@ def test_dual_equiv_map_matches_dual_equiv():
     for m in range(1, 8):
         for mu in strict_partitions(m):
             # one map per shape, as verify keeps it
-            d = _DualEquivMap()
+            d = LazyMap(lambda key: dual_equiv(*key))
             keys = [(t, i) for t in standard_shifted_tableaux(mu, primes=True)
                     for i in range(-1, m + 1)]
             # the second pass reads what the first stored

@@ -1,12 +1,22 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import (
+    atoms,
+    fpf_grassmannian_shape,
+    inv_grassmannian_shape,
+    length_invariants,
+    shift_t,
+    shift_word,
+    star,
+    star_word,
+)
 from test_oracles import demazure_right
 
 from queercrystals.permwords import (
+    FLAVORS,
     FpfInvolution,
     Permutation,
-    atoms,
     ck,
     ck0_o,
     ck0_sp,
@@ -15,21 +25,14 @@ from queercrystals.permwords import (
     ell_sp,
     enumerate_words,
     equivalence_class,
-    fpf_grassmannian_shape,
     fpf_involution_words,
     fpf_target,
-    inv_grassmannian_shape,
     involution_target,
     involution_words,
     is_fpf_involution_word,
     is_involution_word,
     is_reduced_word,
-    length_invariants,
     reduced_words,
-    shift_t,
-    shift_word,
-    star,
-    star_word,
     word_to_permutation,
 )
 
@@ -137,6 +140,14 @@ class TestWordClasses:
             enumerate_words(P.s(1), "fpf")
         with pytest.raises(ValueError):
             enumerate_words(word_to_permutation((1, 2)), "involution")
+        # the one validity rule behind these errors and the CLI's
+        assert FLAVORS["reduced"].invalid(FpfInvolution()) == "a Permutation"
+        assert FLAVORS["fpf"].invalid(P.s(1)) == "a FpfInvolution"
+        assert FLAVORS["involution"].invalid(P.from_cycles([(1, 2, 3)])) == \
+            "an involution"
+        assert FLAVORS["reduced"].invalid(P.from_cycles([(1, 2, 3)])) is None
+        assert all(flav.invalid(flav.identity) is None
+                   for flav in FLAVORS.values())
 
     def test_atoms(self):
         assert atoms(P.s(1), "involution") == frozenset({P.s(1)})

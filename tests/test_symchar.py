@@ -1,4 +1,5 @@
 import pytest
+from reference import atoms
 
 from queercrystals.crystals import (
     Crystal,
@@ -6,7 +7,7 @@ from queercrystals.crystals import (
     shifted_tableau_crystal,
     word_crystal,
 )
-from queercrystals.permwords import FpfInvolution, Permutation, atoms, ell_o
+from queercrystals.permwords import FpfInvolution, Permutation, ell_o
 from queercrystals.symchar import (
     Polynomial,
     character,

@@ -1,9 +1,9 @@
 import pytest
+from reference import col_word, row_word
 
 from queercrystals.tableaux import (
     ShiftedTableau,
     Tableau,
-    col_word,
     dual_equiv,
     entry_from_str,
     entry_str,
@@ -11,7 +11,6 @@ from queercrystals.tableaux import (
     is_semistandard,
     is_standard,
     primed,
-    row_word,
     semistandard_shifted_tableaux,
     semistandard_tableaux,
     shword,
