@@ -52,7 +52,6 @@ from .crystals import (
     inv_map,
     is_quasi_isomorphism,
     morphism_report,
-    pair,
     shifted_tableau_crystal,
     shifted_tableau_crystal_all,
     word_crystal,

@@ -148,6 +148,8 @@ def cmd_crystal(args):
         except ValueError as exc:
             raise InputError(str(exc)) from None
     if args.shape:
+        if args.perm:
+            raise InputError("a target cannot be given together with --shape")
         crys = shifted_tableau_crystal(args.n, parse_shape(args.shape))
         check_cap(len(crys), cap)
     else:

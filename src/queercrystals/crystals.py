@@ -74,23 +74,18 @@ def queer_ops(f, e, fq, eq):
 
 
 # ---------------------------------------------------------------------------
-# The word crystal W_n(m)
+# The bracket rule that words, factorizations and shifted tableaux share
 
-def word_weight(w, n):
-    wt = [0] * n
-    for a in w:
-        wt[a - 1] += 1
-    return tuple(wt)
+def _unpaired(letters, i):
+    """The bracket rule of every gl_n operator, on (key, value) letters in
+    reading order: value i reads ')' and value i+1 reads '('.
 
-
-def _unmatched(w, i):
-    """Positions of unmatched letters: i acts as ')' and i+1 as '('.
-
-    Returns (rights, lefts): unmatched i positions and unmatched i+1
-    positions, each in word order.
+    Returns (rights, lefts): the keys of the unmatched i and of the
+    unmatched i+1, each in reading order.  f_i acts at the last right and
+    e_i at the first left.
     """
     rights, lefts = [], []
-    for k, a in enumerate(w):
+    for k, a in letters:
         if a == i + 1:
             lefts.append(k)
         elif a == i:
@@ -101,9 +96,19 @@ def _unmatched(w, i):
     return rights, lefts
 
 
+# ---------------------------------------------------------------------------
+# The word crystal W_n(m)
+
+def word_weight(w, n):
+    wt = [0] * n
+    for a in w:
+        wt[a - 1] += 1
+    return tuple(wt)
+
+
 def word_f(w, i):
     """Lowering operator on words: last unmatched i becomes i+1."""
-    rights, _ = _unmatched(w, i)
+    rights, _ = _unpaired(enumerate(w), i)
     if not rights:
         return None
     k = rights[-1]
@@ -112,7 +117,7 @@ def word_f(w, i):
 
 def word_e(w, i):
     """Raising operator on words: first unmatched i+1 becomes i."""
-    _, lefts = _unmatched(w, i)
+    _, lefts = _unpaired(enumerate(w), i)
     if not lefts:
         return None
     k = lefts[0]
@@ -140,31 +145,19 @@ def word_eqbar(w):
 # ---------------------------------------------------------------------------
 # Factorization crystals
 
-def pair(a, b):
-    """Greedy pairing of two increasing words.
-
-    Iterates over the letters of b from largest to smallest, pairing each
-    with the smallest still-unpaired letter of a exceeding it.
-    """
-    free = list(a)
-    out = set()
-    for y in sorted(b, reverse=True):
-        cand = next((x for x in free if x > y), None)
-        if cand is not None:
-            free.remove(cand)
-            out.add((cand, y))
-    return frozenset(out)
+def _factor_letters(fac, i):
+    """Factors i and i+1 as letters i and i+1, merged by value with factor i
+    first on ties: the Morse-Schilling pairing is the bracket rule on them."""
+    return sorted([(x, i) for x in fac[i - 1]] + [(y, i + 1) for y in fac[i]])
 
 
 def fac_f(fac, i):
     """Move the largest unpaired letter of factor i into factor i+1."""
-    a, b = fac[i - 1], fac[i]
-    paired = {x for x, _ in pair(a, b)}
-    unpaired = [x for x in a if x not in paired]
-    if not unpaired:
+    rights, _ = _unpaired(_factor_letters(fac, i), i)
+    if not rights:
         return None
-    x = max(unpaired)
-    y = x
+    a, b = fac[i - 1], fac[i]
+    x = y = rights[-1]
     while y in b:
         y += 1
     new_a = tuple(v for v in a if v != x)
@@ -176,13 +169,11 @@ def fac_f(fac, i):
 
 def fac_e(fac, i):
     """Move the smallest unpaired letter of factor i+1 into factor i."""
-    a, b = fac[i - 1], fac[i]
-    paired = {y for _, y in pair(a, b)}
-    unpaired = [y for y in b if y not in paired]
-    if not unpaired:
+    _, lefts = _unpaired(_factor_letters(fac, i), i)
+    if not lefts:
         return None
-    y = min(unpaired)
-    x = y
+    a, b = fac[i - 1], fac[i]
+    x = y = lefts[0]
     while x in a:
         x -= 1
     new_b = tuple(v for v in b if v != y)
@@ -245,31 +236,10 @@ def fac_eq_sp(fac):
 # ---------------------------------------------------------------------------
 # Shifted tableau crystal operators (explicit appendix formulas)
 
-def unpaired_boxes(t, i):
-    """Unpaired boxes of the i/(i+1)-restriction in reading order.
-
-    Boxes holding i or i' read as ')' and those holding i+1 or (i+1)' as
-    '(' along the shifted reading word of the restriction.
-    """
+def _box_letters(t):
+    """The boxes of t in shifted reading order, each with its unprimed value."""
     rows = t.rows
-    order = []
-    for r, c in shword_boxes(t):
-        v = entry_value(rows[r - 1][c - r])
-        if v in (i, i + 1):
-            order.append((r, c, v))
-    out, stack = [], []
-    for r, c, v in order:
-        if v == i + 1:
-            stack.append((r, c))
-        else:
-            if stack:
-                stack.pop()
-            else:
-                out.append((r, c))
-    # unmatched '(' boxes stay in reading order after the unmatched ')'
-    seen = set(stack)
-    tail = [(r, c) for r, c, v in order if v == i + 1 and (r, c) in seen]
-    return tuple(out) + tuple(tail)
+    return [((r, c), entry_value(rows[r - 1][c - r])) for r, c in shword_boxes(t)]
 
 
 def _value_ribbon(t, v, box):
@@ -290,13 +260,10 @@ def _value_ribbon(t, v, box):
 
 def shtab_f(t, i):
     """Lowering operator on semistandard shifted tableaux."""
-    cand = [
-        (r, c) for r, c in unpaired_boxes(t, i)
-        if entry_value(t.rows[r - 1][c - r]) == i
-    ]
-    if not cand:
+    rights, _ = _unpaired(_box_letters(t), i)
+    if not rights:
         return None
-    x, y = cand[-1]
+    x, y = rights[-1]
     code = t.entry(x, y)
     east = t.entry(x, y + 1)
     north = t.entry(x + 1, y)
@@ -330,13 +297,10 @@ def shtab_f(t, i):
 
 def shtab_e(t, i):
     """Raising operator on semistandard shifted tableaux."""
-    cand = [
-        (r, c) for r, c in unpaired_boxes(t, i)
-        if entry_value(t.rows[r - 1][c - r]) == i + 1
-    ]
-    if not cand:
+    _, lefts = _unpaired(_box_letters(t), i)
+    if not lefts:
         return None
-    x, y = cand[0]
+    x, y = lefts[0]
     code = t.entry(x, y)
     west = t.entry(x, y - 1)
     south = t.entry(x - 1, y)
@@ -430,6 +394,7 @@ class Crystal:
         self._edges = None
         self._in = None
         self._out = None
+        self._components = None
 
     def __len__(self):
         return len(self.vertices)
@@ -473,7 +438,10 @@ class Crystal:
         return tuple(lengths)
 
     def components(self):
-        """Weakly connected components as sub-crystals, deterministic order."""
+        """Weakly connected components as sub-crystals, deterministic order,
+        found once per carrier."""
+        if self._components is not None:
+            return self._components
         out, into = self._adjacency()
         seen = set()
         comps = []
@@ -492,7 +460,8 @@ class Crystal:
             comps.append(Crystal(comp, self.n, self.wt, self.f, self.e,
                                  self.queer, name=self.name,
                                  tables=(self.f_table, self.e_table)))
-        return comps
+        self._components = tuple(comps)
+        return self._components
 
     def sources(self):
         """Vertices with every raising operator undefined."""

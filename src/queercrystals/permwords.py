@@ -230,6 +230,9 @@ class FpfInvolution:
     @classmethod
     def from_cycles(cls, cycles):
         """The fpf involution with these 2-cycles, named as for Permutation."""
+        for c in cycles:
+            if len(c) != 2:
+                raise ValueError(f"cycle {c} of an fpf involution is not a pair")
         return cls(cycles)
 
     def __call__(self, i):

@@ -2,10 +2,13 @@
 
 The tests call them: as fixtures (star, shifts, Grassmannian shapes, atoms,
 reading words), as inverses that check the library's maps (inverse
-insertion, inv^{-1}, dbl^{-1}), and as independent constructions of
-crystals (closure under the operators, isomorphism by certificates).
+insertion, inv^{-1}, dbl^{-1}), as independent constructions of crystals
+(closure under the operators, isomorphism by certificates), and as the
+greedy Morse-Schilling pairing with the factorization operators read
+through it, against which the library's bracket rule is checked.
 """
 
+from bisect import insort
 from itertools import accumulate, product
 
 from queercrystals.crystals import (
@@ -189,6 +192,57 @@ def _invert_hm(P, Q):
 
 # ---------------------------------------------------------------------------
 # Crystals
+
+def pair(a, b):
+    """Greedy pairing of two increasing words.
+
+    Iterates over the letters of b from largest to smallest, pairing each
+    with the smallest still-unpaired letter of a exceeding it.
+    """
+    free = list(a)
+    out = set()
+    for y in sorted(b, reverse=True):
+        cand = next((x for x in free if x > y), None)
+        if cand is not None:
+            free.remove(cand)
+            out.add((cand, y))
+    return frozenset(out)
+
+
+def fac_f_by_pair(fac, i):
+    """f_i through pair: the largest unpaired letter of factor i moves into
+    factor i+1, raised past the letters that factor already holds."""
+    a, b = fac[i - 1], fac[i]
+    paired = {x for x, _ in pair(a, b)}
+    unpaired = [x for x in a if x not in paired]
+    if not unpaired:
+        return None
+    x = max(unpaired)
+    y = x
+    while y in b:
+        y += 1
+    new_a = tuple(v for v in a if v != x)
+    new_b = list(b)
+    insort(new_b, y)
+    return Factorization(fac[:i - 1] + (new_a, tuple(new_b)) + fac[i + 1:])
+
+
+def fac_e_by_pair(fac, i):
+    """e_i through pair: the smallest unpaired letter of factor i+1 moves
+    into factor i, lowered past the letters that factor already holds."""
+    a, b = fac[i - 1], fac[i]
+    paired = {y for _, y in pair(a, b)}
+    unpaired = [y for y in b if y not in paired]
+    if not unpaired:
+        return None
+    y = min(unpaired)
+    x = y
+    while x in a:
+        x -= 1
+    new_b = tuple(v for v in b if v != y)
+    new_a = list(a)
+    insort(new_a, x)
+    return Factorization(fac[:i - 1] + (tuple(new_a), new_b) + fac[i + 1:])
 
 
 def explore(seed, n, wt, f, e, queer, cap=None, name=""):

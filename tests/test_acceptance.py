@@ -8,10 +8,12 @@ import time
 
 import figures
 import pytest
-from reference import crystals_isomorphic
+from reference import crystals_isomorphic, pair
 
 from queercrystals.bumping import bump, increments
 from queercrystals.crystals import (
+    fac_e,
+    fac_f,
     factorization_crystal,
     is_quasi_isomorphism,
     shifted_tableau_crystal,
@@ -24,7 +26,7 @@ from queercrystals.insertion import (
     oeg_insert,
     speg_insert,
 )
-from queercrystals.crystals import pair, word_e, word_eqbar, word_f, word_fqbar
+from queercrystals.crystals import word_e, word_eqbar, word_f, word_fqbar
 from queercrystals.permwords import (
     FpfInvolution,
     Permutation,
@@ -61,6 +63,12 @@ def test_criterion_1_golden_examples():
     # pairing
     assert pair((1, 3, 4, 5, 8, 10, 11), (2, 6, 9, 12, 13)) == frozenset(
         {(10, 9), (8, 6), (3, 2)})
+    # the operators act on the unpaired 11 and 12
+    fac = Factorization([(1, 3, 4, 5, 8, 10, 11), (2, 6, 9, 12, 13)])
+    assert fac_f(fac, 1) == Factorization(
+        [(1, 3, 4, 5, 8, 10), (2, 6, 9, 11, 12, 13)])
+    assert fac_e(fac, 1) == Factorization(
+        [(1, 3, 4, 5, 8, 10, 11, 12), (2, 6, 9, 13)])
     # word operators
     w = (1, 2, 2, 3, 3, 1, 3, 2, 1, 2)
     assert word_f(w, 2) == (1, 2, 3, 3, 3, 1, 3, 2, 1, 2)

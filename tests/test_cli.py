@@ -126,6 +126,12 @@ class TestCrystal:
         assert code == 2 and out == ""
         assert err.startswith("input error: ")
 
+    def test_target_with_shape_exit_2(self, capsys):
+        code, out, err = run(capsys, "crystal", "(1,3)", "--shape", "2,1")
+        assert code == 2 and out == ""
+        assert err == ("input error: a target cannot be given together "
+                       "with --shape\n")
+
     def test_zero_bounds_are_legal(self, capsys):
         code, out, _ = run(capsys, "crystal", "(1,3)(2,5)", "--n", "0",
                            "--cap", "0", "--json")
@@ -153,6 +159,17 @@ class TestBump:
     def test_bad_word_exit_2(self, capsys):
         code, _, _ = run(capsys, "bump", "22", "(2,5)", "--flavor", "involution")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("bump", "21", "(1,2,3)", "--flavor", "fpf"),
+        ("crystal", "(1,2,3)", "--flavor", "speg"),
+        ("expand", "(1,2,3)", "--flavor", "fpf"),
+    ])
+    def test_fpf_cycle_not_a_pair_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("input error: cycle (1, 2, 3) of an fpf involution "
+                       "is not a pair\n")
 
 
 class TestExpandAndClass:

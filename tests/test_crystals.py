@@ -4,7 +4,8 @@ import os
 import pytest
 
 import figures
-from reference import crystals_isomorphic, dbl_map_inverse, explore, inv_map_inverse
+from reference import (
+    crystals_isomorphic, dbl_map_inverse, explore, inv_map_inverse, pair)
 
 from queercrystals.crystals import (
     QBAR,
@@ -26,7 +27,6 @@ from queercrystals.crystals import (
     inv_map,
     is_quasi_isomorphism,
     morphism_report,
-    pair,
     perm_crystal,
     perm_words,
     shifted_tableau_crystal,
@@ -230,6 +230,12 @@ class TestCrystalGraph:
             fibers.setdefault(oeg_insert(fac, check=False).P, set()).add(fac)
         assert {frozenset(comp.vertices) for comp in c.components()} == {
             frozenset(v) for v in fibers.values()}
+
+    def test_components_found_once_per_carrier(self):
+        c = word_crystal(2, 3)
+        comps = c.components()
+        assert type(comps) is tuple and len(comps) == 2
+        assert c.components() is comps
 
     def test_string_lengths_axiom(self):
         c = shifted_tableau_crystal(3, (3, 1))

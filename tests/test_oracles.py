@@ -11,9 +11,11 @@ move-table walk against a plain step loop, the bumping walk table against
 one plain walk per deleted word, verify's per-target bump map against
 bump, and the fpf walk step against pointwise conjugation.  The
 shifted-tableau geometry (columns, reading order, the predicates and the
-unpaired boxes, all read through the per-shape column record) is checked
-against row scans through ShiftedTableau.entry, and verify's scoped d_i
-map against dual_equiv.  A crystal's edge tables (edges without a sort,
+unpaired boxes that the bracket rule leaves, all read through the
+per-shape column record) is checked against row scans through
+ShiftedTableau.entry, and verify's scoped d_i map against dual_equiv.
+The factorization operators, which read the same bracket rule, are
+checked against the greedy pairing.  A crystal's edge tables (edges without a sort,
 string lengths, sources, and the components sharing the tables) are
 checked against the sort-based edge list and walks of the raw operators;
 the factorizations that split_word and the crystal operators build
@@ -25,7 +27,7 @@ from functools import partial
 from itertools import product
 
 import pytest
-from reference import col_word
+from reference import col_word, fac_e_by_pair, fac_f_by_pair
 
 from queercrystals.bumping import (
     bump,
@@ -37,12 +39,15 @@ from queercrystals.bumping import (
 )
 from queercrystals import verify
 from queercrystals.crystals import (
+    _box_letters,
     _sort_key,
+    _unpaired,
+    fac_e,
+    fac_f,
     factorization_crystal,
     factorization_crystal_size,
     shifted_tableau_crystal_all,
     strict_partitions,
-    unpaired_boxes,
     word_crystal,
 )
 from queercrystals.insertion import Factorization, hm_insert, split_word
@@ -442,7 +447,8 @@ def check_geometry(t, indices, codes):
     assert col_word(t) == tuple(entry_value(x) for c in range(1, last_column(t) + 1)
                                 for _, x in reversed(column_scan(t, c)))
     for i in indices:
-        assert unpaired_boxes(t, i) == unpaired_boxes_scan(t, i), (t, i)
+        rights, lefts = _unpaired(_box_letters(t), i)
+        assert tuple(rights) + tuple(lefts) == unpaired_boxes_scan(t, i), (t, i)
         assert t.find_value(i) == next(
             (b for b in t.boxes() if entry_value(t.entry(*b)) == i), None)
     assert is_semistandard(t) == is_semistandard_scan(t), t
@@ -573,6 +579,30 @@ def test_trusted_factorizations_pass_the_check():
             assert Factorization(tuple(r)) == r
             count += 1
     assert count > 50_000
+
+
+def test_factorization_operators_match_the_greedy_pairing():
+    """fac_f and fac_e read the bracket rule; the reference reads the
+    greedy pairing.  Every vertex and label of every factorization carrier
+    in table_carriers, then all pairs of subsets of 1..7 as factors 1, 2
+    and as factors 2, 3."""
+    cases = 0
+    for crys in table_carriers():
+        if not all(isinstance(x, Factorization) for x in crys.vertices):
+            continue
+        for x in crys.vertices:
+            for i in range(1, crys.n):
+                assert fac_f(x, i) == fac_f_by_pair(x, i), (crys.name, x, i)
+                assert fac_e(x, i) == fac_e_by_pair(x, i), (crys.name, x, i)
+                cases += 1
+    assert cases == 44334
+    subsets = [tuple(c for c in range(1, 8) if mask >> (c - 1) & 1)
+               for mask in range(128)]
+    for a, b in product(subsets, repeat=2):
+        for i, fac in ((1, (a, b)), (2, ((), a, b))):
+            fac = Factorization(fac)
+            assert fac_f(fac, i) == fac_f_by_pair(fac, i), (fac, i)
+            assert fac_e(fac, i) == fac_e_by_pair(fac, i), (fac, i)
 
 
 def test_factorization_crystal_size_matches_the_carrier():
