@@ -150,10 +150,12 @@ def cmd_crystal(args):
     if args.shape:
         if args.perm:
             raise InputError("a target cannot be given together with --shape")
+        if args.flavor:
+            raise InputError("--flavor cannot be given together with --shape")
         crys = shifted_tableau_crystal(args.n, parse_shape(args.shape))
         check_cap(len(crys), cap)
     else:
-        flavor = insertion_flavor(args.flavor).name
+        flavor = insertion_flavor(args.flavor or "oeg").name
         pi = parse_permutation(args.perm, flavor)
         # refused before the build, so that the cap bounds the work done
         check_cap(factorization_crystal_size(pi, flavor, args.n), cap)
@@ -238,7 +240,8 @@ def build_parser():
 
     p = sub.add_parser("crystal", help="emit a crystal graph")
     p.add_argument("perm", nargs="?", default="", help="cycles like (1,3)(2,5)")
-    p.add_argument("--flavor", choices=insertions, default="oeg")
+    p.add_argument("--flavor", choices=insertions, default=None,
+                   help="insertion of the carrier's target (default oeg)")
     p.add_argument("--shape", help="strict partition like 3,1 for a tableau crystal")
     p.add_argument("--n", type=natural, default=3)
     p.add_argument("--cap", type=natural, default=None)

@@ -783,6 +783,7 @@ def _chain(op1, op2, x):
 
 def morphism_report(phi, dom, cod):
     """Violations of phi being a strict morphism dom -> cod."""
+    phi = LazyMap(phi).__getitem__  # phi once per vertex
     bad = []
     if tuple(dom.indices) != tuple(cod.indices):
         bad.append("index sets differ")
@@ -809,6 +810,7 @@ def morphism_report(phi, dom, cod):
 
 def is_quasi_isomorphism(phi, dom, cod):
     """Morphism that restricts to an isomorphism on every full subcrystal."""
+    phi = LazyMap(phi).__getitem__  # phi once per vertex
     if morphism_report(phi, dom, cod):
         return False
     cod_comps = cod.components()

@@ -4,16 +4,28 @@ Each algorithm consumes an increasing factorization letter by letter and
 produces an insertion tableau P, a recording tableau Q, and a per-letter
 trace recording whether the letter ended up row- or column-inserted.
 Recording entries carry the factor index, primed for column-inserted
-letters in the shifted algorithms.
+letters in the shifted algorithms.  The orthogonal and symplectic
+algorithms are EG bumping plus one rule at the diagonal (`_eg_letter`),
+and all four algorithms share one recording loop (`_record`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
 from .permwords import is_fpf_involution_word, is_involution_word, is_reduced_word
-from .tableaux import ShiftedTableau, Tableau, entry_primed, entry_str, primed, unprimed
+from .tableaux import (
+    ShiftedTableau,
+    Tableau,
+    _column_rows,
+    entry_primed,
+    entry_str,
+    entry_value,
+    primed,
+    unprimed,
+)
 
 
 class Factorization(tuple):
@@ -79,9 +91,6 @@ class InsertionResult:
     Q: object
     column_inserted: tuple
 
-    def __iter__(self):
-        return iter((self.P, self.Q))
-
     def to_json(self):
         return {
             "P": self.P.to_json(),
@@ -98,57 +107,64 @@ def _as_factorization(w):
     return Factorization(w)
 
 
-def _eg_letter(rows, x):
-    """Insert x into a plain increasing tableau; returns the new box."""
+def _columns(rows):
+    """tableaux._column_rows of the shape of rows, plus the empty column past
+    its end; bumps keep the shape, so one read serves a letter."""
+    return _column_rows(tuple(map(len, rows))) + ((),)
+
+
+def _eg_letter(relation, rows, x):
+    """Insert x into the rows of an increasing tableau by Edelman-Greene
+    bumping; returns the row of the new box and whether x was
+    column-inserted.
+
+    x meets the first entry y >= x of a row: x takes y's box and y moves on
+    when x < y, the row stays and y + 1 moves on when x == y.  Relation "K"
+    is plain EG, where what moves on goes to the next row.  Under "O" and
+    "Sp" the rows are shifted, row r starting at the diagonal box (r, r),
+    and a bump there (under "Sp" only one with x < y, where y == x + 1
+    stays as an equal entry would) sends what moves on up the columns from
+    column r + 1, by the same rule.
+    """
     r = 1
     while True:
         if r > len(rows):
             rows.append([x])
-            return (r, 1)
+            return r, False
         row = rows[r - 1]
         idx = next((k for k, y in enumerate(row) if x <= y), None)
         if idx is None:
             row.append(x)
-            return (r, len(row))
+            return r, False
         y = row[idx]
-        if x == y:
-            x = y + 1
-        else:
-            row[idx] = x
+        diagonal = idx == 0 and (relation == "O" or relation == "Sp" and x < y)
+        if diagonal and relation == "Sp" and y == x + 1:
             x = y
+        if x == y:
+            x += 1
+        else:
+            row[idx], x = x, y
+        if diagonal:
+            break
         r += 1
-
-
-def eg_insert(w, check=True):
-    """Edelman-Greene insertion of a reduced factorization."""
-    fac = _as_factorization(w)
-    if check and not is_reduced_word(fac.word()):
-        raise ValueError(f"{fac.word()} is not a reduced word")
-    rows, qrows = [], []
-    for j, factor in enumerate(fac, 1):
-        for a in factor:
-            r, c = _eg_letter(rows, a)
-            if r > len(qrows):
-                qrows.append([])
-            qrows[r - 1].append(j)
-    P = Tableau(rows)
-    Q = Tableau(qrows)
-    return InsertionResult(P, Q, (False,) * len(fac.word()))
-
-
-def _column_entries(rows, c):
-    """(row, value) pairs of column c, bottom to top, in a shifted row list."""
-    out = []
-    for r in range(1, len(rows) + 1):
-        k = c - r
-        if 0 <= k < len(rows[r - 1]):
-            out.append((r, rows[r - 1][k]))
-    return out
+    cols = _columns(rows)
+    c = r + 1
+    while True:
+        rr = next((s for s in cols[c - 1] if x <= rows[s - 1][c - s]), None)
+        if rr is None:
+            return _append_to_column(rows, c, x)[0], True
+        y = rows[rr - 1][c - rr]
+        if x == y:
+            x += 1
+        else:
+            rows[rr - 1][c - rr], x = x, y
+        c += 1
 
 
 def _append_to_column(rows, c, x):
     """Add x at the top of column c; the spot must be a legal new box."""
-    col = [y for _, y in _column_entries(rows, c)]
+    cols = _columns(rows)
+    col = [rows[r - 1][c - r] for r in cols[c - 1]] if c <= len(cols) else []
     h = len(col)
     if h + 1 > len(rows):
         if c != h + 1:
@@ -163,109 +179,28 @@ def _append_to_column(rows, c, x):
     return (h + 1, c)
 
 
-def _shifted_letter(rows, x, symplectic):
-    """One letter of orthogonal or symplectic EG insertion.
-
-    Returns (new box, column_inserted).  rows is a mutable list of shifted
-    rows holding plain integers.
-    """
-    r = 1
-    while True:  # row insertion
-        if r > len(rows):
-            rows.append([x])
-            return (r, r), False
-        row = rows[r - 1]
-        idx = next((k for k, y in enumerate(row) if x <= y), None)
-        if idx is None:
-            row.append(x)
-            return (r, r + len(row) - 1), False
-        y = row[idx]
-        diagonal = idx == 0  # leftmost box of row r is (r, r)
-        if diagonal:
-            if not symplectic:
-                if x < y:
-                    row[idx] = x
-                c = r + 1
-                x = y + 1 if x == y else y
-                break
-            if x < y:
-                if y > x + 1:
-                    row[idx] = x
-                    c = r + 1
-                    x = y
-                else:  # y == x + 1: row unchanged
-                    c = r + 1
-                    x = y + 1
-                break
-        if x == y:
-            x = y + 1
-        else:
-            row[idx] = x
-            x = y
-        r += 1
-    while True:  # column insertion
-        col = _column_entries(rows, c)
-        idx = next((k for k, (_, y) in enumerate(col) if x <= y), None)
-        if idx is None:
-            return _append_to_column(rows, c, x), True
-        rr, y = col[idx]
-        if x == y:
-            x = y + 1
-        else:
-            rows[rr - 1][c - rr] = x
-            x = y
-        c += 1
-
-
-def _shifted_insert(fac, symplectic):
-    rows, qrows, trace = [], [], []
-    for j, factor in enumerate(fac, 1):
-        for a in factor:
-            (r, c), col_ins = _shifted_letter(rows, a, symplectic)
-            if r > len(qrows):
-                qrows.append([])
-            qrows[r - 1].append(primed(j) if col_ins else unprimed(j))
-            trace.append(col_ins)
-    P = ShiftedTableau([[unprimed(v) for v in row] for row in rows])
-    Q = ShiftedTableau(qrows)
-    return InsertionResult(P, Q, tuple(trace))
-
-
-def oeg_insert(w, check=True):
-    """Orthogonal Edelman-Greene insertion of an involution word factorization."""
-    fac = _as_factorization(w)
-    if check and not is_involution_word(fac.word()):
-        raise ValueError(f"{fac.word()} is not an involution word")
-    return _shifted_insert(fac, symplectic=False)
-
-
-def speg_insert(w, check=True):
-    """Symplectic Edelman-Greene insertion of an fpf-involution word factorization."""
-    fac = _as_factorization(w)
-    if check and not is_fpf_involution_word(fac.word()):
-        raise ValueError(f"{fac.word()} is not an fpf-involution word")
-    return _shifted_insert(fac, symplectic=True)
-
-
-def _hm_letter(rows, x):
-    """One letter of Haiman mixed insertion; entries are doubled codes.
+def _hm_letter(rows, a):
+    """One letter of Haiman mixed insertion into rows of doubled codes;
+    returns the row of the new box and False, since mixed insertion's
+    recording tableau takes no primes.
 
     Unprimed bumped entries continue into the next row, primed ones into the
     next column, and a bumped diagonal entry continues primed into the next
     column.  Bumps are strict: x displaces the first entry exceeding it.
     """
+    x, cols = unprimed(a), None
     mode_row, pos = True, 1
     while True:
         if mode_row:
             r = pos
             if r > len(rows):
                 rows.append([x])
-                return (r, r)
+                return r, False
             row = rows[r - 1]
             idx = next((k for k, y in enumerate(row) if y > x), None)
             if idx is None:
                 row.append(x)
-                return (r, r + len(row) - 1)
+                return r, False
             y = row[idx]
             row[idx] = x
             if idx == 0:  # bumped the diagonal entry of row r
@@ -276,11 +211,12 @@ def _hm_letter(rows, x):
                 pos, x = r + 1, y
         else:
             c = pos
-            col = _column_entries(rows, c)
-            idx = next((k for k, (_, y) in enumerate(col) if y > x), None)
-            if idx is None:
-                return _append_to_column(rows, c, x)
-            rr, y = col[idx]
+            if cols is None:
+                cols = _columns(rows)
+            rr = next((s for s in cols[c - 1] if rows[s - 1][c - s] > x), None)
+            if rr is None:
+                return _append_to_column(rows, c, x)[0], False
+            y = rows[rr - 1][c - rr]
             if rr == c:
                 raise RuntimeError(
                     f"mixed insertion of {entry_str(x)} bumped the diagonal "
@@ -293,18 +229,60 @@ def _hm_letter(rows, x):
                 mode_row, pos, x = True, rr + 1, y
 
 
+def _record(fac, letter):
+    """The recording loop of all four insertions: feed the letters of fac in
+    order to letter(rows, a), which returns the row of the new box and
+    whether a was column-inserted.  Q gets the letter's factor index in that
+    row, primed when the letter was column-inserted.  Returns the rows of P
+    and Q and the trace."""
+    rows, qrows, trace = [], [], []
+    for j, factor in enumerate(fac, 1):
+        for a in factor:
+            r, col = letter(rows, a)
+            if r > len(qrows):
+                qrows.append([])
+            qrows[r - 1].append(primed(j) if col else unprimed(j))
+            trace.append(col)
+    return rows, qrows, tuple(trace)
+
+
+def eg_insert(w, check=True):
+    """Edelman-Greene insertion of a reduced factorization."""
+    fac = _as_factorization(w)
+    if check and not is_reduced_word(fac.word()):
+        raise ValueError(f"{fac.word()} is not a reduced word")
+    rows, qrows, trace = _record(fac, partial(_eg_letter, "K"))
+    Q = [[entry_value(q) for q in row] for row in qrows]
+    return InsertionResult(Tableau(rows), Tableau(Q), trace)
+
+
+def _shifted_insert(fac, relation):
+    rows, qrows, trace = _record(fac, partial(_eg_letter, relation))
+    P = ShiftedTableau([[unprimed(v) for v in row] for row in rows])
+    return InsertionResult(P, ShiftedTableau(qrows), trace)
+
+
+def oeg_insert(w, check=True):
+    """Orthogonal Edelman-Greene insertion of an involution word factorization."""
+    fac = _as_factorization(w)
+    if check and not is_involution_word(fac.word()):
+        raise ValueError(f"{fac.word()} is not an involution word")
+    return _shifted_insert(fac, "O")
+
+
+def speg_insert(w, check=True):
+    """Symplectic Edelman-Greene insertion of an fpf-involution word factorization."""
+    fac = _as_factorization(w)
+    if check and not is_fpf_involution_word(fac.word()):
+        raise ValueError(f"{fac.word()} is not an fpf-involution word")
+    return _shifted_insert(fac, "Sp")
+
+
 def hm_insert(w):
     """Haiman mixed insertion of an arbitrary word."""
-    w = tuple(w)
-    rows, qrows = [], []
-    for k, a in enumerate(w, 1):
-        r, c = _hm_letter(rows, unprimed(a))
-        if r > len(qrows):
-            qrows.append([])
-        qrows[r - 1].append(unprimed(k))
-    P = ShiftedTableau(rows)
-    Q = ShiftedTableau(qrows)
-    return InsertionResult(P, Q, (False,) * len(w))
+    fac = Factorization._trusted((a,) for a in w)
+    rows, qrows, trace = _record(fac, _hm_letter)
+    return InsertionResult(ShiftedTableau(rows), ShiftedTableau(qrows), trace)
 
 
 _INSERTERS = {"eg": eg_insert, "oeg": oeg_insert, "speg": speg_insert}

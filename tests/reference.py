@@ -5,7 +5,9 @@ reading words), as inverses that check the library's maps (inverse
 insertion, inv^{-1}, dbl^{-1}), as independent constructions of crystals
 (closure under the operators, isomorphism by certificates), and as the
 greedy Morse-Schilling pairing with the factorization operators read
-through it, against which the library's bracket rule is checked.
+through it, against which the library's bracket rule is checked, and as
+the insertion algorithms written out one flavor at a time, against which
+the library's shared bump and recording loops are checked.
 """
 
 from bisect import insort
@@ -18,7 +20,7 @@ from queercrystals.crystals import (
     crystal_indices,
     vertex_cap,
 )
-from queercrystals.insertion import Factorization, hm_insert, insert
+from queercrystals.insertion import Factorization, InsertionResult, hm_insert, insert
 from queercrystals.permwords import (
     FpfInvolution,
     LazyMap,
@@ -31,7 +33,16 @@ from queercrystals.permwords import (
     insertion_flavor,
     word_to_permutation,
 )
-from queercrystals.tableaux import ShiftedTableau, Tableau, _column_rows, entry_value
+from queercrystals.tableaux import (
+    ShiftedTableau,
+    Tableau,
+    _column_rows,
+    entry_primed,
+    entry_str,
+    entry_value,
+    primed,
+    unprimed,
+)
 from queercrystals.tableaux import weight as tab_weight
 
 # ---------------------------------------------------------------------------
@@ -188,6 +199,209 @@ def _invert_hm(P, Q):
         if res.P == P and res.Q == Q:
             return w
     raise ValueError("no word inserts to the given pair")
+
+
+# The insertion algorithms as first written, each rule stated where it is
+# used: plain EG, orthogonal/symplectic EG with its own copy of the row and
+# column bumps, and mixed insertion, every column read by scanning all rows.
+# The library's one bump loop and one recording loop are checked against it.
+
+
+def reference_eg_letter(rows, x):
+    """Insert x into a plain increasing tableau; returns the new box."""
+    r = 1
+    while True:
+        if r > len(rows):
+            rows.append([x])
+            return (r, 1)
+        row = rows[r - 1]
+        idx = next((k for k, y in enumerate(row) if x <= y), None)
+        if idx is None:
+            row.append(x)
+            return (r, len(row))
+        y = row[idx]
+        if x == y:
+            x = y + 1
+        else:
+            row[idx] = x
+            x = y
+        r += 1
+
+
+def reference_column_entries(rows, c):
+    """(row, value) pairs of column c, bottom to top, in a shifted row list."""
+    out = []
+    for r in range(1, len(rows) + 1):
+        k = c - r
+        if 0 <= k < len(rows[r - 1]):
+            out.append((r, rows[r - 1][k]))
+    return out
+
+
+def reference_append_to_column(rows, c, x):
+    """Add x at the top of column c; the spot must be a legal new box."""
+    col = [y for _, y in reference_column_entries(rows, c)]
+    h = len(col)
+    if h + 1 > len(rows):
+        if c != h + 1:
+            raise RuntimeError(
+                f"cannot open row {h + 1} at column {c} {col} for letter {x}")
+        rows.append([x])
+    else:
+        if h + 1 + len(rows[h]) != c:
+            raise RuntimeError(f"appending letter {x} to column {c} {col} "
+                               f"does not extend row {h + 1}")
+        rows[h].append(x)
+    return (h + 1, c)
+
+
+def reference_shifted_letter(rows, x, symplectic):
+    """One letter of orthogonal or symplectic EG insertion.
+
+    Returns (new box, column_inserted).  rows is a mutable list of shifted
+    rows holding plain integers.
+    """
+    r = 1
+    while True:  # row insertion
+        if r > len(rows):
+            rows.append([x])
+            return (r, r), False
+        row = rows[r - 1]
+        idx = next((k for k, y in enumerate(row) if x <= y), None)
+        if idx is None:
+            row.append(x)
+            return (r, r + len(row) - 1), False
+        y = row[idx]
+        if idx == 0:  # leftmost box of row r is (r, r)
+            if not symplectic:
+                if x < y:
+                    row[idx] = x
+                c = r + 1
+                x = y + 1 if x == y else y
+                break
+            if x < y:
+                if y > x + 1:
+                    row[idx] = x
+                    c = r + 1
+                    x = y
+                else:  # y == x + 1: row unchanged
+                    c = r + 1
+                    x = y + 1
+                break
+        if x == y:
+            x = y + 1
+        else:
+            row[idx] = x
+            x = y
+        r += 1
+    while True:  # column insertion
+        col = reference_column_entries(rows, c)
+        idx = next((k for k, (_, y) in enumerate(col) if x <= y), None)
+        if idx is None:
+            return reference_append_to_column(rows, c, x), True
+        rr, y = col[idx]
+        if x == y:
+            x = y + 1
+        else:
+            rows[rr - 1][c - rr] = x
+            x = y
+        c += 1
+
+
+def reference_hm_letter(rows, x):
+    """One letter of Haiman mixed insertion; entries are doubled codes.
+
+    Unprimed bumped entries continue into the next row, primed ones into the
+    next column, and a bumped diagonal entry continues primed into the next
+    column.  Bumps are strict: x displaces the first entry exceeding it.
+    """
+    mode_row, pos = True, 1
+    while True:
+        if mode_row:
+            r = pos
+            if r > len(rows):
+                rows.append([x])
+                return (r, r)
+            row = rows[r - 1]
+            idx = next((k for k, y in enumerate(row) if y > x), None)
+            if idx is None:
+                row.append(x)
+                return (r, r + len(row) - 1)
+            y = row[idx]
+            row[idx] = x
+            if idx == 0:  # bumped the diagonal entry of row r
+                mode_row, pos, x = False, r + 1, y - 1
+            elif entry_primed(y):
+                mode_row, pos, x = False, r + idx + 1, y
+            else:
+                pos, x = r + 1, y
+        else:
+            c = pos
+            col = reference_column_entries(rows, c)
+            idx = next((k for k, (_, y) in enumerate(col) if y > x), None)
+            if idx is None:
+                return reference_append_to_column(rows, c, x)
+            rr, y = col[idx]
+            if rr == c:
+                raise RuntimeError(
+                    f"mixed insertion of {entry_str(x)} bumped the diagonal "
+                    f"entry {entry_str(y)} from column {c} of rows "
+                    f"{[[entry_str(e) for e in row] for row in rows]}")
+            rows[rr - 1][c - rr] = x
+            if entry_primed(y):
+                pos, x = c + 1, y
+            else:
+                mode_row, pos, x = True, rr + 1, y
+
+
+def reference_eg_insert(fac):
+    rows, qrows = [], []
+    for j, factor in enumerate(fac, 1):
+        for a in factor:
+            r, c = reference_eg_letter(rows, a)
+            if r > len(qrows):
+                qrows.append([])
+            qrows[r - 1].append(j)
+    P = Tableau(rows)
+    Q = Tableau(qrows)
+    return InsertionResult(P, Q, (False,) * len(fac.word()))
+
+
+def reference_shifted_insert(fac, symplectic):
+    rows, qrows, trace = [], [], []
+    for j, factor in enumerate(fac, 1):
+        for a in factor:
+            (r, c), col_ins = reference_shifted_letter(rows, a, symplectic)
+            if r > len(qrows):
+                qrows.append([])
+            qrows[r - 1].append(primed(j) if col_ins else unprimed(j))
+            trace.append(col_ins)
+    P = ShiftedTableau([[unprimed(v) for v in row] for row in rows])
+    Q = ShiftedTableau(qrows)
+    return InsertionResult(P, Q, tuple(trace))
+
+
+def reference_hm_insert(w):
+    w = tuple(w)
+    rows, qrows = [], []
+    for k, a in enumerate(w, 1):
+        r, c = reference_hm_letter(rows, unprimed(a))
+        if r > len(qrows):
+            qrows.append([])
+        qrows[r - 1].append(unprimed(k))
+    P = ShiftedTableau(rows)
+    Q = ShiftedTableau(qrows)
+    return InsertionResult(P, Q, (False,) * len(w))
+
+
+def reference_insert(w, flavor):
+    """insert(w, flavor, check=False) by the reference algorithms above; w
+    is a Factorization, or a word for "hm"."""
+    if flavor == "hm":
+        return reference_hm_insert(w)
+    if flavor == "eg":
+        return reference_eg_insert(w)
+    return reference_shifted_insert(w, symplectic=flavor == "speg")
 
 
 # ---------------------------------------------------------------------------

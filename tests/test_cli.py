@@ -131,6 +131,11 @@ class TestCrystal:
         assert code == 2 and out == ""
         assert err == ("input error: a target cannot be given together "
                        "with --shape\n")
+        code, out, err = run(capsys, "crystal", "--shape", "2,1", "--n", "2",
+                             "--flavor", "speg", "--json")
+        assert code == 2 and out == ""
+        assert err == ("input error: --flavor cannot be given together "
+                       "with --shape\n")
 
     def test_zero_bounds_are_legal(self, capsys):
         code, out, _ = run(capsys, "crystal", "(1,3)(2,5)", "--n", "0",

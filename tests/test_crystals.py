@@ -310,6 +310,18 @@ class TestMorphisms:
         tab2 = shifted_tableau_crystal_all(3, ell_sp(FPI))
         assert is_quasi_isomorphism(lambda x: speg_insert(x, check=False).Q, cs, tab2)
 
+    def test_quasi_isomorphism_evaluates_phi_once_per_vertex(self):
+        c = factorization_crystal(PI, "involution", 3)
+        tab = shifted_tableau_crystal_all(3, ell_o(PI))
+        calls = []
+
+        def phi(x):
+            calls.append(x)
+            return oeg_insert(x, check=False).Q
+
+        assert is_quasi_isomorphism(phi, c, tab)
+        assert len(calls) == len(c.vertices)
+
     def test_identity_map_passes(self):
         c = shifted_tableau_crystal(3, (3, 1))
         assert not morphism_report(lambda x: x, c, c)

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from reference import invert_insertion, row_word
+from reference import invert_insertion, reference_insert, row_word
 
 from queercrystals.insertion import (
     Factorization,
@@ -16,6 +16,7 @@ from queercrystals.permwords import (
     descent_set,
     enumerate_words,
     equivalence_class,
+    get_flavor,
     involution_words,
     is_involution_word,
     is_reduced_word,
@@ -222,11 +223,38 @@ class TestDiagonalParity:
                         total += 1
                         assert y % 2 == 0, (w, x, y)
                         assert x % 2 == 0 or x == y - 1, (w, x, y)
-                    ins._shifted_letter(rows, a, symplectic=True)
+                    ins._eg_letter("Sp", rows, a)
                 got = ins.ShiftedTableau([[2 * v for v in row] for row in rows])
                 assert got == speg_insert(
                     Factorization.from_word(w), check=False).P
         assert total > 0
+
+
+class TestReferenceEngine:
+    """The shared bump and recording loops give the P, Q and trace of the
+    algorithms written out one flavor at a time."""
+
+    @pytest.mark.parametrize("flavor", ["reduced", "involution", "fpf"])
+    def test_eg_flavors_match_reference(self, flavor):
+        from queercrystals.verify import corpus
+
+        ins = get_flavor(flavor).insertion
+        count, column_inserted = 0, 0
+        for pi in corpus(flavor, 6):
+            for w in enumerate_words(pi, flavor):
+                for k in (1, 2, 3):
+                    for fac in split_word(w, k):
+                        res = insert(fac, ins)
+                        assert res == reference_insert(fac, ins), fac
+                        count += 1
+                        column_inserted += any(res.column_inserted)
+        assert count
+        assert column_inserted or flavor == "reduced"
+
+    def test_mixed_insertion_matches_reference(self):
+        for length in range(1, 7):
+            for w in product((1, 2, 3), repeat=length):
+                assert hm_insert(w) == reference_insert(w, "hm"), w
 
 
 class TestInversion:
