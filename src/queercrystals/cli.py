@@ -59,6 +59,8 @@ def parse_word(text):
         return tuple(int(tok) for tok in re.split(r"[,\s]+", text))
     if re.fullmatch(r"\d+", text):
         return tuple(int(ch) for ch in text)
+    if re.fullmatch(r"-\d+", text):
+        return (int(text),)
     raise InputError(f"cannot parse word {text!r}")
 
 
@@ -140,13 +142,16 @@ def check_cap(size, cap):
             f"carrier has {size} vertices, above the cap {cap}")
 
 
+def env_cap():
+    """vertex_cap(), a malformed QC_VERTEX_CAP being bad input."""
+    try:
+        return vertex_cap()
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def cmd_crystal(args):
-    cap = args.cap
-    if cap is None:
-        try:
-            cap = vertex_cap()
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+    cap = env_cap() if args.cap is None else args.cap
     if args.shape:
         if args.perm:
             raise InputError("a target cannot be given together with --shape")
@@ -199,7 +204,7 @@ def cmd_expand(args):
 
 def cmd_class(args):
     w = parse_word(args.word)
-    cls = equivalence_class(w, args.relation)
+    cls = equivalence_class(w, args.relation, env_cap())
     print(json.dumps(sorted(list(v) for v in cls)))
     return EXIT_PASS
 

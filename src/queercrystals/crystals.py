@@ -15,7 +15,15 @@ from itertools import permutations, product
 from math import comb
 
 from .insertion import Factorization, split_word
-from .permwords import LazyMap, Permutation, enumerate_words, get_flavor, word_target
+from .permwords import (
+    DEFAULT_VERTEX_CAP,
+    LazyMap,
+    Permutation,
+    VertexCapExceeded,
+    enumerate_words,
+    get_flavor,
+    word_target,
+)
 from .tableaux import (
     ShiftedTableau,
     entry_primed,
@@ -31,13 +39,7 @@ from .tableaux import weight as tab_weight
 
 QBAR = "1bar"
 
-DEFAULT_VERTEX_CAP = 200_000
-
 STRING_CAP = 10_000  # longest i-string walked before VertexCapExceeded
-
-
-class VertexCapExceeded(RuntimeError):
-    """Raised when a carrier or an i-string exceeds its cap."""
 
 
 def vertex_cap():

@@ -12,6 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
+DEFAULT_VERTEX_CAP = 200_000
+
+
+class VertexCapExceeded(RuntimeError):
+    """Raised when a carrier, a word class or an i-string exceeds its cap."""
+
 
 class LazyMap(dict):
     """A dict whose missing key k is filled with fn(k) at its first lookup:
@@ -170,10 +176,6 @@ class Permutation:
             return self.times_s(i)
         return self.conjugate_s(i)
 
-    def star(self):
-        """The automorphism i -> 1 - pi(1 - i) sending s_i to s_{-i}."""
-        return Permutation({1 - b: 1 - a for a, b in self.pairs})
-
     def shift(self, m):
         """Conjugation by translation: i -> pi(i - m) + m."""
         return Permutation({a + m: b + m for a, b in self.pairs})
@@ -310,11 +312,6 @@ class FpfInvolution:
             if 1 - m <= j <= m:
                 pairs[i] = j
         return Permutation(pairs), m
-
-    def star(self):
-        return FpfInvolution(
-            (min(1 - a, 1 - b), max(1 - a, 1 - b)) for a, b in self.cycles
-        )
 
     def shift(self, m):
         if m % 2:
@@ -501,17 +498,22 @@ def ck0_sp(w):
     return w
 
 
-def equivalence_class(w, relation):
+def equivalence_class(w, relation, cap=DEFAULT_VERTEX_CAP):
     """BFS closure of w under Coxeter-Knuth moves.
 
     The ck_i, and the initial move ck0 of the flavor whose relation it is:
     "K" has none, "O" adds the initial swap, "Sp" the symplectic move.
+    A class of more than cap words raises VertexCapExceeded: outside the
+    fpf class, the symplectic move lets letters drift without bound.
     """
     ck0 = _flavor_with("relation", relation, "relation").ck0
     w = tuple(w)
     seen = {w}
     frontier = [w]
     while frontier:
+        if len(seen) > cap:
+            raise VertexCapExceeded(
+                f"the {relation}-class of {w} has more than {cap} words")
         v = frontier.pop()
         images = [ck(v, i) for i in range(1, len(v) - 1)]
         if ck0 is not None:

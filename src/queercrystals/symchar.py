@@ -36,14 +36,6 @@ class Polynomial:
     def zero(cls, n):
         return cls(n)
 
-    @classmethod
-    def one(cls, n):
-        return cls(n, {(0,) * n: 1})
-
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        return cls(len(exps), {tuple(exps): coeff})
-
     def is_zero(self):
         return not self.terms
 

@@ -40,8 +40,13 @@ def entry_from_str(s):
     return unprimed(int(s))
 
 
-class Tableau:
-    """A filling of an ordinary Young diagram, rows stored bottom-to-top."""
+class _Tableau:
+    """Rows of entries, bottom to top, with row r starting in column
+    1 + SHIFT*(r-1): 0 for a plain Young diagram, 1 for a shifted one.
+
+    Subclasses set SHIFT, KIND (the tag of hash and JSON), text (the
+    printed form of one entry) and fits (the semistandard rule at one box).
+    """
 
     __slots__ = ("rows",)
 
@@ -49,57 +54,73 @@ class Tableau:
         rows = tuple(tuple(r) for r in rows)
         if any(not r for r in rows):
             raise ValueError("empty row")
-        lens = [len(r) for r in rows]
-        if any(lens[i] < lens[i + 1] for i in range(len(lens) - 1)):
-            raise ValueError("row lengths must weakly decrease going up")
+        if any(len(a) - len(b) < self.SHIFT for a, b in zip(rows, rows[1:])):
+            order = "strictly" if self.SHIFT else "weakly"
+            raise ValueError(f"row lengths must {order} decrease going up")
         self.rows = rows
+
+    def __init_subclass__(cls):
+        # entry is the hot read of the crystal operators, so the shift is
+        # bound in as a constant rather than looked up on every call
+        shift = cls.SHIFT
+
+        def entry(self, r, c):
+            """The entry in box (r, c), or None when there is no such box."""
+            rows = self.rows
+            if 0 < r <= len(rows):
+                row = rows[r - 1]
+                k = c - 1 - shift * (r - 1)
+                if 0 <= k < len(row):
+                    return row[k]
+            return None
+
+        cls.entry = entry
 
     @property
     def shape(self):
-        return tuple(len(r) for r in self.rows)
+        return tuple(map(len, self.rows))
 
     def size(self):
-        return sum(len(r) for r in self.rows)
-
-    def boxes(self):
-        return tuple(
-            (r + 1, c + 1) for r, row in enumerate(self.rows)
-            for c in range(len(row))
-        )
-
-    def entry(self, r, c):
-        if 1 <= r <= len(self.rows) and 1 <= c <= len(self.rows[r - 1]):
-            return self.rows[r - 1][c - 1]
-        return None
+        return sum(map(len, self.rows))
 
     def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows
+        return type(other) is type(self) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(("plain", self.rows))
-
-    def __repr__(self):
-        return f"Tableau({list(map(list, self.rows))!r})"
+        return hash((self.KIND, self.rows))
 
     def pretty(self):
         if not self.rows:
             return "(empty tableau)"
-        width = max(len(str(x)) for row in self.rows for x in row)
-        lines = []
-        for row in reversed(self.rows):
-            lines.append(" ".join(str(x).rjust(width) for x in row))
-        return "\n".join(lines)
+        text = self.text
+        width = max(len(text(x)) for row in self.rows for x in row)
+        return "\n".join(
+            " " * (self.SHIFT * (r - 1) * (width + 1))
+            + " ".join(text(x).rjust(width) for x in row)
+            for r, row in reversed(list(enumerate(self.rows, 1))))
 
     def to_json(self):
         return {
-            "kind": "plain",
+            "kind": self.KIND,
             "shape": list(self.shape),
-            "rows": [[str(x) for x in row] for row in self.rows],
+            "rows": [[self.text(x) for x in row] for row in self.rows],
         }
 
-    @classmethod
-    def from_json(cls, data):
-        return cls([[int(x) for x in row] for row in data["rows"]])
+
+class Tableau(_Tableau):
+    """A filling of an ordinary Young diagram with integers."""
+
+    __slots__ = ()
+    SHIFT, KIND = 0, "plain"
+    text = str
+
+    @staticmethod
+    def fits(x, left, below):
+        """Rows weakly increase and columns strictly increase."""
+        return (left is None or left <= x) and (below is None or below < x)
+
+    def __repr__(self):
+        return f"Tableau({list(map(list, self.rows))!r})"
 
 
 @lru_cache(maxsize=None)
@@ -116,45 +137,32 @@ def _column_rows(shape):
     return tuple(map(tuple, cols))
 
 
-class ShiftedTableau:
+class ShiftedTableau(_Tableau):
     """A filling of a shifted diagram; row r occupies columns r..r+len-1.
 
     Cells hold doubled entry codes (see the module docstring).
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ()
+    SHIFT, KIND = 1, "shifted"
+    text = staticmethod(entry_str)
 
-    def __init__(self, rows=()):
-        rows = tuple(tuple(r) for r in rows)
-        if any(not r for r in rows):
-            raise ValueError("empty row")
-        lens = [len(r) for r in rows]
-        if any(lens[i] <= lens[i + 1] for i in range(len(lens) - 1)):
-            raise ValueError("row lengths must strictly decrease going up")
-        self.rows = rows
+    @staticmethod
+    def fits(code, left, below):
+        """No primed or non-positive diagonal box; a row repeats only
+        unprimed entries, a column only primed ones."""
+        if left is None:  # the first box of a row is on the diagonal
+            if code <= 0 or entry_primed(code):
+                return False
+        elif code < left or (code == left and entry_primed(code)):
+            return False
+        return below is None or code > below or (
+            code == below and entry_primed(code))
 
     @classmethod
     def from_strings(cls, rows):
         """Build from rows of entry strings like ["1", "2'", "3"], bottom-to-top."""
         return cls([[entry_from_str(s) for s in row] for row in rows])
-
-    @property
-    def shape(self):
-        return tuple(map(len, self.rows))
-
-    def size(self):
-        return sum(len(r) for r in self.rows)
-
-    def boxes(self):
-        return tuple(
-            (r + 1, r + c + 1) for r, row in enumerate(self.rows)
-            for c in range(len(row))
-        )
-
-    def entry(self, r, c):
-        if 1 <= r <= len(self.rows) and r <= c <= r + len(self.rows[r - 1]) - 1:
-            return self.rows[r - 1][c - r]
-        return None
 
     def with_entry(self, r, c, code):
         """A copy with the box (r, c) set to code; the box must exist.
@@ -168,13 +176,6 @@ class ShiftedTableau:
         out.rows = rows[:r - 1] + (row[:k] + (code,) + row[k + 1:],) + rows[r:]
         return out
 
-    def column(self, c):
-        """Pairs (row, code) in column c, bottom to top."""
-        cols = _column_rows(self.shape)
-        if not 1 <= c <= len(cols):
-            return []
-        return [(r, self.rows[r - 1][c - r]) for r in cols[c - 1]]
-
     def find_value(self, v):
         """The box holding v or v'; None when absent (first match wins)."""
         for r, row in enumerate(self.rows, 1):
@@ -183,87 +184,39 @@ class ShiftedTableau:
                     return (r, c)
         return None
 
-    def __eq__(self, other):
-        return isinstance(other, ShiftedTableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(("shifted", self.rows))
-
     def __repr__(self):
         rows = [[entry_str(x) for x in row] for row in self.rows]
         return f"ShiftedTableau.from_strings({rows!r})"
 
-    def pretty(self):
-        if not self.rows:
-            return "(empty tableau)"
-        width = max(len(entry_str(x)) for row in self.rows for x in row)
-        lines = []
-        for r in range(len(self.rows), 0, -1):
-            pad = " " * ((r - 1) * (width + 1))
-            lines.append(
-                pad + " ".join(entry_str(x).rjust(width) for x in self.rows[r - 1])
-            )
-        return "\n".join(lines)
 
-    def to_json(self):
-        return {
-            "kind": "shifted",
-            "shape": list(self.shape),
-            "rows": [[entry_str(x) for x in row] for row in self.rows],
-        }
+def _every_box(t, fits):
+    """Whether fits(entry, left neighbour, lower neighbour) holds at every
+    box of t, a missing neighbour given as None."""
+    shift, below = t.SHIFT, None
+    for row in t.rows:
+        left = None
+        for k, x in enumerate(row):
+            if not fits(x, left, None if below is None else below[k + shift]):
+                return False
+            left = x
+        below = row
+    return True
 
-    @classmethod
-    def from_json(cls, data):
-        return cls.from_strings(data["rows"])
+
+def _increases(x, left, below):
+    return (left is None or left < x) and (below is None or below < x)
 
 
 def is_semistandard(t):
     """Semistandardness for either kind of tableau."""
-    if isinstance(t, Tableau):
-        for r, row in enumerate(t.rows):
-            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-                return False
-            if r and any(
-                t.rows[r - 1][c] >= row[c] for c in range(len(row))
-            ):
-                return False
-        return True
-    rows = t.rows
-    for row in rows:
-        # a positive, unprimed diagonal box; weakly increasing rows keep
-        # the rest positive
-        if row[0] <= 0 or entry_primed(row[0]):
-            return False
-        for x, right in zip(row, row[1:]):
-            if right < x or (right == x and entry_primed(x)):
-                return False
-    for c, col in enumerate(_column_rows(t.shape), 1):
-        for r in col[1:]:
-            x, up = rows[r - 2][c - r + 1], rows[r - 1][c - r]
-            if up < x or (up == x and not entry_primed(x)):
-                return False
-    return True
+    return _every_box(t, t.fits)
 
 
 def is_increasing(t):
     """Strictly increasing rows and columns; shifted tableaux must be unprimed."""
-    if isinstance(t, Tableau):
-        for r, row in enumerate(t.rows):
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                return False
-            if r and any(
-                t.rows[r - 1][c] >= row[c] for c in range(len(row))
-            ):
-                return False
-        return True
-    rows = t.rows
-    if any(entry_primed(x) for row in rows for x in row):
+    if t.SHIFT and any(entry_primed(x) for row in t.rows for x in row):
         return False
-    if any(right <= x for row in rows for x, right in zip(row, row[1:])):
-        return False
-    return all(
-        rows[r - 1][c - r] > rows[r - 2][c - r + 1]
-        for c, col in enumerate(_column_rows(t.shape), 1) for r in col[1:])
+    return _every_box(t, _increases)
 
 
 def is_standard(t):
@@ -338,14 +291,40 @@ def shword_descents(t):
 
 def weight(t, n):
     """Occurrences of each of 1..n (merging k and k')."""
-    wt = [0] * n
+    wt, shifted = [0] * n, t.SHIFT
     for row in t.rows:
         for x in row:
-            v = entry_value(x) if isinstance(t, ShiftedTableau) else x
+            v = entry_value(x) if shifted else x
             if not 1 <= v <= n:
                 raise ValueError(f"entry {v} exceeds n={n}")
             wt[v - 1] += 1
     return tuple(wt)
+
+
+def _fillings(cls, shape, codes):
+    """Every filling of shape by codes that cls.fits accepts at each box,
+    sorted by rows."""
+    fits, shift = cls.fits, cls.SHIFT
+    rows = [[] for _ in shape]
+    out = []
+
+    def fill(r, c):
+        if r == len(shape):
+            out.append(cls(rows))
+        elif c == shape[r]:
+            fill(r + 1, 0)
+        else:
+            row = rows[r]
+            left = row[c - 1] if c else None
+            below = rows[r - 1][c + shift] if r else None
+            for code in codes:
+                if fits(code, left, below):
+                    row.append(code)
+                    fill(r, c + 1)
+                    row.pop()
+
+    fill(0, 0)
+    return tuple(sorted(out, key=lambda t: t.rows))
 
 
 @lru_cache(maxsize=None)
@@ -354,29 +333,7 @@ def semistandard_tableaux(shape, n):
     shape = tuple(shape)
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
         raise ValueError("shape must weakly decrease")
-    results = []
-
-    def fill(rows, r, c):
-        if r == len(shape):
-            results.append(Tableau(rows))
-            return
-        if c == shape[r]:
-            fill(rows, r + 1, 0)
-            return
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, n + 1):
-            rows[r].append(v)
-            fill(rows, r, c + 1)
-            rows[r].pop()
-
-    if not shape:
-        return (Tableau(),)
-    fill([[] for _ in shape], 0, 0)
-    return tuple(sorted(results, key=lambda t: t.rows))
+    return _fillings(Tableau, shape, range(1, n + 1))
 
 
 def is_strict_partition(parts):
@@ -391,51 +348,19 @@ def semistandard_shifted_tableaux(shape, n):
     shape = tuple(shape)
     if not is_strict_partition(shape):
         raise ValueError(f"shape {shape} is not a strict partition")
-    if not shape:
-        return (ShiftedTableau(),)
-    results = []
-
-    def fill(rows, r, c):
-        if r == len(shape):
-            results.append(ShiftedTableau(rows))
-            return
-        if c == shape[r]:
-            fill(rows, r + 1, 0)
-            return
-        col = (r + 1) + c  # absolute column of this box
-        choices = range(1, 2 * n + 1)
-        for code in choices:
-            if col == r + 1 and entry_primed(code):
-                continue
-            if c > 0:
-                left = rows[r][c - 1]
-                if code < left or (code == left and entry_primed(code)):
-                    continue
-            if r > 0:
-                below = rows[r - 1][col - r]  # row below is row number r, start col r
-                if code < below or (code == below and not entry_primed(code)):
-                    continue
-            rows[r].append(code)
-            fill(rows, r, c + 1)
-            rows[r].pop()
-
-    fill([[] for _ in shape], 0, 0)
-    return tuple(sorted(results, key=lambda t: t.rows))
+    return _fillings(ShiftedTableau, shape, range(1, 2 * n + 1))
 
 
 @lru_cache(maxsize=None)
-def standard_shifted_tableaux(shape, primes=True):
+def standard_shifted_tableaux(shape):
     """All standard shifted tableaux of the shape.
 
-    With primes=False only unprimed fillings are produced.  Enumeration is by
-    direct backtracking over which box receives each of 1..m, with an
-    independent prime toggle per off-diagonal box.
+    Enumeration is by direct backtracking over which box receives each of
+    1..m, with an independent prime toggle per off-diagonal box.
     """
     shape = tuple(shape)
     if not is_strict_partition(shape):
         raise ValueError(f"shape {shape} is not a strict partition")
-    if not shape:
-        return (ShiftedTableau(),)
     m = sum(shape)
     results = []
 
@@ -450,8 +375,8 @@ def standard_shifted_tableaux(shape, primes=True):
             # the new box must extend a legal subdiagram: the box below is filled
             if r > 1 and len(rows[r - 2]) < c - r + 2:
                 continue
-            for pr in ((False, True) if primes and c != r else (False,)):
-                rows[r - 1].append(primed(v) if pr else unprimed(v))
+            for code in (unprimed(v),) if c == r else (unprimed(v), primed(v)):
+                rows[r - 1].append(code)
                 grow(v + 1, rows)
                 rows[r - 1].pop()
 

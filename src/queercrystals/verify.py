@@ -322,7 +322,7 @@ def check_dual_equivalence(max_len=6, max_boxes=7):
         for mu in strict_partitions(m):
             # one map per shape, since d_i keeps the shape
             d = LazyMap(lambda key: tableaux.dual_equiv(*key))
-            for t in standard_shifted_tableaux(mu, primes=True):
+            for t in standard_shifted_tableaux(mu):
                 des = tableau_descents(t)
                 res.checks += 1
                 if des != shword_descents(t):

@@ -7,7 +7,9 @@ insertion, inv^{-1}, dbl^{-1}), as independent constructions of crystals
 greedy Morse-Schilling pairing with the factorization operators read
 through it, against which the library's bracket rule is checked, and as
 the insertion algorithms written out one flavor at a time, against which
-the library's shared bump and recording loops are checked.
+the library's shared bump and recording loops are checked, and as the
+plain and shifted tableau classes with their own predicates and
+enumerators, against which the library's shared tableau base is checked.
 """
 
 from bisect import insort
@@ -37,9 +39,11 @@ from queercrystals.tableaux import (
     ShiftedTableau,
     Tableau,
     _column_rows,
+    entry_from_str,
     entry_primed,
     entry_str,
     entry_value,
+    is_strict_partition,
     primed,
     unprimed,
 )
@@ -70,8 +74,13 @@ def shift_word(m, w):
 
 
 def star(x):
-    if isinstance(x, (Permutation, FpfInvolution)):
-        return x.star()
+    """The automorphism i -> 1 - x(1 - i) of permutations, which sends s_i
+    to s_{-i}; on words, a -> -a."""
+    if isinstance(x, Permutation):
+        return Permutation({1 - b: 1 - a for a, b in x.pairs})
+    if isinstance(x, FpfInvolution):
+        return FpfInvolution((min(1 - a, 1 - b), max(1 - a, 1 - b))
+                             for a, b in x.cycles)
     return star_word(x)
 
 
@@ -135,6 +144,326 @@ def fpf_grassmannian_shape(pi):
 
 # ---------------------------------------------------------------------------
 # Tableaux and insertion
+
+
+# The tableau classes, predicates and enumerators as first written, each
+# kind with its own class, and each semistandard rule stated once in its
+# predicate and again in its enumerator.  The library's shared base, box
+# walk and filler are checked against them.
+
+
+class ReferenceTableau:
+    """A filling of an ordinary Young diagram, rows stored bottom-to-top."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=()):
+        rows = tuple(tuple(r) for r in rows)
+        if any(not r for r in rows):
+            raise ValueError("empty row")
+        lens = [len(r) for r in rows]
+        if any(lens[i] < lens[i + 1] for i in range(len(lens) - 1)):
+            raise ValueError("row lengths must weakly decrease going up")
+        self.rows = rows
+
+    @property
+    def shape(self):
+        return tuple(len(r) for r in self.rows)
+
+    def size(self):
+        return sum(len(r) for r in self.rows)
+
+    def boxes(self):
+        return tuple(
+            (r + 1, c + 1) for r, row in enumerate(self.rows)
+            for c in range(len(row))
+        )
+
+    def entry(self, r, c):
+        if 1 <= r <= len(self.rows) and 1 <= c <= len(self.rows[r - 1]):
+            return self.rows[r - 1][c - 1]
+        return None
+
+    def __eq__(self, other):
+        return isinstance(other, ReferenceTableau) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(("plain", self.rows))
+
+    def __repr__(self):
+        return f"Tableau({list(map(list, self.rows))!r})"
+
+    def pretty(self):
+        if not self.rows:
+            return "(empty tableau)"
+        width = max(len(str(x)) for row in self.rows for x in row)
+        lines = []
+        for row in reversed(self.rows):
+            lines.append(" ".join(str(x).rjust(width) for x in row))
+        return "\n".join(lines)
+
+    def to_json(self):
+        return {
+            "kind": "plain",
+            "shape": list(self.shape),
+            "rows": [[str(x) for x in row] for row in self.rows],
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        return cls([[int(x) for x in row] for row in data["rows"]])
+
+
+class ReferenceShiftedTableau:
+    """A filling of a shifted diagram; row r occupies columns r..r+len-1.
+
+    Cells hold doubled entry codes (see the module docstring).
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=()):
+        rows = tuple(tuple(r) for r in rows)
+        if any(not r for r in rows):
+            raise ValueError("empty row")
+        lens = [len(r) for r in rows]
+        if any(lens[i] <= lens[i + 1] for i in range(len(lens) - 1)):
+            raise ValueError("row lengths must strictly decrease going up")
+        self.rows = rows
+
+    @classmethod
+    def from_strings(cls, rows):
+        """Build from rows of entry strings like ["1", "2'", "3"], bottom-to-top."""
+        return cls([[entry_from_str(s) for s in row] for row in rows])
+
+    @property
+    def shape(self):
+        return tuple(map(len, self.rows))
+
+    def size(self):
+        return sum(len(r) for r in self.rows)
+
+    def boxes(self):
+        return tuple(
+            (r + 1, r + c + 1) for r, row in enumerate(self.rows)
+            for c in range(len(row))
+        )
+
+    def entry(self, r, c):
+        if 1 <= r <= len(self.rows) and r <= c <= r + len(self.rows[r - 1]) - 1:
+            return self.rows[r - 1][c - r]
+        return None
+
+    def with_entry(self, r, c, code):
+        """A copy with the box (r, c) set to code; the box must exist.
+
+        The shape is unchanged, so the copy skips the constructor's checks."""
+        if self.entry(r, c) is None:
+            raise ValueError(f"no box at {(r, c)}")
+        rows, k = self.rows, c - r
+        row = rows[r - 1]
+        out = object.__new__(ReferenceShiftedTableau)
+        out.rows = rows[:r - 1] + (row[:k] + (code,) + row[k + 1:],) + rows[r:]
+        return out
+
+    def column(self, c):
+        """Pairs (row, code) in column c, bottom to top."""
+        cols = _column_rows(self.shape)
+        if not 1 <= c <= len(cols):
+            return []
+        return [(r, self.rows[r - 1][c - r]) for r in cols[c - 1]]
+
+    def find_value(self, v):
+        """The box holding v or v'; None when absent (first match wins)."""
+        for r, row in enumerate(self.rows, 1):
+            for c, x in enumerate(row, r):
+                if entry_value(x) == v:
+                    return (r, c)
+        return None
+
+    def __eq__(self, other):
+        return isinstance(other, ReferenceShiftedTableau) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(("shifted", self.rows))
+
+    def __repr__(self):
+        rows = [[entry_str(x) for x in row] for row in self.rows]
+        return f"ShiftedTableau.from_strings({rows!r})"
+
+    def pretty(self):
+        if not self.rows:
+            return "(empty tableau)"
+        width = max(len(entry_str(x)) for row in self.rows for x in row)
+        lines = []
+        for r in range(len(self.rows), 0, -1):
+            pad = " " * ((r - 1) * (width + 1))
+            lines.append(
+                pad + " ".join(entry_str(x).rjust(width) for x in self.rows[r - 1])
+            )
+        return "\n".join(lines)
+
+    def to_json(self):
+        return {
+            "kind": "shifted",
+            "shape": list(self.shape),
+            "rows": [[entry_str(x) for x in row] for row in self.rows],
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        return cls.from_strings(data["rows"])
+
+
+def reference_is_semistandard(t):
+    """Semistandardness for either kind of tableau."""
+    if isinstance(t, ReferenceTableau):
+        for r, row in enumerate(t.rows):
+            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
+                return False
+            if r and any(
+                t.rows[r - 1][c] >= row[c] for c in range(len(row))
+            ):
+                return False
+        return True
+    rows = t.rows
+    for row in rows:
+        # a positive, unprimed diagonal box; weakly increasing rows keep
+        # the rest positive
+        if row[0] <= 0 or entry_primed(row[0]):
+            return False
+        for x, right in zip(row, row[1:]):
+            if right < x or (right == x and entry_primed(x)):
+                return False
+    for c, col in enumerate(_column_rows(t.shape), 1):
+        for r in col[1:]:
+            x, up = rows[r - 2][c - r + 1], rows[r - 1][c - r]
+            if up < x or (up == x and not entry_primed(x)):
+                return False
+    return True
+
+
+def reference_is_increasing(t):
+    """Strictly increasing rows and columns; shifted tableaux must be unprimed."""
+    if isinstance(t, ReferenceTableau):
+        for r, row in enumerate(t.rows):
+            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+                return False
+            if r and any(
+                t.rows[r - 1][c] >= row[c] for c in range(len(row))
+            ):
+                return False
+        return True
+    rows = t.rows
+    if any(entry_primed(x) for row in rows for x in row):
+        return False
+    if any(right <= x for row in rows for x, right in zip(row, row[1:])):
+        return False
+    return all(
+        rows[r - 1][c - r] > rows[r - 2][c - r + 1]
+        for c, col in enumerate(_column_rows(t.shape), 1) for r in col[1:])
+
+
+def reference_semistandard_tableaux(shape, n):
+    """All semistandard fillings of the plain shape with entries in 1..n."""
+    shape = tuple(shape)
+    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
+        raise ValueError("shape must weakly decrease")
+    results = []
+
+    def fill(rows, r, c):
+        if r == len(shape):
+            results.append(ReferenceTableau(rows))
+            return
+        if c == shape[r]:
+            fill(rows, r + 1, 0)
+            return
+        lo = 1
+        if c > 0:
+            lo = max(lo, rows[r][c - 1])
+        if r > 0:
+            lo = max(lo, rows[r - 1][c] + 1)
+        for v in range(lo, n + 1):
+            rows[r].append(v)
+            fill(rows, r, c + 1)
+            rows[r].pop()
+
+    if not shape:
+        return (ReferenceTableau(),)
+    fill([[] for _ in shape], 0, 0)
+    return tuple(sorted(results, key=lambda t: t.rows))
+
+
+def reference_semistandard_shifted_tableaux(shape, n):
+    """All semistandard shifted fillings with entries at most n."""
+    shape = tuple(shape)
+    if not is_strict_partition(shape):
+        raise ValueError(f"shape {shape} is not a strict partition")
+    if not shape:
+        return (ReferenceShiftedTableau(),)
+    results = []
+
+    def fill(rows, r, c):
+        if r == len(shape):
+            results.append(ReferenceShiftedTableau(rows))
+            return
+        if c == shape[r]:
+            fill(rows, r + 1, 0)
+            return
+        col = (r + 1) + c  # absolute column of this box
+        choices = range(1, 2 * n + 1)
+        for code in choices:
+            if col == r + 1 and entry_primed(code):
+                continue
+            if c > 0:
+                left = rows[r][c - 1]
+                if code < left or (code == left and entry_primed(code)):
+                    continue
+            if r > 0:
+                below = rows[r - 1][col - r]  # row below is row number r, start col r
+                if code < below or (code == below and not entry_primed(code)):
+                    continue
+            rows[r].append(code)
+            fill(rows, r, c + 1)
+            rows[r].pop()
+
+    fill([[] for _ in shape], 0, 0)
+    return tuple(sorted(results, key=lambda t: t.rows))
+
+
+def reference_standard_shifted_tableaux(shape, primes=True):
+    """All standard shifted tableaux of the shape.
+
+    With primes=False only unprimed fillings are produced.  Enumeration is by
+    direct backtracking over which box receives each of 1..m, with an
+    independent prime toggle per off-diagonal box.
+    """
+    shape = tuple(shape)
+    if not is_strict_partition(shape):
+        raise ValueError(f"shape {shape} is not a strict partition")
+    if not shape:
+        return (ReferenceShiftedTableau(),)
+    m = sum(shape)
+    results = []
+
+    def grow(v, rows):
+        if v > m:
+            results.append(ReferenceShiftedTableau([row[:] for row in rows]))
+            return
+        for r in range(1, len(shape) + 1):
+            c = r + len(rows[r - 1])
+            if c - r >= shape[r - 1]:
+                continue
+            # the new box must extend a legal subdiagram: the box below is filled
+            if r > 1 and len(rows[r - 2]) < c - r + 2:
+                continue
+            for pr in ((False, True) if primes and c != r else (False,)):
+                rows[r - 1].append(primed(v) if pr else unprimed(v))
+                grow(v + 1, rows)
+                rows[r - 1].pop()
+
+    grow(1, [[] for _ in shape])
+    return tuple(sorted(results, key=lambda t: t.rows))
 
 
 def row_word(t):

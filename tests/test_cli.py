@@ -16,6 +16,10 @@ class TestParsing:
         assert cli.parse_word("332332") == (3, 3, 2, 3, 3, 2)
         assert cli.parse_word("10,11,2") == (10, 11, 2)
         assert cli.parse_word("") == ()
+        assert cli.parse_word("-1") == (-1,)
+        assert cli.parse_word("-12") == (-12,)
+        with pytest.raises(cli.InputError):
+            cli.parse_word("1-2")
         with pytest.raises(cli.InputError):
             cli.parse_word("ab")
 
@@ -55,6 +59,14 @@ class TestInsert:
         data = json.loads(out)
         assert data["P"]["rows"] == [["2", "2", "3'", "3"], ["3", "3"]]
         assert data["Q"]["rows"] == [["1", "2", "4", "5"], ["3", "6"]]
+
+    def test_lone_negative_letter(self, capsys):
+        code, out, _ = run(capsys, "insert", "(0)(-1)(0)", "--flavor", "eg",
+                           "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["P"]["rows"] == [["-1", "0"], ["0"]]
+        assert data["Q"]["rows"] == [["1", "3"], ["2"]]
 
     def test_empty_input(self, capsys):
         code, out, _ = run(capsys, "insert", "", "--flavor", "oeg")
@@ -188,6 +200,23 @@ class TestExpandAndClass:
         code, out, _ = run(capsys, "class", "243", "--relation", "Sp")
         assert code == 0
         assert json.loads(out) == [[2, 4, 3], [4, 2, 3]]
+
+    def test_infinite_class_stops_at_the_cap(self, capsys, monkeypatch):
+        # the symplectic move lets the letters of 212 drift without bound
+        monkeypatch.setenv("QC_VERTEX_CAP", "50")
+        code, out, err = run(capsys, "class", "212", "--relation", "Sp")
+        assert code == 3 and out == ""
+        assert err == ("resource limit: the Sp-class of (2, 1, 2) has more "
+                       "than 50 words\n")
+
+    def test_class_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("QC_VERTEX_CAP", "2")
+        assert run(capsys, "class", "243", "--relation", "Sp")[0] == 0
+        monkeypatch.setenv("QC_VERTEX_CAP", "1")
+        assert run(capsys, "class", "243", "--relation", "Sp")[0] == 3
+        monkeypatch.setenv("QC_VERTEX_CAP", "x")
+        code, out, err = run(capsys, "class", "243", "--relation", "Sp")
+        assert code == 2 and out == "" and "QC_VERTEX_CAP" in err
 
 
 class TestVerifyCommand:

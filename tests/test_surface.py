@@ -6,7 +6,9 @@ callers.  A function counts as referenced when code outside its own body
 reads its name from module scope (a local variable of the same name does
 not count), reads it as an attribute of a package module (`bumping.bump`)
 or imports it, and that code is itself module-level code or a referenced
-function.  Methods are not checked.
+function.  A method counts as read when library code outside its own body
+reads an attribute of its name; dunders, which the language calls, and
+from_strings, which ShiftedTableau's repr prints, are exempt.
 """
 
 import ast
@@ -67,6 +69,28 @@ def unreferenced_functions(src=SRC):
         dead = now
 
 
+EXEMPT_METHODS = {"from_strings"}
+
+
+def unread_methods(src=SRC):
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
+    methods = [(f"{mod}.{cls.name}.{m.name}", m)
+               for mod, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for m in cls.body
+               if isinstance(m, DEFS) and m.name not in EXEMPT_METHODS
+               and not (m.name.startswith("__") and m.name.endswith("__"))]
+    reads = [(node.attr, node) for tree in trees.values()
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    unread = []
+    for name, method in methods:
+        own = set(map(id, ast.walk(method)))
+        if not any(attr == method.name and id(node) not in own
+                   for attr, node in reads):
+            unread.append(name)
+    return unread
+
+
 def test_every_module_level_function_is_referenced():
     assert unreferenced_functions() == []
 
@@ -84,3 +108,20 @@ def test_the_scan_finds_uncalled_functions(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import recursive\n")
     assert unreferenced_functions(tmp_path) == [
         "a.dead", "a.only_dead_code_calls", "a.recursive", "a.shadowed"]
+
+
+def test_every_method_is_read():
+    assert unread_methods() == []
+
+
+def test_the_scan_finds_unread_methods(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def from_strings(self):\n        return 1\n\n"
+        "    def used(self):\n        return self.recursive()\n\n"
+        "    def recursive(self):\n        return self.recursive()\n\n"
+        "    def planted(self):\n        return 2\n")
+    (tmp_path / "b.py").write_text("from .a import A\n\nX = A().used()\n")
+    (tmp_path / "__init__.py").write_text("from .a import A\nA.planted\n")
+    assert unread_methods(tmp_path) == ["a.A.planted"]

@@ -1,11 +1,24 @@
 import pytest
-from reference import col_word, row_word
+from reference import (
+    ReferenceShiftedTableau,
+    ReferenceTableau,
+    col_word,
+    reference_is_increasing,
+    reference_is_semistandard,
+    reference_semistandard_shifted_tableaux,
+    reference_semistandard_tableaux,
+    reference_standard_shifted_tableaux,
+    row_word,
+)
+
+from queercrystals.crystals import strict_partitions
 
 from queercrystals.tableaux import (
     ShiftedTableau,
     Tableau,
     dual_equiv,
     entry_from_str,
+    entry_primed,
     entry_str,
     is_increasing,
     is_semistandard,
@@ -97,7 +110,7 @@ class TestReadingWords:
 
         for m in range(1, 7):
             for mu in strict_partitions(m):
-                for t in standard_shifted_tableaux(mu, primes=True):
+                for t in standard_shifted_tableaux(mu):
                     assert tableau_descents(t) == shword_descents(t)
 
 
@@ -125,8 +138,9 @@ class TestEnumeration:
             assert len(semistandard_tableaux((m,), 1)) == 1
 
     def test_standard_prime_factor(self):
-        with_p = standard_shifted_tableaux((3, 1), primes=True)
-        without = standard_shifted_tableaux((3, 1), primes=False)
+        with_p = standard_shifted_tableaux((3, 1))
+        without = [t for t in with_p
+                   if not any(entry_primed(x) for row in t.rows for x in row)]
         assert len(with_p) == len(without) * 2 ** (4 - 1 - 1)
         assert all(is_standard(t) for t in with_p)
 
@@ -141,9 +155,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("shape", [(-1,), (3, -1), (0,), (2, 0), (2, 2)])
     def test_standard_shape_not_strict(self, shape):
-        for primes in (True, False):
-            with pytest.raises(ValueError, match="is not a strict partition"):
-                standard_shifted_tableaux(shape, primes=primes)
+        with pytest.raises(ValueError, match="is not a strict partition"):
+            standard_shifted_tableaux(shape)
 
 
 class TestStarAndDual:
@@ -152,7 +165,7 @@ class TestStarAndDual:
         assert star_op(t, 1) == S([["1", "2'", "3"], ["4"]])
 
     def test_star_involutive(self):
-        for t in standard_shifted_tableaux((3, 1), primes=True):
+        for t in standard_shifted_tableaux((3, 1)):
             for i in range(1, 4):
                 assert star_op(star_op(t, i), i) == t
 
@@ -166,7 +179,7 @@ class TestStarAndDual:
 
         for m in range(1, 8):
             for mu in strict_partitions(m):
-                for t in standard_shifted_tableaux(mu, primes=True):
+                for t in standard_shifted_tableaux(mu):
                     for i in range(0, m - 1):
                         u = dual_equiv(t, i)
                         assert is_standard(u)
@@ -186,9 +199,9 @@ class TestStarAndDual:
 class TestSerialization:
     def test_json_round_trip(self):
         t = S([["1", "2'", "4"], ["3", "5'"]])
-        assert ShiftedTableau.from_json(t.to_json()) == t
+        assert S(t.to_json()["rows"]) == t
         p = Tableau([[1, 2, 4], [3, 5]])
-        assert Tableau.from_json(p.to_json()) == p
+        assert Tableau([map(int, row) for row in p.to_json()["rows"]]) == p
         assert t.to_json()["rows"][0] == ["1", "2'", "4"]
 
     def test_pretty_french(self):
@@ -196,3 +209,81 @@ class TestSerialization:
         lines = t.pretty().splitlines()
         assert lines[-1].strip().startswith("1")
         assert lines[0].strip().startswith("3")
+
+
+def partitions(m, biggest=None):
+    """All partitions of m, as weakly decreasing tuples."""
+    if m == 0:
+        return [()]
+    biggest = m if biggest is None else biggest
+    return [(p,) + rest for p in range(min(m, biggest), 0, -1)
+            for rest in partitions(m - p, p)]
+
+
+def reference_copy(t):
+    kind = ReferenceTableau if isinstance(t, Tableau) else ReferenceShiftedTableau
+    return kind(t.rows)
+
+
+def mutations(t):
+    """t with one box moved by 1 or 2 either way, as rows: codes 0 and below
+    included, a prime toggled or a diagonal box primed."""
+    for r, row in enumerate(t.rows):
+        for k, x in enumerate(row):
+            for y in (x - 2, x - 1, x + 1, x + 2):
+                yield t.rows[:r] + (row[:k] + (y,) + row[k + 1:],) + t.rows[r + 1:]
+
+
+def assert_same_tableau(t):
+    ref = reference_copy(t)
+    assert (t.shape, t.size()) == (ref.shape, ref.size()), t
+    assert (t.pretty(), t.to_json(), repr(t)) == (
+        ref.pretty(), ref.to_json(), repr(ref)), t
+    assert hash(t) == hash(ref), t
+    for r in range(len(t.rows) + 2):
+        for c in range(len(t.rows[0]) + len(t.rows) + 2 if t.rows else 2):
+            assert t.entry(r, c) == ref.entry(r, c), (t, r, c)
+
+
+def test_tableaux_match_the_reference_classes():
+    """The shared base, box rules and filler against the two classes,
+    predicates and enumerators written out one kind at a time."""
+    kinds = [(Tableau, semistandard_tableaux, reference_semistandard_tableaux,
+              [mu for m in range(6) for mu in partitions(m)]),
+             (ShiftedTableau, semistandard_shifted_tableaux,
+              reference_semistandard_shifted_tableaux,
+              [mu for m in range(7) for mu in strict_partitions(m)])]
+    tabs = []
+    for kind, enumerate_, reference, shapes in kinds:
+        for shape in shapes:
+            if kind is ShiftedTableau:
+                standard = standard_shifted_tableaux(shape)
+                assert [t.rows for t in standard] == [
+                    t.rows for t in reference_standard_shifted_tableaux(shape)]
+                tabs.extend(standard)
+            for n in range(4):
+                some = enumerate_(shape, n)
+                assert [t.rows for t in some] == [
+                    t.rows for t in reference(shape, n)], (shape, n)
+                assert all(type(t) is kind for t in some)
+                tabs.extend(some)
+    checked = 0
+    for t in tabs:
+        assert_same_tableau(t)
+        for u in (t, *map(type(t), mutations(t))):
+            ref = reference_copy(u)
+            assert is_semistandard(u) == reference_is_semistandard(ref), u
+            assert is_increasing(u) == reference_is_increasing(ref), u
+            checked += 1
+    assert (len(tabs), checked) == (977, 20453)
+    for t in (Tableau(), ShiftedTableau(), Tableau([[1, 10, 12], [11, 13]]),
+              S([["1", "10'", "12"], ["11", "13'"]]), S([["3", "10"], ["12"]])):
+        assert_same_tableau(t)
+    assert Tableau([[2, 4]]) != ShiftedTableau([[2, 4]])
+    for kind, rows in [(Tableau, [[1], [2, 3]]), (ShiftedTableau, [[2, 4], [6, 8]]),
+                       (ShiftedTableau, [[2], []])]:
+        with pytest.raises(ValueError) as got:
+            kind(rows)
+        with pytest.raises(ValueError) as want:
+            (ReferenceTableau if kind is Tableau else ReferenceShiftedTableau)(rows)
+        assert str(got.value) == str(want.value)
