@@ -11,6 +11,7 @@ import inspect
 import json
 import re
 import sys
+from functools import cache
 
 from .bumping import bump_chain
 from .crystals import (
@@ -229,7 +230,15 @@ def cmd_verify(args):
     return EXIT_CONJECTURE if res.conjecture else EXIT_THEOREM_FAIL
 
 
+@cache
 def build_parser():
+    """The qc parser, built on the first call and shared by every later one.
+
+    Parsing keeps no state between calls: each parse_args returns a new
+    Namespace.  set_defaults(fn=cmd_*) binds the command functions once, when
+    the parser is built; the functions read the module globals they use
+    (bump_chain, TARGETS, QC_VERTEX_CAP) when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="qc",
         description="Crystals of factorized involution words: insertion, "
@@ -281,8 +290,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

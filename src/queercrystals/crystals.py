@@ -32,7 +32,7 @@ from .tableaux import (
     is_strict_partition,
     primed,
     semistandard_shifted_tableaux,
-    shword_boxes,
+    shword_letters,
     unprimed,
 )
 from .tableaux import weight as tab_weight
@@ -238,12 +238,6 @@ def fac_eq_sp(fac):
 # ---------------------------------------------------------------------------
 # Shifted tableau crystal operators (explicit appendix formulas)
 
-def _box_letters(t):
-    """The boxes of t in shifted reading order, each with its unprimed value."""
-    rows = t.rows
-    return [((r, c), entry_value(rows[r - 1][c - r])) for r, c in shword_boxes(t)]
-
-
 def _value_ribbon(t, v, box):
     """The connected component of v-valued boxes through box, NW to SE."""
     cells = {
@@ -262,7 +256,7 @@ def _value_ribbon(t, v, box):
 
 def shtab_f(t, i):
     """Lowering operator on semistandard shifted tableaux."""
-    rights, _ = _unpaired(_box_letters(t), i)
+    rights, _ = _unpaired(shword_letters(t), i)
     if not rights:
         return None
     x, y = rights[-1]
@@ -299,7 +293,7 @@ def shtab_f(t, i):
 
 def shtab_e(t, i):
     """Raising operator on semistandard shifted tableaux."""
-    _, lefts = _unpaired(_box_letters(t), i)
+    _, lefts = _unpaired(shword_letters(t), i)
     if not lefts:
         return None
     x, y = lefts[0]

@@ -229,30 +229,32 @@ def is_standard(t):
     return used == list(range(1, m + 1)) and is_semistandard(t)
 
 
-def shword_boxes(t):
-    """Boxes of a shifted tableau in shifted-reading order.
+def shword_letters(t):
+    """The boxes of a shifted tableau in shifted-reading order, each with its
+    unprimed value: a list of ((r, c), value).
 
     Reads C_q R_q ... C_1 R_1 where C_i lists the primed entries of column i
-    bottom-to-top and R_i the unprimed entries of row i left-to-right.
+    bottom-to-top and R_i the unprimed entries of row i left-to-right.  One
+    walk over the shape's columns; an odd code is primed.
     """
     rows = t.rows
     cols = _column_rows(t.shape)
-    order = []
+    out = []
     for i in range(len(cols), 0, -1):
         for r in cols[i - 1]:
-            if entry_primed(rows[r - 1][i - r]):
-                order.append((r, i))
+            x = rows[r - 1][i - r]
+            if x % 2:
+                out.append(((r, i), (x + 1) // 2))
         if i <= len(rows):
             for c, x in enumerate(rows[i - 1], i):
-                if not entry_primed(x):
-                    order.append((i, c))
-    return tuple(order)
+                if not x % 2:
+                    out.append(((i, c), x // 2))
+    return out
 
 
 def shword(t):
     """The shifted reading word, primes removed."""
-    rows = t.rows
-    return tuple(entry_value(rows[r - 1][c - r]) for r, c in shword_boxes(t))
+    return tuple(v for _, v in shword_letters(t))
 
 
 def tableau_descents(t):
@@ -331,8 +333,9 @@ def _fillings(cls, shape, codes):
 def semistandard_tableaux(shape, n):
     """All semistandard fillings of the plain shape with entries in 1..n."""
     shape = tuple(shape)
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        raise ValueError("shape must weakly decrease")
+    if any(p <= 0 for p in shape) or any(
+            a < b for a, b in zip(shape, shape[1:])):
+        raise ValueError(f"shape {shape} is not a partition")
     return _fillings(Tableau, shape, range(1, n + 1))
 
 

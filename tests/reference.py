@@ -9,7 +9,9 @@ through it, against which the library's bracket rule is checked, and as
 the insertion algorithms written out one flavor at a time, against which
 the library's shared bump and recording loops are checked, and as the
 plain and shifted tableau classes with their own predicates and
-enumerators, against which the library's shared tableau base is checked.
+enumerators, against which the library's shared tableau base is checked,
+and as the two-pass shifted reading order, against which the library's
+one-pass reading is checked.
 """
 
 from bisect import insort
@@ -473,6 +475,27 @@ def row_word(t):
     if isinstance(t, Tableau):
         return tuple(x for row in reversed(t.rows) for x in row)
     return tuple(entry_value(x) for row in reversed(t.rows) for x in row)
+
+
+def shword_boxes(t):
+    """Boxes of a shifted tableau in shifted-reading order, the two-pass read
+    that the library's one-pass shword_letters replaced.
+
+    Reads C_q R_q ... C_1 R_1 where C_i lists the primed entries of column i
+    bottom-to-top and R_i the unprimed entries of row i left-to-right.
+    """
+    rows = t.rows
+    cols = _column_rows(t.shape)
+    order = []
+    for i in range(len(cols), 0, -1):
+        for r in cols[i - 1]:
+            if entry_primed(rows[r - 1][i - r]):
+                order.append((r, i))
+        if i <= len(rows):
+            for c, x in enumerate(rows[i - 1], i):
+                if not entry_primed(x):
+                    order.append((i, c))
+    return tuple(order)
 
 
 def col_word(t):

@@ -1,4 +1,6 @@
+import argparse
 import json
+import sys
 
 import pytest
 
@@ -9,6 +11,59 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, an argparse exit
+    included; argv None reads sys.argv as the qc console script does."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParserReuse:
+    """main builds its parser once per process and reuses it."""
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        run(capsys, "insert", "21", "--flavor", "hm")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (("insert", "(4)(23)(12)", "--flavor", "speg", "--json"),
+                     ("crystal", "(1,3)", "--n", "2", "--json"),
+                     ("bump", "2134", "(2,5)"),
+                     ("expand", "(1,3)", "--n", "2"),
+                     ("class", "21", "--relation", "O")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out, argv
+        assert built == []
+
+    def test_reuse_leaks_no_state(self, capsys, monkeypatch):
+        def sequence():
+            monkeypatch.setattr(sys, "argv", ["qc", "insert", "21", "--flavor", "hm"])
+            return [outcome(capsys, argv) for argv in (
+                ["insert", "(4)(23)(12)", "--flavor", "speg", "--json"],
+                ["insert", "1", "--flavor", "xx"],
+                ["crystal", "--shape", "2,1", "--n", "2"],
+                ["verify", "dual-equivalence", "--n", "4"],
+                None,
+            )]
+
+        first = sequence()
+        assert [code for code, _, _ in first] == [0, 2, 0, 2, 0]
+        assert first[1][1] == "" and first[1][2].startswith("usage: qc insert")
+        assert "invalid choice: 'xx'" in first[1][2]
+        assert first[2][1].startswith("digraph")
+        assert first[4][1].startswith("P:\n") and first[4][2] == ""
+        assert sequence() == first
 
 
 class TestParsing:

@@ -27,7 +27,7 @@ from functools import partial
 from itertools import product
 
 import pytest
-from reference import col_word, fac_e_by_pair, fac_f_by_pair
+from reference import col_word, fac_e_by_pair, fac_f_by_pair, shword_boxes
 
 from queercrystals.bumping import (
     bump,
@@ -39,7 +39,6 @@ from queercrystals.bumping import (
 )
 from queercrystals import verify
 from queercrystals.crystals import (
-    _box_letters,
     _sort_key,
     _unpaired,
     fac_e,
@@ -75,7 +74,7 @@ from queercrystals.tableaux import (
     is_increasing,
     is_semistandard,
     shword,
-    shword_boxes,
+    shword_letters,
     standard_shifted_tableaux,
 )
 from queercrystals.verify import _bump_corpus, corpus
@@ -445,12 +444,14 @@ def check_geometry(t, indices, codes):
     col_word of t against the scans; then with_entry on every box with each
     of codes(x), and both predicates on every such variant."""
     boxes = shword_boxes_scan(t)
+    letters = shword_letters(t)
     assert shword_boxes(t) == boxes, t
-    assert shword(t) == tuple(entry_value(t.entry(r, c)) for r, c in boxes)
+    assert letters == [(b, entry_value(t.entry(*b))) for b in boxes], t
+    assert shword(t) == tuple(v for _, v in letters)
     assert col_word(t) == tuple(entry_value(x) for c in range(1, last_column(t) + 1)
                                 for _, x in reversed(column_scan(t, c)))
     for i in indices:
-        rights, lefts = _unpaired(_box_letters(t), i)
+        rights, lefts = _unpaired(letters, i)
         assert tuple(rights) + tuple(lefts) == unpaired_boxes_scan(t, i), (t, i)
         assert t.find_value(i) == next(
             (b for b in all_boxes(t) if entry_value(t.entry(*b)) == i), None)

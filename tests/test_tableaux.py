@@ -148,6 +148,11 @@ class TestEnumeration:
         for t in semistandard_shifted_tableaux((2, 1), 3):
             assert is_semistandard(t)
 
+    @pytest.mark.parametrize("shape", [(-1,), (3, -1), (0,), (2, 0), (1, 2)])
+    def test_plain_shape_not_a_partition(self, shape):
+        with pytest.raises(ValueError, match=r"^shape .* is not a partition$"):
+            semistandard_tableaux(shape, 3)
+
     @pytest.mark.parametrize("shape", [(-1,), (3, -1), (0,), (2, 0)])
     def test_shifted_shape_with_non_positive_part(self, shape):
         with pytest.raises(ValueError, match="is not a strict partition"):
