@@ -63,7 +63,6 @@ from .bumping import (
     bump_factorization,
     companion_index,
     decompose_bump,
-    delete_letter,
     push_step,
 )
 from .symchar import (

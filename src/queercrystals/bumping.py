@@ -21,7 +21,6 @@ from .permwords import (
     _ascent_states,
     _ascent_walk,
     get_flavor,
-    word_to_permutation,
 )
 
 # reduced target sigma -> the base matching conjugated by sigma, kept for
@@ -41,13 +40,6 @@ class MarkedWord:
             raise ValueError("mark out of range")
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-
-
-def delete_letter(w, i):
-    """The subword omitting the i-th letter (1-based)."""
-    if not 1 <= i <= len(w):
-        raise IndexError(f"index {i} out of range")
-    return w[:i - 1] + w[i:]
 
 
 def _walk(flavor, w):
@@ -171,8 +163,10 @@ def decompose_bump(w, pi, flavor):
 
     A new ordinary bump starts at every plain-reduced word of the chain;
     its atom is the permutation of the deleted subword at the index about
-    to be pushed, which is the mark of the next chain step.  Returns () when
-    the bump fixes w.
+    to be pushed, which is the mark of the next chain step.  That subword
+    is marked, so it is a word of the flavor's class and hence reduced:
+    the atom is its entry in the word's reduced walk table.  Returns ()
+    when the bump fixes w.
     """
     if not get_flavor(flavor).queer:
         raise ValueError("decompose_bump applies to involution and fpf flavors")
@@ -181,8 +175,9 @@ def decompose_bump(w, pi, flavor):
         return ()
     atoms = []
     for mw, nxt in zip(chain, chain[1:]):
-        if walk_table(mw.word, "reduced")[0] is not None:
-            atoms.append(word_to_permutation(delete_letter(mw.word, nxt.mark)))
+        table = walk_table(mw.word, "reduced")
+        if table[0] is not None:
+            atoms.append(table[nxt.mark])
     return tuple(atoms)
 
 

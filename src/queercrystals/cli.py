@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 pass, 1 theorem failure, 2 bad input, 3 resource cap,
-4 conjecture counterexample.
+4 conjecture counterexample, 141 output pipe closed by its reader.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -38,6 +39,7 @@ EXIT_THEOREM_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_CONJECTURE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 
 
 class InputError(ValueError):
@@ -292,7 +294,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that closed the pipe shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # drop the unwritten output, so that the flush at exit cannot fail
+        # again, and report no theorem failure
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

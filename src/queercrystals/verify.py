@@ -216,14 +216,21 @@ def _q_morphism_check(flavor, max_len=5, n=3):
     return res
 
 
+def _marked_words(words, flavor):
+    """{pi: the words of words with a pi-marked letter}, read from their walk
+    tables: the words that bump(., pi, flavor) moves."""
+    marked = {}
+    for w in words:
+        for pi in bumping.walk_table(w, flavor)[1:]:
+            if pi is not None:
+                marked.setdefault(pi, set()).add(w)
+    return marked
+
+
 def _marked_targets(words, flavor):
     """Every target pi for which some (w, i) with w in words is pi-marked,
     sorted by name."""
-    targets = set()
-    for w in words:
-        targets.update(bumping.walk_table(w, flavor)[1:])
-    targets.discard(None)
-    return sorted(targets, key=str)
+    return sorted(_marked_words(words, flavor), key=str)
 
 
 def _bump_corpus(flavor, max_len):
@@ -236,6 +243,21 @@ def _bump_corpus(flavor, max_len):
     return words, _marked_targets(words, flavor)
 
 
+def _bump_images(pi, flavor, words, moved):
+    """u -> bump(u, pi, flavor) for one target.
+
+    A word of words outside moved (its pi-marked words) has no pi-mark, so
+    the operator fixes it: that is read from the walk tables, without a
+    call to bump.  Every other word, marked or outside words, goes through
+    bump once, and its image is kept while the target's loop runs.
+    """
+    bumped = LazyMap(partial(bump, pi=pi, flavor=flavor))
+
+    def image(u):
+        return u if u in words and u not in moved else bumped[u]
+    return image
+
+
 def check_bump_properties(max_len=5, n=3):
     """Bijectivity, descent preservation, ck commutation, recording
     invariance, the factorization lift, and the atom decomposition."""
@@ -243,16 +265,15 @@ def check_bump_properties(max_len=5, n=3):
     for flavor, flav in FLAVORS.items():
         ins, ck0 = flav.insertion, flav.ck0
         words, targets = _bump_corpus(flavor, max_len)
+        marked = _marked_words(words, flavor)
         # each word's descents and ck images, whatever the target
-        sides = [(w, descent_set(w), [ck(w, i) for i in range(1, len(w) - 1)],
-                  None if ck0 is None else ck0(w)) for w in words]
+        sides = {w: (descent_set(w), [ck(w, i) for i in range(1, len(w) - 1)],
+                     None if ck0 is None else ck0(w)) for w in words}
         for pi in targets:
-            # {w: bump(w, pi, flavor)}, built per target and dropped with it:
-            # a map over every target would hold every (word, target) pair
-            bumped = LazyMap(partial(bump, pi=pi, flavor=flavor))
+            image = _bump_images(pi, flavor, sides, marked[pi])
             images = {}
-            for w, des, cks, w0 in sides:
-                v = bumped[w]
+            for w, (des, cks, w0) in sides.items():
+                v = image(w)
                 res.checks += 1
                 if v in images and images[v] != w:
                     return res.fail(f"{flavor}: bump not injective", (str(pi), w))
@@ -263,10 +284,12 @@ def check_bump_properties(max_len=5, n=3):
                     return res.fail(f"{flavor}: increment bound broken", (str(pi), w))
                 if _q_tableau(w, ins) != _q_tableau(v, ins):
                     return res.fail(f"{flavor}: recording tableau changed", (str(pi), w))
+                # a fixed word's ck images are its own, held in sides
+                fixed = v is w
                 for i, u in enumerate(cks, 1):
-                    if bumped[u] != ck(v, i):
+                    if image(u) != (u if fixed else ck(v, i)):
                         return res.fail(f"{flavor}: ck_{i} commutation", (str(pi), w))
-                if ck0 is not None and bumped[w0] != ck0(v):
+                if ck0 is not None and image(w0) != (w0 if fixed else ck0(v)):
                     return res.fail(f"{flavor}: ck_0 commutation", (str(pi), w))
                 if flav.queer and v != w:
                     atoms_seq = decompose_bump(w, pi, flavor)
@@ -279,11 +302,14 @@ def check_bump_properties(max_len=5, n=3):
         for sigma in corpus(flavor, min(max_len, 4)):
             words = enumerate_words(sigma, flavor)
             targets = _marked_targets(words, flavor)
+            # {(fac, pi): its lift}: f_i of one factorization of sigma is
+            # another, so each lift is computed once per sigma
+            lift = LazyMap(lambda key: bumping.bump_factorization(*key, flavor))
             for w in words:
                 for fac in split_word(w, n):
                     lhs_all = [(i, f_op(fac, i)) for i in indices]
                     for pi in targets:
-                        bumped = bumping.bump_factorization(fac, pi, flavor)
+                        bumped = lift[fac, pi]
                         for i, lhs in lhs_all:
                             res.checks += 1
                             if lhs is None:
@@ -291,8 +317,7 @@ def check_bump_properties(max_len=5, n=3):
                                     return res.fail(
                                         f"{flavor}: f_{i} definedness vs bump",
                                         (str(pi), fac))
-                            elif bumping.bump_factorization(
-                                    lhs, pi, flavor) != f_op(bumped, i):
+                            elif lift[lhs, pi] != f_op(bumped, i):
                                 return res.fail(
                                     f"{flavor}: bump/f_{i} commutation",
                                     (str(pi), fac))
@@ -483,10 +508,11 @@ def _translation_class(pi):
 def _conjecture_bounds(name, flavor, allowed, max_len=5):
     res = VerifyResult(name, True, conjecture=True)
     words, targets = _bump_corpus(flavor, max_len)
+    marked, held = _marked_words(words, flavor), set(words)
     for pi in targets:
-        bumped = LazyMap(partial(bump, pi=pi, flavor=flavor))  # per target
+        image = _bump_images(pi, flavor, held, marked[pi])
         for w in words:
-            v = bumped[w]
+            v = image(w)
             res.checks += 1
             if set(increments(w, v)) - allowed:
                 return res.fail(

@@ -11,12 +11,15 @@ the library's shared bump and recording loops are checked, and as the
 plain and shifted tableau classes with their own predicates and
 enumerators, against which the library's shared tableau base is checked,
 and as the two-pass shifted reading order, against which the library's
-one-pass reading is checked.
+one-pass reading is checked, and as the bump decomposition with each atom
+the plain product of a deleted subword, against which the library's
+walk-table atoms are checked.
 """
 
 from bisect import insort
 from itertools import accumulate, product
 
+from queercrystals.bumping import bump_chain, walk_table
 from queercrystals.crystals import (
     Crystal,
     VertexCapExceeded,
@@ -97,6 +100,28 @@ def atoms(pi, flavor):
     if not get_flavor(flavor).queer:
         raise ValueError("atoms are defined for involution and fpf flavors")
     return frozenset(word_to_permutation(w) for w in enumerate_words(pi, flavor))
+
+
+def delete_letter(w, i):
+    """The subword omitting the i-th letter (1-based)."""
+    if not 1 <= i <= len(w):
+        raise IndexError(f"index {i} out of range")
+    return w[:i - 1] + w[i:]
+
+
+def reference_decompose_bump(w, pi, flavor):
+    """bumping.decompose_bump with each atom the plain product of the
+    subword deleted at the next chain step's mark."""
+    if not get_flavor(flavor).queer:
+        raise ValueError("decompose_bump applies to involution and fpf flavors")
+    chain = bump_chain(w, pi, flavor)
+    if chain is None:
+        return ()
+    atoms = []
+    for mw, nxt in zip(chain, chain[1:]):
+        if walk_table(mw.word, "reduced")[0] is not None:
+            atoms.append(word_to_permutation(delete_letter(mw.word, nxt.mark)))
+    return tuple(atoms)
 
 
 def inv_grassmannian_shape(pi):

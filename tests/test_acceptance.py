@@ -188,3 +188,13 @@ def test_criterion_8_increment_bounds():
             print(f"*** CONJECTURE COUNTEREXAMPLE ({target}): "
                   f"{res.counterexample} ***")
     report(8, "increment bounds", t0)
+
+
+def test_criterion_9_deep_bounds():
+    t0 = time.time()
+    # the deep runs that take at most 0.6 s; README lists the slower ones
+    for target, max_len, checks in (("conjecture-ib-bound", 6, 69720),):
+        res = run_target(target, max_len=max_len)
+        print(f"\n{res.summary()}")
+        assert not res.ok or res.checks == checks, (target, max_len)
+    report(9, "deep bounds", t0)

@@ -1,4 +1,5 @@
 import pytest
+from reference import delete_letter
 
 from queercrystals import bumping
 from queercrystals.bumping import (
@@ -8,7 +9,6 @@ from queercrystals.bumping import (
     bump_factorization,
     companion_index,
     decompose_bump,
-    delete_letter,
     increments,
     is_marked,
     is_semi_reduced,

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -386,3 +389,27 @@ class TestInternalInvariantFailure:
         code, out, err = run(capsys, "verify", "oeg-fibers")
         assert code == cli.EXIT_THEOREM_FAIL and out == ""
         assert "theorem failure: L2(c)" in err
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe early (`qc verify ... | true`) is no
+    theorem failure: no traceback, and exit 141 instead of 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "conjecture-ib-bound", "--maxlen", "3"),
+        ("crystal", "(1,3)(2,5)"),
+    ])
+    def test_closed_read_end(self, argv):
+        src = pathlib.Path(cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "queercrystals", *argv], stdout=write,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE != cli.EXIT_THEOREM_FAIL
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""

@@ -8,8 +8,10 @@ Demazure expression, respectively a minimal-length conjugating word); these
 tests recompute membership through those and compare wholesale.  The word
 enumerator and split_word are checked against brute-force references, the
 move-table walk against a plain step loop, the bumping walk table against
-one plain walk per deleted word, verify's per-target bump map against
-bump, and the fpf walk step against pointwise conjugation.  The
+one plain walk per deleted word, verify's per-target bump map and its
+fixed-point decision from the walk tables against bump, the bump
+decomposition against plain products of the deleted subwords, and the
+fpf walk step against pointwise conjugation.  The
 shifted-tableau geometry (columns, reading order, the predicates and the
 unpaired boxes that the bracket rule leaves, all read through the
 per-shape column record) is checked against row scans through
@@ -23,16 +25,22 @@ without the increasing-factor scan against the checking constructor; and
 the carrier size counted before a build against the built carrier.
 """
 
-from functools import partial
 from itertools import product
 
 import pytest
-from reference import col_word, fac_e_by_pair, fac_f_by_pair, shword_boxes
+from reference import (
+    col_word,
+    delete_letter,
+    fac_e_by_pair,
+    fac_f_by_pair,
+    reference_decompose_bump,
+    shword_boxes,
+)
 
 from queercrystals.bumping import (
     bump,
     bump_chain,
-    delete_letter,
+    decompose_bump,
     is_semi_reduced,
     marked_indices,
     walk_table,
@@ -226,14 +234,21 @@ def test_table_walk_matches_plain_walk():
 
 
 def test_bump_map_matches_bump():
+    # verify decides an unmarked corpus word as fixed without calling bump
     for flavor in FLAVORS:
-        words, targets = _bump_corpus(flavor, 4)
+        words, targets = _bump_corpus(flavor, 5)
+        marked = verify._marked_words(words, flavor)
+        assert sorted(marked, key=str) == targets
         for pi in targets:
-            bumped = LazyMap(partial(bump, pi=pi, flavor=flavor))
-            # the second pass reads what the first stored
+            image = verify._bump_images(pi, flavor, set(words), marked[pi])
+            expected = {w: bump(w, pi, flavor) for w in words}
+            # the second pass reads the images that the first kept
             for w in words + words[::-1]:
-                assert bumped[w] == bump(w, pi, flavor)
-            assert len(bumped) == len(words)
+                assert image(w) == expected[w]
+            # a word moves exactly when it has a pi-mark
+            for w, v in expected.items():
+                assert (v != w) == (w in marked[pi]) == bool(
+                    marked_indices(w, pi, flavor))
 
 
 def semi_reduced_by_product(w, pi):
@@ -279,6 +294,48 @@ def test_walk_table_matches_per_deletion_walks():
             assert got == semi_reduced_by_product(w, pi)
             semi += got
     assert semi
+
+
+def test_words_outside_the_corpus_reach_bump(monkeypatch):
+    calls = []
+
+    def recorded(w, pi, flavor):
+        calls.append(w)
+        return bump(w, pi, flavor)
+
+    monkeypatch.setattr(verify, "bump", recorded)
+    for flavor in FLAVORS:
+        words, targets = _bump_corpus(flavor, 3)
+        marked = verify._marked_words(words, flavor)
+        outside = [w for w in _bump_corpus(flavor, 5)[0] if len(w) > 3]
+        pi = targets[0]
+        image = verify._bump_images(pi, flavor, set(words), marked[pi])
+        unmarked = next(w for w in outside if not marked_indices(w, pi, flavor))
+        calls.clear()
+        assert image(unmarked) == unmarked
+        assert calls == [unmarked]
+        # a word outside the class is not taken for a fixed point either
+        with pytest.raises(ValueError):
+            image((1, 1))
+        assert calls[-1] == (1, 1)
+        # an unmarked corpus word is decided from the tables
+        fixed = next(w for w in words if w not in marked[pi])
+        calls.clear()
+        assert image(fixed) == fixed and calls == []
+
+
+def test_decompose_bump_matches_plain_products():
+    moved = 0
+    for flavor in ("involution", "fpf"):
+        words, targets = _bump_corpus(flavor, 5)
+        marked = verify._marked_words(words, flavor)
+        for pi in targets:
+            for w in sorted(marked[pi]):
+                atoms = decompose_bump(w, pi, flavor)
+                assert None not in atoms
+                assert atoms == reference_decompose_bump(w, pi, flavor)
+                moved += 1
+    assert moved == 3572
 
 
 def test_corpus_lengths_agree_with_enumeration():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from queercrystals import cli, crystals, tableaux, verify
+from queercrystals import bumping, cli, crystals, tableaux, verify
 from queercrystals.verify import TARGETS, VerifyResult, corpus, run_target
 
 
@@ -94,3 +94,40 @@ def test_planted_bug_is_reported(name, module, attr, bug, bounds, flags,
     assert code == (cli.EXIT_CONJECTURE if res.conjecture
                     else cli.EXIT_THEOREM_FAIL)
     assert f"{name}: {status}" in out
+
+
+# Push-rule mutants: bumping._push_in_place made constant, and what each bump
+# target reports at --maxlen 3, as stdout or as stderr.  Always pushing in
+# place breaks descents and increments; never doing so leaves a stable word
+# without a companion, an internal invariant failure.
+NO_COMPANION = "theorem failure: expected a unique companion for {} mark 2, got []\n"
+PUSH_MUTANTS = [
+    (True, "bump-properties", cli.EXIT_THEOREM_FAIL,
+     "bump-properties: FAIL (50 checks)\n"
+     "  counterexample: ('(1,2)(3,4)', (1, 2, 3))\n"
+     "  reduced: descents not preserved\n", ""),
+    (True, "conjecture-ib-bound", cli.EXIT_CONJECTURE,
+     "conjecture-ib-bound: COUNTEREXAMPLE (88 checks)\n"
+     "  counterexample: ('(1,2)(3,4)', (1, 2, 3), (1, 4, 3))\n"
+     "  increment outside [0, 1]: (1, 2, 3) -> (1, 4, 3)\n", ""),
+    (True, "conjecture-fb-bound", cli.EXIT_CONJECTURE,
+     "conjecture-fb-bound: COUNTEREXAMPLE (65 checks)\n"
+     "  counterexample: ('(1,3)(2,4)(5,7)(6,8)', (2, 4, 6), (2, 8, 6))\n"
+     "  increment outside [0, 1, 2]: (2, 4, 6) -> (2, 8, 6)\n", ""),
+    (False, "bump-properties", cli.EXIT_THEOREM_FAIL, "",
+     NO_COMPANION.format("(1, 2)")),
+    (False, "conjecture-ib-bound", cli.EXIT_THEOREM_FAIL, "",
+     NO_COMPANION.format("(1, 2)")),
+    (False, "conjecture-fb-bound", cli.EXIT_THEOREM_FAIL, "",
+     NO_COMPANION.format("(2, 1)")),
+]
+
+
+@pytest.mark.parametrize("in_place,name,code,out,err", PUSH_MUTANTS,
+                         ids=[f"{case[1]}-{case[0]}" for case in PUSH_MUTANTS])
+def test_push_rule_mutant_is_reported(in_place, name, code, out, err,
+                                      monkeypatch, capsys):
+    monkeypatch.setattr(bumping, "_push_in_place",
+                        lambda w, pi, flavor: in_place)
+    assert cli.main(["verify", name, "--maxlen", "3"]) == code
+    assert capsys.readouterr() == (out, err)
