@@ -61,9 +61,7 @@ from .bumping import (
     bump,
     bump_chain,
     bump_factorization,
-    companion_index,
     decompose_bump,
-    push_step,
 )
 from .symchar import (
     Polynomial,

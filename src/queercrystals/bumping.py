@@ -31,15 +31,10 @@ _base_conjugates = LazyMap(
 
 @dataclass(frozen=True)
 class MarkedWord:
+    """One word of a push chain, built by `bump_chain`."""
     word: tuple
     mark: int  # 1-based index
     flavor: str
-
-    def __post_init__(self):
-        if not 1 <= self.mark <= len(self.word):
-            raise ValueError("mark out of range")
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
 
 
 def _walk(flavor, w):
@@ -66,13 +61,6 @@ def walk_table(w, flavor):
     return _walk_tables[get_flavor(flavor).name][tuple(w)]
 
 
-def is_marked(w, i, pi, flavor):
-    """Whether (w, i) is a pi-marked word of the flavor."""
-    if not 1 <= i <= len(w):
-        raise IndexError(f"index {i} out of range")
-    return walk_table(w, flavor)[i] == pi
-
-
 def marked_indices(w, pi, flavor):
     table = walk_table(w, flavor)
     return tuple(i for i in range(1, len(table)) if table[i] == pi)
@@ -93,26 +81,6 @@ def _push_in_place(w, pi, flavor):
     return walk_table(w, flavor)[0] is not None or is_semi_reduced(w, pi)
 
 
-def companion_index(w, i, pi, flavor):
-    """The unique j != i with (w, j) also pi-marked."""
-    cands = [j for j in marked_indices(w, pi, flavor) if j != i]
-    if len(cands) != 1:
-        raise RuntimeError(
-            f"expected a unique companion for {w} mark {i}, got {cands}")
-    return cands[0]
-
-
-def push_step(mw, pi):
-    """One push/ipush/fpush step on a marked word."""
-    w, i, flavor = mw.word, mw.mark, mw.flavor
-    if not is_marked(w, i, pi, flavor):
-        raise ValueError(f"({w}, {i}) is not marked for {pi}")
-    j = i if _push_in_place(w, pi, flavor) else companion_index(
-        w, i, pi, flavor)
-    v = w[:j - 1] + (w[j - 1] + 1,) + w[j:]
-    return MarkedWord(v, j, flavor)
-
-
 def _iteration_cap(w):
     span = (max(w) - min(w) + 2) if w else 1
     return 10 * max(len(w), 1) * span
@@ -120,9 +88,16 @@ def _iteration_cap(w):
 
 def bump_chain(w, pi, flavor):
     """The full push chain: the list of marked words visited, or None when
-    no letter of w is marked for pi (the operator fixes w)."""
+    no letter of w is marked for pi (the operator fixes w).
+
+    The one statement of the push rule.  A step increments the marked
+    letter when the word pushes in place, else the unique other pi-marked
+    letter of its walk table; either stays marked, as deleting it leaves
+    the same subword.  The chain stops at the first word of the class.
+    """
     w = tuple(w)
-    if walk_table(w, flavor)[0] is None:
+    table = walk_table(w, flavor)
+    if table[0] is None:
         raise ValueError(f"{w} is not in the {flavor} word class")
     marks = marked_indices(w, pi, flavor)
     if not marks:
@@ -131,12 +106,20 @@ def bump_chain(w, pi, flavor):
         raise RuntimeError(
             f"strong exchange violated: several marks {marks} on {w}")
     cap = _iteration_cap(w)
-    mw = MarkedWord(w, marks[0], flavor)
-    chain = [mw]
+    v, i = w, marks[0]
+    chain = [MarkedWord(v, i, flavor)]
     for _ in range(cap):
-        mw = push_step(mw, pi)
-        chain.append(mw)
-        if walk_table(mw.word, flavor)[0] is not None:
+        if not _push_in_place(v, pi, flavor):
+            cands = [j for j in range(1, len(table))
+                     if table[j] == pi and j != i]
+            if len(cands) != 1:
+                raise RuntimeError(
+                    f"expected a unique companion for {v} mark {i}, got {cands}")
+            i = cands[0]
+        v = v[:i - 1] + (v[i - 1] + 1,) + v[i:]
+        chain.append(MarkedWord(v, i, flavor))
+        table = walk_table(v, flavor)
+        if table[0] is not None:
             return chain
     raise RuntimeError(f"push chain from {w} exceeded {cap} steps")
 

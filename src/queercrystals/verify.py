@@ -217,30 +217,25 @@ def _q_morphism_check(flavor, max_len=5, n=3):
 
 
 def _marked_words(words, flavor):
-    """{pi: the words of words with a pi-marked letter}, read from their walk
-    tables: the words that bump(., pi, flavor) moves."""
+    """{pi: the words of words with a pi-marked letter}, ordered by str(pi)
+    and read in one pass over their walk tables: the words that
+    bump(., pi, flavor) moves."""
     marked = {}
     for w in words:
         for pi in bumping.walk_table(w, flavor)[1:]:
             if pi is not None:
                 marked.setdefault(pi, set()).add(w)
-    return marked
-
-
-def _marked_targets(words, flavor):
-    """Every target pi for which some (w, i) with w in words is pi-marked,
-    sorted by name."""
-    return sorted(_marked_words(words, flavor), key=str)
+    return dict(sorted(marked.items(), key=lambda item: str(item[0])))
 
 
 def _bump_corpus(flavor, max_len):
-    """The corpus words of the flavor, sorted, and every bump target marked
-    on one of them, sorted by name."""
+    """The corpus words of the flavor, sorted, and {pi: its pi-marked words}
+    for every bump target marked on one of them, ordered by name."""
     words = set()
     for pi in corpus(flavor, max_len):
         words.update(enumerate_words(pi, flavor))
     words = sorted(words)
-    return words, _marked_targets(words, flavor)
+    return words, _marked_words(words, flavor)
 
 
 def _bump_images(pi, flavor, words, moved):
@@ -264,28 +259,28 @@ def check_bump_properties(max_len=5, n=3):
     res = VerifyResult("bump-properties", True)
     for flavor, flav in FLAVORS.items():
         ins, ck0 = flav.insertion, flav.ck0
-        words, targets = _bump_corpus(flavor, max_len)
-        marked = _marked_words(words, flavor)
+        words, marked = _bump_corpus(flavor, max_len)
         # each word's descents and ck images, whatever the target
         sides = {w: (descent_set(w), [ck(w, i) for i in range(1, len(w) - 1)],
                      None if ck0 is None else ck0(w)) for w in words}
-        for pi in targets:
-            image = _bump_images(pi, flavor, sides, marked[pi])
+        for pi, moved in marked.items():
+            image = _bump_images(pi, flavor, sides, moved)
             images = {}
             for w, (des, cks, w0) in sides.items():
                 v = image(w)
+                # a fixed word: its increments are 0 and its ck images are
+                # its own, held in sides
+                fixed = v is w
                 res.checks += 1
                 if v in images and images[v] != w:
                     return res.fail(f"{flavor}: bump not injective", (str(pi), w))
                 images[v] = w
                 if descent_set(v) != des:
                     return res.fail(f"{flavor}: descents not preserved", (str(pi), w))
-                if not flav.queer and set(increments(w, v)) - {0, 1}:
+                if not (flav.queer or fixed) and set(increments(w, v)) - {0, 1}:
                     return res.fail(f"{flavor}: increment bound broken", (str(pi), w))
                 if _q_tableau(w, ins) != _q_tableau(v, ins):
                     return res.fail(f"{flavor}: recording tableau changed", (str(pi), w))
-                # a fixed word's ck images are its own, held in sides
-                fixed = v is w
                 for i, u in enumerate(cks, 1):
                     if image(u) != (u if fixed else ck(v, i)):
                         return res.fail(f"{flavor}: ck_{i} commutation", (str(pi), w))
@@ -301,7 +296,7 @@ def check_bump_properties(max_len=5, n=3):
         indices = crystal_indices(n, flav.queer)
         for sigma in corpus(flavor, min(max_len, 4)):
             words = enumerate_words(sigma, flavor)
-            targets = _marked_targets(words, flavor)
+            targets = _marked_words(words, flavor)
             # {(fac, pi): its lift}: f_i of one factorization of sigma is
             # another, so each lift is computed once per sigma
             lift = LazyMap(lambda key: bumping.bump_factorization(*key, flavor))
@@ -507,14 +502,15 @@ def _translation_class(pi):
 
 def _conjecture_bounds(name, flavor, allowed, max_len=5):
     res = VerifyResult(name, True, conjecture=True)
-    words, targets = _bump_corpus(flavor, max_len)
-    marked, held = _marked_words(words, flavor), set(words)
-    for pi in targets:
-        image = _bump_images(pi, flavor, held, marked[pi])
+    words, marked = _bump_corpus(flavor, max_len)
+    held = set(words)
+    for pi, moved in marked.items():
+        image = _bump_images(pi, flavor, held, moved)
         for w in words:
             v = image(w)
             res.checks += 1
-            if set(increments(w, v)) - allowed:
+            # a fixed word's increments are all 0
+            if v is not w and set(increments(w, v)) - allowed:
                 return res.fail(
                     f"increment outside {sorted(allowed)}: {w} -> {v}",
                     (str(pi), w, v))

@@ -13,13 +13,22 @@ enumerators, against which the library's shared tableau base is checked,
 and as the two-pass shifted reading order, against which the library's
 one-pass reading is checked, and as the bump decomposition with each atom
 the plain product of a deleted subword, against which the library's
-walk-table atoms are checked.
+walk-table atoms are checked, and as the step-by-step push chain (a mark
+test, one push step and one companion search at a time), against which
+the library's one push loop is checked.
 """
 
 from bisect import insort
 from itertools import accumulate, product
 
-from queercrystals.bumping import bump_chain, walk_table
+from queercrystals.bumping import (
+    MarkedWord,
+    _iteration_cap,
+    _push_in_place,
+    bump_chain,
+    marked_indices,
+    walk_table,
+)
 from queercrystals.crystals import (
     Crystal,
     VertexCapExceeded,
@@ -107,6 +116,45 @@ def delete_letter(w, i):
     if not 1 <= i <= len(w):
         raise IndexError(f"index {i} out of range")
     return w[:i - 1] + w[i:]
+
+
+def is_marked(w, i, pi, flavor):
+    """Whether (w, i) is a pi-marked word of the flavor."""
+    if not 1 <= i <= len(w):
+        raise IndexError(f"index {i} out of range")
+    return walk_table(w, flavor)[i] == pi
+
+
+def companion_index(w, i, pi, flavor):
+    """The unique j != i with (w, j) also pi-marked."""
+    cands = [j for j in marked_indices(w, pi, flavor) if j != i]
+    if len(cands) != 1:
+        raise RuntimeError(
+            f"expected a unique companion for {w} mark {i}, got {cands}")
+    return cands[0]
+
+
+def push_step(mw, pi):
+    """One push/ipush/fpush step on a marked word, which it checks first."""
+    w, i, flavor = mw.word, mw.mark, mw.flavor
+    if not is_marked(w, i, pi, flavor):
+        raise ValueError(f"({w}, {i}) is not marked for {pi}")
+    j = i if _push_in_place(w, pi, flavor) else companion_index(
+        w, i, pi, flavor)
+    v = w[:j - 1] + (w[j - 1] + 1,) + w[j:]
+    return MarkedWord(v, j, flavor)
+
+
+def reference_bump_chain(w, pi, flavor):
+    """bumping.bump_chain on a word of the flavor's class with one pi-mark:
+    push_step repeated until a word of the class, within the same cap."""
+    (mark,) = marked_indices(w, pi, flavor)
+    chain = [MarkedWord(tuple(w), mark, flavor)]
+    for _ in range(_iteration_cap(w)):
+        chain.append(push_step(chain[-1], pi))
+        if walk_table(chain[-1].word, flavor)[0] is not None:
+            return chain
+    raise RuntimeError(f"push chain from {w} exceeded the cap")
 
 
 def reference_decompose_bump(w, pi, flavor):

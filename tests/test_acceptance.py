@@ -169,11 +169,11 @@ def test_criterion_8_increment_bounds():
     t0 = time.time()
     # the proven bound for ordinary bumps is asserted
     from queercrystals.permwords import enumerate_words, reduced_words
-    from queercrystals.verify import _marked_targets, corpus
+    from queercrystals.verify import _marked_words, corpus
 
     for sigma in corpus("reduced", 5):
         for w in reduced_words(sigma):
-            for target in _marked_targets([w], "reduced"):
+            for target in _marked_words([w], "reduced"):
                 v = bump(w, target, "reduced")
                 assert set(increments(w, v)) <= {0, 1}, (w, target)
     # the conjectural bounds are checked and reported, never asserted
@@ -193,7 +193,8 @@ def test_criterion_8_increment_bounds():
 def test_criterion_9_deep_bounds():
     t0 = time.time()
     # the deep runs that take at most 0.6 s; README lists the slower ones
-    for target, max_len, checks in (("conjecture-ib-bound", 6, 69720),):
+    for target, max_len, checks in (("conjecture-ib-bound", 6, 69720),
+                                    ("conjecture-fb-bound", 6, 76185)):
         res = run_target(target, max_len=max_len)
         print(f"\n{res.summary()}")
         assert not res.ok or res.checks == checks, (target, max_len)

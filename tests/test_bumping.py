@@ -1,5 +1,5 @@
 import pytest
-from reference import delete_letter
+from reference import companion_index, delete_letter, is_marked, push_step
 
 from queercrystals import bumping
 from queercrystals.bumping import (
@@ -7,13 +7,10 @@ from queercrystals.bumping import (
     bump,
     bump_chain,
     bump_factorization,
-    companion_index,
     decompose_bump,
     increments,
-    is_marked,
     is_semi_reduced,
     marked_indices,
-    push_step,
     replay_decomposition,
 )
 from queercrystals.insertion import Factorization, oeg_insert, speg_insert, split_word
@@ -133,13 +130,13 @@ class TestDecomposition:
         assert replay_decomposition((2, 4, 3), atoms) == (4, 6, 5)
 
     def test_replay_on_corpus(self):
-        from queercrystals.verify import _marked_targets, corpus
+        from queercrystals.verify import _marked_words, corpus
 
         for flavor in ("involution", "fpf"):
             count = 0
             for pi in corpus(flavor, 4):
                 for w in enumerate_words(pi, flavor):
-                    for target in _marked_targets([w], flavor):
+                    for target in _marked_words([w], flavor):
                         v = bump(w, target, flavor)
                         if v == w:
                             continue
@@ -176,31 +173,31 @@ class TestProperties:
         assert out.weight() == fac.weight()
         assert out.word() == bump(fac.word(), PI25, "involution")
         # re-split factors stay strictly increasing across a small corpus
-        from queercrystals.verify import _marked_targets, corpus
+        from queercrystals.verify import _marked_words, corpus
 
         for pi in corpus("involution", 4)[:12]:
             for w in enumerate_words(pi, "involution"):
-                for target in _marked_targets([w], "involution"):
+                for target in _marked_words([w], "involution"):
                     for fac in split_word(w, 2):
                         bump_factorization(fac, target, "involution")
 
     def test_factorization_bump_preserves_recording(self):
-        from queercrystals.verify import _marked_targets, corpus
+        from queercrystals.verify import _marked_words, corpus
 
         for pi in corpus("involution", 4)[:10]:
             for w in enumerate_words(pi, "involution"):
-                for target in _marked_targets([w], "involution"):
+                for target in _marked_words([w], "involution"):
                     for fac in split_word(w, 2):
                         out = bump_factorization(fac, target, "involution")
                         assert oeg_insert(out, check=False).Q == \
                             oeg_insert(fac, check=False).Q
 
     def test_increment_bound_plain(self):
-        from queercrystals.verify import _marked_targets, corpus
+        from queercrystals.verify import _marked_words, corpus
         from queercrystals.permwords import reduced_words
 
         for pi in corpus("reduced", 4)[:15]:
             for w in reduced_words(pi):
-                for target in _marked_targets([w], "reduced"):
+                for target in _marked_words([w], "reduced"):
                     v = bump(w, target, "reduced")
                     assert set(increments(w, v)) <= {0, 1}

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from queercrystals import cli, crystals
+from queercrystals import bumping, cli, crystals
 
 
 def run(capsys, *argv):
@@ -380,6 +380,14 @@ class TestInternalInvariantFailure:
                              "--flavor", "involution")
         assert code == cli.EXIT_THEOREM_FAIL and out == ""
         assert "theorem failure: expected a unique companion for (2, 1, 3, 4)" in err
+
+    def test_push_chain_over_its_cap_exit_1(self, capsys, monkeypatch):
+        # the README chain takes four push steps
+        monkeypatch.setattr(bumping, "_iteration_cap", lambda w: 1)
+        code, out, err = run(capsys, "bump", "2134", "(2,5)")
+        assert (code, out, err) == (
+            cli.EXIT_THEOREM_FAIL, "",
+            "theorem failure: push chain from (2, 1, 3, 4) exceeded 1 steps\n")
 
     def test_target_runtime_error_exit_1(self, capsys, monkeypatch):
         def broken(max_len=5, n=3):

@@ -10,7 +10,8 @@ enumerator and split_word are checked against brute-force references, the
 move-table walk against a plain step loop, the bumping walk table against
 one plain walk per deleted word, verify's per-target bump map and its
 fixed-point decision from the walk tables against bump, the bump
-decomposition against plain products of the deleted subwords, and the
+decomposition against plain products of the deleted subwords, the one
+push loop against the step-by-step push chain, and the
 fpf walk step against pointwise conjugation.  The
 shifted-tableau geometry (columns, reading order, the predicates and the
 unpaired boxes that the bracket rule leaves, all read through the
@@ -33,6 +34,7 @@ from reference import (
     delete_letter,
     fac_e_by_pair,
     fac_f_by_pair,
+    reference_bump_chain,
     reference_decompose_bump,
     shword_boxes,
 )
@@ -236,18 +238,17 @@ def test_table_walk_matches_plain_walk():
 def test_bump_map_matches_bump():
     # verify decides an unmarked corpus word as fixed without calling bump
     for flavor in FLAVORS:
-        words, targets = _bump_corpus(flavor, 5)
-        marked = verify._marked_words(words, flavor)
-        assert sorted(marked, key=str) == targets
-        for pi in targets:
-            image = verify._bump_images(pi, flavor, set(words), marked[pi])
+        words, marked = _bump_corpus(flavor, 5)
+        assert list(marked) == sorted(marked, key=str)
+        for pi, moved in marked.items():
+            image = verify._bump_images(pi, flavor, set(words), moved)
             expected = {w: bump(w, pi, flavor) for w in words}
             # the second pass reads the images that the first kept
             for w in words + words[::-1]:
                 assert image(w) == expected[w]
             # a word moves exactly when it has a pi-mark
             for w, v in expected.items():
-                assert (v != w) == (w in marked[pi]) == bool(
+                assert (v != w) == (w in moved) == bool(
                     marked_indices(w, pi, flavor))
 
 
@@ -267,12 +268,12 @@ def semi_reduced_by_product(w, pi):
 def chain_words(flavor):
     """The default-bound bump corpus of the flavor, its targets, and the
     (word, target) pairs on the bump chains of every corpus word."""
-    words, targets = _bump_corpus(flavor, 5)
+    words, marked = _bump_corpus(flavor, 5)
     pairs = set()
-    for pi in targets:
+    for pi in marked:
         for w in words:
             pairs.update((mw.word, pi) for mw in bump_chain(w, pi, flavor) or ())
-    return words, targets, pairs
+    return words, list(marked), pairs
 
 
 def test_walk_table_matches_per_deletion_walks():
@@ -305,11 +306,10 @@ def test_words_outside_the_corpus_reach_bump(monkeypatch):
 
     monkeypatch.setattr(verify, "bump", recorded)
     for flavor in FLAVORS:
-        words, targets = _bump_corpus(flavor, 3)
-        marked = verify._marked_words(words, flavor)
+        words, marked = _bump_corpus(flavor, 3)
         outside = [w for w in _bump_corpus(flavor, 5)[0] if len(w) > 3]
-        pi = targets[0]
-        image = verify._bump_images(pi, flavor, set(words), marked[pi])
+        pi, moved = next(iter(marked.items()))
+        image = verify._bump_images(pi, flavor, set(words), moved)
         unmarked = next(w for w in outside if not marked_indices(w, pi, flavor))
         calls.clear()
         assert image(unmarked) == unmarked
@@ -319,7 +319,7 @@ def test_words_outside_the_corpus_reach_bump(monkeypatch):
             image((1, 1))
         assert calls[-1] == (1, 1)
         # an unmarked corpus word is decided from the tables
-        fixed = next(w for w in words if w not in marked[pi])
+        fixed = next(w for w in words if w not in moved)
         calls.clear()
         assert image(fixed) == fixed and calls == []
 
@@ -327,15 +327,28 @@ def test_words_outside_the_corpus_reach_bump(monkeypatch):
 def test_decompose_bump_matches_plain_products():
     moved = 0
     for flavor in ("involution", "fpf"):
-        words, targets = _bump_corpus(flavor, 5)
-        marked = verify._marked_words(words, flavor)
-        for pi in targets:
-            for w in sorted(marked[pi]):
+        _, marked = _bump_corpus(flavor, 5)
+        for pi, words in marked.items():
+            for w in sorted(words):
                 atoms = decompose_bump(w, pi, flavor)
                 assert None not in atoms
                 assert atoms == reference_decompose_bump(w, pi, flavor)
                 moved += 1
     assert moved == 3572
+
+
+def test_bump_chain_matches_step_by_step_pushes():
+    # one loop in the library, one checked push_step at a time here
+    pairs = 0
+    for flavor in FLAVORS:
+        _, marked = _bump_corpus(flavor, 5)
+        for pi, words in marked.items():
+            for w in sorted(words):
+                expected = reference_bump_chain(w, pi, flavor)
+                assert [(m.word, m.mark) for m in bump_chain(w, pi, flavor)] \
+                    == [(m.word, m.mark) for m in expected]
+                pairs += 1
+    assert pairs == 4444
 
 
 def test_corpus_lengths_agree_with_enumeration():

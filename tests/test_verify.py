@@ -96,6 +96,22 @@ def test_planted_bug_is_reported(name, module, attr, bug, bounds, flags,
     assert f"{name}: {status}" in out
 
 
+def test_increments_only_on_moved_pairs(monkeypatch):
+    # a fixed (word, target) pair has increments 0 and is not asked for them
+    calls = []
+
+    def counted(w, v):
+        calls.append(w)
+        return bumping.increments(w, v)
+
+    monkeypatch.setattr(verify, "increments", counted)
+    assert run_target("conjecture-ib-bound", max_len=4).ok
+    words = verify._bump_corpus("involution", 4)[0]
+    marked = verify._marked_words(words, "involution")
+    assert sum(len(moved) for moved in marked.values()) == 753
+    assert len(calls) == 753
+
+
 # Push-rule mutants: bumping._push_in_place made constant, and what each bump
 # target reports at --maxlen 3, as stdout or as stderr.  Always pushing in
 # place breaks descents and increments; never doing so leaves a stable word
