@@ -26,7 +26,7 @@ from .permwords import (
 # reduced target sigma -> the base matching conjugated by sigma, kept for
 # the process: a few hundred sigma recur over thousands of calls
 _base_conjugates = LazyMap(
-    lambda sigma: FpfInvolution.identity().conjugate_by(sigma))
+    lambda sigma: FpfInvolution().conjugate_by(sigma))
 
 
 @dataclass(frozen=True)

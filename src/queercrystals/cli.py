@@ -20,10 +20,10 @@ from .crystals import (
     factorization_crystal,
     factorization_crystal_size,
     shifted_tableau_crystal,
-    vertex_cap,
 )
 from .insertion import Factorization, insert
 from .permwords import (
+    DEFAULT_VERTEX_CAP,
     FLAVORS,
     equivalence_class,
     get_flavor,
@@ -146,16 +146,22 @@ def check_cap(size, cap):
 
 
 def env_cap():
-    """vertex_cap(), a malformed QC_VERTEX_CAP being bad input."""
+    """QC_VERTEX_CAP, or DEFAULT_VERTEX_CAP when it is unset; a value that
+    is not an integer >= 0 is bad input."""
+    text = os.environ.get("QC_VERTEX_CAP")
+    if text is None:
+        return DEFAULT_VERTEX_CAP
     try:
-        return vertex_cap()
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise InputError(f"QC_VERTEX_CAP={text!r} is not an integer >= 0")
 
 
 def cmd_crystal(args):
     cap = env_cap() if args.cap is None else args.cap
-    if args.shape:
+    if args.shape is not None:
         if args.perm:
             raise InputError("a target cannot be given together with --shape")
         if args.flavor:

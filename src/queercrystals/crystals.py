@@ -9,14 +9,12 @@ never materialized.
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from itertools import permutations, product
 from math import comb
 
 from .insertion import Factorization, split_word
 from .permwords import (
-    DEFAULT_VERTEX_CAP,
     LazyMap,
     Permutation,
     VertexCapExceeded,
@@ -40,20 +38,6 @@ from .tableaux import weight as tab_weight
 QBAR = "1bar"
 
 STRING_CAP = 10_000  # longest i-string walked before VertexCapExceeded
-
-
-def vertex_cap():
-    """QC_VERTEX_CAP, or DEFAULT_VERTEX_CAP when it is unset; a value that
-    is not an integer >= 0 raises ValueError."""
-    text = os.environ.get("QC_VERTEX_CAP")
-    if text is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise ValueError(f"QC_VERTEX_CAP={text!r} is not an integer >= 0")
 
 
 def crystal_indices(n, queer):
@@ -368,11 +352,12 @@ class Crystal:
     """A finite crystal with explicit operator maps.
 
     indices lists the operator labels, QBAR first for queer crystals.
-    f(x, i) and e(x, i) are the raw operators, None when undefined; every
-    reader except axioms_report goes through the tables f_table and e_table,
-    {(x, i): f(x, i)} and {(x, i): e(x, i)}, which compute each (x, i) at its
-    first lookup and which the components share.  They live and die with the
-    carrier: a process-wide table would keep every carrier's edges.
+    f(x, i) and e(x, i) are the raw operators, None when undefined; they
+    only fill the tables f_table and e_table, {(x, i): f(x, i)} and
+    {(x, i): e(x, i)}, through which every reader goes.  The tables compute
+    each (x, i) at its first lookup and the components share them.  They
+    live and die with the carrier: a process-wide table would keep every
+    carrier's edges.
     """
 
     def __init__(self, vertices, n, wt, f, e, queer, name="", tables=None):
@@ -394,9 +379,6 @@ class Crystal:
 
     def __len__(self):
         return len(self.vertices)
-
-    def __contains__(self, x):
-        return x in self.vertex_set
 
     def edges(self):
         """All labeled edges (x, i, y) with y = f_i(x), in canonical order:
@@ -722,6 +704,7 @@ def even_target_sp(m):
 def axioms_report(crys):
     """Violations of the crystal axioms; empty means a clean pass."""
     bad = []
+    f, e = crys.f_table, crys.e_table
     gl = [i for i in crys.indices if i != QBAR]
     delta = {}  # f_i moves one unit of weight from coordinate k to k+1
     for i in crys.indices:
@@ -730,14 +713,14 @@ def axioms_report(crys):
     for x in crys.vertices:
         wtx = crys.wt(x)
         for i in crys.indices:
-            y = crys.f(x, i)
+            y = f[x, i]
             if y is not None:
-                if crys.e(y, i) != x:
+                if e[y, i] != x:
                     bad.append(f"pairing: e_{i}(f_{i}(x)) != x at {pretty_element(x)}")
                 if tuple(a + d for a, d in zip(wtx, delta[i])) != crys.wt(y):
                     bad.append(f"weight shift across f_{i} at {pretty_element(x)}")
-            z = crys.e(x, i)
-            if z is not None and crys.f(z, i) != x:
+            z = e[x, i]
+            if z is not None and f[z, i] != x:
                 bad.append(f"pairing: f_{i}(e_{i}(x)) != x at {pretty_element(x)}")
         for i in gl:
             eps, phi = crys.string_lengths(x, i)
@@ -752,7 +735,7 @@ def axioms_report(crys):
                 bad.append(f"queer string bound at {pretty_element(x)}")
             if (wtx[0] != 0 or wtx[1] != 0) and eps + phi != 1:
                 bad.append(f"queer string equality at {pretty_element(x)}")
-            c = crys.e(x, QBAR)
+            c = e[x, QBAR]
             if c is not None:
                 for i in far:
                     if crys.string_lengths(x, i) != \
@@ -760,21 +743,15 @@ def axioms_report(crys):
                         bad.append(
                             f"queer string preservation at {pretty_element(x)}, i={i}")
             for i in far:
-                for qop in (lambda v: crys.e(v, QBAR), lambda v: crys.f(v, QBAR)):
-                    for gop in (lambda v: crys.e(v, i), lambda v: crys.f(v, i)):
-                        a = _chain(qop, gop, x)
-                        b = _chain(gop, qop, x)
-                        if a != b:
+                for q in (e, f):
+                    for g in (e, f):
+                        gx, qx = g[x, i], q[x, QBAR]
+                        qgx = None if gx is None else q[gx, QBAR]
+                        gqx = None if qx is None else g[qx, i]
+                        if qgx != gqx:
                             bad.append(
                                 f"queer commutation at {pretty_element(x)}, i={i}")
     return bad
-
-
-def _chain(op1, op2, x):
-    y = op2(x)
-    if y is None:
-        return None
-    return op1(y)
 
 
 def morphism_report(phi, dom, cod):

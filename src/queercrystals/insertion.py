@@ -59,9 +59,6 @@ class Factorization(tuple):
     def __str__(self):
         return "".join("(" + "".join(map(str, f)) + ")" for f in self) or "()"
 
-    def to_json(self):
-        return [list(f) for f in self]
-
 
 def split_word(w, n):
     """All ways to cut w into n strictly increasing, possibly empty factors.

@@ -53,10 +53,6 @@ class Permutation:
         self._map = m
 
     @classmethod
-    def identity(cls):
-        return cls()
-
-    @classmethod
     def s(cls, i):
         """The simple transposition s_i = (i, i+1)."""
         return cls({i: i + 1, i + 1: i})
@@ -96,11 +92,6 @@ class Permutation:
 
     def is_identity(self):
         return not self.pairs
-
-    def __mul__(self, other):
-        """Composition: (self * other)(x) = self(other(x))."""
-        keys = set(self.support()) | set(other.support())
-        return Permutation({i: self(other(i)) for i in keys})
 
     def inverse(self):
         return Permutation({b: a for a, b in self.pairs})
@@ -180,9 +171,6 @@ class Permutation:
         """Conjugation by translation: i -> pi(i - m) + m."""
         return Permutation({a + m: b + m for a, b in self.pairs})
 
-    def to_json(self):
-        return [list(p) for p in self.pairs]
-
 
 class FpfInvolution:
     """A fixed-point-free involution of Z equal to the base matching
@@ -223,11 +211,6 @@ class FpfInvolution:
         )
         self.cycles = tuple(kept)
         self._map = {x: y for c in kept for x, y in (c, c[::-1])}
-
-    @classmethod
-    def identity(cls):
-        """The base matching 1_fpf itself."""
-        return cls()
 
     @classmethod
     def from_cycles(cls, cycles):
@@ -318,13 +301,10 @@ class FpfInvolution:
             raise ValueError("fpf involutions only shift by even integers")
         return FpfInvolution((a + m, b + m) for a, b in self.cycles)
 
-    def to_json(self):
-        return {"flavor": "fpf", "cycles": [list(c) for c in self.cycles]}
-
 
 def word_to_permutation(w):
     """The product s_{w_1} s_{w_2} ... s_{w_l}."""
-    pi = Permutation.identity()
+    pi = Permutation()
     for a in w:
         pi = pi.times_s(a)
     return pi

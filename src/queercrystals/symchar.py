@@ -8,11 +8,16 @@ independent oracles for crystal characters.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 from .crystals import _trim
-from .tableaux import semistandard_shifted_tableaux, semistandard_tableaux, weight
+from .tableaux import (
+    is_partition,
+    is_strict_partition,
+    semistandard_shifted_tableaux,
+    semistandard_tableaux,
+    weight,
+)
 
 
 class Polynomial:
@@ -32,19 +37,12 @@ class Polynomial:
                 data[exps] = data.get(exps, 0) + coeff
         self.terms = {e: c for e, c in data.items() if c}
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.n == other.n
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -58,15 +56,9 @@ class Polynomial:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(self.n, out)
+    def __mul__(self, k):
+        """Scaling by the integer k."""
+        return Polynomial(self.n, {e: c * k for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -99,9 +91,6 @@ class Polynomial:
             out[tuple(f)] = c
         return Polynomial(self.n, out)
 
-    def to_json(self):
-        return [[list(e), c] for e, c in sorted(self.terms.items())]
-
 
 def is_symmetric(p):
     return all(p.swap_variables(i) == p for i in range(1, p.n))
@@ -133,7 +122,7 @@ def schur_poly(shape, n):
     """The Schur polynomial as the generating function of Tab_n(shape)."""
     shape = tuple(shape)
     if len(shape) > n:
-        return Polynomial.zero(n)
+        return Polynomial(n)
     out = {}
     for t in semistandard_tableaux(shape, n):
         e = weight(t, n)
@@ -146,7 +135,7 @@ def schurp_poly(shape, n):
     """The Schur P-polynomial via semistandard shifted tableaux."""
     shape = tuple(shape)
     if len(shape) > n:
-        return Polynomial.zero(n)
+        return Polynomial(n)
     out = {}
     for t in semistandard_shifted_tableaux(shape, n):
         e = weight(t, n)
@@ -161,7 +150,7 @@ def stanley_poly(pi, flavor, n):
     return character(factorization_crystal(pi, flavor, n))
 
 
-def expand(p, basis, min_n=None):
+def expand(p, basis):
     """Coefficients of p in the Schur ("schur") or Schur-P ("schurP") basis.
 
     Greedy elimination on the lexicographically leading monomial, whose
@@ -169,13 +158,11 @@ def expand(p, basis, min_n=None):
     term raises ValueError.  Coefficients may come out negative; callers
     enforce positivity where a theorem provides it.
     """
-    if basis not in ("schur", "schurP"):
-        raise ValueError(f"unknown basis {basis!r}")
-    if min_n is not None and p.n < min_n:
-        warnings.warn(
-            f"expanding in {p.n} variables but the identity needs at least "
-            f"{min_n}; coefficients may be truncated", stacklevel=2)
-    base = schur_poly if basis == "schur" else schurp_poly
+    try:
+        base, is_shape = {"schur": (schur_poly, is_partition),
+                          "schurP": (schurp_poly, is_strict_partition)}[basis]
+    except KeyError:
+        raise ValueError(f"unknown basis {basis!r}") from None
     rem = p
     out = {}
     for _ in range(len(p.terms) + 1):
@@ -183,10 +170,7 @@ def expand(p, basis, min_n=None):
             return out
         lead = max(rem.terms)
         lam = _trim(lead)
-        decreasing = all(lam[i] > lam[i + 1] for i in range(len(lam) - 1)) \
-            if basis == "schurP" else \
-            all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-        if not decreasing or any(x <= 0 for x in lam):
+        if not is_shape(lam):
             raise ValueError(
                 f"leading exponent {lead} is not a shape; wrong basis?")
         c = rem.terms[lead]

@@ -333,15 +333,20 @@ def _fillings(cls, shape, codes):
 def semistandard_tableaux(shape, n):
     """All semistandard fillings of the plain shape with entries in 1..n."""
     shape = tuple(shape)
-    if any(p <= 0 for p in shape) or any(
-            a < b for a, b in zip(shape, shape[1:])):
+    if not is_partition(shape):
         raise ValueError(f"shape {shape} is not a partition")
     return _fillings(Tableau, shape, range(1, n + 1))
 
 
+def is_partition(parts):
+    """Whether parts are positive and weakly decreasing; () is one."""
+    return all(a >= b for a, b in zip(parts, parts[1:])) and all(
+        p > 0 for p in parts)
+
+
 def is_strict_partition(parts):
     """Whether parts are positive and strictly decreasing; () is one."""
-    return all(parts[i] > parts[i + 1] for i in range(len(parts) - 1)) and all(
+    return all(a > b for a, b in zip(parts, parts[1:])) and all(
         p > 0 for p in parts)
 
 

@@ -468,7 +468,7 @@ def check_schurp_positivity(max_len=5, n=None):
             if nn == 0:
                 continue
             crys = factorization_crystal(pi, flavor, nn)
-            coeffs = expand(character(crys), flav.basis, min_n=ell(pi))
+            coeffs = expand(character(crys), flav.basis)
             res.checks += 1
             if any(c <= 0 for c in coeffs.values()):
                 return res.fail(f"{flavor}: negative Schur-P coefficient", str(pi))
@@ -478,7 +478,7 @@ def check_schurp_positivity(max_len=5, n=None):
     for sigma in corpus("reduced", 4, (1, 3)):
         nn = reduced.ell(sigma)
         crys = factorization_crystal(sigma, "reduced", nn)
-        coeffs = expand(character(crys), reduced.basis, min_n=nn)
+        coeffs = expand(character(crys), reduced.basis)
         res.checks += 1
         if any(c <= 0 for c in coeffs.values()):
             return res.fail("reduced: negative Schur coefficient", str(sigma))

@@ -1,7 +1,8 @@
 """Functions of the theory that no verify target or CLI path calls.
 
 The tests call them: as fixtures (star, shifts, Grassmannian shapes, atoms,
-reading words), as inverses that check the library's maps (inverse
+reading words, and `compose`, the product of two permutations, for the
+Demazure oracles), as inverses that check the library's maps (inverse
 insertion, inv^{-1}, dbl^{-1}), as independent constructions of crystals
 (closure under the operators, isomorphism by certificates), and as the
 greedy Morse-Schilling pairing with the factorization operators read
@@ -34,10 +35,10 @@ from queercrystals.crystals import (
     VertexCapExceeded,
     _component_certificate,
     crystal_indices,
-    vertex_cap,
 )
 from queercrystals.insertion import Factorization, InsertionResult, hm_insert, insert
 from queercrystals.permwords import (
+    DEFAULT_VERTEX_CAP,
     FpfInvolution,
     LazyMap,
     Permutation,
@@ -77,6 +78,12 @@ def length_invariants(pi):
         sigma, _ = pi.window_involution()
         return (sigma.length(), ell_sp(pi), sigma.kappa())
     return (pi.length(), ell_o(pi), pi.kappa())
+
+
+def compose(a, b):
+    """The permutation x -> a(b(x))."""
+    keys = set(a.support()) | set(b.support())
+    return Permutation({i: a(b(i)) for i in keys})
 
 
 def star_word(w):
@@ -884,9 +891,8 @@ def fac_e_by_pair(fac, i):
     return Factorization(fac[:i - 1] + (tuple(new_a), new_b) + fac[i + 1:])
 
 
-def explore(seed, n, wt, f, e, queer, cap=None, name=""):
+def explore(seed, n, wt, f, e, queer, cap=DEFAULT_VERTEX_CAP, name=""):
     """BFS closure of one element under all operators, capped."""
-    cap = vertex_cap() if cap is None else cap
     tables = LazyMap(lambda key: f(*key)), LazyMap(lambda key: e(*key))
     seen = {seed}
     frontier = [seed]

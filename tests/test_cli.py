@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -207,6 +208,16 @@ class TestCrystal:
         assert err == ("input error: --flavor cannot be given together "
                        "with --shape\n")
 
+    @pytest.mark.parametrize("argv,err", [
+        (("--shape", "", "--n", "2"), "cannot parse shape ''"),
+        (("(1,3)", "--shape", ""),
+         "a target cannot be given together with --shape"),
+    ], ids=["alone", "with-target"])
+    def test_empty_shape_is_given_exit_2(self, capsys, argv, err):
+        # an empty --shape is a malformed shape, not an absent one
+        assert run(capsys, "crystal", *argv) == (
+            2, "", f"input error: {err}\n")
+
     def test_zero_bounds_are_legal(self, capsys):
         code, out, _ = run(capsys, "crystal", "(1,3)(2,5)", "--n", "0",
                            "--cap", "0", "--json")
@@ -290,6 +301,17 @@ class TestVerifyCommand:
         assert out == ("supersymmetry: pass (73 checks)\n"
                        "  73 characters symmetric and supersymmetric "
                        "(40 of 42 involution, 30 of 30 fpf targets)\n")
+
+    def test_expansion_in_few_variables_warns_nothing(self, capsys):
+        # each carrier's character is compared with the highest weights of
+        # that same carrier in the same n variables: exact at any n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(capsys, "verify", "schurP-positivity", "--n", "2",
+                         "--maxlen", "4")
+        assert result == (0, "schurP-positivity: pass (59 checks)\n"
+                             "  all expansions nonnegative and equal to "
+                             "source counts\n", "")
 
     def test_dual_equivalence_at_contract_bounds(self, capsys):
         code, out, _ = run(capsys, "verify", "dual-equivalence", "--maxlen", "6")

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -219,7 +218,7 @@ class TestCrystalGraph:
             explore(seed, 3, Factorization.weight, f, e, queer=True, cap=5)
 
     def test_singleton_crystal(self):
-        c = factorization_crystal(P.identity(), "involution", 3)
+        c = factorization_crystal(P(), "involution", 3)
         assert len(c) == 1 and not c.edges()
 
     def test_components_are_p_fibers(self):
@@ -404,15 +403,13 @@ class TestSerialization:
         assert data["n"] == 2 and data["queer"]
         json.dumps(data)
 
-    def test_vertex_cap_env(self):
-        from queercrystals.crystals import vertex_cap
+    def test_vertex_cap_env(self, monkeypatch):
+        from queercrystals.cli import env_cap
 
-        old = os.environ.get("QC_VERTEX_CAP")
-        try:
-            os.environ["QC_VERTEX_CAP"] = "123"
-            assert vertex_cap() == 123
-        finally:
-            if old is None:
-                os.environ.pop("QC_VERTEX_CAP", None)
-            else:
-                os.environ["QC_VERTEX_CAP"] = old
+        for text in ("123", " 123 ", "+123"):
+            monkeypatch.setenv("QC_VERTEX_CAP", text)
+            assert env_cap() == 123
+        monkeypatch.setenv("QC_VERTEX_CAP", "abc")
+        with pytest.raises(ValueError, match=r"^QC_VERTEX_CAP='abc' is not "
+                                             r"an integer >= 0$"):
+            env_cap()

@@ -9,13 +9,31 @@ or imports it, and that code is itself module-level code or a referenced
 function.  A method counts as read when library code outside its own body
 reads an attribute of its name; dunders, which the language calls, and
 from_strings, which ShiftedTableau's repr prints, are exempt.
+
+A read of a name that several classes define counts for all of them, so
+each such method must also run, under sys.setprofile, while the verify
+targets run at test bounds and a fixed list of qc commands runs.
 """
 
 import ast
+import contextlib
+import importlib
+import io
+import os
 import pathlib
+import subprocess
 import symtable
+import sys
+from collections import Counter
+from functools import partial
 
-SRC = pathlib.Path(__file__).parents[1] / "src" / "queercrystals"
+from test_verify import TARGET_BOUNDS
+
+from queercrystals import cli
+from queercrystals.verify import TARGETS
+
+TESTS = pathlib.Path(__file__).parent
+SRC = TESTS.parent / "src" / "queercrystals"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -72,14 +90,25 @@ def unreferenced_functions(src=SRC):
 EXEMPT_METHODS = {"from_strings"}
 
 
+def module_trees(src=SRC):
+    return {p.stem: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
+
+
+def class_methods(trees):
+    """(module, class, method def) of every non-dunder method."""
+    return [(mod, cls.name, m)
+            for mod, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for m in cls.body
+            if isinstance(m, DEFS)
+            and not (m.name.startswith("__") and m.name.endswith("__"))]
+
+
 def unread_methods(src=SRC):
-    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
-             for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
-    methods = [(f"{mod}.{cls.name}.{m.name}", m)
-               for mod, tree in trees.items() for cls in tree.body
-               if isinstance(cls, ast.ClassDef) for m in cls.body
-               if isinstance(m, DEFS) and m.name not in EXEMPT_METHODS
-               and not (m.name.startswith("__") and m.name.endswith("__"))]
+    trees = module_trees(src)
+    methods = [(f"{mod}.{cls}.{m.name}", m)
+               for mod, cls, m in class_methods(trees)
+               if m.name not in EXEMPT_METHODS]
     reads = [(node.attr, node) for tree in trees.values()
              for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
     unread = []
@@ -125,3 +154,113 @@ def test_the_scan_finds_unread_methods(tmp_path):
     (tmp_path / "b.py").write_text("from .a import A\n\nX = A().used()\n")
     (tmp_path / "__init__.py").write_text("from .a import A\nA.planted\n")
     assert unread_methods(tmp_path) == ["a.A.planted"]
+
+
+# the qc commands of the run check: every insertion, every carrier kind,
+# every expansion basis, a bump and a class
+QC_COMMANDS = [
+    ["insert", "(3)(12)", "--flavor", "eg", "--json"],
+    ["insert", "(4)(23)(12)", "--flavor", "oeg", "--json"],
+    ["insert", "(4)(23)(12)", "--flavor", "speg", "--json"],
+    ["insert", "332332", "--flavor", "hm", "--json"],
+    ["crystal", "(1,3)", "--flavor", "eg", "--n", "2", "--json"],
+    ["crystal", "(1,3)", "--flavor", "oeg", "--n", "2", "--json"],
+    ["crystal", "(1,4)(2,3)", "--flavor", "speg", "--n", "2", "--json"],
+    ["crystal", "--shape", "2,1", "--n", "2", "--json"],
+    ["expand", "(1,3)", "--flavor", "reduced", "--n", "2"],
+    ["expand", "(1,3)", "--flavor", "involution", "--n", "2"],
+    ["expand", "(1,4)(2,3)", "--flavor", "fpf", "--n", "2"],
+    ["bump", "2134", "(2,5)"],
+    ["class", "21", "--relation", "O"],
+]
+
+
+def shared_methods(src=SRC):
+    """module.Class.method for every non-dunder method whose name more than
+    one class defines."""
+    methods = class_methods(module_trees(src))
+    count = Counter(m.name for _, _, m in methods)
+    return sorted(f"{mod}.{cls}.{m.name}" for mod, cls, m in methods
+                  if count[m.name] > 1)
+
+
+def not_run(names, package, steps):
+    """The names (module.Class.method in the package) whose code no call
+    reached while the steps ran under sys.setprofile.  The steps stop once
+    every such code has run."""
+    codes = {}
+    for name in names:
+        mod, cls, method = name.split(".")
+        module = importlib.import_module(f"{package}.{mod}")
+        fn = vars(getattr(module, cls))[method]
+        codes[getattr(fn, "__func__", fn).__code__] = name
+    pending = set(codes)
+
+    def hook(frame, event, arg):
+        if event == "call":
+            pending.discard(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        for step in steps:
+            if not pending:
+                break
+            step()
+    finally:
+        sys.setprofile(None)
+    return sorted(codes[code] for code in pending)
+
+
+def run_command(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+
+
+def verify_target(name, bounds):
+    assert TARGETS[name](**bounds).ok, name
+
+
+def library_steps():
+    """The commands, then the targets in reverse order, which at these
+    bounds leaves bump-properties, by far the slowest, for last."""
+    return ([partial(run_command, argv) for argv in QC_COMMANDS]
+            + [partial(verify_target, *tb) for tb in reversed(TARGET_BOUNDS)])
+
+
+def test_every_shared_method_runs():
+    """Run in a fresh process, so that no cache an earlier test filled
+    spares a call."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(map(str, (SRC.parent, TESTS))))
+    proc = subprocess.run([sys.executable, __file__], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_the_run_check_finds_methods_that_never_run(tmp_path, monkeypatch):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text(
+        "class A:\n"
+        "    def shared(self):\n        return 1\n\n"
+        "    @classmethod\n    def make(cls):\n        return cls()\n\n"
+        "    def own(self):\n        return 2\n\n\n"
+        "class B:\n"
+        "    def shared(self):\n        return 3\n\n"
+        "    @staticmethod\n    def make():\n        return B()\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    names = shared_methods(pkg)
+    assert names == ["a.A.make", "a.A.shared", "a.B.make", "a.B.shared"]
+
+    def step():
+        from pkg.a import A
+        A.make().shared()
+
+    assert not_run(names, "pkg", [step]) == ["a.B.make", "a.B.shared"]
+
+
+if __name__ == "__main__":
+    print("\n".join(not_run(shared_methods(), "queercrystals",
+                             library_steps())))

@@ -30,14 +30,10 @@ def x(exps, coeff=1):
 class TestPolynomial:
     def test_arithmetic(self):
         p = x((1, 0)) + x((0, 1))
-        assert p * p == x((2, 0)) + 2 * x((1, 1)) + x((0, 2))
+        assert p * 3 == 3 * p == x((1, 0), 3) + x((0, 1), 3)
         assert (p - p).is_zero()
         assert str(x((2, 1), 3)) == "3*x1^2*x2"
-        assert str(Polynomial.zero(2)) == "0"
-
-    def test_json(self):
-        p = x((1, 0)) + 2 * x((0, 1))
-        assert p.to_json() == [[[0, 1], 2], [[1, 0], 1]]
+        assert str(Polynomial(2)) == "0"
 
     def test_symmetry(self):
         assert is_symmetric(x((1, 0)) + x((0, 1)))
@@ -71,7 +67,7 @@ class TestSchurFamilies:
 
     def test_character_additive_over_components(self):
         wc = word_crystal(2, 3)
-        total = Polynomial.zero(2)
+        total = Polynomial(2)
         for comp in wc.components():
             total = total + character(comp)
         assert total == character(wc)
@@ -84,7 +80,7 @@ class TestStanley:
     def test_atom_sum(self):
         pi = P.from_cycles([(2, 5)])
         lhs = stanley_poly(pi, "involution", 3)
-        rhs = Polynomial.zero(3)
+        rhs = Polynomial(3)
         for a in atoms(pi, "involution"):
             rhs = rhs + stanley_poly(a, "reduced", 3)
         assert lhs == rhs
@@ -92,7 +88,7 @@ class TestStanley:
     def test_fpf_atom_sum(self):
         pi = FpfInvolution([(1, 4), (2, 6), (3, 5)])
         lhs = stanley_poly(pi, "fpf", 3)
-        rhs = Polynomial.zero(3)
+        rhs = Polynomial(3)
         for a in atoms(pi, "fpf"):
             rhs = rhs + stanley_poly(a, "reduced", 3)
         assert lhs == rhs
@@ -125,7 +121,3 @@ class TestExpand:
         # x1*x2 alone is not a nonneg combination starting at a strict shape
         with pytest.raises(ValueError):
             expand(Polynomial(2, {(1, 1): 1}), "schurP")
-
-    def test_small_n_warns(self):
-        with pytest.warns(UserWarning):
-            expand(schurp_poly((2, 1), 2), "schurP", min_n=3)

@@ -15,7 +15,8 @@ def test_corpora_nonempty():
     assert len(corpus("reduced", 4, (1, 3))) > 10
 
 
-@pytest.mark.parametrize("name,bounds", [
+# every target at bounds that keep the suite fast
+TARGET_BOUNDS = [
     ("crystal-axioms", {}),
     ("eg-fibers", {"max_len": 4}),
     ("oeg-fibers", {"max_len": 4}),
@@ -29,7 +30,10 @@ def test_corpora_nonempty():
     ("schurP-positivity", {"max_len": 4}),
     ("conjecture-ib-bound", {"max_len": 4}),
     ("conjecture-fb-bound", {"max_len": 4}),
-])
+]
+
+
+@pytest.mark.parametrize("name,bounds", TARGET_BOUNDS)
 def test_targets_pass(name, bounds):
     res = TARGETS[name](**bounds)
     assert res.ok, res.summary()
