@@ -17,9 +17,7 @@ from .permwords import (
     ell_sp,
     enumerate_words,
     equivalence_class,
-    is_fpf_involution_word,
-    is_involution_word,
-    is_reduced_word,
+    word_target,
     word_to_permutation,
 )
 from .tableaux import (
@@ -71,7 +69,6 @@ from .symchar import (
     is_symmetric,
     schur_poly,
     schurp_poly,
-    stanley_poly,
 )
 
 __version__ = "0.1.0"

@@ -28,9 +28,8 @@ from .permwords import (
     equivalence_class,
     get_flavor,
     insertion_flavor,
-    word_target,
 )
-from .symchar import expand, stanley_poly
+from .symchar import character, expand
 from .tableaux import is_strict_partition
 from .verify import TARGETS, run_target
 
@@ -145,6 +144,13 @@ def check_cap(size, cap):
             f"carrier has {size} vertices, above the cap {cap}")
 
 
+def capped_carrier(pi, flavor, n, cap):
+    """factorization_crystal(pi, flavor, n), refused before the build when
+    it has more than cap vertices, so that the cap bounds the work done."""
+    check_cap(factorization_crystal_size(pi, flavor, n), cap)
+    return factorization_crystal(pi, flavor, n)
+
+
 def env_cap():
     """QC_VERTEX_CAP, or DEFAULT_VERTEX_CAP when it is unset; a value that
     is not an integer >= 0 is bad input."""
@@ -162,7 +168,7 @@ def env_cap():
 def cmd_crystal(args):
     cap = env_cap() if args.cap is None else args.cap
     if args.shape is not None:
-        if args.perm:
+        if args.perm is not None:
             raise InputError("a target cannot be given together with --shape")
         if args.flavor:
             raise InputError("--flavor cannot be given together with --shape")
@@ -170,10 +176,8 @@ def cmd_crystal(args):
         check_cap(len(crys), cap)
     else:
         flavor = insertion_flavor(args.flavor or "oeg").name
-        pi = parse_permutation(args.perm, flavor)
-        # refused before the build, so that the cap bounds the work done
-        check_cap(factorization_crystal_size(pi, flavor, args.n), cap)
-        crys = factorization_crystal(pi, flavor, args.n)
+        pi = parse_permutation(args.perm or "", flavor)
+        crys = capped_carrier(pi, flavor, args.n, cap)
     if args.json:
         print(json.dumps(crys.to_json(), sort_keys=True))
     else:
@@ -185,9 +189,10 @@ def cmd_bump(args):
     flavor = args.flavor
     w = parse_word(args.word)
     pi = parse_permutation(args.perm, flavor)
-    if word_target(w, flavor) is None:
-        raise InputError(f"{w} is not in the {flavor} word class")
-    chain = bump_chain(w, pi, flavor)
+    try:
+        chain = bump_chain(w, pi, flavor)
+    except ValueError as exc:  # w is not in the flavor's word class
+        raise InputError(str(exc)) from None
     trace = [[list(w), None]] if chain is None else [
         [list(mw.word), mw.mark] for mw in chain
     ]
@@ -202,7 +207,7 @@ def cmd_bump(args):
 def cmd_expand(args):
     flavor = args.flavor
     pi = parse_permutation(args.perm, flavor)
-    p = stanley_poly(pi, flavor, args.n)
+    p = character(capped_carrier(pi, flavor, args.n, env_cap()))
     basis = get_flavor(flavor).basis
     coeffs = expand(p, basis)
     out = {",".join(map(str, shape)): c for shape, c in sorted(coeffs.items())}
@@ -261,7 +266,7 @@ def build_parser():
     p.set_defaults(fn=cmd_insert)
 
     p = sub.add_parser("crystal", help="emit a crystal graph")
-    p.add_argument("perm", nargs="?", default="", help="cycles like (1,3)(2,5)")
+    p.add_argument("perm", nargs="?", help="cycles like (1,3)(2,5)")
     p.add_argument("--flavor", choices=insertions, default=None,
                    help="insertion of the carrier's target (default oeg)")
     p.add_argument("--shape", help="strict partition like 3,1 for a tableau crystal")

@@ -755,8 +755,8 @@ def axioms_report(crys):
 
 
 def morphism_report(phi, dom, cod):
-    """Violations of phi being a strict morphism dom -> cod."""
-    phi = LazyMap(phi).__getitem__  # phi once per vertex
+    """Violations of phi being a strict morphism dom -> cod.  phi is called
+    once per vertex and once per defined edge: callers memoise it."""
     bad = []
     if tuple(dom.indices) != tuple(cod.indices):
         bad.append("index sets differ")

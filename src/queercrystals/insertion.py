@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
 
-from .permwords import is_fpf_involution_word, is_involution_word, is_reduced_word
+from .permwords import insertion_flavor, word_target
 from .tableaux import (
     ShiftedTableau,
     Tableau,
@@ -96,12 +96,20 @@ class InsertionResult:
         }
 
 
-def _as_factorization(w):
+def _as_factorization(w, key, check):
+    """w as a factorization; with check, a ValueError unless its word is in
+    the word class of the insertion key."""
     if isinstance(w, Factorization):
-        return w
-    if w and isinstance(w[0], int):
-        return Factorization.from_word(w)
-    return Factorization(w)
+        fac = w
+    elif w and isinstance(w[0], int):
+        fac = Factorization.from_word(w)
+    else:
+        fac = Factorization(w)
+    if check:
+        flavor = insertion_flavor(key).name
+        if word_target(fac.word(), flavor) is None:
+            raise ValueError(f"{fac.word()} is not in the {flavor} word class")
+    return fac
 
 
 def _columns(rows):
@@ -245,9 +253,7 @@ def _record(fac, letter):
 
 def eg_insert(w, check=True):
     """Edelman-Greene insertion of a reduced factorization."""
-    fac = _as_factorization(w)
-    if check and not is_reduced_word(fac.word()):
-        raise ValueError(f"{fac.word()} is not a reduced word")
+    fac = _as_factorization(w, "eg", check)
     rows, qrows, trace = _record(fac, partial(_eg_letter, "K"))
     Q = [[entry_value(q) for q in row] for row in qrows]
     return InsertionResult(Tableau(rows), Tableau(Q), trace)
@@ -261,18 +267,12 @@ def _shifted_insert(fac, relation):
 
 def oeg_insert(w, check=True):
     """Orthogonal Edelman-Greene insertion of an involution word factorization."""
-    fac = _as_factorization(w)
-    if check and not is_involution_word(fac.word()):
-        raise ValueError(f"{fac.word()} is not an involution word")
-    return _shifted_insert(fac, "O")
+    return _shifted_insert(_as_factorization(w, "oeg", check), "O")
 
 
 def speg_insert(w, check=True):
     """Symplectic Edelman-Greene insertion of an fpf-involution word factorization."""
-    fac = _as_factorization(w)
-    if check and not is_fpf_involution_word(fac.word()):
-        raise ValueError(f"{fac.word()} is not an fpf-involution word")
-    return _shifted_insert(fac, "Sp")
+    return _shifted_insert(_as_factorization(w, "speg", check), "Sp")
 
 
 def hm_insert(w):

@@ -357,18 +357,10 @@ def _ascent_walk(flavor, w, start=None):
     return pi
 
 
-def is_reduced_word(w):
-    return _ascent_walk("reduced", w) is not None
-
-
 @lru_cache(maxsize=None)
 def involution_target(w):
     """The involution built by the twisted chain, or None."""
     return _ascent_walk("involution", w)
-
-
-def is_involution_word(w):
-    return involution_target(tuple(w)) is not None
 
 
 @lru_cache(maxsize=None)
@@ -377,12 +369,9 @@ def fpf_target(w):
     return _ascent_walk("fpf", w)
 
 
-def is_fpf_involution_word(w):
-    return fpf_target(tuple(w)) is not None
-
-
 def word_target(w, flavor):
-    """The target whose word class of the flavor contains w, or None."""
+    """The target whose word class of the flavor contains w, or None: the
+    one membership test of the three word classes."""
     return get_flavor(flavor).target(tuple(w))
 
 

@@ -21,7 +21,8 @@ from .tableaux import (
 
 
 class Polynomial:
-    """An element of Z[x_1..x_n]; terms map exponent tuples to coefficients."""
+    """An element of Z[x_1..x_n]; terms map exponent tuples to coefficients.
+    Built from a dict or (exponents, coefficient) pairs, repeats summed."""
 
     __slots__ = ("n", "terms")
 
@@ -110,11 +111,7 @@ def is_supersymmetric(p):
 
 def character(crys):
     """Sum of x^wt(b) over the crystal's vertices."""
-    out = {}
-    for x in crys.vertices:
-        e = tuple(crys.wt(x))
-        out[e] = out.get(e, 0) + 1
-    return Polynomial(crys.n, out)
+    return Polynomial(crys.n, ((crys.wt(x), 1) for x in crys.vertices))
 
 
 @lru_cache(maxsize=None)
@@ -123,11 +120,8 @@ def schur_poly(shape, n):
     shape = tuple(shape)
     if len(shape) > n:
         return Polynomial(n)
-    out = {}
-    for t in semistandard_tableaux(shape, n):
-        e = weight(t, n)
-        out[e] = out.get(e, 0) + 1
-    return Polynomial(n, out)
+    return Polynomial(n, ((weight(t, n), 1)
+                          for t in semistandard_tableaux(shape, n)))
 
 
 @lru_cache(maxsize=None)
@@ -136,18 +130,8 @@ def schurp_poly(shape, n):
     shape = tuple(shape)
     if len(shape) > n:
         return Polynomial(n)
-    out = {}
-    for t in semistandard_shifted_tableaux(shape, n):
-        e = weight(t, n)
-        out[e] = out.get(e, 0) + 1
-    return Polynomial(n, out)
-
-
-def stanley_poly(pi, flavor, n):
-    """Character of the flavor's factorization crystal in n variables."""
-    from .crystals import factorization_crystal
-
-    return character(factorization_crystal(pi, flavor, n))
+    return Polynomial(n, ((weight(t, n), 1)
+                          for t in semistandard_shifted_tableaux(shape, n)))
 
 
 def expand(p, basis):

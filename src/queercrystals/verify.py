@@ -7,6 +7,7 @@ counterexample.  Conjecture targets never fail the build; they report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -15,6 +16,7 @@ from .bumping import bump, decompose_bump, increments, replay_decomposition
 from .crystals import (
     _component_certificate,
     _fac_ops,
+    _trim,
     axioms_report,
     crystal_indices,
     dbl_map,
@@ -446,44 +448,40 @@ def check_supersymmetry(max_len=4, n=3):
 
 
 def _hw_counts(crys):
-    out = {}
-    for _, wt in crys.highest_weights():
-        key = tuple(p for p in wt if p)
-        out[key] = out.get(key, 0) + 1
-    return out
+    return Counter(_trim(wt) for _, wt in crys.highest_weights())
 
 
 def check_schurp_positivity(max_len=5, n=None):
-    """Schur-P (and Schur) expansion coefficients equal highest-weight counts."""
+    """Schur-P (and Schur) expansion coefficients equal highest-weight counts.
+
+    A queer flavor takes one target per translation class of its corpus.
+    The reduced flavor takes every permutation with a word of length at
+    most min(max_len, 4) in the letters 1..3.  Each carrier is built in
+    ell(pi) variables, or in n when n is given; n = 0 builds none.
+    """
     res = VerifyResult("schurP-positivity", True)
-    for flav in QUEER_FLAVORS:
-        flavor, ell = flav.name, flav.ell
+    runs = [(flav, corpus(flav.name, max_len), _translation_class)
+            for flav in QUEER_FLAVORS]
+    runs.append((get_flavor("reduced"),
+                 corpus("reduced", min(max_len, 4), (1, 3)), lambda pi: pi))
+    for flav, targets, key in runs:
+        flavor = flav.name
+        basis = {"schur": "Schur", "schurP": "Schur-P"}[flav.basis]
         seen = set()
-        for pi in corpus(flavor, max_len):
-            key = _translation_class(pi)
-            if key in seen:
+        for pi in targets:
+            if key(pi) in seen:
                 continue
-            seen.add(key)
-            nn = ell(pi) if n is None else n
+            seen.add(key(pi))
+            nn = flav.ell(pi) if n is None else n
             if nn == 0:
                 continue
             crys = factorization_crystal(pi, flavor, nn)
             coeffs = expand(character(crys), flav.basis)
             res.checks += 1
             if any(c <= 0 for c in coeffs.values()):
-                return res.fail(f"{flavor}: negative Schur-P coefficient", str(pi))
+                return res.fail(f"{flavor}: negative {basis} coefficient", str(pi))
             if coeffs != _hw_counts(crys):
                 return res.fail(f"{flavor}: coefficients != highest weight counts", str(pi))
-    reduced = get_flavor("reduced")
-    for sigma in corpus("reduced", 4, (1, 3)):
-        nn = reduced.ell(sigma)
-        crys = factorization_crystal(sigma, "reduced", nn)
-        coeffs = expand(character(crys), reduced.basis)
-        res.checks += 1
-        if any(c <= 0 for c in coeffs.values()):
-            return res.fail("reduced: negative Schur coefficient", str(sigma))
-        if coeffs != _hw_counts(crys):
-            return res.fail("reduced: coefficients != highest weight counts", str(sigma))
     res.lines.append("all expansions nonnegative and equal to source counts")
     return res
 

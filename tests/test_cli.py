@@ -137,6 +137,19 @@ class TestInsert:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("insertion,flavor,target", [
+        ("eg", "reduced", "(2,5)"), ("oeg", "involution", "(2,5)"),
+        ("speg", "fpf", "(1,2)(3,6)(4,5)"),
+    ])
+    def test_insert_and_bump_name_the_word_class(self, capsys, insertion,
+                                                 flavor, target):
+        # 22 is in no word class; both commands refuse it with one message
+        err = f"input error: (2, 2) is not in the {flavor} word class\n"
+        assert run(capsys, "insert", "(2)(2)", "--flavor", insertion) == (
+            2, "", err)
+        assert run(capsys, "bump", "22", target, "--flavor", flavor) == (
+            2, "", err)
+
 
 class TestCrystal:
     def test_dot_deterministic(self, capsys):
@@ -218,6 +231,13 @@ class TestCrystal:
         assert run(capsys, "crystal", *argv) == (
             2, "", f"input error: {err}\n")
 
+    @pytest.mark.parametrize("target", ["", "1"])
+    def test_identity_target_with_shape_exit_2(self, capsys, target):
+        # an explicit empty target is a target, as "1" is
+        assert run(capsys, "crystal", target, "--shape", "2,1", "--n", "2",
+                   "--json") == (2, "", "input error: a target cannot be "
+                                 "given together with --shape\n")
+
     def test_zero_bounds_are_legal(self, capsys):
         code, out, _ = run(capsys, "crystal", "(1,3)(2,5)", "--n", "0",
                            "--cap", "0", "--json")
@@ -264,6 +284,19 @@ class TestExpandAndClass:
                            "involution", "--n", "4")
         assert code == 0
         assert json.loads(out)["coefficients"] == {"3,1": 1}
+
+    @pytest.mark.parametrize("argv", [
+        ("crystal", "(1,3)", "--flavor", "oeg", "--n", "3"),
+        ("expand", "(1,3)", "--flavor", "involution", "--n", "3"),
+    ], ids=["crystal", "expand"])
+    def test_vertex_cap_bounds_the_carrier(self, capsys, monkeypatch, argv):
+        def unbuilt(w, n):
+            raise AssertionError("the carrier was built")
+
+        monkeypatch.setattr(crystals, "split_word", unbuilt)
+        monkeypatch.setenv("QC_VERTEX_CAP", "1")
+        assert run(capsys, *argv) == (
+            3, "", "resource limit: carrier has 9 vertices, above the cap 1\n")
 
     def test_class(self, capsys):
         code, out, _ = run(capsys, "class", "243", "--relation", "Sp")
@@ -312,6 +345,15 @@ class TestVerifyCommand:
         assert result == (0, "schurP-positivity: pass (59 checks)\n"
                              "  all expansions nonnegative and equal to "
                              "source counts\n", "")
+
+    @pytest.mark.parametrize("argv,checks", [
+        (("--maxlen", "1"), 5), (("--maxlen", "0"), 0), (("--n", "0"), 0),
+    ], ids=["maxlen-1", "maxlen-0", "n-0"])
+    def test_schurp_positivity_honours_its_bounds(self, capsys, argv, checks):
+        # the reduced half reads --maxlen (at most 4) and --n as well
+        assert run(capsys, "verify", "schurP-positivity", *argv) == (
+            0, f"schurP-positivity: pass ({checks} checks)\n  all expansions "
+               "nonnegative and equal to source counts\n", "")
 
     def test_dual_equivalence_at_contract_bounds(self, capsys):
         code, out, _ = run(capsys, "verify", "dual-equivalence", "--maxlen", "6")

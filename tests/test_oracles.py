@@ -73,7 +73,6 @@ from queercrystals.permwords import (
     enumerate_words,
     fpf_target,
     involution_target,
-    is_reduced_word,
     word_target,
     word_to_permutation,
 )
@@ -142,7 +141,8 @@ def test_fpf_words_match_conjugation_characterization():
 
 def test_reduced_walk_matches_length_definition():
     for w in all_words(range(1, 6), 6):
-        assert is_reduced_word(w) == (word_to_permutation(w).length() == len(w))
+        assert (word_target(w, "reduced") is not None) == (
+            word_to_permutation(w).length() == len(w))
 
 
 def words_by_target(flavor, letters, max_len):
@@ -256,7 +256,7 @@ def test_bump_map_matches_bump():
 def semi_reduced_by_product(w, pi):
     """A reduced-word test, then the plain product of w conjugating the base
     matching."""
-    if not isinstance(pi, FpfInvolution) or not is_reduced_word(w):
+    if not isinstance(pi, FpfInvolution) or word_target(w, "reduced") is None:
         return False
     sigma = word_to_permutation(w)
     try:
@@ -364,7 +364,7 @@ def test_corpus_lengths_agree_with_enumeration():
 def test_involution_words_are_reduced_for_an_atom():
     for w in all_words(range(1, 5), 4):
         if involution_target(w) is not None:
-            assert is_reduced_word(w)
+            assert word_target(w, "reduced") is not None
 
 
 def test_standard_crystal_shape():

@@ -30,10 +30,8 @@ from queercrystals.permwords import (
     fpf_target,
     involution_target,
     involution_words,
-    is_fpf_involution_word,
-    is_involution_word,
-    is_reduced_word,
     reduced_words,
+    word_target,
     word_to_permutation,
 )
 
@@ -77,7 +75,7 @@ class TestPermutation:
         for i in (1, 3, 2):
             r = r.rtimes_step(i)
         assert involution_target((1, 3, 2)) == r
-        assert is_involution_word((1, 3, 2))
+        assert word_target((1, 3, 2), "involution") is not None
 
 
 class TestFpfInvolution:
@@ -104,20 +102,21 @@ class TestFpfInvolution:
 
 class TestWordClasses:
     def test_reduced(self):
-        assert is_reduced_word((1, 2, 1))
+        assert word_target((1, 2, 1), "reduced") is not None
         assert word_to_permutation((1, 2, 1)) == P.from_cycles([(1, 3)])
-        assert not is_reduced_word((1, 1))
-        assert is_reduced_word((2, 1, 3, 4))
+        assert word_target((1, 1), "reduced") is None
+        assert word_target((2, 1, 3, 4), "reduced") is not None
 
     def test_involution(self):
-        assert is_involution_word((2, 1, 3, 4))
-        assert not is_involution_word((2, 2))
-        assert is_reduced_word((3, 2, 3, 4)) and not is_involution_word((3, 2, 3, 4))
+        assert word_target((2, 1, 3, 4), "involution") is not None
+        assert word_target((2, 2), "involution") is None
+        assert word_target((3, 2, 3, 4), "reduced") is not None
+        assert word_target((3, 2, 3, 4), "involution") is None
 
     def test_fpf(self):
-        assert is_fpf_involution_word((2, 4, 3))
-        assert not is_fpf_involution_word((1,))
-        assert is_fpf_involution_word((4, 6, 5))
+        assert word_target((2, 4, 3), "fpf") is not None
+        assert word_target((1,), "fpf") is None
+        assert word_target((4, 6, 5), "fpf") is not None
         assert fpf_target((2, 4, 3)) == FpfInvolution([(1, 4), (2, 5), (3, 6)])
 
     def test_enumerate_reduced(self):
@@ -205,7 +204,7 @@ class TestCoxeterKnuth:
 
     def test_reduced_class_product_constant(self):
         v = (1, 2, 1, 3)
-        assert is_reduced_word(v)
+        assert word_target(v, "reduced") is not None
         target = word_to_permutation(v)
         for w in equivalence_class(v, "K"):
             assert word_to_permutation(w) == target

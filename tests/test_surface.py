@@ -139,6 +139,30 @@ def test_the_scan_finds_uncalled_functions(tmp_path):
         "a.dead", "a.only_dead_code_calls", "a.recursive", "a.shadowed"]
 
 
+def function_imports(src=SRC):
+    """module.function (line) of every import inside a function body: the
+    package imports at module level only, so its module graph stays
+    acyclic and visible in each module's head."""
+    return [f"{mod}.{fn.name} ({node.lineno})"
+            for mod, tree in module_trees(src).items()
+            for fn in ast.walk(tree) if isinstance(fn, DEFS)
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_function_imports():
+    assert function_imports() == []
+
+
+def test_the_scan_finds_function_imports(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\n\n"
+        "def local():\n    from . import b\n    return b\n\n"
+        "class A:\n    def method(self):\n        import sys\n"
+        "        return sys\n")
+    assert function_imports(tmp_path) == ["a.local (4)", "a.method (9)"]
+
+
 def test_every_method_is_read():
     assert unread_methods() == []
 
