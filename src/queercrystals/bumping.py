@@ -10,16 +10,16 @@ value of the bumping operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .insertion import Factorization
 from .permwords import (
     FLAVORS,
     FpfInvolution,
     LazyMap,
-    _ascent_states,
-    _ascent_walk,
+    _move_node,
+    _targets,
     get_flavor,
 )
 
@@ -29,8 +29,7 @@ _base_conjugates = LazyMap(
     lambda sigma: FpfInvolution().conjugate_by(sigma))
 
 
-@dataclass(frozen=True)
-class MarkedWord:
+class MarkedWord(NamedTuple):
     """One word of a push chain, built by `bump_chain`."""
     word: tuple
     mark: int  # 1-based index
@@ -38,11 +37,34 @@ class MarkedWord:
 
 
 def _walk(flavor, w):
-    prefix = list(_ascent_states(flavor, w))
-    prefix += [None] * (len(w) + 1 - len(prefix))
-    return (prefix[-1],) + tuple(
-        None if start is None else _ascent_walk(flavor, w[i:], start)
-        for i, start in enumerate(prefix[:-1], 1))
+    """walk_table(w, flavor), read from the flavor's move table in one loop.
+
+    Walk 0 is the prefix walk of w from the identity, and it keeps the node
+    after each prefix; walk i >= 1 steps w[i:] from the node of the first
+    i - 1 letters.  A walk stops at the first letter that is a descent of
+    the target built so far; a deletion whose start lies past that point of
+    the prefix walk is outside the class as well.
+    """
+    flav = FLAVORS[flavor]
+    prefix = [_move_node(flav, flav.identity)]
+    table = []
+    for i in range(len(w) + 1):
+        if i > len(prefix):
+            table += [None] * (len(w) + 1 - i)
+            break
+        node = prefix[i - 1] if i else prefix[0]
+        for a in w[i:]:
+            pi, moves = node
+            node = moves.get(a, False)
+            if node is False:
+                node = moves[a] = None if pi.is_descent(a) else _move_node(
+                    flav, flav.step(pi, a))
+            if node is None:
+                break
+            if not i:
+                prefix.append(node)
+        table.append(None if node is None else node[0])
+    return tuple(table)
 
 
 # flavor -> {word: walk_table(word, flavor)}, kept for the process: every
@@ -55,15 +77,16 @@ def walk_table(w, flavor):
     in the flavor's class, None outside it, so index i is the 1-based mark i.
 
     Computed once per word: deletion i walks only w[i:], from the prefix
-    state i-1 of w's own walk.  The walk yields interned targets, so equal
-    targets are stored as one object.
+    state i-1 of w's own walk.  The move table holds interned targets, so
+    equal targets are stored as one object.
     """
     return _walk_tables[get_flavor(flavor).name][tuple(w)]
 
 
 def marked_indices(w, pi, flavor):
     table = walk_table(w, flavor)
-    return tuple(i for i in range(1, len(table)) if table[i] == pi)
+    pi = _targets.get(pi, pi)
+    return tuple(i for i in range(1, len(table)) if table[i] is pi)
 
 
 def is_semi_reduced(w, pi):
@@ -94,11 +117,16 @@ def bump_chain(w, pi, flavor):
     letter when the word pushes in place, else the unique other pi-marked
     letter of its walk table; either stays marked, as deleting it leaves
     the same subword.  The chain stops at the first word of the class.
+
+    Every table entry is an interned target, so pi is interned once and
+    the mark and companion tests compare entries by identity.
     """
     w = tuple(w)
-    table = walk_table(w, flavor)
+    tables = _walk_tables[get_flavor(flavor).name]
+    table = tables[w]
     if table[0] is None:
         raise ValueError(f"{w} is not in the {flavor} word class")
+    pi = _targets.get(pi, pi)
     marks = marked_indices(w, pi, flavor)
     if not marks:
         return None
@@ -111,14 +139,14 @@ def bump_chain(w, pi, flavor):
     for _ in range(cap):
         if not _push_in_place(v, pi, flavor):
             cands = [j for j in range(1, len(table))
-                     if table[j] == pi and j != i]
+                     if table[j] is pi and j != i]
             if len(cands) != 1:
                 raise RuntimeError(
                     f"expected a unique companion for {v} mark {i}, got {cands}")
             i = cands[0]
         v = v[:i - 1] + (v[i - 1] + 1,) + v[i:]
         chain.append(MarkedWord(v, i, flavor))
-        table = walk_table(v, flavor)
+        table = tables[v]
         if table[0] is not None:
             return chain
     raise RuntimeError(f"push chain from {w} exceeded {cap} steps")
@@ -141,21 +169,20 @@ def bump_factorization(fac, pi, flavor):
     return Factorization(out)
 
 
-def decompose_bump(w, pi, flavor):
-    """The atom sequence splitting a bump into ordinary Little bumps.
+def decompose_bump(chain):
+    """The atom sequence splitting a bump into ordinary Little bumps, read
+    from its push chain (`bump_chain`, whose None gives ()).
 
     A new ordinary bump starts at every plain-reduced word of the chain;
     its atom is the permutation of the deleted subword at the index about
     to be pushed, which is the mark of the next chain step.  That subword
     is marked, so it is a word of the flavor's class and hence reduced:
-    the atom is its entry in the word's reduced walk table.  Returns ()
-    when the bump fixes w.
+    the atom is its entry in the word's reduced walk table.
     """
-    if not get_flavor(flavor).queer:
-        raise ValueError("decompose_bump applies to involution and fpf flavors")
-    chain = bump_chain(w, pi, flavor)
     if chain is None:
         return ()
+    if not get_flavor(chain[0].flavor).queer:
+        raise ValueError("decompose_bump applies to involution and fpf flavors")
     atoms = []
     for mw, nxt in zip(chain, chain[1:]):
         table = walk_table(mw.word, "reduced")

@@ -16,7 +16,9 @@ one-pass reading is checked, and as the bump decomposition with each atom
 the plain product of a deleted subword, against which the library's
 walk-table atoms are checked, and as the step-by-step push chain (a mark
 test, one push step and one companion search at a time), against which
-the library's one push loop is checked.
+the library's one push loop is checked, and as the walk table built from
+the generator walks (the prefix states, then one suffix walk per
+deletion), against which the library's one-loop walk kernel is checked.
 """
 
 from bisect import insort
@@ -42,6 +44,8 @@ from queercrystals.permwords import (
     FpfInvolution,
     LazyMap,
     Permutation,
+    _ascent_states,
+    _ascent_walk,
     ell_o,
     ell_sp,
     enumerate_words,
@@ -162,6 +166,16 @@ def reference_bump_chain(w, pi, flavor):
         if walk_table(chain[-1].word, flavor)[0] is not None:
             return chain
     raise RuntimeError(f"push chain from {w} exceeded the cap")
+
+
+def reference_walk(flavor, w):
+    """bumping._walk from the generator walks: the prefix states of w, then
+    each deletion i walked on over w[i:] from prefix state i - 1."""
+    prefix = list(_ascent_states(flavor, w))
+    prefix += [None] * (len(w) + 1 - len(prefix))
+    return (prefix[-1],) + tuple(
+        None if start is None else _ascent_walk(flavor, w[i:], start)
+        for i, start in enumerate(prefix[:-1], 1))
 
 
 def reference_decompose_bump(w, pi, flavor):

@@ -116,14 +116,14 @@ class TestChains:
 
 class TestDecomposition:
     def test_involution_atoms(self):
-        atoms = decompose_bump((2, 1, 3, 4), PI25, "involution")
+        atoms = decompose_bump(bump_chain((2, 1, 3, 4), PI25, "involution"))
         assert atoms == (word_to_permutation((2, 3, 4)),
                          word_to_permutation((3, 2, 4)))
         assert replay_decomposition((2, 1, 3, 4), atoms) == (3, 2, 4, 5)
 
     def test_fpf_atoms(self):
         # two bumps along s4s3 and two along s4s5 reproduce the chain
-        atoms = decompose_bump((2, 4, 3), FPI, "fpf")
+        atoms = decompose_bump(bump_chain((2, 4, 3), FPI, "fpf"))
         s43 = word_to_permutation((4, 3))
         s45 = word_to_permutation((4, 5))
         assert atoms == (s43, s43, s45, s45)
@@ -140,7 +140,7 @@ class TestDecomposition:
                         v = bump(w, target, flavor)
                         if v == w:
                             continue
-                        atoms = decompose_bump(w, target, flavor)
+                        atoms = decompose_bump(bump_chain(w, target, flavor))
                         assert replay_decomposition(w, atoms) == v
                         count += 1
             assert count

@@ -8,7 +8,8 @@ Demazure expression, respectively a minimal-length conjugating word); these
 tests recompute membership through those and compare wholesale.  The word
 enumerator and split_word are checked against brute-force references, the
 move-table walk against a plain step loop, the bumping walk table against
-one plain walk per deleted word, verify's per-target bump map and its
+one plain walk per deleted word and its one-loop kernel against the
+generator walks, verify's per-target bump map and its
 fixed-point decision from the walk tables against bump, the bump
 decomposition against plain products of the deleted subwords, the one
 push loop against the step-by-step push chain, and the
@@ -37,6 +38,7 @@ from reference import (
     fac_f_by_pair,
     reference_bump_chain,
     reference_decompose_bump,
+    reference_walk,
     shword_boxes,
 )
 
@@ -48,7 +50,7 @@ from queercrystals.bumping import (
     marked_indices,
     walk_table,
 )
-from queercrystals import verify
+from queercrystals import bumping, verify
 from queercrystals.crystals import (
     _sort_key,
     _unpaired,
@@ -242,7 +244,7 @@ def test_bump_map_matches_bump():
         words, marked = _bump_corpus(flavor, 5)
         assert list(marked) == sorted(marked, key=str)
         for pi, moved in marked.items():
-            image = verify._bump_images(pi, flavor, set(words), moved)
+            image, _ = verify._bump_images(pi, flavor, set(words), moved)
             expected = {w: bump(w, pi, flavor) for w in words}
             # the second pass reads the images that the first kept
             for w in words + words[::-1]:
@@ -298,6 +300,29 @@ def test_walk_table_matches_per_deletion_walks():
     assert semi
 
 
+def test_walk_kernel_matches_generator_walks():
+    # the corpus words, the words on the push chain of every moved pair, and
+    # each corpus word with one letter moved by -1, +1 or +2, which leaves
+    # the class at every kind of position
+    for flavor in FLAVORS:
+        words, marked = _bump_corpus(flavor, 5)
+        checked = set(words)
+        for pi, moved in marked.items():
+            for w in moved:
+                checked.update(mw.word for mw in bump_chain(w, pi, flavor))
+        checked |= {w[:j] + (w[j] + d,) + w[j + 1:] for w in words
+                    for j in range(len(w)) for d in (-1, 1, 2)}
+        outside = 0
+        for w in checked:
+            table = bumping._walk(flavor, w)
+            expected = reference_walk(flavor, w)
+            assert table == expected
+            # both read the one interned object per target
+            assert all(a is b for a, b in zip(table, expected))
+            outside += table[0] is None
+        assert 0 < outside < len(checked)
+
+
 def test_words_outside_the_corpus_reach_bump(monkeypatch):
     calls = []
 
@@ -310,7 +335,7 @@ def test_words_outside_the_corpus_reach_bump(monkeypatch):
         words, marked = _bump_corpus(flavor, 3)
         outside = [w for w in _bump_corpus(flavor, 5)[0] if len(w) > 3]
         pi, moved = next(iter(marked.items()))
-        image = verify._bump_images(pi, flavor, set(words), moved)
+        image, _ = verify._bump_images(pi, flavor, set(words), moved)
         unmarked = next(w for w in outside if not marked_indices(w, pi, flavor))
         calls.clear()
         assert image(unmarked) == unmarked
@@ -331,7 +356,7 @@ def test_decompose_bump_matches_plain_products():
         _, marked = _bump_corpus(flavor, 5)
         for pi, words in marked.items():
             for w in sorted(words):
-                atoms = decompose_bump(w, pi, flavor)
+                atoms = decompose_bump(bump_chain(w, pi, flavor))
                 assert None not in atoms
                 assert atoms == reference_decompose_bump(w, pi, flavor)
                 moved += 1

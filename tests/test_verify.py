@@ -1,11 +1,13 @@
 """The verification targets themselves, run at reduced bounds for speed;
 the acceptance suite runs them at the full contract bounds."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from queercrystals import bumping, cli, crystals, tableaux, verify
+from queercrystals.permwords import FLAVORS
 from queercrystals.verify import TARGETS, VerifyResult, corpus, run_target
 
 
@@ -114,6 +116,111 @@ def test_increments_only_on_moved_pairs(monkeypatch):
     marked = verify._marked_words(words, "involution")
     assert sum(len(moved) for moved in marked.values()) == 753
     assert len(calls) == 753
+
+
+def test_ck_bug_on_a_fixed_pair_is_reported(monkeypatch, capsys):
+    # ck_1 of one word, fixed by the first target, is sent to a word that
+    # the target moves: only the check of the fixed pair can see it
+    words, marked = verify._bump_corpus("reduced", 3)
+    pi, moved = next(iter(marked.items()))
+    fixed = next(w for w in words if w not in moved and len(w) > 2)
+    wrong, real_ck = min(moved), verify.ck
+    monkeypatch.setattr(verify, "ck", lambda w, i: (
+        wrong if (w, i) == (fixed, 1) else real_ck(w, i)))
+    res = run_target("bump-properties", max_len=3)
+    assert not res.ok
+    assert res.counterexample == (str(pi), fixed)
+    assert res.lines == ["reduced: ck_1 commutation"]
+    assert cli.main(["verify", "bump-properties", "--maxlen", "3"]) \
+        == cli.EXIT_THEOREM_FAIL
+    out = capsys.readouterr().out
+    assert out.startswith("bump-properties: FAIL")
+    assert "reduced: ck_1 commutation" in out
+
+
+class CrystalPass(Exception):
+    """Raised where bump-properties starts its crystal-commutation pass."""
+
+
+def run_word_level_loop(monkeypatch):
+    """bump-properties at max_len 4, stopped where its crystal-commutation
+    pass starts, so that a count sees the word-level loop only."""
+    def stop(relation):
+        raise CrystalPass
+
+    monkeypatch.setattr(verify, "_fac_ops", stop)
+    with pytest.raises(CrystalPass):
+        verify.check_bump_properties(max_len=4)
+
+
+def record_calls(monkeypatch, module, name, calls):
+    """Point module.name at a wrapper that appends each call's arguments."""
+    fn = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(module, name, recorded)
+
+
+def moved_pairs(max_len):
+    """(flavor, pi, w) for every pair of the bump corpora that bump moves."""
+    return [(flavor, pi, w) for flavor in FLAVORS
+            for pi, moved in verify._bump_corpus(flavor, max_len)[1].items()
+            for w in sorted(moved)]
+
+
+def test_one_push_chain_per_pair(monkeypatch):
+    # a moved pair's one chain gives its image and its atoms, and bump
+    # pushes the words outside the corpus; the replay of the atoms bumps
+    # along them, which are not pairs of the loop
+    pairs, replaying = Counter(), []
+    chain, replay = bumping.bump_chain, verify.replay_decomposition
+
+    def counted(w, pi, flavor):
+        if not replaying:
+            pairs[flavor, pi, tuple(w)] += 1
+        return chain(w, pi, flavor)
+
+    def marked_replay(w, atoms):
+        replaying.append(w)
+        try:
+            return replay(w, atoms)
+        finally:
+            replaying.pop()
+    monkeypatch.setattr(bumping, "bump_chain", counted)
+    monkeypatch.setattr(verify, "bump_chain", counted, raising=False)
+    monkeypatch.setattr(verify, "replay_decomposition", marked_replay)
+    run_word_level_loop(monkeypatch)
+    assert max(pairs.values()) == 1
+    assert set(moved_pairs(4)) <= set(pairs)
+
+
+def test_descents_and_recording_only_on_moved_pairs(monkeypatch):
+    # a fixed pair keeps its descents and recording tableau by identity
+    descents, recordings = [], []
+    record_calls(monkeypatch, verify, "descent_set", descents)
+    record_calls(monkeypatch, verify, "_q_tableau", recordings)
+    run_word_level_loop(monkeypatch)
+    expected = Counter()
+    for flavor, pi, w in moved_pairs(4):
+        ins = FLAVORS[flavor].insertion
+        expected.update([(w, ins), (bumping.bump(w, pi, flavor), ins)])
+    assert Counter(recordings) == expected
+    assert Counter(w for (w,) in descents) == Counter(
+        w for w, _ in expected.elements())
+
+
+def test_decompose_bump_reads_the_chain(monkeypatch):
+    calls = []
+    record_calls(monkeypatch, verify, "decompose_bump", calls)
+    run_word_level_loop(monkeypatch)
+    chains = [chain for (chain,) in calls]
+    assert all(isinstance(mw, bumping.MarkedWord)
+               for chain in chains for mw in chain)
+    assert sorted((chain[0].word, chain[0].flavor) for chain in chains) \
+        == sorted((w, flavor) for flavor, _, w in moved_pairs(4)
+                  if FLAVORS[flavor].queer)
 
 
 # Push-rule mutants: bumping._push_in_place made constant, and what each bump
