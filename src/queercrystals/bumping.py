@@ -10,17 +10,16 @@ value of the bumping operator.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 from .insertion import Factorization
 from .permwords import (
-    FLAVORS,
     FpfInvolution,
     LazyMap,
-    _move_node,
     _targets,
+    _walk_tables,
     get_flavor,
+    walk_table,
 )
 
 # reduced target sigma -> the base matching conjugated by sigma, kept for
@@ -34,53 +33,6 @@ class MarkedWord(NamedTuple):
     word: tuple
     mark: int  # 1-based index
     flavor: str
-
-
-def _walk(flavor, w):
-    """walk_table(w, flavor), read from the flavor's move table in one loop.
-
-    Walk 0 is the prefix walk of w from the identity, and it keeps the node
-    after each prefix; walk i >= 1 steps w[i:] from the node of the first
-    i - 1 letters.  A walk stops at the first letter that is a descent of
-    the target built so far; a deletion whose start lies past that point of
-    the prefix walk is outside the class as well.
-    """
-    flav = FLAVORS[flavor]
-    prefix = [_move_node(flav, flav.identity)]
-    table = []
-    for i in range(len(w) + 1):
-        if i > len(prefix):
-            table += [None] * (len(w) + 1 - i)
-            break
-        node = prefix[i - 1] if i else prefix[0]
-        for a in w[i:]:
-            pi, moves = node
-            node = moves.get(a, False)
-            if node is False:
-                node = moves[a] = None if pi.is_descent(a) else _move_node(
-                    flav, flav.step(pi, a))
-            if node is None:
-                break
-            if not i:
-                prefix.append(node)
-        table.append(None if node is None else node[0])
-    return tuple(table)
-
-
-# flavor -> {word: walk_table(word, flavor)}, kept for the process: every
-# push step of every bump reads the tables of the words it passes
-_walk_tables = {name: LazyMap(partial(_walk, name)) for name in FLAVORS}
-
-
-def walk_table(w, flavor):
-    """(target(w), target(w minus letter 1), ..., target(w minus letter l))
-    in the flavor's class, None outside it, so index i is the 1-based mark i.
-
-    Computed once per word: deletion i walks only w[i:], from the prefix
-    state i-1 of w's own walk.  The move table holds interned targets, so
-    equal targets are stored as one object.
-    """
-    return _walk_tables[get_flavor(flavor).name][tuple(w)]
 
 
 def marked_indices(w, pi, flavor):

@@ -20,6 +20,7 @@ from .crystals import (
     factorization_crystal,
     factorization_crystal_size,
     shifted_tableau_crystal,
+    shifted_tableau_crystal_size,
 )
 from .insertion import Factorization, insert
 from .permwords import (
@@ -172,8 +173,9 @@ def cmd_crystal(args):
             raise InputError("a target cannot be given together with --shape")
         if args.flavor:
             raise InputError("--flavor cannot be given together with --shape")
-        crys = shifted_tableau_crystal(args.n, parse_shape(args.shape))
-        check_cap(len(crys), cap)
+        shape = parse_shape(args.shape)
+        check_cap(shifted_tableau_crystal_size(args.n, shape), cap)
+        crys = shifted_tableau_crystal(args.n, shape)
     else:
         flavor = insertion_flavor(args.flavor or "oeg").name
         pi = parse_permutation(args.perm or "", flavor)
@@ -250,7 +252,8 @@ def build_parser():
     Parsing keeps no state between calls: each parse_args returns a new
     Namespace.  set_defaults(fn=cmd_*) binds the command functions once, when
     the parser is built; the functions read the module globals they use
-    (bump_chain, TARGETS, QC_VERTEX_CAP) when they run.
+    (bump_chain, TARGETS) when they run, and env_cap reads the environment
+    variable QC_VERTEX_CAP at each call.
     """
     parser = argparse.ArgumentParser(
         prog="qc",

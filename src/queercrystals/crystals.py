@@ -572,6 +572,54 @@ def factorization_crystal_size(pi, flavor, n):
     return total
 
 
+def _pfaffian(a):
+    """The Pfaffian of a skew-symmetric integer matrix of even order (a list
+    of rows, reduced in place), by fraction-free elimination: once a pair
+    of indices is eliminated, entry (i, j) is the Pfaffian on the indices
+    eliminated so far and i, j, so each division is exact."""
+    sign, last = 1, 1
+    for k in range(0, len(a), 2):
+        p = next((j for j in range(k + 1, len(a)) if a[k][j]), None)
+        if p is None:
+            return 0
+        if p != k + 1:  # swapping two indices negates the Pfaffian
+            a[k + 1], a[p] = a[p], a[k + 1]
+            for row in a:
+                row[k + 1], row[p] = row[p], row[k + 1]
+            sign = -sign
+        x, y, pivot = a[k], a[k + 1], a[k][k + 1]
+        for i in range(k + 2, len(a)):
+            for j in range(k + 2, len(a)):
+                a[i][j] = (pivot * a[i][j] - x[i] * y[j] + x[j] * y[i]) // last
+        last = pivot
+    return sign * last
+
+
+def shifted_tableau_crystal_size(n, shape):
+    """len(shifted_tableau_crystal(n, shape)), counted without building it:
+    P_shape(1^n), the number of semistandard shifted tableaux.
+
+    Schur's Pfaffian gives Q_shape = Pf[Q_(a, b)] over the pairs of parts
+    (a zero part appended to an odd length), where Q_(a, b) is q_a q_b +
+    2 sum_k (-1)^k q_(a+k) q_(b-k) over k = 1..b, and q_k(1^n), the
+    coefficient of t^k in ((1 + t) / (1 - t))^n, is the sum of
+    2^j C(n, j) C(k - 1, j - 1) over j >= 1.  Then P_shape is
+    2^-len(shape) Q_shape.
+    """
+    parts = tuple(shape) + (0,) * (len(shape) % 2)
+    top = sum(parts[:2])
+    q = [1] + [sum(comb(n, j) * comb(k - 1, j - 1) << j
+                   for j in range(1, min(n, k) + 1)) for k in range(1, top + 1)]
+
+    def pair(a, b):
+        return q[a] * q[b] + 2 * sum((-1) ** k * q[a + k] * q[b - k]
+                                     for k in range(1, b + 1))
+
+    a = [[pair(x, y) if i < j else -pair(y, x) if i > j else 0
+          for j, y in enumerate(parts)] for i, x in enumerate(parts)]
+    return _pfaffian(a) >> len(shape)
+
+
 def _shtab_crystal(verts, n, name):
     """The q_n-crystal on the given semistandard shifted tableaux."""
     f, e = queer_ops(shtab_f, shtab_e, shtab_fqbar, shtab_eqbar)

@@ -21,7 +21,9 @@ class VertexCapExceeded(RuntimeError):
 
 class LazyMap(dict):
     """A dict whose missing key k is filled with fn(k) at its first lookup:
-    the one memo type of the package."""
+    the memo of a table that its readers index as a dict, such as the walk
+    tables or a crystal's edges.  A function memoized as a whole uses
+    functools.lru_cache instead."""
 
     __slots__ = ("fn",)
 
@@ -326,35 +328,71 @@ def _move_node(flav, pi):
     return node
 
 
-def _ascent_states(flavor, w, start=None):
-    """The targets of the prefixes of w, walked from start (by default the
-    flavor's identity), ending in None at the first letter that is a descent
-    of the target built so far (exactly the invalid-word condition).  For
-    reduced words the target is the product s_{w_1} ... s_{w_l}.
-
-    Each (target, letter) move is stepped once per process and kept in the
-    flavor's move table, so every state yielded is the interned target."""
-    flav = FLAVORS[flavor]
-    node = _move_node(flav, flav.identity if start is None else start)
-    yield node[0]
-    for a in w:
-        pi, moves = node
-        node = moves.get(a, False)
-        if node is False:
-            node = moves[a] = None if pi.is_descent(a) else _move_node(
-                flav, flav.step(pi, a))
-        if node is None:
-            yield None
-            return
-        yield node[0]
+def _step(flav, node, a):
+    """The node after letter a from node, or None when a is a descent of
+    node's target (exactly the invalid-word condition): the one move rule.
+    Each (target, letter) move is stepped once per process and kept in
+    node's moves, so every node holds the interned target."""
+    pi, moves = node
+    nxt = moves.get(a, False)
+    if nxt is False:
+        nxt = moves[a] = None if pi.is_descent(a) else _move_node(
+            flav, flav.step(pi, a))
+    return nxt
 
 
 def _ascent_walk(flavor, w, start=None):
     """The target of w in the flavor's class (of start followed by w when
-    start is given), or None: the last of its prefix states."""
-    for pi in _ascent_states(flavor, w, start):
-        pass
-    return pi
+    start is given), or None at the first letter that is a descent of the
+    target built so far.  For reduced words the target is the product
+    s_{w_1} ... s_{w_l}."""
+    flav = FLAVORS[flavor]
+    node = _move_node(flav, flav.identity if start is None else start)
+    for a in w:
+        node = _step(flav, node, a)
+        if node is None:
+            return None
+    return node[0]
+
+
+def _walk(flavor, w):
+    """walk_table(w, flavor), read from the flavor's move table in one loop.
+
+    Walk 0 is the prefix walk of w from the identity, and it keeps the node
+    after each prefix; walk i >= 1 steps w[i:] from the node of the first
+    i - 1 letters.  A walk stops at the first letter that is a descent of
+    the target built so far; a deletion whose start lies past that point of
+    the prefix walk is outside the class as well.  A move already in the
+    table is read inline, and only a new one calls _step.
+    """
+    flav = FLAVORS[flavor]
+    prefix = [_move_node(flav, flav.identity)]
+    table = []
+    for i in range(len(w) + 1):
+        if i > len(prefix):
+            table += [None] * (len(w) + 1 - i)
+            break
+        node = prefix[i - 1] if i else prefix[0]
+        for a in w[i:]:
+            nxt = node[1].get(a, False)
+            node = _step(flav, node, a) if nxt is False else nxt
+            if node is None:
+                break
+            if not i:
+                prefix.append(node)
+        table.append(None if node is None else node[0])
+    return tuple(table)
+
+
+def walk_table(w, flavor):
+    """(target(w), target(w minus letter 1), ..., target(w minus letter l))
+    in the flavor's class, None outside it, so index i is the 1-based mark i.
+
+    Computed once per word: deletion i walks only w[i:], from the prefix
+    state i-1 of w's own walk.  The move table holds interned targets, so
+    equal targets are stored as one object.
+    """
+    return _walk_tables[get_flavor(flavor).name][tuple(w)]
 
 
 @lru_cache(maxsize=None)
@@ -530,7 +568,8 @@ class Flavor:
     sort_key: object   # order of the verify corpora
     carrier: str       # name prefix of the factorization crystals
     basis: str         # expansion basis of their characters
-    # target -> its move-table node, filled by the ascent walk
+    # target -> its move-table node, filled by _move_node; a node's
+    # letter -> next node map is filled by _step alone
     moves: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -571,6 +610,10 @@ FLAVORS = {flav.name: flav for flav in (
            step=FpfInvolution.conjugate_s, cache=_fpf_cache, window=(1, 6),
            sort_key=lambda pi: pi.cycles, carrier="R^Sp", basis="schurP"),
 )}
+
+# flavor -> {word: walk_table(word, flavor)}, kept for the process: every
+# push step of every bump reads the tables of the words it passes
+_walk_tables = {name: LazyMap(partial(_walk, name)) for name in FLAVORS}
 
 
 def get_flavor(name):

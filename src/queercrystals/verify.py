@@ -56,6 +56,7 @@ from .permwords import (
     enumerate_words,
     equivalence_class,
     get_flavor,
+    walk_table,
     word_to_permutation,
 )
 from .symchar import character, expand, is_supersymmetric, is_symmetric
@@ -230,7 +231,7 @@ def _marked_words(words, flavor):
     bump(., pi, flavor) moves."""
     marked = {}
     for w in words:
-        for pi in bumping.walk_table(w, flavor)[1:]:
+        for pi in walk_table(w, flavor)[1:]:
             if pi is not None:
                 marked.setdefault(pi, set()).add(w)
     return dict(sorted(marked.items(), key=lambda item: str(item[0])))

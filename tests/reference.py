@@ -16,9 +16,11 @@ one-pass reading is checked, and as the bump decomposition with each atom
 the plain product of a deleted subword, against which the library's
 walk-table atoms are checked, and as the step-by-step push chain (a mark
 test, one push step and one companion search at a time), against which
-the library's one push loop is checked, and as the walk table built from
-the generator walks (the prefix states, then one suffix walk per
-deletion), against which the library's one-loop walk kernel is checked.
+the library's one push loop is checked, and as the plain walk (a
+target stepped letter by letter with no move table) and the walk table
+built from it (the prefix states, then a plain walk of each deletion's
+suffix), against which the library's move-table walk and its one-loop
+walk kernel are checked.
 """
 
 from bisect import insort
@@ -30,7 +32,6 @@ from queercrystals.bumping import (
     _push_in_place,
     bump_chain,
     marked_indices,
-    walk_table,
 )
 from queercrystals.crystals import (
     Crystal,
@@ -44,14 +45,13 @@ from queercrystals.permwords import (
     FpfInvolution,
     LazyMap,
     Permutation,
-    _ascent_states,
-    _ascent_walk,
     ell_o,
     ell_sp,
     enumerate_words,
     equivalence_class,
     get_flavor,
     insertion_flavor,
+    walk_table,
     word_to_permutation,
 )
 from queercrystals.tableaux import (
@@ -168,13 +168,28 @@ def reference_bump_chain(w, pi, flavor):
     raise RuntimeError(f"push chain from {w} exceeded the cap")
 
 
+def plain_states(flavor, w, start=None):
+    """The prefix targets of w, stepped from start (by default the flavor's
+    identity) with flav.step letter by letter and no move table, ending in
+    None at the first descent."""
+    flav = get_flavor(flavor)
+    pi = flav.identity if start is None else start
+    states = [pi]
+    for a in w:
+        if pi.is_descent(a):
+            return states + [None]
+        pi = flav.step(pi, a)
+        states.append(pi)
+    return states
+
+
 def reference_walk(flavor, w):
-    """bumping._walk from the generator walks: the prefix states of w, then
+    """permwords.walk_table from plain walks: the prefix states of w, then
     each deletion i walked on over w[i:] from prefix state i - 1."""
-    prefix = list(_ascent_states(flavor, w))
+    prefix = plain_states(flavor, w)
     prefix += [None] * (len(w) + 1 - len(prefix))
     return (prefix[-1],) + tuple(
-        None if start is None else _ascent_walk(flavor, w[i:], start)
+        None if start is None else plain_states(flavor, w[i:], start)[-1]
         for i, start in enumerate(prefix[:-1], 1))
 
 

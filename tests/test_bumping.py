@@ -1,7 +1,7 @@
 import pytest
 from reference import companion_index, delete_letter, is_marked, push_step
 
-from queercrystals import bumping
+from queercrystals import permwords
 from queercrystals.bumping import (
     MarkedWord,
     bump,
@@ -63,7 +63,7 @@ class TestMarkedWords:
 
         assert run_target("conjecture-ib-bound").ok
         one = {}
-        for table in bumping._walk_tables.values():
+        for table in permwords._walk_tables.values():
             for targets in table.values():
                 for t in targets:
                     if t is not None:

@@ -191,6 +191,18 @@ class TestCrystal:
         assert err == (f"resource limit: carrier has {size} vertices, "
                        f"above the cap {cap}\n")
 
+    def test_shape_cap_refused_before_the_build(self, capsys, monkeypatch):
+        def unbuilt(shape, n):
+            raise AssertionError("the carrier was built")
+
+        monkeypatch.setattr(crystals, "semistandard_shifted_tableaux", unbuilt)
+        assert run(capsys, "crystal", "--shape", "6,4,2", "--n", "6",
+                   "--cap", "1") == (3, "", "resource limit: carrier has "
+                                     "802816 vertices, above the cap 1\n")
+        assert run(capsys, "crystal", "--shape", "3,1", "--n", "3",
+                   "--cap", "23") == (3, "", "resource limit: carrier has "
+                                      "24 vertices, above the cap 23\n")
+
     def test_vertex_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QC_VERTEX_CAP", "5")
         code, out, err = run(capsys, "crystal", "(1,3)(2,5)")

@@ -7,9 +7,10 @@ involution and fpf classes equivalent closed-form ones (a minimal-length
 Demazure expression, respectively a minimal-length conjugating word); these
 tests recompute membership through those and compare wholesale.  The word
 enumerator and split_word are checked against brute-force references, the
-move-table walk against a plain step loop, the bumping walk table against
-one plain walk per deleted word and its one-loop kernel against the
-generator walks, verify's per-target bump map and its
+move-table walk on every prefix against a plain step loop, the walk table
+against one plain walk per deleted word and its one-loop kernel against
+plain walks from the prefix states, with every entry the interned target,
+verify's per-target bump map and its
 fixed-point decision from the walk tables against bump, the bump
 decomposition against plain products of the deleted subwords, the one
 push loop against the step-by-step push chain, and the
@@ -24,7 +25,9 @@ string lengths, sources, and the components sharing the tables) are
 checked against the sort-based edge list and walks of the raw operators;
 the factorizations that split_word and the crystal operators build
 without the increasing-factor scan against the checking constructor; and
-the carrier size counted before a build against the built carrier.
+the carrier sizes counted before a build, of factorization carriers and
+of shifted-tableau carriers by Schur's Pfaffian, against the built
+carrier and the tableau enumeration.
 """
 
 from itertools import product
@@ -36,6 +39,7 @@ from reference import (
     delete_letter,
     fac_e_by_pair,
     fac_f_by_pair,
+    plain_states,
     reference_bump_chain,
     reference_decompose_bump,
     reference_walk,
@@ -48,9 +52,8 @@ from queercrystals.bumping import (
     decompose_bump,
     is_semi_reduced,
     marked_indices,
-    walk_table,
 )
-from queercrystals import bumping, verify
+from queercrystals import permwords, verify
 from queercrystals.crystals import (
     _sort_key,
     _unpaired,
@@ -59,6 +62,7 @@ from queercrystals.crystals import (
     factorization_crystal,
     factorization_crystal_size,
     shifted_tableau_crystal_all,
+    shifted_tableau_crystal_size,
     strict_partitions,
     word_crystal,
 )
@@ -68,13 +72,13 @@ from queercrystals.permwords import (
     FpfInvolution,
     LazyMap,
     Permutation,
-    _ascent_states,
     _ascent_walk,
     ell_o,
     ell_sp,
     enumerate_words,
     fpf_target,
     involution_target,
+    walk_table,
     word_target,
     word_to_permutation,
 )
@@ -85,6 +89,7 @@ from queercrystals.tableaux import (
     entry_value,
     is_increasing,
     is_semistandard,
+    semistandard_shifted_tableaux,
     shword,
     shword_letters,
     standard_shifted_tableaux,
@@ -205,21 +210,6 @@ def test_split_word_matches_backtracking():
             assert split_word(w, n) == split_word_backtracking(w, n)
 
 
-def plain_states(flavor, w):
-    """The prefix targets of w, stepped from the flavor's identity with
-    flav.step letter by letter and no move table, ending in None at the
-    first descent."""
-    flav = FLAVORS[flavor]
-    pi = flav.identity
-    states = [pi]
-    for a in w:
-        if pi.is_descent(a):
-            return states + [None]
-        pi = flav.step(pi, a)
-        states.append(pi)
-    return states
-
-
 def deletion_targets(w, flavor):
     """w's target, then the target of each one-letter deletion, every one
     walked plainly from the identity."""
@@ -234,7 +224,9 @@ def test_table_walk_matches_plain_walk():
             for v in (w,) + tuple(delete_letter(w, i)
                                   for i in range(1, len(w) + 1)):
                 expected = plain_states(flavor, v)
-                assert list(_ascent_states(flavor, v)) == expected
+                expected += [None] * (len(v) + 1 - len(expected))
+                for k in range(len(v) + 1):
+                    assert _ascent_walk(flavor, v[:k]) == expected[k]
                 assert word_target(v, flavor) == expected[-1]
 
 
@@ -289,7 +281,7 @@ def test_walk_table_matches_per_deletion_walks():
             for pi in targets:
                 assert marked_indices(w, pi, flavor) == tuple(
                     i for i in range(1, len(w) + 1) if expected[i] == pi)
-            prefix = list(_ascent_states(flavor, w))
+            prefix = plain_states(flavor, w)
             for i, start in enumerate(prefix[:len(w)], 1):
                 if start is not None:
                     assert _ascent_walk(flavor, w[i:], start) == expected[i]
@@ -300,7 +292,7 @@ def test_walk_table_matches_per_deletion_walks():
     assert semi
 
 
-def test_walk_kernel_matches_generator_walks():
+def test_walk_kernel_matches_plain_walks():
     # the corpus words, the words on the push chain of every moved pair, and
     # each corpus word with one letter moved by -1, +1 or +2, which leaves
     # the class at every kind of position
@@ -314,11 +306,11 @@ def test_walk_kernel_matches_generator_walks():
                     for j in range(len(w)) for d in (-1, 1, 2)}
         outside = 0
         for w in checked:
-            table = bumping._walk(flavor, w)
-            expected = reference_walk(flavor, w)
-            assert table == expected
-            # both read the one interned object per target
-            assert all(a is b for a, b in zip(table, expected))
+            table = permwords._walk(flavor, w)
+            assert table == reference_walk(flavor, w)
+            # every entry is the one interned object of its target
+            assert all(pi is permwords._targets[pi]
+                       for pi in table if pi is not None)
             outside += table[0] is None
         assert 0 < outside < len(checked)
 
@@ -714,3 +706,14 @@ def test_factorization_crystal_size_matches_the_carrier():
                     len(factorization_crystal(pi, flavor, n)), (pi, n)
                 cases += 1
     assert cases == 1070
+
+
+def test_shifted_tableau_crystal_size_matches_the_enumeration():
+    cases = 0
+    for m in range(1, 9):
+        for shape in strict_partitions(m):
+            for n in range(5):
+                assert shifted_tableau_crystal_size(n, shape) == len(
+                    semistandard_shifted_tableaux(shape, n)), (shape, n)
+                cases += 1
+    assert cases == 120

@@ -13,6 +13,10 @@ from_strings, which ShiftedTableau's repr prints, are exempt.
 A read of a name that several classes define counts for all of them, so
 each such method must also run, under sys.setprofile, while the verify
 targets run at test bounds and a fixed list of qc commands runs.
+
+Two structure scans, on the syntax tree alone: no module imports a name it
+never reads, and no module but permwords names the move table's private
+functions or reads a .moves attribute.
 """
 
 import ast
@@ -161,6 +165,84 @@ def test_the_scan_finds_function_imports(tmp_path):
         "class A:\n    def method(self):\n        import sys\n"
         "        return sys\n")
     assert function_imports(tmp_path) == ["a.local (4)", "a.method (9)"]
+
+
+MOVE_TABLE_NAMES = {"_move_node", "_step"}
+
+
+def move_table_reads(src=SRC):
+    """module (line) of every use outside permwords of the move table's
+    private names, or of a .moves attribute: permwords alone reads and
+    fills the move table, so the move rule is stated once."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "permwords":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.ImportFrom):
+                name = next((alias.name for alias in node.names
+                             if alias.name in MOVE_TABLE_NAMES), None)
+            else:
+                continue
+            if name in MOVE_TABLE_NAMES or (
+                    name == "moves" and isinstance(node, ast.Attribute)):
+                out.append(f"{path.stem} ({node.lineno})")
+    return out
+
+
+def test_only_permwords_reads_the_move_table():
+    assert move_table_reads() == []
+
+
+def test_the_scan_finds_move_table_reads(tmp_path):
+    (tmp_path / "permwords.py").write_text(
+        "def _step(flav, node, a):\n    return flav.moves\n")
+    (tmp_path / "a.py").write_text(
+        "from .permwords import _step\n\n"
+        "def walk(flav, moves):\n"
+        "    return _step(flav, None, 1), moves, flav.moves\n")
+    (tmp_path / "b.py").write_text(
+        "from . import permwords\n\n"
+        "def node(flav):\n    return permwords._move_node(flav, None)\n")
+    assert move_table_reads(tmp_path) == [
+        "a (1)", "a (4)", "a (4)", "b (4)"]
+
+
+def unread_imports(src=SRC):
+    """module.name of every name that a module imports and never reads;
+    __init__.py, whose imports are re-exports, is not scanned."""
+    out = []
+    for mod, tree in module_trees(src).items():
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in reads:
+                    out.append(f"{mod}.{name}")
+    return sorted(out)
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []
+
+
+def test_the_scan_finds_unread_imports(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport sys as system\n"
+        "from functools import partial, reduce\n\n"
+        "def f(x: partial):\n    return os.sep, x\n")
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    assert unread_imports(tmp_path) == ["a.reduce", "a.system"]
 
 
 def test_every_method_is_read():
