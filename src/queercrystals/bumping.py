@@ -35,12 +35,6 @@ class MarkedWord(NamedTuple):
     flavor: str
 
 
-def marked_indices(w, pi, flavor):
-    table = walk_table(w, flavor)
-    pi = _targets.get(pi, pi)
-    return tuple(i for i in range(1, len(table)) if table[i] is pi)
-
-
 def is_semi_reduced(w, pi):
     """Reduced words whose underlying permutation conjugates the base
     matching to the fpf involution pi; these pause the companion search in
@@ -51,9 +45,10 @@ def is_semi_reduced(w, pi):
     return sigma is not None and _base_conjugates[sigma] == pi
 
 
-def _push_in_place(w, pi, flavor):
-    """Whether the push from a marked w increments the marked letter itself."""
-    return walk_table(w, flavor)[0] is not None or is_semi_reduced(w, pi)
+def _push_in_place(table, w, pi):
+    """Whether the push from a marked w, whose walk table in the bumped
+    flavor is table, increments the marked letter itself."""
+    return table[0] is not None or is_semi_reduced(w, pi)
 
 
 def _iteration_cap(w):
@@ -71,7 +66,8 @@ def bump_chain(w, pi, flavor):
     the same subword.  The chain stops at the first word of the class.
 
     Every table entry is an interned target, so pi is interned once and
-    the mark and companion tests compare entries by identity.
+    the mark and companion tests compare entries by identity.  Each step
+    reads the current word's table once, and the push test takes it.
     """
     w = tuple(w)
     tables = _walk_tables[get_flavor(flavor).name]
@@ -79,7 +75,7 @@ def bump_chain(w, pi, flavor):
     if table[0] is None:
         raise ValueError(f"{w} is not in the {flavor} word class")
     pi = _targets.get(pi, pi)
-    marks = marked_indices(w, pi, flavor)
+    marks = tuple(i for i in range(1, len(table)) if table[i] is pi)
     if not marks:
         return None
     if len(marks) > 1:
@@ -89,7 +85,7 @@ def bump_chain(w, pi, flavor):
     v, i = w, marks[0]
     chain = [MarkedWord(v, i, flavor)]
     for _ in range(cap):
-        if not _push_in_place(v, pi, flavor):
+        if not _push_in_place(table, v, pi):
             cands = [j for j in range(1, len(table))
                      if table[j] is pi and j != i]
             if len(cands) != 1:

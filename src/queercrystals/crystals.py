@@ -27,7 +27,6 @@ from .tableaux import (
     entry_primed,
     entry_str,
     entry_value,
-    is_strict_partition,
     primed,
     semistandard_shifted_tableaux,
     shword_letters,
@@ -448,21 +447,32 @@ class Crystal:
             if all(self.e_table[x, i] is None for i in self.indices)
         )
 
-    def highest_weights(self):
-        """(vertex, weight) pairs of highest-weight elements.
+    def reflect(self, x, j):
+        """S_j(x): x moved to the mirror place of its j-string, by f_j or
+        e_j applied |phi_j(x) - epsilon_j(x)| times."""
+        eps, phi = self.string_lengths(x, j)
+        table = self.f_table if phi > eps else self.e_table
+        for _ in range(abs(phi - eps)):
+            x = table[x, j]
+        return x
 
-        For queer crystals these are the sources whose weight, trailing
-        zeros dropped, is a strict partition; a queer component can have
-        further sources that are not highest weights.
+    def highest_weights(self):
+        """(vertex, weight) pairs of highest-weight elements: the sources
+        that, for a queer crystal, every e_{i'} with 2 <= i < n kills too.
+
+        e_{i'} = S_{w_i}^{-1} e_{1bar} S_{w_i}, where w_i = s_2 ... s_i
+        s_1 ... s_{i-1} and S_w is the product of the reflections
+        (Grantcharov-Jung-Kang-Kashiwara-Kim); S_{w_i} is a bijection, so
+        e_{i'} kills x exactly when e_{1bar} kills S_{w_i}(x).
         """
-        out = []
-        for x in self.sources():
-            wt = self.wt(x)
-            trimmed = _trim(wt)
-            if self.queer and not is_strict_partition(trimmed):
-                continue
-            out.append((x, wt))
-        return tuple(out)
+        def killed(x, i):
+            for j in (*range(i - 1, 0, -1), *range(i, 1, -1)):
+                x = self.reflect(x, j)  # S_{w_i} applies its last factor first
+            return self.e_table[x, QBAR] is None
+
+        labels = range(2, self.n) if self.queer else ()
+        return tuple((x, self.wt(x)) for x in self.sources()
+                     if all(killed(x, i) for i in labels))
 
     def to_json(self):
         verts = [pretty_element(x) for x in self.vertices]

@@ -505,13 +505,23 @@ def ck0_sp(w):
     return w
 
 
+def ck_moves(w, ck0):
+    """The (i, ck_i(w)) pairs of the word w, led by (0, ck0(w)) when the
+    relation has an initial move ck0: the one list of a word's
+    Coxeter-Knuth images."""
+    moves = [] if ck0 is None else [(0, ck0(w))]
+    moves += [(i, ck(w, i)) for i in range(1, len(w) - 1)]
+    return moves
+
+
 def equivalence_class(w, relation, cap=DEFAULT_VERTEX_CAP):
     """BFS closure of w under Coxeter-Knuth moves.
 
-    The ck_i, and the initial move ck0 of the flavor whose relation it is:
-    "K" has none, "O" adds the initial swap, "Sp" the symplectic move.
-    A class of more than cap words raises VertexCapExceeded: outside the
-    fpf class, the symplectic move lets letters drift without bound.
+    The moves of `ck_moves` with the initial move ck0 of the flavor whose
+    relation it is: "K" has none, "O" adds the initial swap, "Sp" the
+    symplectic move.  A class of more than cap words raises
+    VertexCapExceeded: outside the fpf class, the symplectic move lets
+    letters drift without bound.
     """
     ck0 = _flavor_with("relation", relation, "relation").ck0
     w = tuple(w)
@@ -521,11 +531,7 @@ def equivalence_class(w, relation, cap=DEFAULT_VERTEX_CAP):
         if len(seen) > cap:
             raise VertexCapExceeded(
                 f"the {relation}-class of {w} has more than {cap} words")
-        v = frontier.pop()
-        images = [ck(v, i) for i in range(1, len(v) - 1)]
-        if ck0 is not None:
-            images.append(ck0(v))
-        for u in images:
+        for _, u in ck_moves(frontier.pop(), ck0):
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)

@@ -13,7 +13,6 @@ from functools import lru_cache, partial
 
 from . import bumping, tableaux
 from .bumping import (
-    bump,
     bump_chain,
     decompose_bump,
     increments,
@@ -51,7 +50,7 @@ from .permwords import (
     LazyMap,
     Permutation,
     _ascent_walk,
-    ck,
+    ck_moves,
     descent_set,
     enumerate_words,
     equivalence_class,
@@ -247,72 +246,48 @@ def _bump_corpus(flavor, max_len):
     return words, _marked_words(words, flavor)
 
 
-def _bump_images(pi, flavor, words, moved):
-    """u -> bump(u, pi, flavor) for one target, and {u: bump_chain(u, pi,
-    flavor)} for the words of moved (its pi-marked words of words).
-
-    A word of words outside moved has no pi-mark, so the operator fixes it:
-    that is read from the walk tables, without a call to bump.  A word of
-    moved is pushed once, and its image is the last word of its chain; a
-    word outside words goes through bump once.  Both maps are filled on
-    first lookup and kept while the target's loop runs.
-    """
-    chains = LazyMap(partial(bump_chain, pi=pi, flavor=flavor))
-    bumped = LazyMap(partial(bump, pi=pi, flavor=flavor))
-
-    def image(u):
-        if u in moved:
-            return chains[u][-1].word
-        return u if u in words else bumped[u]
-    return image, chains
-
-
 def check_bump_properties(max_len=5, n=3):
     """Bijectivity, descent preservation, ck commutation, recording
     invariance, the factorization lift, and the atom decomposition.
 
-    A pair (w, pi) with no pi-mark on w is fixed, bump(w) = w: its
-    descents, recording tableau and increments hold by identity, and its
-    ck images must be fixed too, which for a corpus word is the set test
-    that it has no pi-mark.  Every other pair runs every check."""
+    A pair (w, pi) moves when pi marks a letter of w, and its image v is
+    the last word of its push chain; otherwise it is fixed, v = w.  Every
+    pair runs one body: injectivity, and the ck commutation of w's
+    `ck_moves` images against v's, which for a fixed pair are w's own.
+    Descents, the recording tableau, increments and the atom replay hold
+    by identity on a fixed pair, so only a moved pair runs them.  A ck
+    image outside the corpus is a failure: a ck move keeps a word's
+    target and length."""
     res = VerifyResult("bump-properties", True)
     for flavor, flav in FLAVORS.items():
         ins, ck0 = flav.insertion, flav.ck0
         words, marked = _bump_corpus(flavor, max_len)
         # each word's ck images, whatever the target
-        sides = {w: ([ck(w, i) for i in range(1, len(w) - 1)],
-                     None if ck0 is None else ck0(w)) for w in words}
+        sides = {w: ck_moves(w, ck0) for w in words}
         for pi, moved in marked.items():
-            image, chains = _bump_images(pi, flavor, sides, moved)
+            # the push chain of each moved word, kept while pi's loop runs
+            chains = LazyMap(partial(bump_chain, pi=pi, flavor=flavor))
             images = {}
-            for w, (cks, w0) in sides.items():
+            for w, cks in sides.items():
                 res.checks += 1
-                if w not in moved:
-                    if images.setdefault(w, w) != w:
-                        return res.fail(f"{flavor}: bump not injective", (str(pi), w))
-                    for i, u in enumerate(cks, 1):
-                        if (u in moved or u not in sides) and image(u) != u:
-                            return res.fail(f"{flavor}: ck_{i} commutation", (str(pi), w))
-                    if (ck0 is not None and (w0 in moved or w0 not in sides)
-                            and image(w0) != w0):
-                        return res.fail(f"{flavor}: ck_0 commutation", (str(pi), w))
-                    continue
-                chain = chains[w]
-                v = chain[-1].word
+                chain = chains[w] if w in moved else None
+                v = w if chain is None else chain[-1].word
                 if images.setdefault(v, w) != w:
                     return res.fail(f"{flavor}: bump not injective", (str(pi), w))
-                if descent_set(v) != descent_set(w):
-                    return res.fail(f"{flavor}: descents not preserved", (str(pi), w))
-                if not flav.queer and set(increments(w, v)) - {0, 1}:
-                    return res.fail(f"{flavor}: increment bound broken", (str(pi), w))
-                if _q_tableau(w, ins) != _q_tableau(v, ins):
-                    return res.fail(f"{flavor}: recording tableau changed", (str(pi), w))
-                for i, u in enumerate(cks, 1):
-                    if image(u) != ck(v, i):
+                if chain is not None:
+                    if descent_set(v) != descent_set(w):
+                        return res.fail(f"{flavor}: descents not preserved", (str(pi), w))
+                    if not flav.queer and set(increments(w, v)) - {0, 1}:
+                        return res.fail(f"{flavor}: increment bound broken", (str(pi), w))
+                    if _q_tableau(w, ins) != _q_tableau(v, ins):
+                        return res.fail(f"{flavor}: recording tableau changed", (str(pi), w))
+                v_cks = cks if chain is None else ck_moves(v, ck0)
+                for (i, u), (_, x) in zip(cks, v_cks):
+                    if u not in sides:
+                        return res.fail(f"{flavor}: ck_{i} leaves the word class", (str(pi), w))
+                    if (chains[u][-1].word if u in moved else u) != x:
                         return res.fail(f"{flavor}: ck_{i} commutation", (str(pi), w))
-                if ck0 is not None and image(w0) != ck0(v):
-                    return res.fail(f"{flavor}: ck_0 commutation", (str(pi), w))
-                if flav.queer and replay_decomposition(
+                if chain is not None and flav.queer and replay_decomposition(
                         w, decompose_bump(chain)) != v:
                     return res.fail(f"{flavor}: decomposition replay", (str(pi), w))
     # crystal-operator commutation on factorizations (qi theorems)
@@ -357,10 +332,8 @@ def check_dual_equivalence(max_len=6, max_boxes=7):
             for w in enumerate_words(pi, flavor):
                 q = _q_tableau(w, ins)
                 res.checks += 1
-                if _q_tableau(ck0(w), ins) != d[q, 0]:
-                    return res.fail(f"{flavor}: ck_0 vs d_0", w)
-                for i in range(1, len(w) - 1):
-                    if _q_tableau(ck(w, i), ins) != d[q, i]:
+                for i, u in ck_moves(w, ck0):
+                    if _q_tableau(u, ins) != d[q, i]:
                         return res.fail(f"{flavor}: ck_{i} vs d_{i}", w)
     # involutivity, standardness, descent mirroring, operator composites
     for m in range(1, max_boxes + 1):

@@ -15,7 +15,8 @@ and as the two-pass shifted reading order, against which the library's
 one-pass reading is checked, and as the bump decomposition with each atom
 the plain product of a deleted subword, against which the library's
 walk-table atoms are checked, and as the step-by-step push chain (a mark
-test, one push step and one companion search at a time), against which
+test, the mark search `marked_indices`, one push step and one companion
+search at a time), against which
 the library's one push loop is checked, and as the plain walk (a
 target stepped letter by letter with no move table) and the walk table
 built from it (the prefix states, then a plain walk of each deletion's
@@ -31,7 +32,6 @@ from queercrystals.bumping import (
     _iteration_cap,
     _push_in_place,
     bump_chain,
-    marked_indices,
 )
 from queercrystals.crystals import (
     Crystal,
@@ -45,6 +45,7 @@ from queercrystals.permwords import (
     FpfInvolution,
     LazyMap,
     Permutation,
+    _targets,
     ell_o,
     ell_sp,
     enumerate_words,
@@ -136,6 +137,15 @@ def is_marked(w, i, pi, flavor):
     return walk_table(w, flavor)[i] == pi
 
 
+def marked_indices(w, pi, flavor):
+    """The 1-based indices i with (w, i) pi-marked, read from w's walk
+    table by identity with the interned pi: the mark search that
+    bump_chain runs inline."""
+    table = walk_table(w, flavor)
+    pi = _targets.get(pi, pi)
+    return tuple(i for i in range(1, len(table)) if table[i] is pi)
+
+
 def companion_index(w, i, pi, flavor):
     """The unique j != i with (w, j) also pi-marked."""
     cands = [j for j in marked_indices(w, pi, flavor) if j != i]
@@ -150,7 +160,7 @@ def push_step(mw, pi):
     w, i, flavor = mw.word, mw.mark, mw.flavor
     if not is_marked(w, i, pi, flavor):
         raise ValueError(f"({w}, {i}) is not marked for {pi}")
-    j = i if _push_in_place(w, pi, flavor) else companion_index(
+    j = i if _push_in_place(walk_table(w, flavor), w, pi) else companion_index(
         w, i, pi, flavor)
     v = w[:j - 1] + (w[j - 1] + 1,) + w[j:]
     return MarkedWord(v, j, flavor)

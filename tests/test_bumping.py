@@ -1,5 +1,11 @@
 import pytest
-from reference import companion_index, delete_letter, is_marked, push_step
+from reference import (
+    companion_index,
+    delete_letter,
+    is_marked,
+    marked_indices,
+    push_step,
+)
 
 from queercrystals import permwords
 from queercrystals.bumping import (
@@ -10,7 +16,6 @@ from queercrystals.bumping import (
     decompose_bump,
     increments,
     is_semi_reduced,
-    marked_indices,
     replay_decomposition,
 )
 from queercrystals.insertion import Factorization, oeg_insert, speg_insert, split_word

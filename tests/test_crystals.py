@@ -50,6 +50,7 @@ from queercrystals.permwords import (
     ell_sp,
     involution_words,
 )
+from queercrystals.symchar import character, expand
 from queercrystals.tableaux import ShiftedTableau
 
 S = ShiftedTableau.from_strings
@@ -263,6 +264,16 @@ class TestCrystalGraph:
                      factorization_crystal(PI, "involution", 3)):
             for comp in crys.components():
                 assert len(comp.highest_weights()) == 1
+
+    def test_sources_that_e_2prime_raises_are_not_highest_weights(self):
+        # one component with four sources, two of strict-partition weight
+        # (4,2) and (3,2,1); e_{2'} raises the second
+        pi = P.from_cycles([(1, 3), (2, 6), (4, 5)])
+        crys = factorization_crystal(pi, "involution", ell_o(pi))
+        assert len(crys.components()) == 1
+        assert len(crys.sources()) == 4
+        assert [wt for _, wt in crys.highest_weights()] == [(4, 2, 0, 0, 0, 0)]
+        assert expand(character(crys), "schurP") == {(4, 2): 1}
 
 
 class TestAxioms:

@@ -10,7 +10,7 @@ enumerator and split_word are checked against brute-force references, the
 move-table walk on every prefix against a plain step loop, the walk table
 against one plain walk per deleted word and its one-loop kernel against
 plain walks from the prefix states, with every entry the interned target,
-verify's per-target bump map and its
+verify's image rule and its
 fixed-point decision from the walk tables against bump, the bump
 decomposition against plain products of the deleted subwords, the one
 push loop against the step-by-step push chain, and the
@@ -39,6 +39,7 @@ from reference import (
     delete_letter,
     fac_e_by_pair,
     fac_f_by_pair,
+    marked_indices,
     plain_states,
     reference_bump_chain,
     reference_decompose_bump,
@@ -51,7 +52,6 @@ from queercrystals.bumping import (
     bump_chain,
     decompose_bump,
     is_semi_reduced,
-    marked_indices,
 )
 from queercrystals import permwords, verify
 from queercrystals.crystals import (
@@ -231,18 +231,17 @@ def test_table_walk_matches_plain_walk():
 
 
 def test_bump_map_matches_bump():
-    # verify decides an unmarked corpus word as fixed without calling bump
+    # verify's image of a corpus word: the last word of its chain when the
+    # target marks it, and the word itself otherwise, without a call to bump
     for flavor in FLAVORS:
         words, marked = _bump_corpus(flavor, 5)
         assert list(marked) == sorted(marked, key=str)
         for pi, moved in marked.items():
-            image, _ = verify._bump_images(pi, flavor, set(words), moved)
-            expected = {w: bump(w, pi, flavor) for w in words}
-            # the second pass reads the images that the first kept
-            for w in words + words[::-1]:
-                assert image(w) == expected[w]
-            # a word moves exactly when it has a pi-mark
-            for w, v in expected.items():
+            for w in words:
+                v = bump(w, pi, flavor)
+                image = bump_chain(w, pi, flavor)[-1].word if w in moved else w
+                assert image == v
+                # a word moves exactly when it has a pi-mark
                 assert (v != w) == (w in moved) == bool(
                     marked_indices(w, pi, flavor))
 
@@ -313,33 +312,6 @@ def test_walk_kernel_matches_plain_walks():
                        for pi in table if pi is not None)
             outside += table[0] is None
         assert 0 < outside < len(checked)
-
-
-def test_words_outside_the_corpus_reach_bump(monkeypatch):
-    calls = []
-
-    def recorded(w, pi, flavor):
-        calls.append(w)
-        return bump(w, pi, flavor)
-
-    monkeypatch.setattr(verify, "bump", recorded)
-    for flavor in FLAVORS:
-        words, marked = _bump_corpus(flavor, 3)
-        outside = [w for w in _bump_corpus(flavor, 5)[0] if len(w) > 3]
-        pi, moved = next(iter(marked.items()))
-        image, _ = verify._bump_images(pi, flavor, set(words), moved)
-        unmarked = next(w for w in outside if not marked_indices(w, pi, flavor))
-        calls.clear()
-        assert image(unmarked) == unmarked
-        assert calls == [unmarked]
-        # a word outside the class is not taken for a fixed point either
-        with pytest.raises(ValueError):
-            image((1, 1))
-        assert calls[-1] == (1, 1)
-        # an unmarked corpus word is decided from the tables
-        fixed = next(w for w in words if w not in moved)
-        calls.clear()
-        assert image(fixed) == fixed and calls == []
 
 
 def test_decompose_bump_matches_plain_products():

@@ -14,9 +14,10 @@ A read of a name that several classes define counts for all of them, so
 each such method must also run, under sys.setprofile, while the verify
 targets run at test bounds and a fixed list of qc commands runs.
 
-Two structure scans, on the syntax tree alone: no module imports a name it
-never reads, and no module but permwords names the move table's private
-functions or reads a .moves attribute.
+Three structure scans, on the syntax tree alone: no module imports a name
+it never reads, no module but permwords names the move table's private
+functions or reads a .moves attribute, and no module but permwords calls a
+Coxeter-Knuth move.
 """
 
 import ast
@@ -210,6 +211,44 @@ def test_the_scan_finds_move_table_reads(tmp_path):
         "def node(flav):\n    return permwords._move_node(flav, None)\n")
     assert move_table_reads(tmp_path) == [
         "a (1)", "a (4)", "a (4)", "b (4)"]
+
+
+CK_NAMES = {"ck", "ck0", "ck0_o", "ck0_sp"}
+
+
+def ck_calls(src=SRC):
+    """module (line) of every call outside permwords of a Coxeter-Knuth
+    move, by name or as an attribute: permwords.ck_moves alone lists a
+    word's ck images, so the move list is stated once."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "permwords":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in CK_NAMES:
+                out.append(f"{path.stem} ({node.lineno})")
+    return out
+
+
+def test_only_permwords_calls_the_ck_moves():
+    assert ck_calls() == []
+
+
+def test_the_scan_finds_ck_calls(tmp_path):
+    (tmp_path / "permwords.py").write_text(
+        "def ck_moves(w, ck0):\n    return [(0, ck0(w)), (1, ck(w, 1))]\n")
+    (tmp_path / "a.py").write_text(
+        "from . import permwords\nfrom .permwords import ck, ck_moves\n\n"
+        "def sides(w, flav):\n"
+        "    ck0 = flav.ck0\n"
+        "    return ck(w, 1), ck0(w), flav.ck0(w), permwords.ck0_sp(w), "
+        "ck_moves(w, ck0)\n")
+    assert ck_calls(tmp_path) == ["a (6)", "a (6)", "a (6)", "a (6)"]
 
 
 def unread_imports(src=SRC):

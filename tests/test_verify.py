@@ -6,8 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from queercrystals import bumping, cli, crystals, tableaux, verify
-from queercrystals.permwords import FLAVORS
+from queercrystals import bumping, cli, crystals, permwords, tableaux, verify
+from queercrystals.permwords import FLAVORS, ck_moves
 from queercrystals.verify import TARGETS, VerifyResult, corpus, run_target
 
 
@@ -124,8 +124,8 @@ def test_ck_bug_on_a_fixed_pair_is_reported(monkeypatch, capsys):
     words, marked = verify._bump_corpus("reduced", 3)
     pi, moved = next(iter(marked.items()))
     fixed = next(w for w in words if w not in moved and len(w) > 2)
-    wrong, real_ck = min(moved), verify.ck
-    monkeypatch.setattr(verify, "ck", lambda w, i: (
+    wrong, real_ck = min(moved), permwords.ck
+    monkeypatch.setattr(permwords, "ck", lambda w, i: (
         wrong if (w, i) == (fixed, 1) else real_ck(w, i)))
     res = run_target("bump-properties", max_len=3)
     assert not res.ok
@@ -136,6 +136,57 @@ def test_ck_bug_on_a_fixed_pair_is_reported(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("bump-properties: FAIL")
     assert "reduced: ck_1 commutation" in out
+
+
+def test_ck_images_of_the_bump_corpus_stay_in_it():
+    # a ck move keeps a word's target and length, which is why the verifier
+    # needs no bump of a word outside its corpus
+    for flavor, flav in FLAVORS.items():
+        for max_len in range(1, 6):
+            words = set(verify._bump_corpus(flavor, max_len)[0])
+            assert words
+            assert all(u in words for w in words
+                       for _, u in ck_moves(w, flav.ck0))
+
+
+def test_ck_image_outside_the_corpus_is_reported(monkeypatch, capsys):
+    # ck_1 of one corpus word is sent out of its word class
+    words, _ = verify._bump_corpus("reduced", 3)
+    word = next(w for w in words if len(w) > 2)
+    real_ck = permwords.ck
+    monkeypatch.setattr(permwords, "ck", lambda w, i: (
+        (0,) * len(w) if (w, i) == (word, 1) else real_ck(w, i)))
+    res = run_target("bump-properties", max_len=3)
+    assert not res.ok
+    assert res.counterexample[1] == word
+    assert res.lines == ["reduced: ck_1 leaves the word class"]
+    assert cli.main(["verify", "bump-properties", "--maxlen", "3"]) \
+        == cli.EXIT_THEOREM_FAIL
+    out, err = capsys.readouterr()
+    assert out.startswith("bump-properties: FAIL")
+    assert "reduced: ck_1 leaves the word class" in out
+    assert err == ""
+
+
+def test_push_steps_read_no_table_of_the_bumped_flavor_twice(monkeypatch):
+    # bump_chain reads each word's table of the bumped flavor once, itself;
+    # the reads through walk_table are the reduced tables of the
+    # semi-reduced test and the atom decomposition
+    calls = []
+    record_calls(monkeypatch, bumping, "walk_table", calls)
+    assert run_target("bump-properties", max_len=3).ok
+    assert calls
+    assert {flavor for _, flavor in calls} == {"reduced"}
+
+
+def test_every_schurp_carrier_component_has_one_highest_weight(monkeypatch):
+    carriers = []
+    record_calls(monkeypatch, verify, "_hw_counts", carriers)
+    res = run_target("schurP-positivity")
+    assert res.ok and res.checks == len(carriers) == 81
+    for (crys,) in carriers:
+        for comp in crys.components():
+            assert len(comp.highest_weights()) == 1, (crys.name, comp.vertices[0])
 
 
 class CrystalPass(Exception):
