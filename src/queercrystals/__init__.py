@@ -13,8 +13,6 @@ from .permwords import (
     ck0_o,
     ck0_sp,
     descent_set,
-    ell_o,
-    ell_sp,
     enumerate_words,
     equivalence_class,
     word_target,

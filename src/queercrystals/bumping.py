@@ -140,7 +140,11 @@ def decompose_bump(chain):
 
 
 def replay_decomposition(w, atoms):
-    """Apply ordinary bumps for the listed atoms in order."""
+    """Apply ordinary bumps for the listed atoms in order.
+
+    Each atom is bumped afresh, on purpose: the segments of the chain the
+    atoms came from would replay that chain against itself, and the replay
+    would check nothing."""
     v = tuple(w)
     for alpha in atoms:
         v = bump(v, alpha, "reduced")

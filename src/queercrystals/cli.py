@@ -7,7 +7,6 @@ Exit codes: 0 pass, 1 theorem failure, 2 bad input, 3 resource cap,
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import re
@@ -16,7 +15,6 @@ from functools import cache
 
 from .bumping import bump_chain
 from .crystals import (
-    VertexCapExceeded,
     factorization_crystal,
     factorization_crystal_size,
     shifted_tableau_crystal,
@@ -26,13 +24,14 @@ from .insertion import Factorization, insert
 from .permwords import (
     DEFAULT_VERTEX_CAP,
     FLAVORS,
+    VertexCapExceeded,
     equivalence_class,
     get_flavor,
     insertion_flavor,
 )
 from .symchar import character, expand
 from .tableaux import is_strict_partition
-from .verify import TARGETS, run_target
+from .verify import TARGETS, run_target, target_bounds
 
 EXIT_PASS = 0
 EXIT_THEOREM_FAIL = 1
@@ -159,11 +158,10 @@ def env_cap():
     if text is None:
         return DEFAULT_VERTEX_CAP
     try:
-        if int(text) >= 0:
-            return int(text)
+        return natural(text)
     except ValueError:
-        pass
-    raise InputError(f"QC_VERTEX_CAP={text!r} is not an integer >= 0")
+        raise InputError(
+            f"QC_VERTEX_CAP={text!r} is not an integer >= 0") from None
 
 
 def cmd_crystal(args):
@@ -226,17 +224,14 @@ def cmd_class(args):
 
 
 def cmd_verify(args):
-    signature = inspect.signature(TARGETS[args.target])
+    accepted = target_bounds(args.target)
     bounds = {}
     for flag, name in (("maxlen", "max_len"), ("n", "n")):
         value = getattr(args, flag)
         if value is None:
             continue
-        try:
-            signature.bind(**{name: value})
-        except TypeError:
-            raise InputError(
-                f"verify {args.target} does not accept --{flag}") from None
+        if name not in accepted:
+            raise InputError(f"verify {args.target} does not accept --{flag}")
         bounds[name] = value
     res = run_target(args.target, **bounds)
     print(res.summary())
@@ -252,8 +247,8 @@ def build_parser():
     Parsing keeps no state between calls: each parse_args returns a new
     Namespace.  set_defaults(fn=cmd_*) binds the command functions once, when
     the parser is built; the functions read the module globals they use
-    (bump_chain, TARGETS) when they run, and env_cap reads the environment
-    variable QC_VERTEX_CAP at each call.
+    (bump_chain, run_target, target_bounds) when they run, and env_cap
+    reads the environment variable QC_VERTEX_CAP at each call.
     """
     parser = argparse.ArgumentParser(
         prog="qc",
@@ -328,7 +323,3 @@ def main(argv=None):
     except RuntimeError as exc:  # an internal invariant of a theorem broke
         print(f"theorem failure: {exc}", file=sys.stderr)
         return EXIT_THEOREM_FAIL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,7 +17,6 @@ from .insertion import Factorization, split_word
 from .permwords import (
     LazyMap,
     Permutation,
-    VertexCapExceeded,
     enumerate_words,
     get_flavor,
     word_target,
@@ -35,8 +34,6 @@ from .tableaux import (
 from .tableaux import weight as tab_weight
 
 QBAR = "1bar"
-
-STRING_CAP = 10_000  # longest i-string walked before VertexCapExceeded
 
 
 def crystal_indices(n, queer):
@@ -402,14 +399,18 @@ class Crystal:
         return self._out, self._in
 
     def string_lengths(self, x, i):
-        """(epsilon_i, phi_i): how often e_i and f_i apply before vanishing."""
+        """(epsilon_i, phi_i): how often e_i and f_i apply before vanishing.
+
+        A string of k steps visits k + 1 distinct vertices, so a walk that
+        reaches len(self) steps has met a cycle: a broken operator, which
+        is a theorem failure, not a resource limit."""
         lengths = []
         for table in (self.e_table, self.f_table):
             k, y = 0, table[x, i]
             while y is not None:
                 k += 1
-                if k > STRING_CAP:
-                    raise VertexCapExceeded(f"{i}-string too long at {x!r}")
+                if k == len(self.vertices):
+                    raise RuntimeError(f"the {i}-string at {x!r} has a cycle")
                 y = table[y, i]
             lengths.append(k)
         return tuple(lengths)

@@ -16,7 +16,7 @@ DEFAULT_VERTEX_CAP = 200_000
 
 
 class VertexCapExceeded(RuntimeError):
-    """Raised when a carrier, a word class or an i-string exceeds its cap."""
+    """Raised when a carrier or a word class exceeds its cap."""
 
 
 class LazyMap(dict):
@@ -117,15 +117,6 @@ class Permutation:
                 b = self(b)
             out.append(tuple(cyc))
         return tuple(sorted(out))
-
-    def two_cycles(self):
-        """The 2-cycles (a, b) with a < b; requires an involution."""
-        if not self.is_involution():
-            raise ValueError("two_cycles requires an involution")
-        return tuple((a, b) for a, b in self.pairs if a < b)
-
-    def kappa(self):
-        return len(self.two_cycles())
 
     def length(self):
         """Coxeter length = number of inversions."""
@@ -284,19 +275,6 @@ class FpfInvolution:
         lo = self.cycles[0][0] - 2
         hi = max(b for _, b in self.cycles) + 1
         return tuple(i for i in range(lo, hi) if self.is_descent(i))
-
-    def window_involution(self):
-        """Restriction to a base-closed window as a Permutation, identity outside."""
-        if not self.cycles:
-            return Permutation(), 0
-        m = max(abs(x) for c in self.cycles for x in c)
-        m += m % 2
-        pairs = {}
-        for i in range(1 - m, m + 1):
-            j = self(i)
-            if 1 - m <= j <= m:
-                pairs[i] = j
-        return Permutation(pairs), m
 
     def shift(self, m):
         if m % 2:
@@ -538,19 +516,6 @@ def equivalence_class(w, relation, cap=DEFAULT_VERTEX_CAP):
     return frozenset(seen)
 
 
-def ell_o(pi):
-    """Common length of involution words: (length + #2-cycles) / 2."""
-    if not pi.is_involution():
-        raise ValueError("ell_o requires an involution")
-    return (pi.length() + pi.kappa()) // 2
-
-
-def ell_sp(pi):
-    """Common length of fpf-involution words, via a base-closed window."""
-    sigma, m = pi.window_involution()
-    return (sigma.length() - m) // 2
-
-
 @dataclass(frozen=True)
 class Flavor:
     """One word class and the theory the paper builds on it.
@@ -565,7 +530,6 @@ class Flavor:
     insertion: str     # "eg", "oeg" or "speg"
     relation: str      # "K", "O" or "Sp"; also picks the queer operators
     ck0: object        # initial Coxeter-Knuth move, None for "K"
-    ell: object        # common length of a target's words
     target: object     # word -> its target, or None outside the class
     identity: object   # target of the empty word
     step: object       # (target, i) -> target of the word extended by i
@@ -582,6 +546,10 @@ class Flavor:
     def queer(self):
         """Whether the factorization crystals are q_n-crystals."""
         return self.ck0 is not None
+
+    def ell(self, pi):
+        """The common length of pi's words, read from the first of them."""
+        return len(enumerate_words(pi, self.name)[0])
 
     def invalid(self, pi):
         """None when pi is a target of the flavor, else what pi should be.
@@ -602,17 +570,16 @@ def _length_order(pi):
 
 FLAVORS = {flav.name: flav for flav in (
     Flavor(name="reduced", insertion="eg", relation="K", ck0=None,
-           ell=Permutation.length, target=partial(_ascent_walk, "reduced"),
-           identity=Permutation(), step=Permutation.times_s,
-           cache=_reduced_cache, window=(1, 4), sort_key=_length_order,
-           carrier="R", basis="schur"),
+           target=partial(_ascent_walk, "reduced"), identity=Permutation(),
+           step=Permutation.times_s, cache=_reduced_cache, window=(1, 4),
+           sort_key=_length_order, carrier="R", basis="schur"),
     Flavor(name="involution", insertion="oeg", relation="O", ck0=ck0_o,
-           ell=ell_o, target=involution_target, identity=Permutation(),
+           target=involution_target, identity=Permutation(),
            step=Permutation.rtimes_step, cache=_involution_cache,
            window=(1, 5), sort_key=_length_order, carrier="R^O",
            basis="schurP"),
     Flavor(name="fpf", insertion="speg", relation="Sp", ck0=ck0_sp,
-           ell=ell_sp, target=fpf_target, identity=FpfInvolution(),
+           target=fpf_target, identity=FpfInvolution(),
            step=FpfInvolution.conjugate_s, cache=_fpf_cache, window=(1, 6),
            sort_key=lambda pi: pi.cycles, carrier="R^Sp", basis="schurP"),
 )}

@@ -7,6 +7,7 @@ counterexample.  Conjecture targets never fail the build; they report.
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -84,11 +85,10 @@ class VerifyResult:
         return "\n".join([head] + [f"  {l}" for l in self.lines])
 
     def fail(self, line, counterexample):
-        """Record the first failure of a target and return the result."""
+        """Record the first failure of a target; its check returns next."""
         self.ok = False
         self.counterexample = counterexample
         self.lines.append(line)
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +129,8 @@ def _q_tableau(w, flavor):
 # ---------------------------------------------------------------------------
 # Targets
 
-def check_crystal_axioms():
+def check_crystal_axioms(res):
     """Definitions of gl_n- and q_n-crystals on every constructed carrier."""
-    res = VerifyResult("crystal-axioms", True)
     carriers = [
         word_crystal(2, 3), word_crystal(3, 4), word_crystal(4, 4),
         shifted_tableau_crystal(3, (3, 1)),
@@ -156,15 +155,13 @@ def check_crystal_axioms():
             return res.fail(f"{crys.name}: {len(bad)} violations",
                             (crys.name, bad[0]))
         res.lines.append(f"{crys.name}: {len(crys)} vertices ok")
-    return res
 
 
-def _fiber_check(flavor, max_len=5, n=3):
+def _fiber_check(flavor, res, max_len=5, n=3):
     """Coxeter-Knuth classes = P fibers; components of the factorization
     crystal = P fibers."""
     flav = get_flavor(flavor)
     rel, ins = flav.relation, flav.insertion
-    res = VerifyResult(f"{ins}-fibers", True)
     for pi in corpus(flavor, max_len):
         words = enumerate_words(pi, flavor)
         fibers = {}
@@ -185,7 +182,6 @@ def _fiber_check(flavor, max_len=5, n=3):
         if comps != {frozenset(v) for v in byp.values()}:
             return res.fail(f"{pi}: components differ from P-fibers", str(pi))
     res.lines.append(f"{rel}-classes, fibers, and components all agree")
-    return res
 
 
 @lru_cache(maxsize=None)
@@ -196,12 +192,11 @@ def _word_component_certs(n, m):
     return out
 
 
-def _q_morphism_check(flavor, max_len=5, n=3):
+def _q_morphism_check(flavor, res, max_len=5, n=3):
     """The recording map is a quasi-isomorphism onto shifted tableaux and
     every component of the factorization crystal is normal."""
     flav = get_flavor(flavor)
     ins = flav.insertion
-    res = VerifyResult(f"q-morphism-{flav.relation}", True)
     codomains = {}  # m -> the carrier of shifted tableaux with m boxes
     for pi in corpus(flavor, max_len):
         m = flav.ell(pi)
@@ -221,7 +216,6 @@ def _q_morphism_check(flavor, max_len=5, n=3):
                     f"{pi}: a component is not normal (no match in W_{n}({m}))",
                     str(pi))
     res.lines.append("recording map is a quasi-isomorphism; all components normal")
-    return res
 
 
 def _marked_words(words, flavor):
@@ -246,7 +240,7 @@ def _bump_corpus(flavor, max_len):
     return words, _marked_words(words, flavor)
 
 
-def check_bump_properties(max_len=5, n=3):
+def check_bump_properties(res, max_len=5, n=3):
     """Bijectivity, descent preservation, ck commutation, recording
     invariance, the factorization lift, and the atom decomposition.
 
@@ -258,7 +252,6 @@ def check_bump_properties(max_len=5, n=3):
     by identity on a fixed pair, so only a moved pair runs them.  A ck
     image outside the corpus is a failure: a ck move keeps a word's
     target and length."""
-    res = VerifyResult("bump-properties", True)
     for flavor, flav in FLAVORS.items():
         ins, ck0 = flav.insertion, flav.ck0
         words, marked = _bump_corpus(flavor, max_len)
@@ -317,12 +310,10 @@ def check_bump_properties(max_len=5, n=3):
                                     f"{flavor}: bump/f_{i} commutation",
                                     (str(pi), fac))
     res.lines.append("parts (a)-(d) and the crystal commutation all hold")
-    return res
 
 
-def check_dual_equivalence(max_len=6, max_boxes=7):
+def check_dual_equivalence(res, max_len=6, max_boxes=7):
     """Recording tableaux intertwine ck moves with the d_i operators."""
-    res = VerifyResult("dual-equivalence", True)
     for flav in QUEER_FLAVORS:
         flavor, ins, ck0 = flav.name, flav.insertion, flav.ck0
         # {(t, i): d_i(t)}, built per flavor or per shape and dropped with
@@ -371,7 +362,6 @@ def check_dual_equivalence(max_len=6, max_boxes=7):
                         if seq != d[t, i]:
                             return res.fail("f f e e composite (descent i+1)", (t, i))
     res.lines.append("ck/d intertwining and the operator composites hold")
-    return res
 
 
 def _compose(t, ops):
@@ -382,10 +372,9 @@ def _compose(t, ops):
     return t
 
 
-def check_reduction_lemma(max_m=5, n=3):
+def check_reduction_lemma(res, max_m=5, n=3):
     """The inv/dbl dictionary between insertion algorithms, and the
     decomposition of permutations into involution word classes."""
-    res = VerifyResult("reduction-lemma", True)
     for m in range(1, max_m + 1):
         for nn in range(1, n + 1):
             for w in perm_words(m):
@@ -415,12 +404,10 @@ def check_reduction_lemma(max_m=5, n=3):
         if eo.edges() != es.edges():
             return res.fail("O/Sp structures differ on Even", m)
     res.lines.append("insertion dictionary and decompositions all hold")
-    return res
 
 
-def check_supersymmetry(max_len=4, n=3):
+def check_supersymmetry(res, max_len=4, n=3):
     """Characters of q_n-crystals are symmetric and supersymmetric."""
-    res = VerifyResult("supersymmetry", True)
     carriers = [word_crystal(2, 4), word_crystal(3, 4),
                 shifted_tableau_crystal_all(3, 4)]
     cap = 40  # factorization carriers per flavor: the first of its corpus
@@ -440,14 +427,13 @@ def check_supersymmetry(max_len=4, n=3):
                             crys.name)
     res.lines.append(f"{len(carriers)} characters symmetric and supersymmetric "
                      f"({', '.join(taken)} targets)")
-    return res
 
 
 def _hw_counts(crys):
     return Counter(_trim(wt) for _, wt in crys.highest_weights())
 
 
-def check_schurp_positivity(max_len=5, n=None):
+def check_schurp_positivity(res, max_len=5, n=None):
     """Schur-P (and Schur) expansion coefficients equal highest-weight counts.
 
     A queer flavor takes one target per translation class of its corpus.
@@ -455,7 +441,6 @@ def check_schurp_positivity(max_len=5, n=None):
     most min(max_len, 4) in the letters 1..3.  Each carrier is built in
     ell(pi) variables, or in n when n is given; n = 0 builds none.
     """
-    res = VerifyResult("schurP-positivity", True)
     runs = [(flav, corpus(flav.name, max_len), _translation_class)
             for flav in QUEER_FLAVORS]
     runs.append((get_flavor("reduced"),
@@ -479,7 +464,6 @@ def check_schurp_positivity(max_len=5, n=None):
             if coeffs != _hw_counts(crys):
                 return res.fail(f"{flavor}: coefficients != highest weight counts", str(pi))
     res.lines.append("all expansions nonnegative and equal to source counts")
-    return res
 
 
 def _translation_class(pi):
@@ -494,8 +478,8 @@ def _translation_class(pi):
     return pi.shift(shiftby)
 
 
-def _conjecture_bounds(name, flavor, allowed, max_len=5):
-    res = VerifyResult(name, True, conjecture=True)
+def _conjecture_bounds(flavor, allowed, res, max_len=5):
+    res.conjecture = True
     words, marked = _bump_corpus(flavor, max_len)
     for pi, moved in marked.items():
         for w in words:
@@ -509,7 +493,6 @@ def _conjecture_bounds(name, flavor, allowed, max_len=5):
                     f"increment outside {sorted(allowed)}: {w} -> {v}",
                     (str(pi), w, v))
     res.lines.append(f"all increments within {sorted(allowed)}")
-    return res
 
 
 TARGETS = {
@@ -524,16 +507,27 @@ TARGETS = {
     "reduction-lemma": check_reduction_lemma,
     "supersymmetry": check_supersymmetry,
     "schurP-positivity": check_schurp_positivity,
-    "conjecture-ib-bound": partial(
-        _conjecture_bounds, "conjecture-ib-bound", "involution", {0, 1}),
-    "conjecture-fb-bound": partial(
-        _conjecture_bounds, "conjecture-fb-bound", "fpf", {0, 1, 2}),
+    "conjecture-ib-bound": partial(_conjecture_bounds, "involution", {0, 1}),
+    "conjecture-fb-bound": partial(_conjecture_bounds, "fpf", {0, 1, 2}),
 }
 
 
-def run_target(name, **bounds):
+def _check(name):
     try:
-        fn = TARGETS[name]
+        return TARGETS[name]
     except KeyError:
         raise ValueError(f"unknown verify target {name!r}") from None
-    return fn(**bounds)
+
+
+def target_bounds(name):
+    """The bounds that target name accepts: its check's keyword parameters
+    after the result."""
+    return tuple(inspect.signature(_check(name)).parameters)[1:]
+
+
+def run_target(name, **bounds):
+    """The result of target name at the given bounds, named by its key in
+    TARGETS; each check fills the result it is given."""
+    res = VerifyResult(name, True)
+    _check(name)(res, **bounds)
+    return res

@@ -21,7 +21,10 @@ the library's one push loop is checked, and as the plain walk (a
 target stepped letter by letter with no move table) and the walk table
 built from it (the prefix states, then a plain walk of each deletion's
 suffix), against which the library's move-table walk and its one-loop
-walk kernel are checked.
+walk kernel are checked, and as the closed-form word lengths `ell_o` and
+`ell_sp` (with the 2-cycles, their count kappa and the base-closed window
+they read), against which the library's length of a target's first word
+is checked.
 """
 
 from bisect import insort
@@ -35,7 +38,6 @@ from queercrystals.bumping import (
 )
 from queercrystals.crystals import (
     Crystal,
-    VertexCapExceeded,
     _component_certificate,
     crystal_indices,
 )
@@ -45,9 +47,8 @@ from queercrystals.permwords import (
     FpfInvolution,
     LazyMap,
     Permutation,
+    VertexCapExceeded,
     _targets,
-    ell_o,
-    ell_sp,
     enumerate_words,
     equivalence_class,
     get_flavor,
@@ -73,6 +74,46 @@ from queercrystals.tableaux import weight as tab_weight
 # Permutations and words
 
 
+def two_cycles(pi):
+    """The 2-cycles (a, b) with a < b of an involution."""
+    if not pi.is_involution():
+        raise ValueError("two_cycles requires an involution")
+    return tuple((a, b) for a, b in pi.pairs if a < b)
+
+
+def kappa(pi):
+    return len(two_cycles(pi))
+
+
+def window_involution(pi):
+    """An fpf involution's restriction to a base-closed window [1-m, m] as
+    a Permutation, identity outside, and m."""
+    if not pi.cycles:
+        return Permutation(), 0
+    m = max(abs(x) for c in pi.cycles for x in c)
+    m += m % 2
+    pairs = {}
+    for i in range(1 - m, m + 1):
+        j = pi(i)
+        if 1 - m <= j <= m:
+            pairs[i] = j
+    return Permutation(pairs), m
+
+
+def ell_o(pi):
+    """Common length of involution words: (length + #2-cycles) / 2
+    (Hamaker-Marberg-Pawlowski)."""
+    if not pi.is_involution():
+        raise ValueError("ell_o requires an involution")
+    return (pi.length() + kappa(pi)) // 2
+
+
+def ell_sp(pi):
+    """Common length of fpf-involution words, via a base-closed window."""
+    sigma, m = window_involution(pi)
+    return (sigma.length() - m) // 2
+
+
 def length_invariants(pi):
     """(length, involution length, 2-cycle count).
 
@@ -80,9 +121,9 @@ def length_invariants(pi):
     base-closed window restriction, which is what the word-length formula
     consumes; the middle entry is the common fpf-word length."""
     if isinstance(pi, FpfInvolution):
-        sigma, _ = pi.window_involution()
-        return (sigma.length(), ell_sp(pi), sigma.kappa())
-    return (pi.length(), ell_o(pi), pi.kappa())
+        sigma, _ = window_involution(pi)
+        return (sigma.length(), ell_sp(pi), kappa(sigma))
+    return (pi.length(), ell_o(pi), kappa(pi))
 
 
 def compose(a, b):
@@ -223,7 +264,7 @@ def inv_grassmannian_shape(pi):
     else None.  The identity has shape ()."""
     if not pi.is_involution():
         raise ValueError("inv-Grassmannian test requires an involution")
-    cycs = pi.two_cycles()
+    cycs = two_cycles(pi)
     if not cycs:
         return ()
     mins = [a for a, _ in cycs]

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 from queercrystals import bumping, cli, crystals
+from queercrystals.verify import TARGETS, VerifyResult
 
 
 def run(capsys, *argv):
@@ -373,19 +374,18 @@ class TestVerifyCommand:
         assert "pass" in out
 
     def test_exit_code_contract(self, capsys, monkeypatch):
-        from queercrystals.verify import VerifyResult
+        def failing(res, **kw):
+            res.fail("planted", "w")
 
-        monkeypatch.setitem(
-            cli.TARGETS, "eg-fibers",
-            lambda **kw: VerifyResult("eg-fibers", False, counterexample="w"))
+        def refuted(res, **kw):
+            res.conjecture = True
+            res.fail("planted", "w")
+
+        monkeypatch.setitem(cli.TARGETS, "eg-fibers", failing)
         code, out, _ = run(capsys, "verify", "eg-fibers")
         assert code == 1 and "FAIL" in out
 
-        monkeypatch.setitem(
-            cli.TARGETS, "conjecture-ib-bound",
-            lambda **kw: VerifyResult(
-                "conjecture-ib-bound", False, conjecture=True,
-                counterexample="w"))
+        monkeypatch.setitem(cli.TARGETS, "conjecture-ib-bound", refuted)
         code, out, _ = run(capsys, "verify", "conjecture-ib-bound")
         assert code == 4 and "COUNTEREXAMPLE" in out
 
@@ -405,7 +405,7 @@ class TestVerifyCommand:
     def test_target_type_error_not_rerun(self, capsys, monkeypatch):
         calls = []
 
-        def broken(max_len=5):
+        def broken(res, max_len=5):
             calls.append(max_len)
             raise TypeError("bug inside the target")
 
@@ -413,6 +413,54 @@ class TestVerifyCommand:
         with pytest.raises(TypeError):
             cli.main(["verify", "eg-fibers", "--maxlen", "3"])
         assert calls == [3]
+
+
+# (target, accepts --maxlen, accepts --n): every cell of the bound matrix
+BOUND_FLAGS = [
+    ("crystal-axioms", False, False),
+    ("eg-fibers", True, True),
+    ("oeg-fibers", True, True),
+    ("speg-fibers", True, True),
+    ("q-morphism-O", True, True),
+    ("q-morphism-Sp", True, True),
+    ("bump-properties", True, True),
+    ("dual-equivalence", True, False),
+    ("reduction-lemma", False, True),
+    ("supersymmetry", True, True),
+    ("schurP-positivity", True, True),
+    ("conjecture-ib-bound", True, False),
+    ("conjecture-fb-bound", True, False),
+]
+BOUND_CELLS = [(target, flag, accepted)
+               for target, *row in BOUND_FLAGS
+               for flag, accepted in zip(("maxlen", "n"), row)]
+
+
+def test_the_bound_matrix_names_every_target():
+    assert [target for target, *_ in BOUND_FLAGS] == list(TARGETS)
+
+
+@pytest.mark.parametrize("target,flag,accepted", BOUND_CELLS,
+                         ids=[f"{t}--{f}" for t, f, _ in BOUND_CELLS])
+def test_bound_flag_matrix(capsys, monkeypatch, target, flag, accepted):
+    # an accepted flag reaches the target as its bound; a refused one exits
+    # 2 before the target runs
+    calls = []
+
+    def recorded(name, **bounds):
+        calls.append((name, bounds))
+        return VerifyResult(name, True)
+
+    monkeypatch.setattr(cli, "run_target", recorded)
+    result = run(capsys, "verify", target, f"--{flag}", "2")
+    if accepted:
+        assert result == (0, f"{target}: pass (0 checks)\n", "")
+        bound = {"maxlen": "max_len", "n": "n"}[flag]
+        assert calls == [(target, {bound: 2})]
+    else:
+        assert result == (cli.EXIT_INPUT, "", f"input error: verify {target} "
+                                               f"does not accept --{flag}\n")
+        assert calls == []
 
 
 class TestBoundValidation:
@@ -465,8 +513,16 @@ class TestInternalInvariantFailure:
             cli.EXIT_THEOREM_FAIL, "",
             "theorem failure: push chain from (2, 1, 3, 4) exceeded 1 steps\n")
 
+    def test_i_string_cycle_exit_1(self, capsys, monkeypatch):
+        # an f_1 that fixes every word makes each 1-string a cycle: a broken
+        # operator, not a carrier over a resource cap
+        monkeypatch.setattr(crystals, "word_f", lambda w, i: w)
+        assert run(capsys, "verify", "crystal-axioms") == (
+            cli.EXIT_THEOREM_FAIL, "",
+            "theorem failure: the 1-string at (1, 1, 1) has a cycle\n")
+
     def test_target_runtime_error_exit_1(self, capsys, monkeypatch):
-        def broken(max_len=5, n=3):
+        def broken(res, max_len=5, n=3):
             raise RuntimeError("L2(c) found no landing position")
 
         monkeypatch.setitem(cli.TARGETS, "oeg-fibers", broken)

@@ -4,12 +4,12 @@ import pytest
 
 import figures
 from reference import (
-    crystals_isomorphic, dbl_map_inverse, explore, inv_map_inverse, pair)
+    crystals_isomorphic, dbl_map_inverse, ell_o, ell_sp, explore,
+    inv_map_inverse, pair)
 
 from queercrystals.crystals import (
     QBAR,
     Crystal,
-    VertexCapExceeded,
     axioms_report,
     dbl_map,
     even_crystal,
@@ -46,8 +46,7 @@ from queercrystals.insertion import Factorization, hm_insert, oeg_insert, speg_i
 from queercrystals.permwords import (
     FpfInvolution,
     Permutation,
-    ell_o,
-    ell_sp,
+    VertexCapExceeded,
     involution_words,
 )
 from queercrystals.symchar import character, expand

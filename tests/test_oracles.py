@@ -13,8 +13,9 @@ plain walks from the prefix states, with every entry the interned target,
 verify's image rule and its
 fixed-point decision from the walk tables against bump, the bump
 decomposition against plain products of the deleted subwords, the one
-push loop against the step-by-step push chain, and the
-fpf walk step against pointwise conjugation.  The
+push loop against the step-by-step push chain, the
+fpf walk step against pointwise conjugation, and the length of a target's
+first word against the closed-form lengths.  The
 shifted-tableau geometry (columns, reading order, the predicates and the
 unpaired boxes that the bracket rule leaves, all read through the
 per-shape column record) is checked against row scans through
@@ -37,6 +38,8 @@ from reference import (
     col_word,
     compose,
     delete_letter,
+    ell_o,
+    ell_sp,
     fac_e_by_pair,
     fac_f_by_pair,
     marked_indices,
@@ -73,8 +76,6 @@ from queercrystals.permwords import (
     LazyMap,
     Permutation,
     _ascent_walk,
-    ell_o,
-    ell_sp,
     enumerate_words,
     fpf_target,
     involution_target,
@@ -350,6 +351,18 @@ def test_corpus_lengths_agree_with_enumeration():
         assert {len(w) for w in ws} <= {ell_sp(pi)}
 
 
+def test_first_word_length_matches_the_closed_forms():
+    # Flavor.ell reads the length of a target's first word; each flavor's
+    # closed form computes it from the target alone
+    closed = {"reduced": Permutation.length, "involution": ell_o,
+              "fpf": ell_sp}
+    for flavor, flav in FLAVORS.items():
+        targets = corpus(flavor, 5)
+        assert targets
+        for pi in targets:
+            assert flav.ell(pi) == closed[flavor](pi), (flavor, pi)
+
+
 def test_involution_words_are_reduced_for_an_atom():
     for w in all_words(range(1, 5), 4):
         if involution_target(w) is not None:
@@ -587,7 +600,7 @@ def table_carriers():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "axioms_report",
                    lambda crys: seen.append(crys) or [])
-        assert verify.check_crystal_axioms().ok
+        assert verify.run_target("crystal-axioms").ok
     assert len(seen) == 13
     yield from seen
     for flavor in FLAVORS:

@@ -14,10 +14,11 @@ A read of a name that several classes define counts for all of them, so
 each such method must also run, under sys.setprofile, while the verify
 targets run at test bounds and a fixed list of qc commands runs.
 
-Three structure scans, on the syntax tree alone: no module imports a name
+Four structure scans, on the syntax tree alone: no module imports a name
 it never reads, no module but permwords names the move table's private
-functions or reads a .moves attribute, and no module but permwords calls a
-Coxeter-Knuth move.
+functions or reads a .moves attribute, no module but permwords calls a
+Coxeter-Knuth move, and only verify.run_target builds a VerifyResult and
+no module but verify imports inspect.
 """
 
 import ast
@@ -35,7 +36,7 @@ from functools import partial
 from test_verify import TARGET_BOUNDS
 
 from queercrystals import cli
-from queercrystals.verify import TARGETS
+from queercrystals.verify import run_target
 
 TESTS = pathlib.Path(__file__).parent
 SRC = TESTS.parent / "src" / "queercrystals"
@@ -251,6 +252,47 @@ def test_the_scan_finds_ck_calls(tmp_path):
     assert ck_calls(tmp_path) == ["a (6)", "a (6)", "a (6)", "a (6)"]
 
 
+def target_fact_restatements(src=SRC):
+    """module.function (line) of every VerifyResult built outside
+    verify.run_target, and module (line) of every import of inspect outside
+    verify: run_target alone names a result, by its key in TARGETS, and
+    verify.target_bounds alone reads which bounds a check takes."""
+    out = []
+    for mod, tree in module_trees(src).items():
+        for stmt in tree.body:
+            owner = f"{mod}.{getattr(stmt, 'name', None)}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if name == "VerifyResult" and owner != "verify.run_target":
+                        out.append(f"{owner} ({node.lineno})")
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = ([alias.name.split(".")[0] for alias in node.names]
+                               if isinstance(node, ast.Import) else [node.module])
+                    if mod != "verify" and "inspect" in modules:
+                        out.append(f"{mod} ({node.lineno})")
+    return out
+
+
+def test_only_run_target_names_a_result_and_verify_reads_signatures():
+    assert target_fact_restatements() == []
+
+
+def test_the_scan_finds_results_and_signature_reads(tmp_path):
+    (tmp_path / "verify.py").write_text(
+        "import inspect\n\n"
+        "def run_target(name):\n    return VerifyResult(name, True)\n\n"
+        "def check(res):\n    return VerifyResult('check', True)\n")
+    (tmp_path / "cli.py").write_text(
+        "import inspect\nfrom inspect import signature\n"
+        "from . import verify\n\n"
+        "class C:\n    def run(self):\n"
+        "        return verify.VerifyResult('x', False)\n")
+    assert target_fact_restatements(tmp_path) == [
+        "cli (1)", "cli (2)", "cli.C (7)", "verify.check (7)"]
+
+
 def unread_imports(src=SRC):
     """module.name of every name that a module imports and never reads;
     __init__.py, whose imports are re-exports, is not scanned."""
@@ -362,7 +404,7 @@ def run_command(argv):
 
 
 def verify_target(name, bounds):
-    assert TARGETS[name](**bounds).ok, name
+    assert run_target(name, **bounds).ok, name
 
 
 def library_steps():

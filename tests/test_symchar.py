@@ -1,5 +1,5 @@
 import pytest
-from reference import atoms
+from reference import atoms, ell_o
 
 from queercrystals.crystals import (
     Crystal,
@@ -7,7 +7,7 @@ from queercrystals.crystals import (
     shifted_tableau_crystal,
     word_crystal,
 )
-from queercrystals.permwords import FpfInvolution, Permutation, ell_o
+from queercrystals.permwords import FpfInvolution, Permutation
 from queercrystals.symchar import (
     Polynomial,
     character,

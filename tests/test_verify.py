@@ -37,7 +37,7 @@ TARGET_BOUNDS = [
 
 @pytest.mark.parametrize("name,bounds", TARGET_BOUNDS)
 def test_targets_pass(name, bounds):
-    res = TARGETS[name](**bounds)
+    res = run_target(name, **bounds)
     assert res.ok, res.summary()
     assert res.checks > 0
 
@@ -87,7 +87,7 @@ def test_every_target_has_a_planted_bug():
 def test_planted_bug_is_reported(name, module, attr, bug, bounds, flags,
                                  monkeypatch, capsys):
     monkeypatch.setattr(module, attr, bug)
-    res = TARGETS[name](**bounds)
+    res = run_target(name, **bounds)
     assert isinstance(res, VerifyResult)
     assert not res.ok
     assert res.counterexample is not None
@@ -201,7 +201,7 @@ def run_word_level_loop(monkeypatch):
 
     monkeypatch.setattr(verify, "_fac_ops", stop)
     with pytest.raises(CrystalPass):
-        verify.check_bump_properties(max_len=4)
+        run_target("bump-properties", max_len=4)
 
 
 def record_calls(monkeypatch, module, name, calls):
