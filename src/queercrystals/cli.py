@@ -209,7 +209,11 @@ def cmd_expand(args):
     pi = parse_permutation(args.perm, flavor)
     p = character(capped_carrier(pi, flavor, args.n, env_cap()))
     basis = get_flavor(flavor).basis
-    coeffs = expand(p, basis)
+    try:
+        coeffs = expand(p, basis)
+    except ValueError as exc:  # a carrier's character always expands
+        raise RuntimeError(
+            f"the character of {pi} has no {basis} expansion: {exc}") from None
     out = {",".join(map(str, shape)): c for shape, c in sorted(coeffs.items())}
     print(json.dumps({"character": str(p), "basis": basis, "coefficients": out},
                      sort_keys=True))

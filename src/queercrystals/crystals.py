@@ -379,13 +379,21 @@ class Crystal:
     def edges(self):
         """All labeled edges (x, i, y) with y = f_i(x), in canonical order:
         by x, then by str(i).  The vertices are sorted and each (x, i) has
-        at most one y, so walking them in that order needs no sort."""
+        at most one y, so walking them in that order needs no sort.  Every
+        reader of the edges goes through here, so an f_i(x) outside the
+        carrier is a theorem failure, raised as RuntimeError."""
         if self._edges is None:
             labels = sorted(self.indices, key=str)
             table = self.f_table
-            self._edges = tuple(
+            edges = tuple(
                 (x, i, y) for x in self.vertices for i in labels
                 if (y := table[x, i]) is not None)
+            for x, i, y in edges:
+                if y not in self.vertex_set:
+                    raise RuntimeError(
+                        f"f_{i}({pretty_element(x)}) = {pretty_element(y)} "
+                        f"is not a vertex of {self.name}")
+            self._edges = edges
         return self._edges
 
     def _adjacency(self):
@@ -872,8 +880,6 @@ def _certificate_from(comp, root):
                     order[y] = len(order)
                     queue.append(y)
                 edges.append((xid, direction, str(i), order[y]))
-        if len(order) > len(comp.vertices):
-            break
     wts = [None] * len(order)
     for v, k in order.items():
         wts[k] = comp.wt(v)

@@ -36,28 +36,109 @@ class LazyMap(dict):
         return value
 
 
-class Permutation:
-    """A bijection of Z fixing all but finitely many integers.
+class _Target:
+    """A bijection of Z that equals the class's base map outside a finite
+    set: a target of a word class.
 
-    Stored as the sorted tuple of pairs (i, pi(i)) over the support, so
-    equality and hashing are structural.  There is no ambient window: s_i
-    makes sense for every integer i.
+    Stored as the sorted tuple of pairs (i, pi(i)) where pi differs from
+    `base`, so equality and hashing are structural.  A subclass states its
+    base map, its identity text ONE, the step PERIOD of the translations
+    that commute with its base map, and its constructor check, which drops
+    the pairs that agree with the base map; everything read off the pairs
+    is here.
     """
 
     __slots__ = ("pairs", "_map")
 
+    def __call__(self, i):
+        got = self._map.get(i)
+        return self.base(i) if got is None else got
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __str__(self):
+        return "".join("(" + ",".join(map(str, c)) + ")"
+                       for c in self.cycles()) or self.ONE
+
+    def support(self):
+        return tuple(i for i, _ in self.pairs)
+
+    def is_identity(self):
+        return not self.pairs
+
+    def is_involution(self):
+        return all(self(b) == a for a, b in self.pairs)
+
+    def cycles(self):
+        """The disjoint cycles of the pairs, each starting at its smallest
+        element, in the order of those elements."""
+        out, seen = [], set()
+        for a, _ in self.pairs:
+            if a not in seen:
+                cyc = [a]
+                while (b := self(cyc[-1])) != a:
+                    cyc.append(b)
+                seen.update(cyc)
+                out.append(tuple(cyc))
+        return tuple(out)
+
+    def is_descent(self, i):
+        return self(i) > self(i + 1)
+
+    def descents(self):
+        """The descents i with min(support) - 2 <= i <= max(support).
+
+        A Permutation has no other descent: it is the identity outside its
+        support, moves min(support) up and moves max(support) down.  Every
+        other descent of an fpf involution is a base pair {i, i+1}, which
+        conjugation by s_i fixes."""
+        if not self.pairs:
+            return ()
+        lo, hi = self.pairs[0][0], self.pairs[-1][0]
+        return tuple(i for i in range(lo - 2, hi + 1) if self.is_descent(i))
+
+    def conjugate_s(self, i):
+        """s_i * self * s_i, evaluated pointwise where it can differ from
+        the base map: on the support, at i, i+1 and at their images.  The
+        constructor keeps the points where it does differ."""
+        def s(j):
+            return i + 1 if j == i else i if j == i + 1 else j
+
+        window = set(self._map) | {i, i + 1, self(i), self(i + 1)}
+        return type(self)((j, s(self(s(j)))) for j in window)
+
+    def shift(self, m):
+        """Conjugation by translation: i -> pi(i - m) + m."""
+        if m % self.PERIOD:
+            raise ValueError(
+                f"{type(self).__name__} shifts only by multiples of {self.PERIOD}")
+        return type(self)((a + m, b + m) for a, b in self.pairs)
+
+
+class Permutation(_Target):
+    """A bijection of Z fixing all but finitely many integers: the base
+    map is the identity.  There is no ambient window: s_i makes sense for
+    every integer i.
+    """
+
+    __slots__ = ()
+    ONE = "1"
+    PERIOD = 1
+
+    @staticmethod
+    def base(i):
+        return i
+
     def __init__(self, mapping=()):
-        m = mapping if isinstance(mapping, dict) else dict(mapping)
-        m = {i: v for i, v in m.items() if i != v}
+        m = {i: v for i, v in dict(mapping).items() if i != v}
         if sorted(m) != sorted(m.values()):
             raise ValueError("not a finitely supported bijection of Z")
         self.pairs = tuple(sorted(m.items()))
         self._map = m
-
-    @classmethod
-    def s(cls, i):
-        """The simple transposition s_i = (i, i+1)."""
-        return cls({i: i + 1, i + 1: i})
 
     @classmethod
     def from_cycles(cls, cycles):
@@ -69,54 +150,13 @@ class Permutation:
                 m[a] = b
         return cls(m)
 
-    def __call__(self, i):
-        return self._map.get(i, i)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
     def __repr__(self):
         if not self.pairs:
             return "Permutation()"
         return f"Permutation({dict(self.pairs)!r})"
 
-    def __str__(self):
-        cycs = self.cycles()
-        if not cycs:
-            return "1"
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
-
-    def support(self):
-        return tuple(i for i, _ in self.pairs)
-
-    def is_identity(self):
-        return not self.pairs
-
     def inverse(self):
         return Permutation({b: a for a, b in self.pairs})
-
-    def is_involution(self):
-        return all(self(b) == a for a, b in self.pairs)
-
-    def cycles(self):
-        """Disjoint cycles sorted by smallest element, each starting at its min."""
-        seen = set()
-        out = []
-        for a, _ in self.pairs:
-            if a in seen:
-                continue
-            cyc = [a]
-            seen.add(a)
-            b = self(a)
-            while b != a:
-                cyc.append(b)
-                seen.add(b)
-                b = self(b)
-            out.append(tuple(cyc))
-        return tuple(sorted(out))
 
     def length(self):
         """Coxeter length = number of inversions."""
@@ -127,16 +167,6 @@ class Permutation:
         n = len(vals)
         return sum(1 for a in range(n) for b in range(a + 1, n) if vals[a] > vals[b])
 
-    def is_descent(self, i):
-        return self(i) > self(i + 1)
-
-    def descents(self):
-        """All i with pi(i) > pi(i+1); finite since the support is."""
-        if not self.pairs:
-            return ()
-        lo, hi = self.pairs[0][0], self.pairs[-1][0]
-        return tuple(i for i in range(lo, hi) if self.is_descent(i))
-
     def times_s(self, i):
         """Right multiplication by s_i (swaps the images of i and i+1)."""
         m = dict(self.pairs)
@@ -144,38 +174,28 @@ class Permutation:
         m[i], m[i + 1] = b, a
         return Permutation(m)
 
-    def conjugate_s(self, i):
-        """s_i * self * s_i."""
-        s = Permutation.s(i)
-        keys = set(self.support()) | {i, i + 1}
-        return Permutation({j: s(self(s(j))) for j in keys})
-
-    def commutes_with_s(self, i):
-        pi, pj = self(i), self(i + 1)
-        return (pi == i and pj == i + 1) or (pi == i + 1 and pj == i)
-
     def rtimes_step(self, i):
-        """The involution product: s_i pi s_i unless they commute, then pi s_i."""
-        if self.commutes_with_s(i):
+        """The involution product: pi s_i when pi commutes with s_i (pi
+        fixes or swaps i and i+1), else s_i pi s_i."""
+        if {self(i), self(i + 1)} == {i, i + 1}:
             return self.times_s(i)
         return self.conjugate_s(i)
 
-    def shift(self, m):
-        """Conjugation by translation: i -> pi(i - m) + m."""
-        return Permutation({a + m: b + m for a, b in self.pairs})
 
-
-class FpfInvolution:
+class FpfInvolution(_Target):
     """A fixed-point-free involution of Z equal to the base matching
     i -> i - (-1)**i outside a finite set.
 
-    Stored as the 2-cycles where the map differs from the base matching.
-    The support of these overrides must be a union of base pairs
-    {2k-1, 2k}, otherwise the complement could not stay base-matched;
-    this is checked eagerly on construction.
+    The pairs list both (a, b) and (b, a) of each 2-cycle where the map
+    differs from the base matching.  Their support must be a union of base
+    pairs {2k-1, 2k}, otherwise the complement could not stay
+    base-matched; this is checked eagerly on construction.  Translation by
+    an odd integer moves the base matching, so shifts are even.
     """
 
-    __slots__ = ("cycles", "_map")
+    __slots__ = ()
+    ONE = "1_fpf"
+    PERIOD = 2
 
     @staticmethod
     def base(i):
@@ -190,20 +210,14 @@ class FpfInvolution:
                 if x in seen and seen[x] != y:
                     raise ValueError("cycles are not disjoint")
                 seen[x] = y
-        support = set(seen)
-        for x in support:
-            partner = self.base(x)
-            if partner not in support:
+        for x in set(seen):
+            if self.base(x) not in seen:
                 raise ValueError(
-                    f"support not closed under the base matching near {x}"
-                )
+                    f"support not closed under the base matching near {x}")
         # overrides that agree with the base matching are not overrides
-        kept = sorted(
-            (a, b) for a, b in seen.items()
-            if a < b and seen[a] != self.base(a)
-        )
-        self.cycles = tuple(kept)
-        self._map = {x: y for c in kept for x, y in (c, c[::-1])}
+        m = {x: y for x, y in seen.items() if y != self.base(x)}
+        self.pairs = tuple(sorted(m.items()))
+        self._map = m
 
     @classmethod
     def from_cycles(cls, cycles):
@@ -213,45 +227,8 @@ class FpfInvolution:
                 raise ValueError(f"cycle {c} of an fpf involution is not a pair")
         return cls(cycles)
 
-    def __call__(self, i):
-        got = self._map.get(i)
-        return self.base(i) if got is None else got
-
-    def __eq__(self, other):
-        return isinstance(other, FpfInvolution) and self.cycles == other.cycles
-
-    def __hash__(self):
-        return hash(("fpf", self.cycles))
-
     def __repr__(self):
-        return f"FpfInvolution({list(self.cycles)!r})"
-
-    def __str__(self):
-        if not self.cycles:
-            return "1_fpf"
-        return "".join(f"({a},{b})" for a, b in self.cycles)
-
-    def support(self):
-        return tuple(sorted(x for c in self.cycles for x in c))
-
-    def is_identity(self):
-        return not self.cycles
-
-    def is_involution(self):
-        return True
-
-    def is_descent(self, i):
-        return self(i) > self(i + 1)
-
-    def conjugate_s(self, i):
-        """s_i * self * s_i, again a fixed-point-free involution: the
-        partners a of i and b of i+1 swap, unless i and i+1 are partners."""
-        a, b = self(i), self(i + 1)
-        if a == i + 1:
-            return self
-        kept = [c for c in self.cycles if i not in c and i + 1 not in c]
-        return FpfInvolution(kept + [(min(i, b), max(i, b)),
-                                     (min(i + 1, a), max(i + 1, a))])
+        return f"FpfInvolution({list(self.cycles())!r})"
 
     def conjugate_by(self, sigma):
         """sigma^{-1} * 1_fpf * sigma for a finitely supported permutation."""
@@ -259,27 +236,10 @@ class FpfInvolution:
         window = set(sigma.support())
         window |= {self.base(x) for x in window}
         window |= {x + d for x in list(window) for d in (-1, 1)}
-        pairs = set()
-        for x in window:
-            y = inv(self.base(sigma(x)))
-            if y == x:
-                raise RuntimeError("conjugate is not fixed-point-free")
-            pairs.add((min(x, y), max(x, y)))
-        return FpfInvolution(p for p in pairs if self.base(p[0]) != p[1])
-
-    def descents(self):
-        """The descents next to the support; every other descent is a base
-        pair {i, i+1}, which conjugation by s_i fixes."""
-        if not self.cycles:
-            return ()
-        lo = self.cycles[0][0] - 2
-        hi = max(b for _, b in self.cycles) + 1
-        return tuple(i for i in range(lo, hi) if self.is_descent(i))
-
-    def shift(self, m):
-        if m % 2:
-            raise ValueError("fpf involutions only shift by even integers")
-        return FpfInvolution((a + m, b + m) for a, b in self.cycles)
+        pairs = [(x, inv(self.base(sigma(x)))) for x in window]
+        if any(x == y for x, y in pairs):
+            raise RuntimeError("conjugate is not fixed-point-free")
+        return FpfInvolution(pairs)
 
 
 def word_to_permutation(w):
@@ -581,7 +541,7 @@ FLAVORS = {flav.name: flav for flav in (
     Flavor(name="fpf", insertion="speg", relation="Sp", ck0=ck0_sp,
            target=fpf_target, identity=FpfInvolution(),
            step=FpfInvolution.conjugate_s, cache=_fpf_cache, window=(1, 6),
-           sort_key=lambda pi: pi.cycles, carrier="R^Sp", basis="schurP"),
+           sort_key=FpfInvolution.cycles, carrier="R^Sp", basis="schurP"),
 )}
 
 # flavor -> {word: walk_table(word, flavor)}, kept for the process: every

@@ -24,7 +24,10 @@ suffix), against which the library's move-table walk and its one-loop
 walk kernel are checked, and as the closed-form word lengths `ell_o` and
 `ell_sp` (with the 2-cycles, their count kappa and the base-closed window
 they read), against which the library's length of a target's first word
-is checked.
+is checked, and as the simple transposition `simple` with the pointwise
+conjugation s_i pi s_i of a permutation and the two descent windows of
+the old per-class target types, against which the library's one
+conjugation and one descent window of the shared target base are checked.
 """
 
 from bisect import insort
@@ -88,9 +91,9 @@ def kappa(pi):
 def window_involution(pi):
     """An fpf involution's restriction to a base-closed window [1-m, m] as
     a Permutation, identity outside, and m."""
-    if not pi.cycles:
+    if not pi.cycles():
         return Permutation(), 0
-    m = max(abs(x) for c in pi.cycles for x in c)
+    m = max(abs(x) for c in pi.cycles() for x in c)
     m += m % 2
     pairs = {}
     for i in range(1 - m, m + 1):
@@ -132,6 +135,36 @@ def compose(a, b):
     return Permutation({i: a(b(i)) for i in keys})
 
 
+def simple(i):
+    """The simple transposition s_i = (i, i+1)."""
+    return Permutation({i: i + 1, i + 1: i})
+
+
+def conjugate_s_pointwise(pi, i):
+    """s_i pi s_i for a permutation, as the product of three permutations."""
+    return compose(simple(i), compose(pi, simple(i)))
+
+
+def permutation_descents(pi):
+    """The descents of a permutation, scanned between the ends of its
+    support."""
+    if pi.is_identity():
+        return ()
+    lo, hi = pi.pairs[0][0], pi.pairs[-1][0]
+    return tuple(i for i in range(lo, hi) if pi(i) > pi(i + 1))
+
+
+def fpf_descents(pi):
+    """The descents of an fpf involution next to its 2-cycles, from two
+    below the smallest to the largest element of a cycle."""
+    cycles = pi.cycles()
+    if not cycles:
+        return ()
+    lo = cycles[0][0] - 2
+    hi = max(b for _, b in cycles) + 1
+    return tuple(i for i in range(lo, hi) if pi(i) > pi(i + 1))
+
+
 def star_word(w):
     return tuple(-a for a in w)
 
@@ -147,7 +180,7 @@ def star(x):
         return Permutation({1 - b: 1 - a for a, b in x.pairs})
     if isinstance(x, FpfInvolution):
         return FpfInvolution((min(1 - a, 1 - b), max(1 - a, 1 - b))
-                             for a, b in x.cycles)
+                             for a, b in x.cycles())
     return star_word(x)
 
 

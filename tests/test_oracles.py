@@ -14,7 +14,9 @@ verify's image rule and its
 fixed-point decision from the walk tables against bump, the bump
 decomposition against plain products of the deleted subwords, the one
 push loop against the step-by-step push chain, the
-fpf walk step against pointwise conjugation, and the length of a target's
+conjugation step of fpf involutions and of permutations against pointwise
+conjugation, the one descent window of both against their old per-class
+windows, and the length of a target's
 first word against the closed-form lengths.  The
 shifted-tableau geometry (columns, reading order, the predicates and the
 unpaired boxes that the bracket rule leaves, all read through the
@@ -37,17 +39,21 @@ import pytest
 from reference import (
     col_word,
     compose,
+    conjugate_s_pointwise,
     delete_letter,
     ell_o,
     ell_sp,
     fac_e_by_pair,
     fac_f_by_pair,
+    fpf_descents,
     marked_indices,
+    permutation_descents,
     plain_states,
     reference_bump_chain,
     reference_decompose_bump,
     reference_walk,
     shword_boxes,
+    simple,
 )
 
 from queercrystals.bumping import (
@@ -104,7 +110,7 @@ def demazure_right(x, i):
 
 def demazure_left(i, x):
     inv = x.inverse()
-    return compose(Permutation.s(i), x) if inv(i) < inv(i + 1) else x
+    return compose(simple(i), x) if inv(i) < inv(i + 1) else x
 
 
 def demazure_sandwich(w):
@@ -394,7 +400,7 @@ def test_hm_recording_constant_under_queer_move():
 def conjugate_s_by_window(pi, i):
     """s_i pi s_i evaluated pointwise on a base-closed window around pi's
     support and i."""
-    s = Permutation.s(i)
+    s = simple(i)
     window = set(pi.support()) | {i - 1, i, i + 1, i + 2}
     window |= {pi.base(x) for x in window}
     pairs = set()
@@ -404,12 +410,29 @@ def conjugate_s_by_window(pi, i):
     return FpfInvolution(p for p in pairs if pi.base(p[0]) != p[1])
 
 
+def kernel_targets():
+    """(target, its oracle conjugation, its oracle descents): every fpf
+    verify corpus widened from letters 1..6 to 1..10, the Permutation
+    targets of the reduced and involution corpora, and both identities."""
+    fpf = (FpfInvolution(),) + corpus("fpf", 6, (1, 10))
+    perms = (Permutation(),) + corpus("reduced", 5) + corpus("involution", 5)
+    return ([(pi, conjugate_s_by_window, fpf_descents) for pi in fpf]
+            + [(pi, conjugate_s_pointwise, permutation_descents)
+               for pi in perms])
+
+
 def test_conjugate_s_matches_window_evaluation():
-    # every fpf verify corpus, widened from letters 1..6 to 1..10
-    for pi in (FpfInvolution(),) + corpus("fpf", 6, (1, 10)):
+    for pi, oracle, _ in kernel_targets():
         sup = pi.support() or (1, 2)
         for i in range(min(sup) - 3, max(sup) + 3):
-            assert pi.conjugate_s(i) == conjugate_s_by_window(pi, i), (pi, i)
+            assert pi.conjugate_s(i) == oracle(pi, i), (pi, i)
+
+
+def test_descents_match_the_per_class_windows():
+    # one window for both classes: the old fpf window, and a superset of
+    # the old permutation window that adds no descent
+    for pi, _, oracle in kernel_targets():
+        assert pi.descents() == oracle(pi), pi
 
 
 # Row scans of shifted tableaux: every box looked up through entry(), which

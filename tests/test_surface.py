@@ -14,11 +14,13 @@ A read of a name that several classes define counts for all of them, so
 each such method must also run, under sys.setprofile, while the verify
 targets run at test bounds and a fixed list of qc commands runs.
 
-Four structure scans, on the syntax tree alone: no module imports a name
+Five structure scans, on the syntax tree alone: no module imports a name
 it never reads, no module but permwords names the move table's private
 functions or reads a .moves attribute, no module but permwords calls a
-Coxeter-Knuth move, and only verify.run_target builds a VerifyResult and
-no module but verify imports inspect.
+Coxeter-Knuth move, only verify.run_target builds a VerifyResult and
+no module but verify imports inspect, and no class defines again a method
+of a base class from its own module (the target base of permwords and the
+tableau base of tableaux state each of their methods once).
 """
 
 import ast
@@ -341,6 +343,46 @@ def test_the_scan_finds_unread_methods(tmp_path):
     (tmp_path / "b.py").write_text("from .a import A\n\nX = A().used()\n")
     (tmp_path / "__init__.py").write_text("from .a import A\nA.planted\n")
     assert unread_methods(tmp_path) == ["a.A.planted"]
+
+
+def redefined_base_methods(src=SRC):
+    """module.Class.method of every method that a class defines again
+    although a base class in the same module defines it: a base class
+    states its methods once, and its subclasses add only their own."""
+    def methods(cls):
+        return {m.name for m in cls.body if isinstance(m, DEFS)}
+
+    out = []
+    for mod, tree in module_trees(src).items():
+        classes = {node.name: node for node in tree.body
+                   if isinstance(node, ast.ClassDef)}
+        for cls in classes.values():
+            inherited = set().union(*(
+                methods(classes[base.id]) for base in cls.bases
+                if isinstance(base, ast.Name) and base.id in classes))
+            out += [f"{mod}.{cls.name}.{name}"
+                    for name in sorted(methods(cls) & inherited)]
+    return out
+
+
+def test_no_subclass_redefines_a_base_method():
+    assert redefined_base_methods() == []
+
+
+def test_the_scan_finds_redefined_base_methods(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class _Base:\n"
+        "    def __eq__(self, other):\n        return True\n\n"
+        "    def shared(self):\n        return 1\n\n\n"
+        "class A(_Base):\n"
+        "    def __init__(self):\n        pass\n\n"
+        "    def shared(self):\n        return 2\n\n\n"
+        "class B(_Base):\n"
+        "    def __eq__(self, other):\n        return False\n\n"
+        "    def own(self):\n        return 3\n\n\n"
+        "class C(dict):\n"
+        "    def get(self, key):\n        return key\n")
+    assert redefined_base_methods(tmp_path) == ["a.A.shared", "a.B.__eq__"]
 
 
 # the qc commands of the run check: every insertion, every carrier kind,

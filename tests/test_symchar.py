@@ -1,5 +1,5 @@
 import pytest
-from reference import atoms, ell_o
+from reference import atoms, ell_o, simple
 
 from queercrystals.crystals import (
     Crystal,
@@ -79,7 +79,7 @@ class TestSchurFamilies:
 
 class TestStanley:
     def test_single_word(self):
-        assert stanley(P.s(1), "reduced", 2) == x((1, 0)) + x((0, 1))
+        assert stanley(simple(1), "reduced", 2) == x((1, 0)) + x((0, 1))
 
     def test_atom_sum(self):
         pi = P.from_cycles([(2, 5)])

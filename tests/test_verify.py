@@ -6,7 +6,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from queercrystals import bumping, cli, crystals, permwords, tableaux, verify
+from queercrystals import (
+    bumping,
+    cli,
+    crystals,
+    permwords,
+    symchar,
+    tableaux,
+    verify,
+)
+from queercrystals.insertion import Factorization
 from queercrystals.permwords import FLAVORS, ck_moves
 from queercrystals.verify import TARGETS, VerifyResult, corpus, run_target
 
@@ -100,6 +109,71 @@ def test_planted_bug_is_reported(name, module, attr, bug, bounds, flags,
     assert code == (cli.EXIT_CONJECTURE if res.conjecture
                     else cli.EXIT_THEOREM_FAIL)
     assert f"{name}: {status}" in out
+
+
+def raise_the_next_factor(monkeypatch):
+    """Plant an f_i that also raises each letter of factor i+1 by one, so
+    that f_i(x) is a factorization of another target, outside the carrier."""
+    real = crystals.fac_f
+
+    def broken(fac, i):
+        y = real(fac, i)
+        return None if y is None else Factorization(
+            y[:i] + (tuple(v + 1 for v in y[i]),) + y[i + 1:])
+    monkeypatch.setattr(crystals, "fac_f", broken)
+
+
+def drop_the_smallest_term(monkeypatch):
+    """Plant a character that loses its smallest monomial when it has more
+    than one, so that it has no Schur or Schur-P expansion."""
+    def broken(crys):
+        p = symchar.character(crys)
+        terms = dict(p.terms)
+        if len(terms) > 1:
+            del terms[min(terms)]
+        return symchar.Polynomial(p.n, terms)
+    monkeypatch.setattr(verify, "character", broken)
+    monkeypatch.setattr(cli, "character", broken)
+
+
+# Planted values that a theorem rules out, as qc reports them: exit 1, and
+# the stdout and stderr below, with no traceback.
+STRAY = "theorem failure: f_2({}) = {} is not a vertex of R^O_3({})\n"
+OUTSIDE_THE_CARRIER = [
+    (["verify", "oeg-fibers", "--maxlen", "3"],
+     STRAY.format("-/1/-", "-/-/2", "(1,2)")),
+    (["crystal", "(1,3)(2,5)", "--flavor", "oeg"],
+     STRAY.format("-/13/24", "-/3/235", "(1,3)(2,5)")),
+    (["crystal", "(1,3)(2,5)", "--flavor", "oeg", "--json"],
+     STRAY.format("-/13/24", "-/3/235", "(1,3)(2,5)")),
+]
+NO_EXPANSION = [
+    (["verify", "schurP-positivity"],
+     "schurP-positivity: FAIL (2 checks)\n"
+     "  counterexample: (1,2)(3,4)\n"
+     "  involution: character has no Schur-P expansion\n", ""),
+    (["expand", "(1,3)(2,5)", "--n", "3"], "",
+     "theorem failure: the character of (1,3)(2,5) has no schurP expansion: "
+     "leading exponent (0, 1, 3) is not a shape; wrong basis?\n"),
+]
+
+
+@pytest.mark.parametrize("argv,err", OUTSIDE_THE_CARRIER,
+                         ids=["oeg-fibers", "dot", "json"])
+def test_operator_value_outside_its_carrier_exits_1(argv, err, monkeypatch,
+                                                    capsys):
+    raise_the_next_factor(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_THEOREM_FAIL
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv,out,err", NO_EXPANSION,
+                         ids=["schurP-positivity", "expand"])
+def test_character_without_expansion_exits_1(argv, out, err, monkeypatch,
+                                             capsys):
+    drop_the_smallest_term(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_THEOREM_FAIL
+    assert capsys.readouterr() == (out, err)
 
 
 def test_increments_only_on_moved_pairs(monkeypatch):
