@@ -16,7 +16,6 @@ from .insertion import Factorization
 from .permwords import (
     FpfInvolution,
     LazyMap,
-    _targets,
     _walk_tables,
     get_flavor,
     walk_table,
@@ -65,22 +64,23 @@ def bump_chain(w, pi, flavor):
     letter of its walk table; either stays marked, as deleting it leaves
     the same subword.  The chain stops at the first word of the class.
 
-    Every table entry is an interned target, so pi is interned once and
-    the mark and companion tests compare entries by identity.  Each step
-    reads the current word's table once, and the push test takes it.
+    Every table entry is the flavor's interned target, so once the marks
+    of w are found by equality, pi becomes the entry at its mark and the
+    companion search compares entries by identity.  Each step reads the
+    current word's table once, and the push test takes it.
     """
     w = tuple(w)
     tables = _walk_tables[get_flavor(flavor).name]
     table = tables[w]
     if table[0] is None:
         raise ValueError(f"{w} is not in the {flavor} word class")
-    pi = _targets.get(pi, pi)
-    marks = tuple(i for i in range(1, len(table)) if table[i] is pi)
+    marks = tuple(i for i in range(1, len(table)) if table[i] == pi)
     if not marks:
         return None
     if len(marks) > 1:
         raise RuntimeError(
             f"strong exchange violated: several marks {marks} on {w}")
+    pi = table[marks[0]]
     cap = _iteration_cap(w)
     v, i = w, marks[0]
     chain = [MarkedWord(v, i, flavor)]

@@ -81,11 +81,11 @@ def parse_factorization(text):
 
 
 def parse_cycles(text):
-    groups = re.findall(r"\(([^()]+)\)", text.strip())
-    if not groups and text.strip() not in ("1", "id", ""):
+    """Cycle groups like (1,3) (2,5), or an identity word: "", "1" or "id"."""
+    if not re.fullmatch(r"\s*(1|id|(\([^()]+\)\s*)*)\s*", text):
         raise InputError(f"cannot parse cycles {text!r}")
     cycles = []
-    for g in groups:
+    for g in re.findall(r"\(([^()]+)\)", text):
         try:
             cycles.append(tuple(int(tok) for tok in re.split(r"[,\s]+", g.strip())))
         except ValueError:
@@ -118,15 +118,12 @@ def parse_permutation(text, flavor):
 
 def cmd_insert(args):
     flavor = args.flavor
-    if flavor == "hm":
-        data = parse_word(args.input)
-        res = insert(data, "hm")
-    else:
-        data = parse_factorization(args.input)
-        try:
-            res = insert(data, flavor)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+    parse = parse_word if flavor == "hm" else parse_factorization
+    data = parse(args.input)
+    try:
+        res = insert(data, flavor)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if args.json:
         print(json.dumps(res.to_json(), sort_keys=True))
     else:

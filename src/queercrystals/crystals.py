@@ -368,7 +368,6 @@ class Crystal:
         self.queer = queer
         self.name = name
         self.indices = crystal_indices(n, queer)
-        self._edges = None
         self._in = None
         self._out = None
         self._components = None
@@ -382,19 +381,17 @@ class Crystal:
         at most one y, so walking them in that order needs no sort.  Every
         reader of the edges goes through here, so an f_i(x) outside the
         carrier is a theorem failure, raised as RuntimeError."""
-        if self._edges is None:
-            labels = sorted(self.indices, key=str)
-            table = self.f_table
-            edges = tuple(
-                (x, i, y) for x in self.vertices for i in labels
-                if (y := table[x, i]) is not None)
-            for x, i, y in edges:
-                if y not in self.vertex_set:
-                    raise RuntimeError(
-                        f"f_{i}({pretty_element(x)}) = {pretty_element(y)} "
-                        f"is not a vertex of {self.name}")
-            self._edges = edges
-        return self._edges
+        labels = sorted(self.indices, key=str)
+        table = self.f_table
+        edges = tuple(
+            (x, i, y) for x in self.vertices for i in labels
+            if (y := table[x, i]) is not None)
+        for x, i, y in edges:
+            if y not in self.vertex_set:
+                raise RuntimeError(
+                    f"f_{i}({pretty_element(x)}) = {pretty_element(y)} "
+                    f"is not a vertex of {self.name}")
+        return edges
 
     def _adjacency(self):
         if self._out is None:
@@ -549,18 +546,13 @@ def product_words(n, m):
     return [tuple(w) for w in product(range(1, n + 1), repeat=m)]
 
 
-def _fac_ops(relation):
-    """(f, e) for factorization carriers; the relation "O" or "Sp" picks the
-    queer operators, and "K" has none."""
-    fq, eq = {"K": (None, None), "O": (fac_fq_o, fac_eq_o),
-              "Sp": (fac_fq_sp, fac_eq_sp)}[relation]
-    return queer_ops(fac_f, fac_e, fq, eq)
-
-
 def _fac_crystal(words, n, relation, name):
     """The crystal on the n-fold increasing factorizations of the words, with
-    the relation's operators: a q_n-crystal unless the relation is "K"."""
-    f, e = _fac_ops(relation)
+    the relation's operators: "O" and "Sp" add their queer operators, so the
+    carrier is a q_n-crystal, and "K" adds none."""
+    fq, eq = {"K": (None, None), "O": (fac_fq_o, fac_eq_o),
+              "Sp": (fac_fq_sp, fac_eq_sp)}[relation]
+    f, e = queer_ops(fac_f, fac_e, fq, eq)
     verts = [fac for w in words for fac in split_word(w, n)]
     return Crystal(verts, n, Factorization.weight, f, e,
                    queer=relation != "K", name=name)

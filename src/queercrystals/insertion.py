@@ -276,7 +276,9 @@ def speg_insert(w, check=True):
 
 
 def hm_insert(w):
-    """Haiman mixed insertion of an arbitrary word."""
+    """Haiman mixed insertion of a word of letters >= 1."""
+    if any(a < 1 for a in w):
+        raise ValueError(f"mixed insertion takes letters >= 1, not {tuple(w)}")
     fac = Factorization._trusted((a,) for a in w)
     rows, qrows, trace = _record(fac, _hm_letter)
     return InsertionResult(ShiftedTableau(rows), ShiftedTableau(qrows), trace)

@@ -250,18 +250,13 @@ def word_to_permutation(w):
     return pi
 
 
-# every target a walk reached, as one object: equal targets of any flavor
-# (reduced and involution targets are both Permutations) are one object
-_targets = {}
-
-
 def _move_node(flav, pi):
     """pi's node in the flavor's move table: (the stored object equal to pi,
     {letter: node of the next target, or None when the letter is a
-    descent}).  A new target is interned on entry."""
+    descent}).  A new target is interned on entry, as its own key, so the
+    table holds one object per target of the flavor."""
     node = flav.moves.get(pi)
     if node is None:
-        pi = _targets.setdefault(pi, pi)
         node = flav.moves[pi] = (pi, {})
     return node
 
@@ -300,8 +295,7 @@ def _walk(flavor, w):
     after each prefix; walk i >= 1 steps w[i:] from the node of the first
     i - 1 letters.  A walk stops at the first letter that is a descent of
     the target built so far; a deletion whose start lies past that point of
-    the prefix walk is outside the class as well.  A move already in the
-    table is read inline, and only a new one calls _step.
+    the prefix walk is outside the class as well.
     """
     flav = FLAVORS[flavor]
     prefix = [_move_node(flav, flav.identity)]
@@ -312,8 +306,7 @@ def _walk(flavor, w):
             break
         node = prefix[i - 1] if i else prefix[0]
         for a in w[i:]:
-            nxt = node[1].get(a, False)
-            node = _step(flav, node, a) if nxt is False else nxt
+            node = _step(flav, node, a)
             if node is None:
                 break
             if not i:
@@ -327,8 +320,8 @@ def walk_table(w, flavor):
     in the flavor's class, None outside it, so index i is the 1-based mark i.
 
     Computed once per word: deletion i walks only w[i:], from the prefix
-    state i-1 of w's own walk.  The move table holds interned targets, so
-    equal targets are stored as one object.
+    state i-1 of w's own walk.  The flavor's move table holds interned
+    targets, so equal targets in the flavor's tables are one object.
     """
     return _walk_tables[get_flavor(flavor).name][tuple(w)]
 

@@ -59,22 +59,15 @@ class _Tableau:
             raise ValueError(f"row lengths must {order} decrease going up")
         self.rows = rows
 
-    def __init_subclass__(cls):
-        # entry is the hot read of the crystal operators, so the shift is
-        # bound in as a constant rather than looked up on every call
-        shift = cls.SHIFT
-
-        def entry(self, r, c):
-            """The entry in box (r, c), or None when there is no such box."""
-            rows = self.rows
-            if 0 < r <= len(rows):
-                row = rows[r - 1]
-                k = c - 1 - shift * (r - 1)
-                if 0 <= k < len(row):
-                    return row[k]
-            return None
-
-        cls.entry = entry
+    def entry(self, r, c):
+        """The entry in box (r, c), or None when there is no such box."""
+        rows = self.rows
+        if 0 < r <= len(rows):
+            row = rows[r - 1]
+            k = c - 1 - self.SHIFT * (r - 1)
+            if 0 <= k < len(row):
+                return row[k]
+        return None
 
     @property
     def shape(self):
@@ -329,7 +322,6 @@ def _fillings(cls, shape, codes):
     return tuple(sorted(out, key=lambda t: t.rows))
 
 
-@lru_cache(maxsize=None)
 def semistandard_tableaux(shape, n):
     """All semistandard fillings of the plain shape with entries in 1..n."""
     shape = tuple(shape)
@@ -359,7 +351,6 @@ def semistandard_shifted_tableaux(shape, n):
     return _fillings(ShiftedTableau, shape, range(1, 2 * n + 1))
 
 
-@lru_cache(maxsize=None)
 def standard_shifted_tableaux(shape):
     """All standard shifted tableaux of the shape.
 

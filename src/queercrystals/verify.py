@@ -21,10 +21,8 @@ from .bumping import (
 )
 from .crystals import (
     _component_certificate,
-    _fac_ops,
     _trim,
     axioms_report,
-    crystal_indices,
     dbl_map,
     even_crystal,
     even_target_o,
@@ -94,7 +92,6 @@ class VerifyResult:
 # ---------------------------------------------------------------------------
 # Corpora
 
-@lru_cache(maxsize=None)
 def corpus(flavor, max_len, window=None):
     """The targets other than the identity that have a word of the flavor of
     length <= max_len over the letters of window (lo, hi), by default the
@@ -284,31 +281,30 @@ def check_bump_properties(res, max_len=5, n=3):
                         w, decompose_bump(chain)) != v:
                     return res.fail(f"{flavor}: decomposition replay", (str(pi), w))
     # crystal-operator commutation on factorizations (qi theorems)
-    for flavor, flav in FLAVORS.items():
-        f_op, _ = _fac_ops(flav.relation)
-        indices = crystal_indices(n, flav.queer)
+    for flavor in FLAVORS:
         for sigma in corpus(flavor, min(max_len, 4)):
-            words = enumerate_words(sigma, flavor)
-            targets = _marked_words(words, flavor)
+            crys = factorization_crystal(sigma, flavor, n)
+            # a lift lies outside sigma's carrier: its f_i is not tabled
+            f, table = crys.f, crys.f_table
+            targets = _marked_words(enumerate_words(sigma, flavor), flavor)
             # {(fac, pi): its lift}: f_i of one factorization of sigma is
             # another, so each lift is computed once per sigma
             lift = LazyMap(lambda key: bumping.bump_factorization(*key, flavor))
-            for w in words:
-                for fac in split_word(w, n):
-                    lhs_all = [(i, f_op(fac, i)) for i in indices]
-                    for pi in targets:
-                        bumped = lift[fac, pi]
-                        for i, lhs in lhs_all:
-                            res.checks += 1
-                            if lhs is None:
-                                if f_op(bumped, i) is not None:
-                                    return res.fail(
-                                        f"{flavor}: f_{i} definedness vs bump",
-                                        (str(pi), fac))
-                            elif lift[lhs, pi] != f_op(bumped, i):
+            for fac in crys.vertices:
+                for pi in targets:
+                    bumped = lift[fac, pi]
+                    for i in crys.indices:
+                        res.checks += 1
+                        lhs = table[fac, i]
+                        if lhs is None:
+                            if f(bumped, i) is not None:
                                 return res.fail(
-                                    f"{flavor}: bump/f_{i} commutation",
+                                    f"{flavor}: f_{i} definedness vs bump",
                                     (str(pi), fac))
+                        elif lift[lhs, pi] != f(bumped, i):
+                            return res.fail(
+                                f"{flavor}: bump/f_{i} commutation",
+                                (str(pi), fac))
     res.lines.append("parts (a)-(d) and the crystal commutation all hold")
 
 

@@ -51,7 +51,6 @@ from queercrystals.permwords import (
     LazyMap,
     Permutation,
     VertexCapExceeded,
-    _targets,
     enumerate_words,
     equivalence_class,
     get_flavor,
@@ -213,10 +212,10 @@ def is_marked(w, i, pi, flavor):
 
 def marked_indices(w, pi, flavor):
     """The 1-based indices i with (w, i) pi-marked, read from w's walk
-    table by identity with the interned pi: the mark search that
-    bump_chain runs inline."""
+    table by identity with pi as the flavor's move table interns it: the
+    companion search that bump_chain runs inline."""
     table = walk_table(w, flavor)
-    pi = _targets.get(pi, pi)
+    pi = get_flavor(flavor).moves.get(pi, (pi,))[0]
     return tuple(i for i in range(1, len(table)) if table[i] is pi)
 
 

@@ -103,6 +103,20 @@ class TestParsing:
         with pytest.raises(cli.InputError):
             cli.parse_permutation("(2,3)", "fpf")  # window not base-closed
 
+    def test_cycle_text_is_groups_or_an_identity_word(self):
+        assert cli.parse_cycles(" (1,3) (2, 5)") == [(1, 3), (2, 5)]
+        for text in ("", "1", "id", " 1 "):
+            assert cli.parse_cycles(text) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("crystal", "(1,3)abc"), ("crystal", "x(1,3)"), ("crystal", "(1,3)("),
+        ("bump", "2134", "(2,5)x"), ("expand", "(1,3)y"),
+    ])
+    def test_text_outside_the_cycle_groups_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"input error: cannot parse cycles {argv[-1]!r}\n"
+
 
 class TestInsert:
     def test_speg_example(self, capsys):
@@ -119,6 +133,12 @@ class TestInsert:
         data = json.loads(out)
         assert data["P"]["rows"] == [["2", "2", "3'", "3"], ["3", "3"]]
         assert data["Q"]["rows"] == [["1", "2", "4", "5"], ["3", "6"]]
+
+    def test_hm_letter_below_1_exit_2(self, capsys):
+        # P would hold a 0 on the diagonal, which no shifted tableau holds
+        code, out, err = run(capsys, "insert", "10", "--flavor", "hm", "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: mixed insertion takes letters >= 1")
 
     def test_lone_negative_letter(self, capsys):
         code, out, _ = run(capsys, "insert", "(0)(-1)(0)", "--flavor", "eg",

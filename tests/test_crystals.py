@@ -48,6 +48,7 @@ from queercrystals.permwords import (
     Permutation,
     VertexCapExceeded,
     involution_words,
+    word_target,
 )
 from queercrystals.symchar import character, expand
 from queercrystals.tableaux import ShiftedTableau
@@ -203,17 +204,17 @@ class TestShiftedTableauOps:
 class TestCrystalGraph:
     def test_explore_matches_carrier(self):
         seed = Factorization([(1, 3, 4), (2,), ()])
-        from queercrystals.crystals import _fac_ops
-
-        f, e = _fac_ops("O")
+        c = factorization_crystal(word_target(seed.word(), "involution"),
+                                  "involution", 3)
+        f, e = c.f, c.e
         crys = explore(seed, 3, Factorization.weight, f, e, queer=True)
         assert len(crys) == 24
 
     def test_explore_cap(self):
         seed = Factorization([(1, 3, 4), (2,), ()])
-        from queercrystals.crystals import _fac_ops
-
-        f, e = _fac_ops("O")
+        c = factorization_crystal(word_target(seed.word(), "involution"),
+                                  "involution", 3)
+        f, e = c.f, c.e
         with pytest.raises(VertexCapExceeded):
             explore(seed, 3, Factorization.weight, f, e, queer=True, cap=5)
 

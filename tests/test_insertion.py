@@ -97,6 +97,9 @@ class TestGoldenExamples:
             oeg_insert(Factorization([(3,), (2, 3), (4,)]))  # 3234 not inv word
         with pytest.raises(ValueError):
             speg_insert(Factorization([(1,)]))  # must start even
+        for w in ((1, 0), (-2,), (2, 1, 0, 3)):  # P would hold a box <= 0
+            with pytest.raises(ValueError, match="letters >= 1"):
+                hm_insert(w)
         oeg_insert(Factorization([(3,), (2, 3), (4,)]), check=False)
 
 

@@ -9,7 +9,8 @@ tests recompute membership through those and compare wholesale.  The word
 enumerator and split_word are checked against brute-force references, the
 move-table walk on every prefix against a plain step loop, the walk table
 against one plain walk per deleted word and its one-loop kernel against
-plain walks from the prefix states, with every entry the interned target,
+plain walks from the prefix states, with every entry the target its
+flavor's move table interns,
 verify's image rule and its
 fixed-point decision from the walk tables against bump, the bump
 decomposition against plain products of the deleted subwords, the one
@@ -314,9 +315,10 @@ def test_walk_kernel_matches_plain_walks():
         for w in checked:
             table = permwords._walk(flavor, w)
             assert table == reference_walk(flavor, w)
-            # every entry is the one interned object of its target
-            assert all(pi is permwords._targets[pi]
-                       for pi in table if pi is not None)
+            # every entry is the one object of its target that the
+            # flavor's move table interns
+            moves = FLAVORS[flavor].moves
+            assert all(pi is moves[pi][0] for pi in table if pi is not None)
             outside += table[0] is None
         assert 0 < outside < len(checked)
 

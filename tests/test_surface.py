@@ -21,6 +21,9 @@ Coxeter-Knuth move, only verify.run_target builds a VerifyResult and
 no module but verify imports inspect, and no class defines again a method
 of a base class from its own module (the target base of permwords and the
 tableau base of tableaux state each of their methods once).
+
+An inventory scan lists every memo that lives for the process and pins
+the list, each entry with the workload hits that keep it.
 """
 
 import ast
@@ -383,6 +386,120 @@ def test_the_scan_finds_redefined_base_methods(tmp_path):
         "class C(dict):\n"
         "    def get(self, key):\n        return key\n")
     assert redefined_base_methods(tmp_path) == ["a.A.shared", "a.B.__eq__"]
+
+
+MEMO_DECORATORS = {"cache", "lru_cache"}
+
+
+def _name(node):
+    """The name that a Name or Attribute node reads, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_memo_value(value):
+    """An empty dict, or a value built from LazyMap."""
+    if (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call) and _name(value.func) == "dict"
+            and not value.args and not value.keywords):
+        return True
+    return any(isinstance(call, ast.Call) and _name(call.func) == "LazyMap"
+               for call in ast.walk(value))
+
+
+def memo_inventory(src=SRC):
+    """module.name of every memo that lives for the process: a function
+    decorated with lru_cache or cache, a module-level name bound to an
+    empty dict or to a value built from LazyMap, and a class field whose
+    default is a new dict for each record."""
+    out = []
+    for mod, tree in module_trees(src).items():
+        out += [f"{mod}.{node.name}" for node in ast.walk(tree)
+                if isinstance(node, DEFS)
+                and any(_name(getattr(d, "func", d)) in MEMO_DECORATORS
+                        for d in node.decorator_list)]
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and _is_memo_value(stmt.value):
+                out += [f"{mod}.{t.id}" for t in stmt.targets]
+            elif (isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                    and _is_memo_value(stmt.value)):
+                out.append(f"{mod}.{stmt.target.id}")
+            elif isinstance(stmt, ast.ClassDef):
+                out += [f"{mod}.{stmt.name}.{field.target.id}"
+                        for field in stmt.body
+                        if isinstance(field, ast.AnnAssign)
+                        and isinstance(field.value, ast.Call)
+                        and any(kw.arg == "default_factory"
+                                and _name(kw.value) == "dict"
+                                for kw in field.value.keywords)]
+    return sorted(out)
+
+
+# Every memo of the library, each with the hits that keep it: one process
+# per workload at default bounds (verify-bump: the three bump targets;
+# verify-crystal: the ten others; queries: the seed-0 stream of one cycle).
+# A new memo lands here with its own count.
+MEMOS = [
+    # verify-bump: 3,583 hits in 3,744 lookups
+    "bumping._base_conjugates",
+    # queries: 264 hits in 265 calls, one parser for the stream
+    "cli.build_parser",
+    # the move tables: verify-bump steps 135,088 of 137,333 moves from a
+    # stored node
+    "permwords.Flavor.moves",
+    # the word tables: verify-crystal 228 of 299 (reduced), 531 of 625
+    # (involution), 468 of 552 (fpf); queries 183 of 281, 380 of 540,
+    # 211 of 280
+    "permwords._fpf_cache",
+    "permwords._involution_cache",
+    "permwords._reduced_cache",
+    # verify-bump: 30,282 of 35,896 (reduced), 18,309 of 20,966
+    # (involution), 15,076 of 18,510 (fpf)
+    "permwords._walk_tables",
+    # 0 hits (verify-crystal 0 of 5 and 0 of 158), kept while
+    # perfbench/tracer.py reads their cache_info
+    "permwords.fpf_target",
+    "permwords.involution_target",
+    # verify-crystal: 11 of 20 and 74 of 83
+    "symchar.schur_poly",
+    "symchar.schurp_poly",
+    # verify-crystal: 54,321 of 54,339
+    "tableaux._column_rows",
+    # verify-crystal: 16 of 33
+    "tableaux.semistandard_shifted_tableaux",
+    # verify-crystal: 3,521 of 4,865
+    "verify._p_tableau",
+    # verify-crystal: 13,004 of 15,942; verify-bump: 5,175 of 8,888
+    "verify._q_tableau",
+    # verify-crystal: 94 of 99
+    "verify._word_component_certs",
+]
+
+
+def test_every_memo_is_in_the_inventory():
+    assert memo_inventory() == MEMOS
+
+
+def test_the_scan_finds_memos(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\n"
+        "from dataclasses import dataclass, field\n"
+        "from functools import cache, lru_cache, partial\n"
+        "from .m import LazyMap\n\n"
+        "SEEN = {}\nMORE = dict()\nTABLE: dict = {}\n"
+        "CONST = {1: 2}\nLIST = []\n"
+        "TABLES = {k: LazyMap(str) for k in 'ab'}\n\n"
+        "@lru_cache(maxsize=None)\ndef one(x):\n    return x\n\n"
+        "@cache\ndef two(x):\n    return {}\n\n"
+        "@functools.cache\ndef three(x):\n    return LazyMap(x)\n\n"
+        "@partial(print)\ndef plain(x):\n    memo = {}\n    return memo\n\n"
+        "@dataclass\nclass R:\n"
+        "    memo: dict = field(default_factory=dict)\n"
+        "    rows: list = field(default_factory=list)\n\n"
+        "    @lru_cache\n    def method(self):\n        return 1\n")
+    (tmp_path / "m.py").write_text("LAZY = LazyMap(len)\n")
+    assert memo_inventory(tmp_path) == [
+        "a.MORE", "a.R.memo", "a.SEEN", "a.TABLE", "a.TABLES", "a.method",
+        "a.one", "a.three", "a.two", "m.LAZY"]
 
 
 # the qc commands of the run check: every insertion, every carrier kind,

@@ -270,10 +270,10 @@ class CrystalPass(Exception):
 def run_word_level_loop(monkeypatch):
     """bump-properties at max_len 4, stopped where its crystal-commutation
     pass starts, so that a count sees the word-level loop only."""
-    def stop(relation):
+    def stop(pi, flavor, n):
         raise CrystalPass
 
-    monkeypatch.setattr(verify, "_fac_ops", stop)
+    monkeypatch.setattr(verify, "factorization_crystal", stop)
     with pytest.raises(CrystalPass):
         run_target("bump-properties", max_len=4)
 
