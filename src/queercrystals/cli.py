@@ -87,7 +87,8 @@ def parse_cycles(text):
     cycles = []
     for g in re.findall(r"\(([^()]+)\)", text):
         try:
-            cycles.append(tuple(int(tok) for tok in re.split(r"[,\s]+", g.strip())))
+            cycles.append(tuple(
+                int(tok) for tok in re.split(r"\s*,\s*|\s+", g.strip())))
         except ValueError:
             raise InputError(f"cannot parse cycle ({g})") from None
     return cycles

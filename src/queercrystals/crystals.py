@@ -10,7 +10,8 @@ never materialized.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import permutations, product
+from copy import copy
+from itertools import chain, permutations, product
 from math import comb
 
 from .insertion import Factorization, split_word
@@ -58,24 +59,34 @@ def queer_ops(f, e, fq, eq):
 # ---------------------------------------------------------------------------
 # The bracket rule that words, factorizations and shifted tableaux share
 
-def _unpaired(letters, i):
-    """The bracket rule of every gl_n operator, on (key, value) letters in
-    reading order: value i reads ')' and value i+1 reads '('.
+def _unpaired(a, b):
+    """The bracket rule of every gl_n operator on two increasing sequences:
+    a reads ')' and b reads '(', and an element of b opens before an element
+    of a when it is smaller, a first on ties.  Returns (rights, lefts), the
+    indices of the unmatched elements of a and of b; f_i acts at the last
+    right and e_i at the first left."""
+    rights, lefts, j = [], [], 0
+    for k, x in enumerate(a):
+        while j < len(b) and b[j] < x:
+            lefts.append(j)
+            j += 1
+        if lefts:
+            lefts.pop()
+        else:
+            rights.append(k)
+    return rights, lefts + list(range(j, len(b)))
 
-    Returns (rights, lefts): the keys of the unmatched i and of the
-    unmatched i+1, each in reading order.  f_i acts at the last right and
-    e_i at the first left.
-    """
-    rights, lefts = [], []
-    for k, a in letters:
-        if a == i + 1:
-            lefts.append(k)
-        elif a == i:
-            if lefts:
-                lefts.pop()
-            else:
-                rights.append(k)
-    return rights, lefts
+
+def _positions(letters, i):
+    """The reading positions of the letters i and of the letters i+1, among
+    (key, value) letters in reading order."""
+    a, b = [], []
+    for k, (_, x) in enumerate(letters):
+        if x == i:
+            a.append(k)
+        elif x == i + 1:
+            b.append(k)
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +101,21 @@ def word_weight(w, n):
 
 def word_f(w, i):
     """Lowering operator on words: last unmatched i becomes i+1."""
-    rights, _ = _unpaired(enumerate(w), i)
+    a, b = _positions(enumerate(w), i)
+    rights, _ = _unpaired(a, b)
     if not rights:
         return None
-    k = rights[-1]
+    k = a[rights[-1]]
     return w[:k] + (i + 1,) + w[k + 1:]
 
 
 def word_e(w, i):
     """Raising operator on words: first unmatched i+1 becomes i."""
-    _, lefts = _unpaired(enumerate(w), i)
+    a, b = _positions(enumerate(w), i)
+    _, lefts = _unpaired(a, b)
     if not lefts:
         return None
-    k = lefts[0]
+    k = b[lefts[0]]
     return w[:k] + (i,) + w[k + 1:]
 
 
@@ -127,42 +140,33 @@ def word_eqbar(w):
 # ---------------------------------------------------------------------------
 # Factorization crystals
 
-def _factor_letters(fac, i):
-    """Factors i and i+1 as letters i and i+1, merged by value with factor i
-    first on ties: the Morse-Schilling pairing is the bracket rule on them."""
-    return sorted([(x, i) for x in fac[i - 1]] + [(y, i + 1) for y in fac[i]])
-
-
 def fac_f(fac, i):
-    """Move the largest unpaired letter of factor i into factor i+1."""
-    rights, _ = _unpaired(_factor_letters(fac, i), i)
+    """Move the largest unpaired letter of factor i into factor i+1: the
+    bracket rule on the two factors is the Morse-Schilling pairing."""
+    a, b = fac[i - 1], fac[i]
+    rights, _ = _unpaired(a, b)
     if not rights:
         return None
-    a, b = fac[i - 1], fac[i]
-    x = y = rights[-1]
+    k = rights[-1]
+    y = a[k]
     while y in b:
         y += 1
-    new_a = tuple(v for v in a if v != x)
-    new_b = list(b)
-    insort(new_b, y)
-    return Factorization._trusted(
-        fac[:i - 1] + (new_a, tuple(new_b)) + fac[i + 1:])
+    return Factorization._trusted(fac[:i - 1] + (
+        a[:k] + a[k + 1:], tuple(sorted(b + (y,)))) + fac[i + 1:])
 
 
 def fac_e(fac, i):
     """Move the smallest unpaired letter of factor i+1 into factor i."""
-    _, lefts = _unpaired(_factor_letters(fac, i), i)
+    a, b = fac[i - 1], fac[i]
+    _, lefts = _unpaired(a, b)
     if not lefts:
         return None
-    a, b = fac[i - 1], fac[i]
-    x = y = lefts[0]
+    k = lefts[0]
+    x = b[k]
     while x in a:
         x -= 1
-    new_b = tuple(v for v in b if v != y)
-    new_a = list(a)
-    insort(new_a, x)
-    return Factorization._trusted(
-        fac[:i - 1] + (tuple(new_a), new_b) + fac[i + 1:])
+    return Factorization._trusted(fac[:i - 1] + (
+        tuple(sorted(a + (x,))), b[:k] + b[k + 1:]) + fac[i + 1:])
 
 
 def fac_fq_o(fac):
@@ -236,10 +240,12 @@ def _value_ribbon(t, v, box):
 
 def shtab_f(t, i):
     """Lowering operator on semistandard shifted tableaux."""
-    rights, _ = _unpaired(shword_letters(t), i)
+    letters = shword_letters(t)
+    a, b = _positions(letters, i)
+    rights, _ = _unpaired(a, b)
     if not rights:
         return None
-    x, y = rights[-1]
+    x, y = letters[a[rights[-1]]][0]
     code = t.entry(x, y)
     east = t.entry(x, y + 1)
     north = t.entry(x + 1, y)
@@ -273,10 +279,12 @@ def shtab_f(t, i):
 
 def shtab_e(t, i):
     """Raising operator on semistandard shifted tableaux."""
-    _, lefts = _unpaired(shword_letters(t), i)
+    letters = shword_letters(t)
+    a, b = _positions(letters, i)
+    _, lefts = _unpaired(a, b)
     if not lefts:
         return None
-    x, y = lefts[0]
+    x, y = letters[b[lefts[0]]][0]
     code = t.entry(x, y)
     west = t.entry(x, y - 1)
     south = t.entry(x - 1, y)
@@ -356,21 +364,19 @@ class Crystal:
     carrier's edges.
     """
 
-    def __init__(self, vertices, n, wt, f, e, queer, name="", tables=None):
+    def __init__(self, vertices, n, wt, f, e, queer, name=""):
         self.vertices = tuple(sorted(set(vertices), key=_sort_key))
         self.vertex_set = frozenset(self.vertices)
         self.n = n
         self.wt = wt
         self.f = f
         self.e = e
-        self.f_table, self.e_table = tables or (
-            LazyMap(lambda key: f(*key)), LazyMap(lambda key: e(*key)))
+        self.f_table = LazyMap(lambda key: f(*key))
+        self.e_table = LazyMap(lambda key: e(*key))
         self.queer = queer
         self.name = name
         self.indices = crystal_indices(n, queer)
-        self._in = None
-        self._out = None
-        self._components = None
+        self._out = self._in = self._components = None
 
     def __len__(self):
         return len(self.vertices)
@@ -421,29 +427,33 @@ class Crystal:
         return tuple(lengths)
 
     def components(self):
-        """Weakly connected components as sub-crystals, deterministic order,
-        found once per carrier."""
+        """Weakly connected components as sub-crystals, in the order of their
+        first vertices, found once per carrier.  A component is a view of
+        its carrier: its vertices are the carrier's, filtered in order, and
+        its adjacency is the carrier's restricted to them; a connected
+        carrier's one component shares its vertices and adjacency whole."""
         if self._components is not None:
             return self._components
         out, into = self._adjacency()
-        seen = set()
-        comps = []
+        where, groups = {}, []  # vertex -> the index of its component
         for v in self.vertices:
-            if v in seen:
-                continue
-            comp, frontier = {v}, [v]
-            while frontier:
-                x = frontier.pop()
-                for nbs in (out[x], into[x]):
-                    for y in nbs.values():
-                        if y not in comp:
-                            comp.add(y)
+            if v not in where:  # v is the first vertex of a new component
+                k = where[v] = len(groups)
+                groups.append([])
+                frontier = [v]
+                for x in frontier:  # the frontier grows while it is read
+                    for y in chain(out[x].values(), into[x].values()):
+                        if y not in where:
+                            where[y] = k
                             frontier.append(y)
-            seen |= comp
-            comps.append(Crystal(comp, self.n, self.wt, self.f, self.e,
-                                 self.queer, name=self.name,
-                                 tables=(self.f_table, self.e_table)))
-        self._components = tuple(comps)
+            groups[where[v]].append(v)
+        # copies, which share n, wt, the operators and the tables
+        self._components = tuple(copy(self) for _ in groups)
+        if len(groups) > 1:
+            for comp, verts in zip(self._components, groups):
+                comp.vertices, comp.vertex_set = tuple(verts), frozenset(verts)
+                comp._out = {x: out[x] for x in verts}
+                comp._in = {x: into[x] for x in verts}
         return self._components
 
     def sources(self):
@@ -494,9 +504,12 @@ class Crystal:
         }
 
     def to_dot(self):
-        """One DOT digraph per component, concatenated deterministically."""
+        """One DOT digraph per component, concatenated deterministically.
+        The edges are read once, through the adjacency that found the
+        components: out[x] holds f_i(x) in the order of edges()."""
+        comps, (out, _) = self.components(), self._adjacency()
         chunks = []
-        for k, comp in enumerate(self.components()):
+        for k, comp in enumerate(comps):
             index = {x: f"v{j}" for j, x in enumerate(comp.vertices)}
             lines = [f'digraph component{k} {{']
             for x in comp.vertices:
@@ -504,8 +517,8 @@ class Crystal:
                 lines.append(
                     f'  {index[x]} [label="{pretty_element(x)}" weight="{wt}"];'
                 )
-            for x, i, y in comp.edges():
-                lines.append(f'  {index[x]} -> {index[y]} [label="{i}"];')
+            lines += [f'  {index[x]} -> {index[y]} [label="{i}"];'
+                      for x in comp.vertices for i, y in out[x].items()]
             lines.append("}")
             chunks.append("\n".join(lines))
         return "\n".join(chunks) + "\n"
@@ -525,7 +538,7 @@ def pretty_element(x):
         ) + "]"
     if isinstance(x, Factorization) or (
             isinstance(x, tuple) and x and isinstance(x[0], tuple)):
-        return "/".join("".join(map(str, f)) or "-" for f in x)
+        return "/".join(["".join([str(a) for a in f]) or "-" for f in x])
     if isinstance(x, tuple):
         return "".join(map(str, x))
     return str(x)
@@ -851,7 +864,7 @@ def is_quasi_isomorphism(phi, dom, cod):
         if len(images) != len(comp.vertices):
             return False
         target = next(
-            (c for c in cod_comps if images <= set(c.vertices)), None)
+            (c for c in cod_comps if images <= c.vertex_set), None)
         if target is None or len(images) != len(target.vertices):
             return False
     return True
@@ -862,9 +875,7 @@ def _certificate_from(comp, root):
     order = {root: 0}
     queue = [root]
     edges = []
-    while queue:
-        x = queue.pop(0)
-        xid = order[x]
+    for xid, x in enumerate(queue):  # the queue grows while it is read
         for direction, nbs in (("f", out[x]), ("e", into[x])):
             for i in sorted(nbs, key=str):
                 y = nbs[i]
@@ -872,10 +883,7 @@ def _certificate_from(comp, root):
                     order[y] = len(order)
                     queue.append(y)
                 edges.append((xid, direction, str(i), order[y]))
-    wts = [None] * len(order)
-    for v, k in order.items():
-        wts[k] = comp.wt(v)
-    return (tuple(edges), tuple(wts))
+    return (tuple(edges), tuple(comp.wt(v) for v in queue))
 
 
 def _component_certificate(comp):

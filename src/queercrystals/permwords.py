@@ -366,9 +366,10 @@ def enumerate_words(pi, flavor):
         else:
             acc = []
             for i in pi.descents():
-                sub = flav.step(pi, i)
-                if sub != pi:
-                    acc.extend(w + (i,) for w in enumerate_words(sub, flavor))
+                # the fpf step, conjugation by s_i, fixes a pair {i, i+1}
+                if flav.name != "fpf" or pi(i) != i + 1:
+                    acc.extend(w + (i,) for w in
+                               enumerate_words(flav.step(pi, i), flavor))
             got = tuple(sorted(acc))
         flav.cache[pi] = got
     return got

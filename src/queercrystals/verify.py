@@ -171,7 +171,7 @@ def _fiber_check(flavor, res, max_len=5, n=3):
                 return res.fail(f"{pi}: P-fiber differs from the {rel}-class",
                                 (str(pi), sorted(fib)[0]))
         crys = factorization_crystal(pi, flavor, n)
-        comps = {frozenset(c.vertices) for c in crys.components()}
+        comps = {c.vertex_set for c in crys.components()}
         byp = {}
         for fac in crys.vertices:
             byp.setdefault(_p_tableau(fac.word(), ins), set()).add(fac)

@@ -1019,7 +1019,7 @@ def explore(seed, n, wt, f, e, queer, cap=DEFAULT_VERTEX_CAP, name=""):
                             f"exploration exceeded cap {cap}")
                     seen.add(y)
                     frontier.append(y)
-    return Crystal(seen, n, wt, f, e, queer, name=name, tables=tables)
+    return Crystal(seen, n, wt, f, e, queer, name=name)
 
 
 def crystals_isomorphic(c1, c2):

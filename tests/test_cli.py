@@ -117,6 +117,12 @@ class TestParsing:
         assert (code, out) == (2, "")
         assert err == f"input error: cannot parse cycles {argv[-1]!r}\n"
 
+    @pytest.mark.parametrize("group", ["(1,,3)", "(1, ,3)", "(,1,3)", "(1,3,)"])
+    def test_an_empty_entry_in_a_group_exits_2(self, capsys, group):
+        code, out, err = run(capsys, "crystal", group, "--n", "1", "--json")
+        assert (code, out) == (2, "")
+        assert err == f"input error: cannot parse cycle {group}\n"
+
 
 class TestInsert:
     def test_speg_example(self, capsys):

@@ -7,6 +7,7 @@ from reference import (
     crystals_isomorphic, dbl_map_inverse, ell_o, ell_sp, explore,
     inv_map_inverse, pair)
 
+from queercrystals import crystals
 from queercrystals.crystals import (
     QBAR,
     Crystal,
@@ -236,6 +237,9 @@ class TestCrystalGraph:
         comps = c.components()
         assert type(comps) is tuple and len(comps) == 2
         assert c.components() is comps
+        for comp in comps:  # the carrier's vertices, filtered in order
+            assert comp.vertices == tuple(
+                x for x in c.vertices if x in comp.vertex_set)
 
     def test_string_lengths_axiom(self):
         c = shifted_tableau_crystal(3, (3, 1))
@@ -413,6 +417,43 @@ class TestSerialization:
         data = c.to_json()
         assert data["n"] == 2 and data["queer"]
         json.dumps(data)
+
+    def test_outputs_evaluate_each_edge_once(self, monkeypatch):
+        """DOT and then JSON of the 1,296-vertex carrier: each f_i(x) is
+        evaluated once, each output validates the edges once, and each
+        component lists its carrier's vertices in the carrier's order."""
+        calls = {"f": 0, "edges": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("fac_f", "fac_fq_sp"):
+            monkeypatch.setattr(crystals, name,
+                                counted("f", getattr(crystals, name)))
+        monkeypatch.setattr(Crystal, "edges", counted("edges", Crystal.edges))
+        pi = FpfInvolution([(1, 4), (2, 8), (3, 7), (5, 6)])
+        crys = factorization_crystal(pi, "fpf", 4)
+        assert (len(crys), len(crys.indices)) == (1296, 4)
+        crys.to_dot()
+        assert calls["edges"] == 1
+        crys.to_json()
+        assert calls == {"f": 1296 * 4, "edges": 2}
+        comps = crys.components()
+        assert sum(map(len, comps)) == len(crys)
+        for comp in comps:
+            rest = iter(crys.vertices)
+            assert all(v in rest for v in comp.vertices)
+
+    def test_a_connected_carrier_is_its_component(self):
+        crys = factorization_crystal(
+            P.from_cycles([(1, 3), (2, 6), (4, 5)]), "involution", 3)
+        (comp,) = crys.components()
+        assert comp.vertices is crys.vertices
+        assert comp.vertex_set is crys.vertex_set
+        assert comp.f_table is crys.f_table
 
     def test_vertex_cap_env(self, monkeypatch):
         from queercrystals.cli import env_cap

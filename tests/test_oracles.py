@@ -549,8 +549,12 @@ def check_geometry(t, indices, codes):
     assert col_word(t) == tuple(entry_value(x) for c in range(1, last_column(t) + 1)
                                 for _, x in reversed(column_scan(t, c)))
     for i in indices:
-        rights, lefts = _unpaired(letters, i)
-        assert tuple(rights) + tuple(lefts) == unpaired_boxes_scan(t, i), (t, i)
+        a = [k for k, (_, v) in enumerate(letters) if v == i]
+        b = [k for k, (_, v) in enumerate(letters) if v == i + 1]
+        rights, lefts = _unpaired(a, b)
+        unpaired = [letters[a[k]][0] for k in rights] + [
+            letters[b[k]][0] for k in lefts]
+        assert tuple(unpaired) == unpaired_boxes_scan(t, i), (t, i)
         assert t.find_value(i) == next(
             (b for b in all_boxes(t) if entry_value(t.entry(*b)) == i), None)
     assert is_semistandard(t) == is_semistandard_scan(t), t

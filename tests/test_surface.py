@@ -20,7 +20,8 @@ functions or reads a .moves attribute, no module but permwords calls a
 Coxeter-Knuth move, only verify.run_target builds a VerifyResult and
 no module but verify imports inspect, and no class defines again a method
 of a base class from its own module (the target base of permwords and the
-tableau base of tableaux state each of their methods once).
+tableau base of tableaux state each of their methods once).  A sixth
+scan keeps the six gl_n crystal operators on the one bracket rule.
 
 An inventory scan lists every memo that lives for the process and pins
 the list, each entry with the workload hits that keep it.
@@ -500,6 +501,40 @@ def test_the_scan_finds_memos(tmp_path):
     assert memo_inventory(tmp_path) == [
         "a.MORE", "a.R.memo", "a.SEEN", "a.TABLE", "a.TABLES", "a.method",
         "a.one", "a.three", "a.two", "m.LAZY"]
+
+
+GL_OPERATORS = ("word_f", "word_e", "fac_f", "fac_e", "shtab_f", "shtab_e")
+
+
+def bracket_rule_forks(src=SRC):
+    """crystals.name of every gl_n operator that does not call _unpaired,
+    and of _factor_letters if it is defined: the six operators read the
+    one bracket rule, and no second letter list feeds it."""
+    tree = module_trees(src)["crystals"]
+    defs = {node.name: node for node in tree.body if isinstance(node, DEFS)}
+    calls = {name: {_name(node.func) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)} for name, fn in defs.items()}
+    out = [f"crystals.{name}" for name in GL_OPERATORS
+           if "_unpaired" not in calls.get(name, ())]
+    return out + ["crystals._factor_letters"] * ("_factor_letters" in defs)
+
+
+def test_every_gl_operator_reads_the_bracket_rule():
+    assert bracket_rule_forks() == []
+
+
+def test_the_scan_finds_forked_bracket_rules(tmp_path):
+    (tmp_path / "crystals.py").write_text(
+        "def _unpaired(a, b):\n    return [], []\n\n"
+        "def _factor_letters(fac, i):\n    return fac\n\n"
+        "def word_f(w, i):\n    return _unpaired(w, w)\n\n"
+        "def fac_f(fac, i):\n    return _unpaired(*_factor_letters(fac, i))\n\n"
+        "def fac_e(fac, i):\n    return fac\n\n"
+        "def shtab_f(t, i):\n    return _unpaired(t, t)\n\n"
+        "def shtab_e(t, i):\n    def inner():\n        return _unpaired(t, t)\n"
+        "    return inner()\n")
+    assert bracket_rule_forks(tmp_path) == [
+        "crystals.word_e", "crystals.fac_e", "crystals._factor_letters"]
 
 
 # the qc commands of the run check: every insertion, every carrier kind,
