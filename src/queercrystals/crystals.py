@@ -20,7 +20,6 @@ from .permwords import (
     Permutation,
     enumerate_words,
     get_flavor,
-    word_target,
 )
 from .tableaux import (
     ShiftedTableau,
@@ -346,12 +345,6 @@ def shtab_eqbar(t):
 # ---------------------------------------------------------------------------
 # Crystal container
 
-def _sort_key(x):
-    if isinstance(x, ShiftedTableau):
-        return x.rows
-    return x
-
-
 class Crystal:
     """A finite crystal with explicit operator maps.
 
@@ -365,7 +358,7 @@ class Crystal:
     """
 
     def __init__(self, vertices, n, wt, f, e, queer, name=""):
-        self.vertices = tuple(sorted(set(vertices), key=_sort_key))
+        self.vertices = tuple(sorted(set(vertices)))
         self.vertex_set = frozenset(self.vertices)
         self.n = n
         self.wt = wt
@@ -524,20 +517,12 @@ class Crystal:
         return "\n".join(chunks) + "\n"
 
 
-def _trim(wt):
-    wt = tuple(wt)
-    while wt and wt[-1] == 0:
-        wt = wt[:-1]
-    return wt
-
-
 def pretty_element(x):
     if isinstance(x, ShiftedTableau):
         return "[" + " / ".join(
             " ".join(entry_str(v) for v in row) for row in x.rows
         ) + "]"
-    if isinstance(x, Factorization) or (
-            isinstance(x, tuple) and x and isinstance(x[0], tuple)):
+    if isinstance(x, Factorization):
         return "/".join(["".join([str(a) for a in f]) or "-" for f in x])
     if isinstance(x, tuple):
         return "".join(map(str, x))
@@ -709,36 +694,20 @@ def even_crystal(n, m, relation="O"):
 
 def inv_map(fac):
     """The word whose i-th letter names the factor containing letter i."""
-    letters = fac.word()
-    m = len(letters)
-    if sorted(letters) != list(range(1, m + 1)):
+    factor_of = {a: j for j, factor in enumerate(fac, 1) for a in factor}
+    m = sum(map(len, fac))
+    if sorted(factor_of) != list(range(1, m + 1)):
         raise ValueError("inv is defined on factorized permutations of 1..m")
-    out = []
-    for i in range(1, m + 1):
-        for j, factor in enumerate(fac, 1):
-            if i in factor:
-                out.append(j)
-                break
-    return tuple(out)
+    return tuple(factor_of[i] for i in range(1, m + 1))
 
 
 def dbl_map(fac):
     return Factorization(tuple(tuple(2 * a for a in f) for f in fac))
 
 
-def sigma_set(m):
-    """The involutions whose word classes partition the permutations of 1..m."""
-    out = {}
-    for w in perm_words(m):
-        pi = word_target(w, "involution")
-        if pi is None:
-            raise RuntimeError(f"permutation word {w} is not an involution word")
-        out.setdefault(pi, []).append(w)
-    return out
-
-
 def sigma_set_pattern(m):
-    """The same involutions from the nested-cycle pattern
+    """Sigma(m), the involutions whose word classes partition the
+    permutations of 1..m, from the nested-cycle pattern
     (1,i_1)(i_1-1,i_2)...(i_k-1,m+1), breaks 3 <= i_1, i_j+2 <= i_{j+1} <= m."""
     if m < 1:
         return set()
@@ -758,16 +727,6 @@ def sigma_set_pattern(m):
         cycles.append((prev, m + 1))
         results.add(Permutation.from_cycles(cycles))
     return results
-
-
-def even_target_o(m):
-    """tau with Even(m) = R^O(tau): the product s_2 s_4 ... s_{2m}."""
-    return word_target(range(2, 2 * m + 1, 2), "involution")
-
-
-def even_target_sp(m):
-    """pi with Even(m) = R^Sp(pi): conjugate the base matching by s_2 s_4 ... s_{2m}."""
-    return word_target(range(2, 2 * m + 1, 2), "fpf")
 
 
 # ---------------------------------------------------------------------------

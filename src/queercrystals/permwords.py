@@ -492,6 +492,7 @@ class Flavor:
     sort_key: object   # order of the verify corpora
     carrier: str       # name prefix of the factorization crystals
     basis: str         # expansion basis of their characters
+    bump_increments: frozenset  # a bump's increments; conjectured if queer
     # target -> its move-table node, filled by _move_node; a node's
     # letter -> next node map is filled by _step alone
     moves: dict = field(default_factory=dict, compare=False, repr=False)
@@ -526,16 +527,18 @@ FLAVORS = {flav.name: flav for flav in (
     Flavor(name="reduced", insertion="eg", relation="K", ck0=None,
            target=partial(_ascent_walk, "reduced"), identity=Permutation(),
            step=Permutation.times_s, cache=_reduced_cache, window=(1, 4),
-           sort_key=_length_order, carrier="R", basis="schur"),
+           sort_key=_length_order, carrier="R", basis="schur",
+           bump_increments=frozenset({0, 1})),
     Flavor(name="involution", insertion="oeg", relation="O", ck0=ck0_o,
            target=involution_target, identity=Permutation(),
            step=Permutation.rtimes_step, cache=_involution_cache,
            window=(1, 5), sort_key=_length_order, carrier="R^O",
-           basis="schurP"),
+           basis="schurP", bump_increments=frozenset({0, 1})),
     Flavor(name="fpf", insertion="speg", relation="Sp", ck0=ck0_sp,
            target=fpf_target, identity=FpfInvolution(),
            step=FpfInvolution.conjugate_s, cache=_fpf_cache, window=(1, 6),
-           sort_key=FpfInvolution.cycles, carrier="R^Sp", basis="schurP"),
+           sort_key=FpfInvolution.cycles, carrier="R^Sp", basis="schurP",
+           bump_increments=frozenset({0, 1, 2})),
 )}
 
 # flavor -> {word: walk_table(word, flavor)}, kept for the process: every

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .crystals import _trim
 from .tableaux import (
     is_partition,
     is_strict_partition,
@@ -132,6 +131,14 @@ def schurp_poly(shape, n):
         return Polynomial(n)
     return Polynomial(n, ((weight(t, n), 1)
                           for t in semistandard_shifted_tableaux(shape, n)))
+
+
+def _trim(wt):
+    """The weight wt without its trailing zeros: the shape it names."""
+    wt = tuple(wt)
+    while wt and wt[-1] == 0:
+        wt = wt[:-1]
+    return wt
 
 
 def expand(p, basis):

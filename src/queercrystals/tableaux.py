@@ -82,6 +82,10 @@ class _Tableau:
     def __hash__(self):
         return hash((self.KIND, self.rows))
 
+    def __lt__(self, other):
+        """Tableaux of one kind sort by their rows."""
+        return self.rows < other.rows
+
     def pretty(self):
         if not self.rows:
             return "(empty tableau)"
@@ -319,7 +323,7 @@ def _fillings(cls, shape, codes):
                     row.pop()
 
     fill(0, 0)
-    return tuple(sorted(out, key=lambda t: t.rows))
+    return tuple(sorted(out))
 
 
 def semistandard_tableaux(shape, n):
@@ -380,7 +384,7 @@ def standard_shifted_tableaux(shape):
                 rows[r - 1].pop()
 
     grow(1, [[] for _ in shape])
-    return tuple(sorted(results, key=lambda t: t.rows))
+    return tuple(sorted(results))
 
 
 def star_op(t, i):

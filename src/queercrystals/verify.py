@@ -21,12 +21,9 @@ from .bumping import (
 )
 from .crystals import (
     _component_certificate,
-    _trim,
     axioms_report,
     dbl_map,
     even_crystal,
-    even_target_o,
-    even_target_sp,
     even_words,
     factorization_crystal,
     inv_map,
@@ -37,7 +34,6 @@ from .crystals import (
     shifted_tableau_crystal_all,
     shtab_e,
     shtab_f,
-    sigma_set,
     sigma_set_pattern,
     strict_partitions,
     word_crystal,
@@ -55,9 +51,10 @@ from .permwords import (
     equivalence_class,
     get_flavor,
     walk_table,
+    word_target,
     word_to_permutation,
 )
-from .symchar import character, expand, is_supersymmetric, is_symmetric
+from .symchar import _trim, character, expand, is_supersymmetric, is_symmetric
 from .tableaux import standard_shifted_tableaux, tableau_descents, shword_descents
 
 QUEER_FLAVORS = tuple(flav for flav in FLAVORS.values() if flav.queer)
@@ -267,7 +264,7 @@ def check_bump_properties(res, max_len=5, n=3):
                 if chain is not None:
                     if descent_set(v) != descent_set(w):
                         return res.fail(f"{flavor}: descents not preserved", (str(pi), w))
-                    if not flav.queer and set(increments(w, v)) - {0, 1}:
+                    if not flav.queer and set(increments(w, v)) - flav.bump_increments:
                         return res.fail(f"{flavor}: increment bound broken", (str(pi), w))
                     if _q_tableau(w, ins) != _q_tableau(v, ins):
                         return res.fail(f"{flavor}: recording tableau changed", (str(pi), w))
@@ -368,9 +365,21 @@ def _compose(t, ops):
     return t
 
 
+def _class_targets(words, flavor):
+    """(targets, bad): the targets of the words of the flavor, and a word
+    that breaks "the words are the union of their targets' word classes",
+    or None: the first word with no target, else the first in one set only."""
+    target = {w: word_target(w, flavor) for w in words}
+    targets = set(target.values()) - {None}
+    union = set().union(*(enumerate_words(pi, flavor) for pi in targets))
+    bad = ([w for w in words if target[w] is None]
+           or sorted(union.symmetric_difference(words)))
+    return targets, bad[0] if bad else None
+
+
 def check_reduction_lemma(res, max_m=5, n=3):
     """The inv/dbl dictionary between insertion algorithms, and the
-    decomposition of permutations into involution word classes."""
+    decompositions of Perm(m) and Even(m) into word classes."""
     for m in range(1, max_m + 1):
         for nn in range(1, n + 1):
             for w in perm_words(m):
@@ -385,16 +394,18 @@ def check_reduction_lemma(res, max_m=5, n=3):
                         return res.fail("P^O != Q_HM(inverse)", fac)
                     if not (o.Q == o2.Q == sp2.Q == hm.P):
                         return res.fail("recording identities fail", fac)
-        sig = sigma_set(m)
         res.checks += 1
-        if set(sig) != sigma_set_pattern(m):
+        sigma, bad = _class_targets(perm_words(m), "involution")
+        if bad is not None:
+            return res.fail(
+                f"Perm({m}) is not the union of its involution classes", bad)
+        if sigma != sigma_set_pattern(m):
             return res.fail("Sigma(m) pattern mismatch", m)
-        if sum(len(v) for v in sig.values()) != len(perm_words(m)):
-            return res.fail("Perm(m) does not partition", m)
-        if sorted(enumerate_words(even_target_o(m), "involution")) != sorted(even_words(m)):
-            return res.fail("Even(m) != R^O(tau)", m)
-        if sorted(enumerate_words(even_target_sp(m), "fpf")) != sorted(even_words(m)):
-            return res.fail("Even(m) != R^Sp(pi)", m)
+        for flavor, relation in (("involution", "O"), ("fpf", "Sp")):
+            targets, bad = _class_targets(even_words(m), flavor)
+            if bad is not None or len(targets) != 1:
+                return res.fail(f"Even({m}) is not one class R^{relation}",
+                                bad or sorted(map(str, targets)))
         eo = even_crystal(2, m, "O")
         es = even_crystal(2, m, "Sp")
         if eo.edges() != es.edges():
@@ -473,8 +484,9 @@ def _translation_class(pi):
     return pi.shift(1 - min(sup)) if sup else pi
 
 
-def _conjecture_bounds(flavor, allowed, res, max_len=5):
+def _conjecture_bounds(flavor, res, max_len=5):
     res.conjecture = True
+    allowed = get_flavor(flavor).bump_increments
     words, marked = _bump_corpus(flavor, max_len)
     for pi, moved in marked.items():
         for w in words:
@@ -502,8 +514,8 @@ TARGETS = {
     "reduction-lemma": check_reduction_lemma,
     "supersymmetry": check_supersymmetry,
     "schurP-positivity": check_schurp_positivity,
-    "conjecture-ib-bound": partial(_conjecture_bounds, "involution", {0, 1}),
-    "conjecture-fb-bound": partial(_conjecture_bounds, "fpf", {0, 1, 2}),
+    "conjecture-ib-bound": partial(_conjecture_bounds, "involution"),
+    "conjecture-fb-bound": partial(_conjecture_bounds, "fpf"),
 }
 
 

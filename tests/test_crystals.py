@@ -14,8 +14,6 @@ from queercrystals.crystals import (
     axioms_report,
     dbl_map,
     even_crystal,
-    even_target_o,
-    even_target_sp,
     even_words,
     fac_e,
     fac_eq_o,
@@ -35,7 +33,6 @@ from queercrystals.crystals import (
     shtab_eqbar,
     shtab_f,
     shtab_fqbar,
-    sigma_set,
     sigma_set_pattern,
     word_crystal,
     word_e,
@@ -48,6 +45,7 @@ from queercrystals.permwords import (
     FpfInvolution,
     Permutation,
     VertexCapExceeded,
+    fpf_involution_words,
     involution_words,
     word_target,
 )
@@ -349,18 +347,20 @@ class TestMorphisms:
 
 class TestReduction:
     def test_sigma_sets(self):
+        """Perm(m) is the union of the involution classes of Sigma(m)."""
         for m in range(1, 6):
-            sig = sigma_set(m)
-            assert set(sig) == sigma_set_pattern(m)
-            assert sum(len(ws) for ws in sig.values()) == len(perm_words(m))
+            sigma = {word_target(w, "involution") for w in perm_words(m)}
+            assert sigma == sigma_set_pattern(m)
+            union = [w for pi in sigma for w in involution_words(pi)]
+            assert sorted(union) == sorted(perm_words(m))
 
     def test_even_targets(self):
+        """Even(m) is one involution class and one fpf class."""
         for m in range(1, 5):
-            assert sorted(involution_words(even_target_o(m))) == sorted(even_words(m))
-            from queercrystals.permwords import fpf_involution_words
-
-            assert sorted(fpf_involution_words(even_target_sp(m))) == sorted(
-                even_words(m))
+            for flavor, words in (("involution", involution_words),
+                                  ("fpf", fpf_involution_words)):
+                (target,) = {word_target(w, flavor) for w in even_words(m)}
+                assert sorted(words(target)) == sorted(even_words(m))
 
     def test_even_structures_coincide(self):
         for n, m in ((2, 3), (3, 3)):

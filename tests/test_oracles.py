@@ -65,7 +65,6 @@ from queercrystals.bumping import (
 )
 from queercrystals import permwords, verify
 from queercrystals.crystals import (
-    _sort_key,
     _unpaired,
     fac_e,
     fac_f,
@@ -601,7 +600,7 @@ def edges_by_sort(crys):
     and then y."""
     acc = [(x, i, crys.f(x, i)) for x in crys.vertices for i in crys.indices]
     acc = [edge for edge in acc if edge[2] is not None]
-    acc.sort(key=lambda t: (_sort_key(t[0]), str(t[1]), _sort_key(t[2])))
+    acc.sort(key=lambda t: (t[0], str(t[1]), t[2]))
     return tuple(acc)
 
 

@@ -21,7 +21,9 @@ Coxeter-Knuth move, only verify.run_target builds a VerifyResult and
 no module but verify imports inspect, and no class defines again a method
 of a base class from its own module (the target base of permwords and the
 tableau base of tableaux state each of their methods once).  A sixth
-scan keeps the six gl_n crystal operators on the one bracket rule.
+scan keeps the six gl_n crystal operators on the one bracket rule, and a
+seventh keeps symchar off crystals and the weight trim and the tableau
+order out of crystals.
 
 An inventory scan lists every memo that lives for the process and pins
 the list, each entry with the workload hits that keep it.
@@ -535,6 +537,47 @@ def test_the_scan_finds_forked_bracket_rules(tmp_path):
         "    return inner()\n")
     assert bracket_rule_forks(tmp_path) == [
         "crystals.word_e", "crystals.fac_e", "crystals._factor_letters"]
+
+
+def _imports_crystals(node):
+    """Whether an import statement reads the crystals module or a name of it."""
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[-1] == "crystals" or any(
+            alias.name == "crystals" for alias in node.names)
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[-1] == "crystals" for alias in node.names)
+
+
+def layering_breaks(src=SRC):
+    """symchar (line) of every import of crystals in symchar, and
+    crystals.name of _trim and _sort_key if crystals defines them: symchar
+    owns the weight trim and sits below the crystals, and a tableau sorts
+    by its own order."""
+    trees = module_trees(src)
+    out = [f"symchar ({node.lineno})" for node in ast.walk(trees["symchar"])
+           if _imports_crystals(node)]
+    defs = {node.name for node in trees["crystals"].body
+            if isinstance(node, DEFS)}
+    return out + [f"crystals.{name}" for name in ("_sort_key", "_trim")
+                  if name in defs]
+
+
+def test_symchar_sits_below_crystals():
+    assert layering_breaks() == []
+
+
+def test_the_scan_finds_layering_breaks(tmp_path):
+    (tmp_path / "symchar.py").write_text(
+        "from .crystals import _trim\nfrom . import crystals, tableaux\n"
+        "import queercrystals.crystals\nfrom .tableaux import weight\n\n"
+        "def expand(p):\n    from .crystals import QBAR\n    return QBAR\n")
+    (tmp_path / "crystals.py").write_text(
+        "def _sort_key(x):\n    return x\n\n"
+        "def _trim(wt):\n    return wt\n\n"
+        "class Crystal:\n    def _sort_key(self):\n        return 0\n")
+    assert layering_breaks(tmp_path) == [
+        "symchar (1)", "symchar (2)", "symchar (3)", "symchar (7)",
+        "crystals._sort_key", "crystals._trim"]
 
 
 # the qc commands of the run check: every insertion, every carrier kind,

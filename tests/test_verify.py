@@ -111,6 +111,52 @@ def test_planted_bug_is_reported(name, module, attr, bug, bounds, flags,
     assert f"{name}: {status}" in out
 
 
+def drop_the_last_word(pi, flavor):
+    return permwords.enumerate_words(pi, flavor)[:-1]
+
+
+def lose_one_involution(m):
+    return set(sorted(crystals.sigma_set_pattern(m), key=str)[1:])
+
+
+def retarget_one_even_word(w, flavor):
+    """(4, 2), a word of Even(2), given the target of (2,)."""
+    return permwords.word_target((2,) if tuple(w) == (4, 2) else w, flavor)
+
+
+# Planted bugs in the decompositions of reduction-lemma: Perm(m) is the
+# union of the involution classes of Sigma(m), and Even(m) is one class of
+# each queer flavor.  Each names the reading that must report it.
+DECOMPOSITION_PLANTS = [
+    ("enumerate_words", drop_the_last_word, "Perm(1) is not"),
+    ("sigma_set_pattern", lose_one_involution, "Sigma(m) pattern mismatch"),
+    ("word_target", retarget_one_even_word, "Even(2) is not"),
+]
+
+
+@pytest.mark.parametrize("attr,bug,line", DECOMPOSITION_PLANTS,
+                         ids=[case[0] for case in DECOMPOSITION_PLANTS])
+def test_decomposition_bug_is_reported(attr, bug, line, monkeypatch):
+    monkeypatch.setattr(verify, attr, bug)
+    res = run_target("reduction-lemma", max_m=3)
+    assert not res.ok
+    assert res.counterexample is not None
+    assert res.lines[-1].startswith(line), res.lines
+
+
+def test_permutation_word_without_target_exits_1(monkeypatch, capsys):
+    # a word outside every involution class is a theorem failure with a
+    # counterexample, not a traceback
+    real = permwords.word_target
+    monkeypatch.setattr(verify, "word_target", lambda w, flavor: (
+        None if tuple(w) == (2, 1) else real(w, flavor)))
+    assert cli.main(["verify", "reduction-lemma"]) == cli.EXIT_THEOREM_FAIL
+    out = capsys.readouterr().out
+    assert out.startswith("reduction-lemma: FAIL")
+    assert "  counterexample: (2, 1)\n" in out
+    assert "Perm(2) is not" in out
+
+
 def raise_the_next_factor(monkeypatch):
     """Plant an f_i that also raises each letter of factor i+1 by one, so
     that f_i(x) is a factorization of another target, outside the carrier."""
