@@ -8,9 +8,7 @@ a marked word reaches the flavor's word class; the resulting word is the
 value of the bumping operator.
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple
+from collections import namedtuple
 
 from .insertion import Factorization
 from .permwords import (
@@ -27,11 +25,10 @@ _base_conjugates = LazyMap(
     lambda sigma: FpfInvolution().conjugate_by(sigma))
 
 
-class MarkedWord(NamedTuple):
-    """One word of a push chain, built by `bump_chain`."""
-    word: tuple
-    mark: int  # 1-based index
-    flavor: str
+class MarkedWord(namedtuple("MarkedWord", "word mark flavor")):
+    """One word of a push chain, built by `bump_chain`; mark is a 1-based
+    index."""
+    __slots__ = ()
 
 
 def is_semi_reduced(w, pi):

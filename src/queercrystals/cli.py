@@ -4,8 +4,6 @@ Exit codes: 0 pass, 1 theorem failure, 2 bad input, 3 resource cap,
 4 conjecture counterexample, 141 output pipe closed by its reader.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -225,15 +223,22 @@ def cmd_class(args):
     return EXIT_PASS
 
 
+def verify_bounds():
+    """{bound: its option} over the bounds of every verify target: the
+    option is the bound's name with "_" dropped, --maxlen for max_len."""
+    return {name: name.replace("_", "")
+            for target in TARGETS for name in target_bounds(target)}
+
+
 def cmd_verify(args):
     accepted = target_bounds(args.target)
     bounds = {}
-    for flag, name in (("maxlen", "max_len"), ("n", "n")):
-        value = getattr(args, flag)
+    for name, option in verify_bounds().items():
+        value = getattr(args, option)
         if value is None:
             continue
         if name not in accepted:
-            raise InputError(f"verify {args.target} does not accept --{flag}")
+            raise InputError(f"verify {args.target} does not accept --{option}")
         bounds[name] = value
     res = run_target(args.target, **bounds)
     print(res.summary())
@@ -295,8 +300,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a theorem-verification target")
     p.add_argument("target", choices=sorted(TARGETS))
-    p.add_argument("--maxlen", type=natural, default=None)
-    p.add_argument("--n", type=natural, default=None)
+    for option in verify_bounds().values():
+        p.add_argument(f"--{option}", type=natural, default=None)
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -7,8 +7,6 @@ operator values are represented by None; the auxiliary zero element is
 never materialized.
 """
 
-from __future__ import annotations
-
 from bisect import insort
 from copy import copy
 from itertools import chain, permutations, product

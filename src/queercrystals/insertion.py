@@ -9,9 +9,7 @@ algorithms are EG bumping plus one rule at the diagonal (`_eg_letter`),
 and all four algorithms share one recording loop (`_record`).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import combinations_with_replacement
 
@@ -82,11 +80,8 @@ def split_word(w, n):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class InsertionResult:
-    P: object
-    Q: object
-    column_inserted: tuple
+class InsertionResult(namedtuple("InsertionResult", "P Q column_inserted")):
+    __slots__ = ()
 
     def to_json(self):
         return {

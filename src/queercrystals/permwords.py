@@ -7,9 +7,6 @@ fixed-point-free involutions.  This module also houses the Coxeter-Knuth
 moves whose closures characterize insertion-tableau fibers.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 DEFAULT_VERTEX_CAP = 200_000
@@ -470,32 +467,39 @@ def equivalence_class(w, relation, cap=DEFAULT_VERTEX_CAP):
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
 class Flavor:
     """One word class and the theory the paper builds on it.
 
     perfbench/tracer.py wraps the inserters, the crystal operators and
     word_to_permutation by rebinding module attributes and module-level dict
     values, so the record names the inserter instead of holding it:
-    `insertion` is a key of insertion._INSERTERS.
+    `insertion` is a key of insertion._INSERTERS.  There is one record per
+    flavor, in FLAVORS, so records compare by identity.
     """
 
-    name: str          # "reduced", "involution" or "fpf"
-    insertion: str     # "eg", "oeg" or "speg"
-    relation: str      # "K", "O" or "Sp"; also picks the queer operators
-    ck0: object        # initial Coxeter-Knuth move, None for "K"
-    target: object     # word -> its target, or None outside the class
-    identity: object   # target of the empty word
-    step: object       # (target, i) -> target of the word extended by i
-    cache: dict = field(compare=False, repr=False)  # target -> its words
-    window: tuple      # default letter window of the verify corpora
-    sort_key: object   # order of the verify corpora
-    carrier: str       # name prefix of the factorization crystals
-    basis: str         # expansion basis of their characters
-    bump_increments: frozenset  # a bump's increments; conjectured if queer
-    # target -> its move-table node, filled by _move_node; a node's
-    # letter -> next node map is filled by _step alone
-    moves: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("name", "insertion", "relation", "ck0", "target", "identity",
+                 "step", "cache", "window", "sort_key", "carrier", "basis",
+                 "bump_increments", "moves")
+
+    def __init__(self, *, name, insertion, relation, ck0, target, identity,
+                 step, cache, window, sort_key, carrier, basis,
+                 bump_increments):
+        self.name = name            # "reduced", "involution" or "fpf"
+        self.insertion = insertion  # "eg", "oeg" or "speg"
+        self.relation = relation    # "K", "O" or "Sp"; also picks the queer operators
+        self.ck0 = ck0              # initial Coxeter-Knuth move, None for "K"
+        self.target = target        # word -> its target, or None outside the class
+        self.identity = identity    # target of the empty word
+        self.step = step            # (target, i) -> target of the word extended by i
+        self.cache = cache          # target -> its words
+        self.window = window        # default letter window of the verify corpora
+        self.sort_key = sort_key    # order of the verify corpora
+        self.carrier = carrier      # name prefix of the factorization crystals
+        self.basis = basis          # expansion basis of their characters
+        self.bump_increments = bump_increments  # a bump's increments; conjectured if queer
+        # target -> its move-table node, filled by _move_node; a node's
+        # letter -> next node map is filled by _step alone
+        self.moves = {}
 
     @property
     def queer(self):

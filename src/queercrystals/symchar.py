@@ -6,8 +6,6 @@ polynomials come straight from tableau enumeration, so they double as
 independent oracles for crystal characters.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .tableaux import (

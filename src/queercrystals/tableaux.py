@@ -7,8 +7,6 @@ drawn in French notation: row 1 is the bottom row and row indices increase
 going up, with row r of a shifted tableau starting in column r.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 

@@ -5,11 +5,7 @@ corpora of words and permutations and reports pass/fail with a minimal
 counterexample.  Conjecture targets never fail the build; they report.
 """
 
-from __future__ import annotations
-
-import inspect
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from . import bumping, tableaux
@@ -60,14 +56,13 @@ from .tableaux import standard_shifted_tableaux, tableau_descents, shword_descen
 QUEER_FLAVORS = tuple(flav for flav in FLAVORS.values() if flav.queer)
 
 
-@dataclass
 class VerifyResult:
-    name: str
-    ok: bool
-    conjecture: bool = False
-    counterexample: object = None
-    lines: list = field(default_factory=list)
-    checks: int = 0
+    def __init__(self, name, ok):
+        self.name, self.ok = name, ok
+        self.conjecture = False
+        self.counterexample = None
+        self.lines = []
+        self.checks = 0
 
     def summary(self):
         if self.conjecture:
@@ -527,9 +522,13 @@ def _check(name):
 
 
 def target_bounds(name):
-    """The bounds that target name accepts: its check's keyword parameters
-    after the result."""
-    return tuple(inspect.signature(_check(name)).parameters)[1:]
+    """The bounds that target name accepts: the parameters of its check
+    after the result, read from the check's code, where the arguments that
+    a partial binds come first."""
+    check = _check(name)
+    skip = 1 + len(getattr(check, "args", ()))
+    code = getattr(check, "func", check).__code__
+    return code.co_varnames[skip:code.co_argcount]
 
 
 def run_target(name, **bounds):

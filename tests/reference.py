@@ -27,9 +27,12 @@ they read), against which the library's length of a target's first word
 is checked, and as the simple transposition `simple` with the pointwise
 conjugation s_i pi s_i of a permutation and the two descent windows of
 the old per-class target types, against which the library's one
-conjugation and one descent window of the shared target base are checked.
+conjugation and one descent window of the shared target base are checked,
+and as the bounds of a verify check read from its signature by `inspect`,
+against which the library's reading of the check's code is checked.
 """
 
+import inspect
 from bisect import insort
 from itertools import accumulate, product
 
@@ -1045,3 +1048,12 @@ def dbl_map_inverse(fac):
     if any(a % 2 for f in fac for a in f):
         raise ValueError("dbl inverse needs even letters")
     return Factorization(tuple(tuple(a // 2 for a in f) for f in fac))
+
+
+# ---------------------------------------------------------------------------
+# Verify targets
+
+def signature_bounds(check):
+    """The bounds that a verify check accepts: the parameters of its
+    signature after the result."""
+    return tuple(inspect.signature(check).parameters)[1:]

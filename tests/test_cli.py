@@ -394,6 +394,18 @@ class TestVerifyCommand:
             0, f"schurP-positivity: pass ({checks} checks)\n  all expansions "
                "nonnegative and equal to source counts\n", "")
 
+    @pytest.mark.parametrize("argv,out", [
+        (("reduction-lemma", "--maxm", "6"), "reduction-lemma: pass (1230 "
+         "checks)\n  insertion dictionary and decompositions all hold\n"),
+        (("dual-equivalence", "--maxboxes", "6"), "dual-equivalence: pass "
+         "(3211 checks)\n  ck/d intertwining and the operator composites "
+         "hold\n"),
+    ], ids=["maxm-6", "maxboxes-6"])
+    def test_every_bound_has_a_flag(self, capsys, argv, out):
+        # each bound that target_bounds reports is the flag of its name
+        # with "_" dropped
+        assert run(capsys, "verify", *argv) == (0, out, "")
+
     def test_dual_equivalence_at_contract_bounds(self, capsys):
         code, out, _ = run(capsys, "verify", "dual-equivalence", "--maxlen", "6")
         assert code == 0
@@ -441,25 +453,28 @@ class TestVerifyCommand:
         assert calls == [3]
 
 
-# (target, accepts --maxlen, accepts --n): every cell of the bound matrix
+# (target, accepts --maxlen, --n, --maxm, --maxboxes): every cell of the
+# bound matrix; BOUNDS maps each flag to its bound
 BOUND_FLAGS = [
-    ("crystal-axioms", False, False),
-    ("eg-fibers", True, True),
-    ("oeg-fibers", True, True),
-    ("speg-fibers", True, True),
-    ("q-morphism-O", True, True),
-    ("q-morphism-Sp", True, True),
-    ("bump-properties", True, True),
-    ("dual-equivalence", True, False),
-    ("reduction-lemma", False, True),
-    ("supersymmetry", True, True),
-    ("schurP-positivity", True, True),
-    ("conjecture-ib-bound", True, False),
-    ("conjecture-fb-bound", True, False),
+    ("crystal-axioms", False, False, False, False),
+    ("eg-fibers", True, True, False, False),
+    ("oeg-fibers", True, True, False, False),
+    ("speg-fibers", True, True, False, False),
+    ("q-morphism-O", True, True, False, False),
+    ("q-morphism-Sp", True, True, False, False),
+    ("bump-properties", True, True, False, False),
+    ("dual-equivalence", True, False, False, True),
+    ("reduction-lemma", False, True, True, False),
+    ("supersymmetry", True, True, False, False),
+    ("schurP-positivity", True, True, False, False),
+    ("conjecture-ib-bound", True, False, False, False),
+    ("conjecture-fb-bound", True, False, False, False),
 ]
+BOUNDS = {"maxlen": "max_len", "n": "n", "maxm": "max_m",
+          "maxboxes": "max_boxes"}
 BOUND_CELLS = [(target, flag, accepted)
                for target, *row in BOUND_FLAGS
-               for flag, accepted in zip(("maxlen", "n"), row)]
+               for flag, accepted in zip(BOUNDS, row)]
 
 
 def test_the_bound_matrix_names_every_target():
@@ -481,8 +496,7 @@ def test_bound_flag_matrix(capsys, monkeypatch, target, flag, accepted):
     result = run(capsys, "verify", target, f"--{flag}", "2")
     if accepted:
         assert result == (0, f"{target}: pass (0 checks)\n", "")
-        bound = {"maxlen": "max_len", "n": "n"}[flag]
-        assert calls == [(target, {bound: 2})]
+        assert calls == [(target, {BOUNDS[flag]: 2})]
     else:
         assert result == (cli.EXIT_INPUT, "", f"input error: verify {target} "
                                                f"does not accept --{flag}\n")

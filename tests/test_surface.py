@@ -26,7 +26,9 @@ seventh keeps symchar off crystals and the weight trim and the tableau
 order out of crystals.
 
 An inventory scan lists every memo that lives for the process and pins
-the list, each entry with the workload hits that keep it.
+the list, each entry with the workload hits that keep it.  An import
+check keeps dataclasses, inspect and typing off the import path of the
+CLI.
 """
 
 import ast
@@ -399,21 +401,26 @@ def _name(node):
     return getattr(node, "id", getattr(node, "attr", None))
 
 
+def _is_empty_dict(value):
+    """{} or dict()."""
+    return (isinstance(value, ast.Dict) and not value.keys) or (
+        isinstance(value, ast.Call) and _name(value.func) == "dict"
+        and not value.args and not value.keywords)
+
+
 def _is_memo_value(value):
     """An empty dict, or a value built from LazyMap."""
-    if (isinstance(value, ast.Dict) and not value.keys) or (
-            isinstance(value, ast.Call) and _name(value.func) == "dict"
-            and not value.args and not value.keywords):
-        return True
-    return any(isinstance(call, ast.Call) and _name(call.func) == "LazyMap"
-               for call in ast.walk(value))
+    return _is_empty_dict(value) or any(
+        isinstance(call, ast.Call) and _name(call.func) == "LazyMap"
+        for call in ast.walk(value))
 
 
 def memo_inventory(src=SRC):
     """module.name of every memo that lives for the process: a function
     decorated with lru_cache or cache, a module-level name bound to an
-    empty dict or to a value built from LazyMap, and a class field whose
-    default is a new dict for each record."""
+    empty dict or to a value built from LazyMap, and a new dict for each
+    record of a class: a field whose default is one, or an attribute that
+    __init__ binds to one."""
     out = []
     for mod, tree in module_trees(src).items():
         out += [f"{mod}.{node.name}" for node in ast.walk(tree)
@@ -434,6 +441,15 @@ def memo_inventory(src=SRC):
                         and any(kw.arg == "default_factory"
                                 and _name(kw.value) == "dict"
                                 for kw in field.value.keywords)]
+                out += [f"{mod}.{stmt.name}.{target.attr}"
+                        for fn in stmt.body
+                        if isinstance(fn, DEFS) and fn.name == "__init__"
+                        for node in ast.walk(fn)
+                        if isinstance(node, ast.Assign)
+                        and _is_empty_dict(node.value)
+                        for target in node.targets
+                        if isinstance(target, ast.Attribute)
+                        and _name(target.value) == "self"]
     return sorted(out)
 
 
@@ -498,11 +514,42 @@ def test_the_scan_finds_memos(tmp_path):
         "@dataclass\nclass R:\n"
         "    memo: dict = field(default_factory=dict)\n"
         "    rows: list = field(default_factory=list)\n\n"
-        "    @lru_cache\n    def method(self):\n        return 1\n")
+        "    @lru_cache\n    def method(self):\n        return 1\n\n"
+        "class S:\n    __slots__ = ('name', 'rows', 'memo')\n\n"
+        "    def __init__(self, name):\n"
+        "        self.name, self.rows = name, []\n        self.memo = {}\n\n"
+        "    def reset(self):\n        self.rows = {}\n\n"
+        "class T:\n    def __init__(self, f):\n"
+        "        self.table = LazyMap(f)\n")
     (tmp_path / "m.py").write_text("LAZY = LazyMap(len)\n")
     assert memo_inventory(tmp_path) == [
-        "a.MORE", "a.R.memo", "a.SEEN", "a.TABLE", "a.TABLES", "a.method",
-        "a.one", "a.three", "a.two", "m.LAZY"]
+        "a.MORE", "a.R.memo", "a.S.memo", "a.SEEN", "a.TABLE", "a.TABLES",
+        "a.method", "a.one", "a.three", "a.two", "m.LAZY"]
+
+
+# dataclasses, inspect and typing, and what dataclasses brings in with inspect
+HEAVY_MODULES = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+
+
+def heavy_imports(module="queercrystals.cli", path=SRC.parent):
+    """The HEAVY_MODULES that importing module from path loads in a fresh
+    interpreter run with -S, since site may load typing itself."""
+    code = ("import sys\nbefore = set(sys.modules)\n"
+            f"sys.path.insert(0, {str(path)!r})\nimport {module}\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                          capture_output=True, text=True, timeout=60)
+    return sorted(HEAVY_MODULES & set(proc.stdout.split()))
+
+
+def test_the_cli_loads_no_heavy_module():
+    assert heavy_imports() == []
+
+
+def test_the_import_check_finds_heavy_modules(tmp_path):
+    (tmp_path / "records.py").write_text(
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n")
+    assert heavy_imports("records", tmp_path) == sorted(HEAVY_MODULES)
 
 
 GL_OPERATORS = ("word_f", "word_e", "fac_f", "fac_e", "shtab_f", "shtab_e")

@@ -2,9 +2,11 @@
 the acceptance suite runs them at the full contract bounds."""
 
 from collections import Counter
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
+from reference import signature_bounds
 
 from queercrystals import (
     bumping,
@@ -17,7 +19,13 @@ from queercrystals import (
 )
 from queercrystals.insertion import Factorization
 from queercrystals.permwords import FLAVORS, ck_moves
-from queercrystals.verify import TARGETS, VerifyResult, corpus, run_target
+from queercrystals.verify import (
+    TARGETS,
+    VerifyResult,
+    corpus,
+    run_target,
+    target_bounds,
+)
 
 
 def test_corpora_nonempty():
@@ -54,6 +62,20 @@ def test_targets_pass(name, bounds):
 def test_unknown_target():
     with pytest.raises(ValueError):
         run_target("no-such-target")
+
+
+def test_target_bounds_agree_with_the_signatures(monkeypatch):
+    # on every target, and on partials that bind one and two positional
+    # arguments of a check with a local variable after its bounds
+    def bounded(flavor, res, max_len=5, n=3):
+        total = max_len + n
+        return total
+
+    monkeypatch.setitem(TARGETS, "bind-one", partial(bounded, "fpf"))
+    monkeypatch.setitem(TARGETS, "bind-two", partial(bounded, "fpf", None))
+    assert {name: target_bounds(name) for name in TARGETS} == {
+        name: signature_bounds(check) for name, check in TARGETS.items()}
+    assert target_bounds("bind-two") == ("n",)
 
 
 # One planted bug per target: the module attribute the target reads, its
