@@ -60,11 +60,11 @@ from .bumping import (
     decompose_bump,
 )
 from .symchar import (
-    Polynomial,
     character,
     expand,
     is_supersymmetric,
     is_symmetric,
+    polynomial_str,
     schur_poly,
     schurp_poly,
 )

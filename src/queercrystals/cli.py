@@ -27,7 +27,7 @@ from .permwords import (
     get_flavor,
     insertion_flavor,
 )
-from .symchar import character, expand
+from .symchar import character, expand, polynomial_str
 from .tableaux import is_strict_partition
 from .verify import TARGETS, run_target, target_bounds
 
@@ -211,8 +211,8 @@ def cmd_expand(args):
         raise RuntimeError(
             f"the character of {pi} has no {basis} expansion: {exc}") from None
     out = {",".join(map(str, shape)): c for shape, c in sorted(coeffs.items())}
-    print(json.dumps({"character": str(p), "basis": basis, "coefficients": out},
-                     sort_keys=True))
+    print(json.dumps({"character": polynomial_str(p), "basis": basis,
+                      "coefficients": out}, sort_keys=True))
     return EXIT_PASS
 
 

@@ -1,12 +1,15 @@
-"""Integer polynomials in finitely many variables, Schur and Schur-P
-polynomials, crystal characters, and basis expansions.
+"""Crystal characters, Schur and Schur-P polynomials, and basis expansions.
 
-Exponent vectors are dense tuples of a fixed length n.  Schur-type
-polynomials come straight from tableau enumeration, so they double as
-independent oracles for crystal characters.
+A polynomial in x_1..x_n is a mapping {exponent tuple: coefficient}, each
+exponent a dense tuple of length n.  A character counts the vertices of
+each weight, and a Schur-type polynomial counts the tableaux of each
+weight, so the latter double as independent oracles for the former.  The
+cached Schur-type polynomials are read-only views.
 """
 
+from collections import Counter
 from functools import lru_cache
+from types import MappingProxyType
 
 from .tableaux import (
     is_partition,
@@ -17,118 +20,72 @@ from .tableaux import (
 )
 
 
-class Polynomial:
-    """An element of Z[x_1..x_n]; terms map exponent tuples to coefficients.
-    Built from a dict or (exponents, coefficient) pairs, repeats summed."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=()):
-        self.n = n
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != n:
-                raise ValueError(f"exponent vector {exps} has wrong length")
-            if coeff:
-                data[exps] = data.get(exps, 0) + coeff
-        self.terms = {e: c for e, c in data.items() if c}
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Polynomial(self.n, out)
-
-    def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, k):
-        """Scaling by the integer k."""
-        return Polynomial(self.n, {e: c * k for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"x{k+1}" + (f"^{p}" if p > 1 else "")
-                for k, p in enumerate(e) if p
-            )
-            if not mono:
-                bits.append(f"{c}")
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{c}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-    def swap_variables(self, i):
-        """Exchange x_i and x_{i+1} (1-based)."""
-        out = {}
-        for e, c in self.terms.items():
-            f = list(e)
-            f[i - 1], f[i] = f[i], f[i - 1]
-            out[tuple(f)] = c
-        return Polynomial(self.n, out)
+def polynomial_str(p):
+    """p as a sum of monomials, lexicographically largest first; "0" if empty."""
+    bits = []
+    for e in sorted(p, reverse=True):
+        c = p[e]
+        mono = "*".join(
+            f"x{k+1}" + (f"^{v}" if v > 1 else "")
+            for k, v in enumerate(e) if v
+        )
+        if not mono:
+            bits.append(f"{c}")
+        elif c == 1:
+            bits.append(mono)
+        elif c == -1:
+            bits.append(f"-{mono}")
+        else:
+            bits.append(f"{c}*{mono}")
+    return " + ".join(bits).replace("+ -", "- ") or "0"
 
 
 def is_symmetric(p):
-    return all(p.swap_variables(i) == p for i in range(1, p.n))
+    """Whether every exchange of x_i and x_{i+1} leaves p unchanged."""
+    return all(p.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:], 0) == c
+               for e, c in p.items() for i in range(len(e) - 1))
 
 
 def is_supersymmetric(p):
     """Whether substituting x_2 = -x_1 removes all x_1 dependence."""
-    if p.n < 2:
-        return True
-    collapsed = {}
-    for e, c in p.terms.items():
-        sign = -1 if e[1] % 2 else 1
-        key = (e[0] + e[1],) + e[2:]
-        collapsed[key] = collapsed.get(key, 0) + sign * c
+    collapsed = Counter()
+    for e, c in p.items():
+        if len(e) < 2:  # no x_2 to substitute
+            return True
+        collapsed[(e[0] + e[1],) + e[2:]] += -c if e[1] % 2 else c
     return all(c == 0 for key, c in collapsed.items() if key[0] > 0)
 
 
 def character(crys):
-    """Sum of x^wt(b) over the crystal's vertices."""
-    return Polynomial(crys.n, ((crys.wt(x), 1) for x in crys.vertices))
+    """Sum of x^wt(b) over the crystal's vertices: its weight counts."""
+    return Counter(map(crys.wt, crys.vertices))
+
+
+def _weight_counts(tableaux, shape, n):
+    """Read-only weight counts of tableaux(shape, n); empty past n rows."""
+    shape = tuple(shape)
+    if len(shape) > n:
+        return MappingProxyType({})
+    return MappingProxyType(Counter(weight(t, n) for t in tableaux(shape, n)))
 
 
 @lru_cache(maxsize=None)
 def schur_poly(shape, n):
     """The Schur polynomial as the generating function of Tab_n(shape)."""
-    shape = tuple(shape)
-    if len(shape) > n:
-        return Polynomial(n)
-    return Polynomial(n, ((weight(t, n), 1)
-                          for t in semistandard_tableaux(shape, n)))
+    return _weight_counts(semistandard_tableaux, shape, n)
 
 
 @lru_cache(maxsize=None)
 def schurp_poly(shape, n):
     """The Schur P-polynomial via semistandard shifted tableaux."""
-    shape = tuple(shape)
-    if len(shape) > n:
-        return Polynomial(n)
-    return Polynomial(n, ((weight(t, n), 1)
-                          for t in semistandard_shifted_tableaux(shape, n)))
+    return _weight_counts(semistandard_shifted_tableaux, shape, n)
+
+
+# basis name -> (display name, basis polynomial, shape test)
+BASES = {
+    "schur": ("Schur", schur_poly, is_partition),
+    "schurP": ("Schur-P", schurp_poly, is_strict_partition),
+}
 
 
 def _trim(wt):
@@ -145,24 +102,25 @@ def expand(p, basis):
     Greedy elimination on the lexicographically leading monomial, whose
     exponent must be a (strict) partition at every step; a malformed leading
     term raises ValueError.  Coefficients may come out negative; callers
-    enforce positivity where a theorem provides it.
+    enforce positivity where a theorem provides it.  p is not changed.
     """
     try:
-        base, is_shape = {"schur": (schur_poly, is_partition),
-                          "schurP": (schurp_poly, is_strict_partition)}[basis]
+        _, base, is_shape = BASES[basis]
     except KeyError:
         raise ValueError(f"unknown basis {basis!r}") from None
-    rem = p
+    rem = {e: c for e, c in p.items() if c}
     out = {}
-    for _ in range(len(p.terms) + 1):
-        if rem.is_zero():
+    for _ in range(len(rem) + 1):
+        if not rem:
             return out
-        lead = max(rem.terms)
+        lead = max(rem)
         lam = _trim(lead)
         if not is_shape(lam):
             raise ValueError(
                 f"leading exponent {lead} is not a shape; wrong basis?")
-        c = rem.terms[lead]
-        out[lam] = c
-        rem = rem - c * base(lam, p.n)
+        c = out[lam] = rem[lead]
+        for e, k in base(lam, len(lead)).items():
+            rem[e] = rem.get(e, 0) - c * k
+            if not rem[e]:
+                del rem[e]
     raise ValueError("expansion did not terminate; wrong basis?")

@@ -50,7 +50,7 @@ from .permwords import (
     word_target,
     word_to_permutation,
 )
-from .symchar import _trim, character, expand, is_supersymmetric, is_symmetric
+from .symchar import BASES, _trim, character, expand, is_supersymmetric, is_symmetric
 from .tableaux import standard_shifted_tableaux, tableau_descents, shword_descents
 
 QUEER_FLAVORS = tuple(flav for flav in FLAVORS.values() if flav.queer)
@@ -449,7 +449,7 @@ def check_schurp_positivity(res, max_len=5, n=None):
                  corpus("reduced", min(max_len, 4), (1, 3)), lambda pi: pi))
     for flav, targets, key in runs:
         flavor = flav.name
-        basis = {"schur": "Schur", "schurP": "Schur-P"}[flav.basis]
+        basis = BASES[flav.basis][0]
         seen = set()
         for pi in targets:
             if key(pi) in seen:

@@ -324,6 +324,18 @@ class TestExpandAndClass:
         assert code == 0
         assert json.loads(out)["coefficients"] == {"3,1": 1}
 
+    @pytest.mark.parametrize("argv,out", [
+        (("(1,3)", "--n", "0"),
+         '{"basis": "schurP", "character": "0", "coefficients": {}}\n'),
+        (("(1,2)(3,4)", "--flavor", "fpf", "--n", "1"),
+         '{"basis": "schurP", "character": "1", "coefficients": {"": 1}}\n'),
+        (("(1,5)", "--n", "2"),
+         '{"basis": "schurP", "character": "x1^4 + 2*x1^3*x2 + '
+         '2*x1^2*x2^2 + 2*x1*x2^3 + x2^4", "coefficients": {"4": 1}}\n'),
+    ], ids=["zero", "constant", "two-variables"])
+    def test_character_text(self, capsys, argv, out):
+        assert run(capsys, "expand", *argv) == (0, out, "")
+
     @pytest.mark.parametrize("argv", [
         ("crystal", "(1,3)", "--flavor", "oeg", "--n", "3"),
         ("expand", "(1,3)", "--flavor", "involution", "--n", "3"),
