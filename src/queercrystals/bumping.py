@@ -9,20 +9,20 @@ value of the bumping operator.
 """
 
 from collections import namedtuple
+from functools import reduce
 
 from .insertion import Factorization
 from .permwords import (
     FpfInvolution,
-    LazyMap,
     _walk_tables,
     get_flavor,
     walk_table,
 )
 
-# reduced target sigma -> the base matching conjugated by sigma, kept for
-# the process: a few hundred sigma recur over thousands of calls
-_base_conjugates = LazyMap(
-    lambda sigma: FpfInvolution().conjugate_by(sigma))
+# reduced target sigma -> sigma^-1 * 1_fpf * sigma, filled by
+# is_semi_reduced and kept for the process: a few hundred sigma recur over
+# thousands of calls
+_base_conjugates = {}
 
 
 class MarkedWord(namedtuple("MarkedWord", "word mark flavor")):
@@ -38,7 +38,15 @@ def is_semi_reduced(w, pi):
     if not isinstance(pi, FpfInvolution):
         return False
     sigma = walk_table(w, "reduced")[0]
-    return sigma is not None and _base_conjugates[sigma] == pi
+    if sigma is None:
+        return False
+    conj = _base_conjugates.get(sigma)
+    if conj is None:
+        # w is a word of sigma, so conjugating the base matching by its
+        # letters in order gives sigma^-1 * 1_fpf * sigma
+        conj = _base_conjugates[sigma] = reduce(
+            FpfInvolution.conjugate_s, w, FpfInvolution())
+    return conj == pi
 
 
 def _push_in_place(table, w, pi):

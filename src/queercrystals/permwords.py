@@ -39,8 +39,7 @@ class _Target:
 
     Stored as the sorted tuple of pairs (i, pi(i)) where pi differs from
     `base`, so equality and hashing are structural.  A subclass states its
-    base map, its identity text ONE, the step PERIOD of the translations
-    that commute with its base map, and its constructor check, which drops
+    base map, its identity text ONE and its constructor check, which drops
     the pairs that agree with the base map; everything read off the pairs
     is here.
     """
@@ -108,13 +107,6 @@ class _Target:
         window = set(self._map) | {i, i + 1, self(i), self(i + 1)}
         return type(self)((j, s(self(s(j)))) for j in window)
 
-    def shift(self, m):
-        """Conjugation by translation: i -> pi(i - m) + m."""
-        if m % self.PERIOD:
-            raise ValueError(
-                f"{type(self).__name__} shifts only by multiples of {self.PERIOD}")
-        return type(self)((a + m, b + m) for a, b in self.pairs)
-
 
 class Permutation(_Target):
     """A bijection of Z fixing all but finitely many integers: the base
@@ -124,7 +116,6 @@ class Permutation(_Target):
 
     __slots__ = ()
     ONE = "1"
-    PERIOD = 1
 
     @staticmethod
     def base(i):
@@ -151,9 +142,6 @@ class Permutation(_Target):
         if not self.pairs:
             return "Permutation()"
         return f"Permutation({dict(self.pairs)!r})"
-
-    def inverse(self):
-        return Permutation({b: a for a, b in self.pairs})
 
     def length(self):
         """Coxeter length = number of inversions."""
@@ -186,13 +174,11 @@ class FpfInvolution(_Target):
     The pairs list both (a, b) and (b, a) of each 2-cycle where the map
     differs from the base matching.  Their support must be a union of base
     pairs {2k-1, 2k}, otherwise the complement could not stay
-    base-matched; this is checked eagerly on construction.  Translation by
-    an odd integer moves the base matching, so shifts are even.
+    base-matched; this is checked eagerly on construction.
     """
 
     __slots__ = ()
     ONE = "1_fpf"
-    PERIOD = 2
 
     @staticmethod
     def base(i):
@@ -226,17 +212,6 @@ class FpfInvolution(_Target):
 
     def __repr__(self):
         return f"FpfInvolution({list(self.cycles())!r})"
-
-    def conjugate_by(self, sigma):
-        """sigma^{-1} * 1_fpf * sigma for a finitely supported permutation."""
-        inv = sigma.inverse()
-        window = set(sigma.support())
-        window |= {self.base(x) for x in window}
-        window |= {x + d for x in list(window) for d in (-1, 1)}
-        pairs = [(x, inv(self.base(sigma(x)))) for x in window]
-        if any(x == y for x, y in pairs):
-            raise RuntimeError("conjugate is not fixed-point-free")
-        return FpfInvolution(pairs)
 
 
 def word_to_permutation(w):

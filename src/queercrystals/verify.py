@@ -438,23 +438,21 @@ def _hw_counts(crys):
 def check_schurp_positivity(res, max_len=5, n=None):
     """Schur-P (and Schur) expansion coefficients equal highest-weight counts.
 
-    A queer flavor takes one target per translation class of its corpus.
+    A queer flavor takes the targets of its corpus whose support starts
+    at 1, one per translation class (translates have isomorphic crystals).
     The reduced flavor takes every permutation with a word of length at
     most min(max_len, 4) in the letters 1..3.  Each carrier is built in
     ell(pi) variables, or in n when n is given; n = 0 builds none.
     """
-    runs = [(flav, corpus(flav.name, max_len), _translation_class)
+    runs = [(flav, [pi for pi in corpus(flav.name, max_len)
+                    if pi.support()[0] == 1])
             for flav in QUEER_FLAVORS]
     runs.append((get_flavor("reduced"),
-                 corpus("reduced", min(max_len, 4), (1, 3)), lambda pi: pi))
-    for flav, targets, key in runs:
+                 corpus("reduced", min(max_len, 4), (1, 3))))
+    for flav, targets in runs:
         flavor = flav.name
         basis = BASES[flav.basis][0]
-        seen = set()
         for pi in targets:
-            if key(pi) in seen:
-                continue
-            seen.add(key(pi))
             nn = flav.ell(pi) if n is None else n
             if nn == 0:
                 continue
@@ -469,14 +467,6 @@ def check_schurp_positivity(res, max_len=5, n=None):
             if coeffs != _hw_counts(crys):
                 return res.fail(f"{flavor}: coefficients != highest weight counts", str(pi))
     res.lines.append("all expansions nonnegative and equal to source counts")
-
-
-def _translation_class(pi):
-    """Canonical translate of pi: support moved to start at 1; crystals of
-    translates are isomorphic.  An fpf support is a union of base pairs
-    {2k-1, 2k}, so it starts at an odd integer and the shift is even."""
-    sup = pi.support()
-    return pi.shift(1 - min(sup)) if sup else pi
 
 
 def _conjecture_bounds(flavor, res, max_len=5):

@@ -1,11 +1,12 @@
 """Functions of the theory that no verify target or CLI path calls.
 
 The tests call them: as fixtures (star, shifts, Grassmannian shapes, atoms,
-reading words, and `compose`, the product of two permutations, for the
-Demazure oracles), as inverses that check the library's maps (inverse
-insertion, inv^{-1}, dbl^{-1}), as independent constructions of crystals
-(closure under the operators, isomorphism by certificates), and as the
-greedy Morse-Schilling pairing with the factorization operators read
+reading words, `compose`, the product of two permutations, and `inverse`,
+for the Demazure oracles, and `conjugate_by`, the conjugate of an fpf
+involution by a permutation), as inverses that check the library's maps
+(inverse insertion, inv^{-1}, dbl^{-1}), as independent constructions of
+crystals (closure under the operators, isomorphism by certificates), and
+as the greedy Morse-Schilling pairing with the factorization operators read
 through it, against which the library's bracket rule is checked, and as
 the insertion algorithms written out one flavor at a time, against which
 the library's shared bump and recording loops are checked, and as the
@@ -142,6 +143,21 @@ def simple(i):
     return Permutation({i: i + 1, i + 1: i})
 
 
+def inverse(sigma):
+    """The inverse permutation, its pairs reversed."""
+    return Permutation({b: a for a, b in sigma.pairs})
+
+
+def conjugate_by(pi, sigma):
+    """sigma^-1 * pi * sigma for an fpf involution pi and a permutation
+    sigma, evaluated at every point of both supports and at their base
+    partners; outside them it is the base matching."""
+    inv = inverse(sigma)
+    window = set(sigma.support()) | set(pi.support())
+    window |= {pi.base(x) for x in window}
+    return FpfInvolution((x, inv(pi(sigma(x)))) for x in window)
+
+
 def conjugate_s_pointwise(pi, i):
     """s_i pi s_i for a permutation, as the product of three permutations."""
     return compose(simple(i), compose(pi, simple(i)))
@@ -187,8 +203,11 @@ def star(x):
 
 
 def shift_t(m, x):
+    """Conjugation by the translation i -> i + m: on a target, its pairs
+    moved by m (even m for an fpf involution, whose base matching an odd m
+    moves); on a word, its letters."""
     if isinstance(x, (Permutation, FpfInvolution)):
-        return x.shift(m)
+        return type(x)((a + m, b + m) for a, b in x.pairs)
     return shift_word(m, x)
 
 

@@ -354,6 +354,15 @@ class TestExpandAndClass:
         assert code == 0
         assert json.loads(out) == [[2, 4, 3], [4, 2, 3]]
 
+    def test_word_with_a_negative_first_letter_follows_double_dash(
+            self, capsys):
+        # argparse reads -1,-2 as an option, so the word must follow --
+        code, out, err = outcome(capsys, ["class", "-1,-2", "--relation", "K"])
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: word" in err
+        assert run(capsys, "class", "--relation", "K", "--", "-1,-2") == (
+            0, "[[-1, -2]]\n", "")
+
     def test_infinite_class_stops_at_the_cap(self, capsys, monkeypatch):
         # the symplectic move lets the letters of 212 drift without bound
         monkeypatch.setenv("QC_VERTEX_CAP", "50")

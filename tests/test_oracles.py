@@ -12,7 +12,10 @@ against one plain walk per deleted word and its one-loop kernel against
 plain walks from the prefix states, with every entry the target its
 flavor's move table interns,
 verify's image rule and its
-fixed-point decision from the walk tables against bump, the bump
+fixed-point decision from the walk tables against bump, the base
+conjugates that the fpf push memoizes against conjugation by the plain
+product, the schurP-positivity targets against the first target of each
+translation class of the corpora, the bump
 decomposition against plain products of the deleted subwords, the one
 push loop against the step-by-step push chain, the
 conjugation step of fpf involutions and of permutations against pointwise
@@ -40,6 +43,7 @@ import pytest
 from reference import (
     col_word,
     compose,
+    conjugate_by,
     conjugate_s_pointwise,
     delete_letter,
     ell_o,
@@ -47,23 +51,25 @@ from reference import (
     fac_e_by_pair,
     fac_f_by_pair,
     fpf_descents,
+    inverse,
     marked_indices,
     permutation_descents,
     plain_states,
     reference_bump_chain,
     reference_decompose_bump,
     reference_walk,
+    shift_t,
     shword_boxes,
     simple,
 )
 
+from queercrystals import bumping, permwords, verify
 from queercrystals.bumping import (
     bump,
     bump_chain,
     decompose_bump,
     is_semi_reduced,
 )
-from queercrystals import permwords, verify
 from queercrystals.crystals import (
     _unpaired,
     fac_e,
@@ -109,7 +115,7 @@ def demazure_right(x, i):
 
 
 def demazure_left(i, x):
-    inv = x.inverse()
+    inv = inverse(x)
     return compose(simple(i), x) if inv(i) < inv(i + 1) else x
 
 
@@ -123,7 +129,7 @@ def demazure_sandwich(w):
 
 def conjugated_base(w):
     """The conjugate of the base matching by the plain product of w."""
-    return FpfInvolution().conjugate_by(word_to_permutation(w))
+    return conjugate_by(FpfInvolution(), word_to_permutation(w))
 
 
 def all_words(alphabet, max_len):
@@ -260,7 +266,7 @@ def semi_reduced_by_product(w, pi):
         return False
     sigma = word_to_permutation(w)
     try:
-        conj = FpfInvolution().conjugate_by(sigma)
+        conj = conjugate_by(FpfInvolution(), sigma)
     except ValueError:
         return False
     return conj == pi
@@ -296,6 +302,42 @@ def test_walk_table_matches_per_deletion_walks():
             assert got == semi_reduced_by_product(w, pi)
             semi += got
     assert semi
+
+
+def test_base_conjugates_match_conjugation_by_the_product():
+    # is_semi_reduced fills the memo by folding the fpf step over the word
+    # that reached sigma; every sigma the three bump targets reach is in it
+    for target in ("bump-properties", "conjecture-ib-bound",
+                   "conjecture-fb-bound"):
+        verify.run_target(target)
+    assert bumping._base_conjugates
+    for sigma, conj in bumping._base_conjugates.items():
+        assert conj == conjugate_by(FpfInvolution(), sigma), sigma
+
+
+@pytest.mark.parametrize("window", [None, (1, 7), (1, 8)])
+def test_schurp_targets_are_the_first_of_each_translation_class(
+        monkeypatch, window):
+    # Flavor.ell records each target the check takes and gives it 0
+    # variables, so no carrier is built; the queer corpora use the window
+    taken = []
+
+    def ell(flav, pi):
+        taken.append((flav.name, pi))
+        return 0
+
+    monkeypatch.setattr(permwords.Flavor, "ell", ell)
+    monkeypatch.setattr(verify, "corpus", lambda flavor, max_len, w=None:
+                        corpus(flavor, max_len, w or window))
+    for max_len in range(4, 8):
+        taken.clear()
+        assert verify.run_target("schurP-positivity", max_len=max_len).ok
+        for flav in verify.QUEER_FLAVORS:
+            first = {}
+            for pi in corpus(flav.name, max_len, window):
+                first.setdefault(shift_t(1 - pi.support()[0], pi), pi)
+            assert [pi for name, pi in taken if name == flav.name] == list(
+                first.values()), (flav.name, max_len)
 
 
 def test_walk_kernel_matches_plain_walks():

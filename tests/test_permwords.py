@@ -95,12 +95,6 @@ class TestFpfInvolution:
     def test_base_cycles_are_not_overrides(self):
         assert FpfInvolution([(1, 2), (3, 6), (4, 5)]).cycles() == ((3, 6), (4, 5))
 
-    def test_shift_parity(self):
-        pi = FpfInvolution([(1, 4), (2, 3)])
-        assert pi.shift(2)(3) == 6
-        with pytest.raises(ValueError):
-            pi.shift(1)
-
 
 class TestWordClasses:
     def test_reduced(self):
