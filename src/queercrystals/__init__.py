@@ -22,7 +22,6 @@ from .tableaux import (
     ShiftedTableau,
     Tableau,
     dual_equiv,
-    is_increasing,
     is_semistandard,
     is_standard,
     shword,
@@ -47,7 +46,6 @@ from .crystals import (
     factorization_crystal,
     inv_map,
     is_quasi_isomorphism,
-    morphism_report,
     shifted_tableau_crystal,
     shifted_tableau_crystal_all,
     word_crystal,

@@ -92,14 +92,10 @@ class InsertionResult(namedtuple("InsertionResult", "P Q column_inserted")):
 
 
 def _as_factorization(w, key, check):
-    """w as a factorization; with check, a ValueError unless its word is in
-    the word class of the insertion key."""
-    if isinstance(w, Factorization):
-        fac = w
-    elif w and isinstance(w[0], int):
-        fac = Factorization.from_word(w)
-    else:
-        fac = Factorization(w)
+    """w, a factorization or a sequence of factors, as a factorization; with
+    check, a ValueError unless its word is in the word class of the
+    insertion key."""
+    fac = w if isinstance(w, Factorization) else Factorization(w)
     if check:
         flavor = insertion_flavor(key).name
         if word_target(fac.word(), flavor) is None:
@@ -152,7 +148,7 @@ def _eg_letter(relation, rows, x):
     while True:
         rr = next((s for s in cols[c - 1] if x <= rows[s - 1][c - s]), None)
         if rr is None:
-            return _append_to_column(rows, c, x)[0], True
+            return _append_to_column(rows, c, x), True
         y = rows[rr - 1][c - rr]
         if x == y:
             x += 1
@@ -162,7 +158,8 @@ def _eg_letter(relation, rows, x):
 
 
 def _append_to_column(rows, c, x):
-    """Add x at the top of column c; the spot must be a legal new box."""
+    """Add x at the top of column c, the spot a legal new box; returns the
+    row of the new box."""
     cols = _columns(rows)
     col = [rows[r - 1][c - r] for r in cols[c - 1]] if c <= len(cols) else []
     h = len(col)
@@ -176,7 +173,7 @@ def _append_to_column(rows, c, x):
             raise RuntimeError(f"appending letter {x} to column {c} {col} "
                                f"does not extend row {h + 1}")
         rows[h].append(x)
-    return (h + 1, c)
+    return h + 1
 
 
 def _hm_letter(rows, a):
@@ -215,7 +212,7 @@ def _hm_letter(rows, a):
                 cols = _columns(rows)
             rr = next((s for s in cols[c - 1] if rows[s - 1][c - s] > x), None)
             if rr is None:
-                return _append_to_column(rows, c, x)[0], False
+                return _append_to_column(rows, c, x), False
             y = rows[rr - 1][c - rr]
             if rr == c:
                 raise RuntimeError(

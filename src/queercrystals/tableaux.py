@@ -184,10 +184,11 @@ class ShiftedTableau(_Tableau):
         return f"ShiftedTableau.from_strings({rows!r})"
 
 
-def _every_box(t, fits):
-    """Whether fits(entry, left neighbour, lower neighbour) holds at every
-    box of t, a missing neighbour given as None."""
-    shift, below = t.SHIFT, None
+def is_semistandard(t):
+    """Semistandardness for either kind of tableau: t.fits(entry, left
+    neighbour, lower neighbour) holds at every box, a missing neighbour
+    given as None."""
+    fits, shift, below = t.fits, t.SHIFT, None
     for row in t.rows:
         left = None
         for k, x in enumerate(row):
@@ -198,30 +199,12 @@ def _every_box(t, fits):
     return True
 
 
-def _increases(x, left, below):
-    return (left is None or left < x) and (below is None or below < x)
-
-
-def is_semistandard(t):
-    """Semistandardness for either kind of tableau."""
-    return _every_box(t, t.fits)
-
-
-def is_increasing(t):
-    """Strictly increasing rows and columns; shifted tableaux must be unprimed."""
-    if t.SHIFT and any(entry_primed(x) for row in t.rows for x in row):
-        return False
-    return _every_box(t, _increases)
-
-
 def is_standard(t):
-    """Standard: each of 1..m (or a primed variant, shifted case) used once."""
-    m = t.size()
-    if isinstance(t, Tableau):
-        used = sorted(x for row in t.rows for x in row)
-        return used == list(range(1, m + 1)) and is_increasing(t)
-    used = sorted(entry_value(x) for row in t.rows for x in row)
-    return used == list(range(1, m + 1)) and is_semistandard(t)
+    """Standard: semistandard, with each of 1..m (or a primed variant,
+    shifted case) used once; distinct values make weak rows strict."""
+    boxes = [x for row in t.rows for x in row]
+    used = sorted(map(entry_value, boxes) if t.SHIFT else boxes)
+    return used == list(range(1, len(boxes) + 1)) and is_semistandard(t)
 
 
 def shword_letters(t):

@@ -30,7 +30,12 @@ conjugation s_i pi s_i of a permutation and the two descent windows of
 the old per-class target types, against which the library's one
 conjugation and one descent window of the shared target base are checked,
 and as the bounds of a verify check read from its signature by `inspect`,
-against which the library's reading of the check's code is checked.
+against which the library's reading of the check's code is checked, and
+as `morphism_report`, the list of every violation of a strict crystal
+morphism, against which the library's quasi-isomorphism test, which stops
+at the first, is checked, and as the standard predicate of each kind
+(strictly increasing plain fillings, semistandard shifted ones), against
+which the library's one standard rule is checked.
 """
 
 import inspect
@@ -47,6 +52,7 @@ from queercrystals.crystals import (
     Crystal,
     _component_certificate,
     crystal_indices,
+    pretty_element,
 )
 from queercrystals.insertion import Factorization, InsertionResult, hm_insert, insert
 from queercrystals.permwords import (
@@ -580,6 +586,23 @@ def reference_is_increasing(t):
         for c, col in enumerate(_column_rows(t.shape), 1) for r in col[1:])
 
 
+def reference_is_standard(t):
+    """Each of 1..m used once (the value of a primed entry, shifted case),
+    with strictly increasing rows and columns (plain case) or semistandard
+    (shifted case)."""
+    if isinstance(t, ReferenceTableau):
+        used = sorted(x for row in t.rows for x in row)
+        return used == list(range(1, t.size() + 1)) and reference_is_increasing(t)
+    used = sorted(entry_value(x) for row in t.rows for x in row)
+    return used == list(range(1, t.size() + 1)) and reference_is_semistandard(t)
+
+
+def reference_copy(t):
+    """The reference class instance with the rows of a library tableau."""
+    kind = ReferenceTableau if isinstance(t, Tableau) else ReferenceShiftedTableau
+    return kind(t.rows)
+
+
 def reference_semistandard_tableaux(shape, n):
     """All semistandard fillings of the plain shape with entries in 1..n."""
     shape = tuple(shape)
@@ -1053,6 +1076,33 @@ def crystals_isomorphic(c1, c2):
     certs1 = sorted(_component_certificate(c) for c in comps1)
     certs2 = sorted(_component_certificate(c) for c in comps2)
     return certs1 == certs2
+
+
+def morphism_report(phi, dom, cod):
+    """Violations of phi being a strict morphism dom -> cod.  phi is called
+    once per vertex and once per defined edge: callers memoise it."""
+    bad = []
+    if tuple(dom.indices) != tuple(cod.indices):
+        bad.append("index sets differ")
+        return bad
+    for x in dom.vertices:
+        y = phi(x)
+        if y not in cod.vertex_set:
+            bad.append(f"image not in codomain at {pretty_element(x)}")
+            continue
+        if dom.wt(x) != cod.wt(y):
+            bad.append(f"weight not preserved at {pretty_element(x)}")
+        for i in dom.indices:
+            for op, dom_op, cod_op in (("f", dom.f_table, cod.f_table),
+                                       ("e", dom.e_table, cod.e_table)):
+                ox, oy = dom_op[x, i], cod_op[y, i]
+                if (ox is None) != (oy is None):
+                    bad.append(f"{op}_{i} definedness at {pretty_element(x)}")
+                elif ox is not None and phi(ox) != oy:
+                    bad.append(f"{op}_{i} commutation at {pretty_element(x)}")
+            if dom.string_lengths(x, i) != cod.string_lengths(y, i):
+                bad.append(f"string lengths differ at {pretty_element(x)}, i={i}")
+    return bad
 
 
 def inv_map_inverse(w, n):

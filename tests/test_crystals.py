@@ -5,7 +5,7 @@ import pytest
 import figures
 from reference import (
     crystals_isomorphic, dbl_map_inverse, ell_o, ell_sp, explore,
-    inv_map_inverse, pair)
+    inv_map_inverse, morphism_report, pair)
 
 from queercrystals import crystals
 from queercrystals.crystals import (
@@ -24,7 +24,6 @@ from queercrystals.crystals import (
     factorization_crystal,
     inv_map,
     is_quasi_isomorphism,
-    morphism_report,
     perm_crystal,
     perm_words,
     shifted_tableau_crystal,
@@ -40,17 +39,21 @@ from queercrystals.crystals import (
     word_f,
     word_fqbar,
 )
-from queercrystals.insertion import Factorization, hm_insert, oeg_insert, speg_insert
+from queercrystals.insertion import (
+    Factorization, hm_insert, insert, oeg_insert, speg_insert)
 from queercrystals.permwords import (
     FpfInvolution,
+    LazyMap,
     Permutation,
     VertexCapExceeded,
     fpf_involution_words,
+    get_flavor,
     involution_words,
     word_target,
 )
 from queercrystals.symchar import character, expand
 from queercrystals.tableaux import ShiftedTableau
+from queercrystals.verify import corpus
 
 S = ShiftedTableau.from_strings
 P = Permutation
@@ -297,6 +300,19 @@ class TestAxioms:
         assert any("pairing" in line for line in report)
 
 
+def reference_quasi_isomorphism(phi, dom, cod):
+    """No morphism violation, and each component of dom maps bijectively
+    onto a component of cod."""
+    if morphism_report(phi, dom, cod):
+        return False
+    cod_comps = {c.vertex_set for c in cod.components()}
+    for comp in dom.components():
+        images = {phi(x) for x in comp.vertices}
+        if len(images) != len(comp) or images not in cod_comps:
+            return False
+    return True
+
+
 class TestMorphisms:
     def test_inv_is_isomorphism(self):
         pc = perm_crystal(3, 4)
@@ -343,6 +359,69 @@ class TestMorphisms:
         bad = morphism_report(lambda w: w, c, Crystal(
             c.vertices, 2, lambda w: (0, 0), c.f, c.e, queer=True))
         assert bad
+
+    @pytest.mark.parametrize("flavor,carriers", [("involution", 55), ("fpf", 44)])
+    def test_q_morphism_carriers_match_the_reference(self, flavor, carriers):
+        """Every carrier of q-morphism-O and q-morphism-Sp at default bounds:
+        Q is a quasi-isomorphism onto ShTab_3[m], and so says the reference,
+        no violation and every component mapped bijectively onto one."""
+        flav = get_flavor(flavor)
+        targets = corpus(flavor, 5)
+        codomains = {}  # as in the target: one carrier, and its tables, per m
+        for pi in targets:
+            crys = factorization_crystal(pi, flavor, 3)
+            m = flav.ell(pi)
+            if m not in codomains:
+                codomains[m] = shifted_tableau_crystal_all(3, m)
+            tab = codomains[m]
+            q = LazyMap(lambda x: insert(x, flav.insertion, check=False).Q)
+            assert is_quasi_isomorphism(q.__getitem__, crys, tab), pi
+            assert reference_quasi_isomorphism(q.__getitem__, crys, tab), pi
+        assert len(targets) == carriers
+
+    def test_planted_maps_fail(self):
+        """A weight-breaking codomain, one f-edge rerouted, a map that is
+        not injective, mismatched index sets, and an e-string that runs on
+        past the vertices: the predicate and the reference both say no."""
+        dom = factorization_crystal(PI, "involution", 3)
+        tab = shifted_tableau_crystal_all(3, ell_o(PI))
+        q = LazyMap(lambda x: oeg_insert(x, check=False).Q).__getitem__
+        y0, i, y1 = next(edge for edge in tab.edges() if edge[1] == 1)
+        y2 = next(y for y in tab.vertices if y not in (y0, y1))
+        x0, x1 = dom.components()[0].vertices[:2]
+
+        def rerouted(y, j):
+            return y2 if (y, j) == (y0, i) else tab.f(y, j)
+
+        def collapsed(x):
+            return q(x0) if x == x1 else q(x)
+
+        def crystal(vertices, f, e, wt, n=2, queer=False):
+            return Crystal(vertices, n, wt, lambda x, j: f.get(x),
+                           lambda x, j: e.get(x), queer)
+
+        # two 1-strings a -> b and c -> d; past a, e_1 takes two more steps
+        # on one side and one on the other
+        wt = {"a": (1, 0), "b": (0, 1), "c": (1, 0), "d": (0, 1)}.get
+        f = {"a": "b", "c": "d"}
+        long_e = crystal("abcd", f, {"b": "a", "d": "c", "a": "z", "z": "w"}, wt)
+        short_e = crystal("abcd", f, {"b": "a", "d": "c", "a": "y"}, wt)
+        planted = [
+            (q, dom, Crystal(tab.vertices, 3, lambda y: tab.wt(y)[::-1],
+                             tab.f, tab.e, queer=True)),
+            (q, dom, Crystal(tab.vertices, 3, tab.wt, rerouted, tab.e,
+                             queer=True)),
+            (collapsed, dom, tab),
+            (q, dom, Crystal(tab.vertices, 3, tab.wt, tab.f, tab.e,
+                             queer=False)),
+            (lambda x: "y" if x == "z" else x, long_e, short_e),
+        ]
+        assert is_quasi_isomorphism(q, dom, tab)
+        for phi, d, c in planted:
+            assert not is_quasi_isomorphism(phi, d, c)
+            assert not reference_quasi_isomorphism(phi, d, c)
+        assert morphism_report(*planted[-1]) == [
+            "string lengths differ at a, i=1", "string lengths differ at b, i=1"]
 
 
 class TestReduction:

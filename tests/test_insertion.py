@@ -1,7 +1,13 @@
 from itertools import product
 
 import pytest
-from reference import invert_insertion, reference_insert, row_word
+from reference import (
+    invert_insertion,
+    reference_copy,
+    reference_insert,
+    reference_is_increasing,
+    row_word,
+)
 
 from queercrystals.insertion import (
     Factorization,
@@ -25,7 +31,6 @@ from queercrystals.permwords import (
 from queercrystals.tableaux import (
     ShiftedTableau,
     Tableau,
-    is_increasing,
     is_semistandard,
     is_standard,
     tableau_descents,
@@ -51,6 +56,14 @@ class TestFactorization:
         # the descent forces a cut after the 2
         assert all(s[0] in ((), (2,)) for s in splits)
         assert split_word((), 2) == (Factorization(((), ())),)
+
+    def test_inserters_take_factors_not_flat_words(self):
+        with pytest.raises(TypeError):
+            oeg_insert((2, 1))
+        res = oeg_insert([(4,), (2, 3), (2,), (1,)])
+        assert res == oeg_insert(Factorization([(4,), (2, 3), (2,), (1,)]))
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            eg_insert([(2, 1)])
 
 
 class TestGoldenExamples:
@@ -126,7 +139,7 @@ class TestShapesAndStandardness:
                                   and all(not f for f in fac[m:]))
                     assert is_standard(res.Q) == singletons
                     assert is_semistandard(res.Q)
-                    assert is_increasing(res.P)
+                    assert reference_is_increasing(reference_copy(res.P))
 
 
 class TestFibersAndDescents:

@@ -22,9 +22,9 @@ conjugation step of fpf involutions and of permutations against pointwise
 conjugation, the one descent window of both against their old per-class
 windows, and the length of a target's
 first word against the closed-form lengths.  The
-shifted-tableau geometry (columns, reading order, the predicates and the
-unpaired boxes that the bracket rule leaves, all read through the
-per-shape column record) is checked against row scans through
+shifted-tableau geometry (columns, reading order, the semistandard
+predicate and the unpaired boxes that the bracket rule leaves, all read
+through the per-shape column record) is checked against row scans through
 ShiftedTableau.entry, and verify's scoped d_i map against dual_equiv.
 The factorization operators, which read the same bracket rule, are
 checked against the greedy pairing.  A crystal's edge tables (edges without a sort,
@@ -100,7 +100,6 @@ from queercrystals.tableaux import (
     dual_equiv,
     entry_primed,
     entry_value,
-    is_increasing,
     is_semistandard,
     semistandard_shifted_tableaux,
     shword,
@@ -530,17 +529,6 @@ def is_semistandard_scan(t):
     return True
 
 
-def is_increasing_scan(t):
-    if any(entry_primed(x) for row in t.rows for x in row):
-        return False
-    for r, c in all_boxes(t):
-        x = t.entry(r, c)
-        for nb in (t.entry(r, c + 1), t.entry(r + 1, c)):
-            if nb is not None and nb <= x:
-                return False
-    return True
-
-
 def unpaired_boxes_scan(t, i):
     order = []
     for r, c in shword_boxes_scan(t):
@@ -581,7 +569,7 @@ def standard_tableaux():
 def check_geometry(t, indices, codes):
     """Reading order, reading word, unpaired boxes, find_value and
     col_word of t against the scans; then with_entry on every box with each
-    of codes(x), and both predicates on every such variant."""
+    of codes(x), and the semistandard predicate on every such variant."""
     boxes = shword_boxes_scan(t)
     letters = shword_letters(t)
     assert shword_boxes(t) == boxes, t
@@ -599,14 +587,12 @@ def check_geometry(t, indices, codes):
         assert t.find_value(i) == next(
             (b for b in all_boxes(t) if entry_value(t.entry(*b)) == i), None)
     assert is_semistandard(t) == is_semistandard_scan(t), t
-    assert is_increasing(t) == is_increasing_scan(t), t
     for r, c in all_boxes(t):
         for code in codes(t.entry(r, c)):
             u = t.with_entry(r, c, code)
             assert u == with_entry_by_rows(t, r, c, code), (t, r, c, code)
             assert u.shape == t.shape
             assert is_semistandard(u) == is_semistandard_scan(u), u
-            assert is_increasing(u) == is_increasing_scan(u), u
 
 
 def test_crystal_tableaux_geometry_matches_scans():

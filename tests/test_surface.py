@@ -1,29 +1,35 @@
-"""Every module-level function of the library has a caller in the library.
+"""Every function of the library runs, and the library keeps its shape.
 
-A function that only tests call belongs in tests/reference.py.  The scan
-reads src/queercrystals/*.py except __init__.py, whose re-exports are not
-callers.  A function counts as referenced when code outside its own body
-reads its name from module scope (a local variable of the same name does
-not count), reads it as an attribute of a package module (`bumping.bump`)
-or imports it, and that code is itself module-level code or a referenced
-function.  A method counts as read when library code outside its own body
-reads an attribute of its name; dunders, which the language calls, and
-from_strings, which ShiftedTableau's repr prints, are exempt.
+A function that only tests call belongs in tests/reference.py.  The run
+check imports the package in a fresh process under sys.setprofile, runs a
+fixed list of qc commands and then the verify targets at test bounds
+(bump-properties, the slowest, at max_len 3), and fails on any
+module-level function or method whose code no call reached; code that
+runs at import counts.  Dunders, which the language calls,
+ShiftedTableau.from_strings and entry_from_str, which only the repr format
+reads, and VerifyResult.fail, which only a failing target calls, are
+exempt.
 
-A read of a name that several classes define counts for all of them, so
-each such method must also run, under sys.setprofile, while the verify
-targets run at test bounds and a fixed list of qc commands runs.
+Two reference scans go with it, on the syntax tree and the symbol tables.
+They read src/queercrystals/*.py except __init__.py, whose re-exports are
+not callers.  A function counts as referenced when code outside its own
+body reads its name from module scope (a local variable of the same name
+does not count), reads it as an attribute of a package module
+(`bumping.bump`) or imports it, and that code is itself module-level code
+or a referenced function.  A method counts as read when library code
+outside its own body reads an attribute of its name; dunders and
+from_strings are exempt.
 
-Five structure scans, on the syntax tree alone: no module imports a name
-it never reads, no module but permwords names the move table's private
-functions or reads a .moves attribute, no module but permwords calls a
-Coxeter-Knuth move, only verify.run_target builds a VerifyResult and
-no module but verify imports inspect, and no class defines again a method
-of a base class from its own module (the target base of permwords and the
-tableau base of tableaux state each of their methods once).  A sixth
-scan keeps the six gl_n crystal operators on the one bracket rule, and a
-seventh keeps symchar off crystals and the weight trim and the tableau
-order out of crystals.
+Eight structure scans, on the syntax tree alone: no function imports
+inside its body, no module imports a name it never reads, no module but
+permwords names the move table's private functions or reads a .moves
+attribute, no module but permwords calls a Coxeter-Knuth move, only
+verify.run_target builds a VerifyResult and no module but verify imports
+inspect, no class defines again a method of a base class from its own
+module (the target base of permwords and the tableau base of tableaux
+state each of their methods once), the six gl_n crystal operators keep to
+the one bracket rule, and symchar stays off crystals while the weight
+trim and the tableau order stay out of crystals.
 
 An inventory scan lists every memo that lives for the process and pins
 the list, each entry with the workload hits that keep it.  An import
@@ -40,13 +46,7 @@ import pathlib
 import subprocess
 import symtable
 import sys
-from collections import Counter
 from functools import partial
-
-from test_verify import TARGET_BOUNDS
-
-from queercrystals import cli
-from queercrystals.verify import run_target
 
 TESTS = pathlib.Path(__file__).parent
 SRC = TESTS.parent / "src" / "queercrystals"
@@ -627,80 +627,113 @@ def test_the_scan_finds_layering_breaks(tmp_path):
         "crystals._sort_key", "crystals._trim"]
 
 
-# the qc commands of the run check: every insertion, every carrier kind,
-# every expansion basis, a bump and a class
+# the qc commands of the run check: every insertion, text and JSON, every
+# carrier kind, JSON and DOT, every expansion basis, a bump, a class and a
+# verify target
 QC_COMMANDS = [
     ["insert", "(3)(12)", "--flavor", "eg", "--json"],
     ["insert", "(4)(23)(12)", "--flavor", "oeg", "--json"],
     ["insert", "(4)(23)(12)", "--flavor", "speg", "--json"],
     ["insert", "332332", "--flavor", "hm", "--json"],
+    ["insert", "(4)(23)(12)", "--flavor", "oeg"],
     ["crystal", "(1,3)", "--flavor", "eg", "--n", "2", "--json"],
     ["crystal", "(1,3)", "--flavor", "oeg", "--n", "2", "--json"],
     ["crystal", "(1,4)(2,3)", "--flavor", "speg", "--n", "2", "--json"],
     ["crystal", "--shape", "2,1", "--n", "2", "--json"],
+    ["crystal", "(1,3)", "--flavor", "oeg", "--n", "2"],
     ["expand", "(1,3)", "--flavor", "reduced", "--n", "2"],
     ["expand", "(1,3)", "--flavor", "involution", "--n", "2"],
     ["expand", "(1,4)(2,3)", "--flavor", "fpf", "--n", "2"],
     ["bump", "2134", "(2,5)"],
     ["class", "21", "--relation", "O"],
+    ["verify", "crystal-axioms"],
 ]
 
+# the repr format (ShiftedTableau.from_strings and the entry parser it reads)
+# and the failure path of a verify result
+EXEMPT_FROM_RUN = {"ShiftedTableau.from_strings", "entry_from_str",
+                   "VerifyResult.fail"}
 
-def shared_methods(src=SRC):
-    """module.Class.method for every non-dunder method whose name more than
-    one class defines."""
-    methods = class_methods(module_trees(src))
-    count = Counter(m.name for _, _, m in methods)
-    return sorted(f"{mod}.{cls}.{m.name}" for mod, cls, m in methods
-                  if count[m.name] > 1)
+
+def library_functions(src=SRC):
+    """module.function of every module-level function and
+    module.Class.method of every method, dunders and EXEMPT_FROM_RUN
+    (named without the module) aside."""
+    trees = module_trees(src)
+    names = [(mod, stmt.name) for mod, tree in trees.items()
+             for stmt in tree.body if isinstance(stmt, DEFS)]
+    names += [(mod, f"{cls}.{m.name}") for mod, cls, m in class_methods(trees)]
+    return sorted(f"{mod}.{name}" for mod, name in names
+                  if name not in EXEMPT_FROM_RUN)
+
+
+def _code(package, name):
+    """The code object of module.function or module.Class.method, through
+    property, staticmethod, classmethod and lru_cache wrappers."""
+    mod, *path = name.split(".")
+    fn = importlib.import_module(f"{package}.{mod}")
+    for part in path:
+        fn = vars(fn)[part] if isinstance(fn, type) else getattr(fn, part)
+    for attr in ("fget", "__func__", "__wrapped__"):
+        fn = getattr(fn, attr, fn)
+    return fn.__code__
 
 
 def not_run(names, package, steps):
-    """The names (module.Class.method in the package) whose code no call
-    reached while the steps ran under sys.setprofile.  The steps stop once
-    every such code has run."""
-    codes = {}
-    for name in names:
-        mod, cls, method = name.split(".")
-        module = importlib.import_module(f"{package}.{mod}")
-        fn = vars(getattr(module, cls))[method]
-        codes[getattr(fn, "__func__", fn).__code__] = name
-    pending = set(codes)
+    """The names (module.function or module.Class.method in the package)
+    whose code no call reached, under sys.setprofile, while the package's
+    modules were imported and then the steps ran.  Code that runs at import
+    counts, so the package must not be imported before.  The steps stop
+    once every such code has run."""
+    ran = set()
 
     def hook(frame, event, arg):
         if event == "call":
-            pending.discard(frame.f_code)
+            ran.add(frame.f_code)
 
     sys.setprofile(hook)
     try:
+        codes = {_code(package, name): name for name in names}
         for step in steps:
-            if not pending:
+            if ran >= codes.keys():
                 break
             step()
     finally:
         sys.setprofile(None)
-    return sorted(codes[code] for code in pending)
+    return sorted(name for code, name in codes.items() if code not in ran)
 
 
 def run_command(argv):
+    from queercrystals import cli
+
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 
 
 def verify_target(name, bounds):
+    from queercrystals.verify import run_target
+
     assert run_target(name, **bounds).ok, name
 
 
+# bump-properties, by far the slowest target at test bounds, runs all of its
+# code at max_len 3 too
+RUN_BOUNDS = {"bump-properties": {"max_len": 3}}
+
+
 def library_steps():
-    """The commands, then the targets in reverse order, which at these
-    bounds leaves bump-properties, by far the slowest, for last."""
-    return ([partial(run_command, argv) for argv in QC_COMMANDS]
-            + [partial(verify_target, *tb) for tb in reversed(TARGET_BOUNDS)])
+    """The commands, then the targets at test bounds or RUN_BOUNDS.  A
+    generator, so that the package is first imported inside not_run."""
+    from test_verify import TARGET_BOUNDS
+
+    yield from (partial(run_command, argv) for argv in QC_COMMANDS)
+    yield from (partial(verify_target, name, RUN_BOUNDS.get(name, bounds))
+                for name, bounds in TARGET_BOUNDS)
 
 
-def test_every_shared_method_runs():
-    """Run in a fresh process, so that no cache an earlier test filled
-    spares a call."""
+def test_every_function_runs():
+    """Run in a fresh process, so that the package is imported under the
+    hook and no cache an earlier test filled spares a call."""
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(map(str, (SRC.parent, TESTS))))
     proc = subprocess.run([sys.executable, __file__], env=env,
@@ -714,24 +747,36 @@ def test_the_run_check_finds_methods_that_never_run(tmp_path, monkeypatch):
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
     (pkg / "a.py").write_text(
+        "from functools import lru_cache\n\n\n"
+        "def at_import():\n    return 0\n\n\n"
+        "def never():\n    return 1\n\n\n"
+        "@lru_cache(maxsize=None)\ndef cached(x):\n    return x\n\n\n"
+        "def entry_from_str(s):\n    return s\n\n\n"
         "class A:\n"
+        "    def __init__(self):\n        self.x = cached(1)\n\n"
         "    def shared(self):\n        return 1\n\n"
         "    @classmethod\n    def make(cls):\n        return cls()\n\n"
-        "    def own(self):\n        return 2\n\n\n"
+        "    @property\n    def size(self):\n        return 2\n\n\n"
         "class B:\n"
-        "    def shared(self):\n        return 3\n\n"
-        "    @staticmethod\n    def make():\n        return B()\n")
+        "    def shared(self):\n        return 4\n\n"
+        "    @staticmethod\n    def make():\n        return B()\n\n"
+        "    @property\n    def size(self):\n        return 5\n\n\n"
+        "X = at_import()\n")
     monkeypatch.syspath_prepend(str(tmp_path))
-    names = shared_methods(pkg)
-    assert names == ["a.A.make", "a.A.shared", "a.B.make", "a.B.shared"]
+    names = library_functions(pkg)
+    assert names == ["a.A.make", "a.A.shared", "a.A.size", "a.B.make",
+                     "a.B.shared", "a.B.size", "a.at_import", "a.cached",
+                     "a.never"]
 
     def step():
         from pkg.a import A
         A.make().shared()
+        return A().size
 
-    assert not_run(names, "pkg", [step]) == ["a.B.make", "a.B.shared"]
+    assert not_run(names, "pkg", [step]) == [
+        "a.B.make", "a.B.shared", "a.B.size", "a.never"]
 
 
 if __name__ == "__main__":
-    print("\n".join(not_run(shared_methods(), "queercrystals",
+    print("\n".join(not_run(library_functions(), "queercrystals",
                              library_steps())))

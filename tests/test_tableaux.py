@@ -1,10 +1,14 @@
+from itertools import accumulate, permutations
+
 import pytest
 from reference import (
     ReferenceShiftedTableau,
     ReferenceTableau,
     col_word,
+    reference_copy,
     reference_is_increasing,
     reference_is_semistandard,
+    reference_is_standard,
     reference_semistandard_shifted_tableaux,
     reference_semistandard_tableaux,
     reference_standard_shifted_tableaux,
@@ -20,7 +24,6 @@ from queercrystals.tableaux import (
     entry_from_str,
     entry_primed,
     entry_str,
-    is_increasing,
     is_semistandard,
     is_standard,
     primed,
@@ -38,6 +41,10 @@ from queercrystals.tableaux import (
 S = ShiftedTableau.from_strings
 
 
+def increasing(t):
+    return reference_is_increasing(reference_copy(t))
+
+
 def test_entry_codes():
     assert unprimed(3) == 6 and primed(3) == 5
     assert entry_str(6) == "3" and entry_str(5) == "3'"
@@ -50,16 +57,16 @@ class TestPredicates:
         semi = Tableau([[2, 2, 4], [3, 4]])
         inc = Tableau([[2, 3, 4], [3, 4]])
         std = Tableau([[1, 2, 4], [3, 5]])
-        assert is_semistandard(semi) and not is_increasing(semi)
-        assert is_increasing(inc) and not is_standard(inc)
-        assert is_standard(std) and is_increasing(std)
+        assert is_semistandard(semi) and not increasing(semi)
+        assert increasing(inc) and not is_standard(inc)
+        assert is_standard(std) and increasing(std)
 
     def test_shifted_triple(self):
         semi = S([["2", "2", "4'"], ["3", "4'"]])
         inc = S([["2", "3", "4"], ["4", "5"]])
         std = S([["1", "2'", "4"], ["3", "5'"]])
-        assert is_semistandard(semi) and not is_increasing(semi)
-        assert is_increasing(inc)
+        assert is_semistandard(semi) and not increasing(semi)
+        assert increasing(inc)
         assert is_standard(std)
 
     def test_diagonal_prime_rejected(self):
@@ -68,7 +75,7 @@ class TestPredicates:
     def test_single_box(self):
         t = S([["1"]])
         assert is_semistandard(t) and is_standard(t)
-        assert is_increasing(t)
+        assert increasing(t)
 
     def test_with_entry_missing_box(self):
         t = S([["1", "2", "3"], ["4"]])
@@ -225,11 +232,6 @@ def partitions(m, biggest=None):
             for rest in partitions(m - p, p)]
 
 
-def reference_copy(t):
-    kind = ReferenceTableau if isinstance(t, Tableau) else ReferenceShiftedTableau
-    return kind(t.rows)
-
-
 def mutations(t):
     """t with one box moved by 1 or 2 either way, as rows: codes 0 and below
     included, a prime toggled or a diagonal box primed."""
@@ -278,7 +280,7 @@ def test_tableaux_match_the_reference_classes():
         for u in (t, *map(type(t), mutations(t))):
             ref = reference_copy(u)
             assert is_semistandard(u) == reference_is_semistandard(ref), u
-            assert is_increasing(u) == reference_is_increasing(ref), u
+            assert is_standard(u) == reference_is_standard(ref), u
             checked += 1
     assert (len(tabs), checked) == (977, 20453)
     for t in (Tableau(), ShiftedTableau(), Tableau([[1, 10, 12], [11, 13]]),
@@ -292,3 +294,26 @@ def test_tableaux_match_the_reference_classes():
         with pytest.raises(ValueError) as want:
             (ReferenceTableau if kind is Tableau else ReferenceShiftedTableau)(rows)
         assert str(got.value) == str(want.value)
+
+
+def test_is_standard_matches_the_reference():
+    """Every standard shifted tableau and every filling of a plain shape by
+    1..m, m <= 5, with their mutations (one box moved by 1 or 2, which
+    repeats a value or toggles a prime)."""
+    shifted = [t for m in range(6) for mu in strict_partitions(m)
+               for t in standard_shifted_tableaux(mu)]
+    plain = []
+    for m in range(6):
+        for mu in partitions(m):
+            cuts = list(accumulate(mu, initial=0))
+            plain += [Tableau([perm[a:b] for a, b in zip(cuts, cuts[1:])])
+                      for perm in permutations(range(1, m + 1))]
+    standard = {"plain": 0, "shifted": 0}
+    for t in shifted + plain:
+        for u in (t, *map(type(t), mutations(t))):
+            got = is_standard(u)
+            assert got == reference_is_standard(reference_copy(u)), u
+            standard[u.KIND] += got
+    # the plain standard fillings are the 44 standard Young tableaux
+    assert (len(shifted), len(plain), standard) == (
+        82, 984, {"plain": 44, "shifted": 318})
