@@ -15,6 +15,7 @@ from .bumping import bump_chain
 from .crystals import (
     factorization_crystal,
     factorization_crystal_size,
+    factorization_weights,
     shifted_tableau_crystal,
     shifted_tableau_crystal_size,
 )
@@ -27,7 +28,7 @@ from .permwords import (
     get_flavor,
     insertion_flavor,
 )
-from .symchar import character, expand, polynomial_str
+from .symchar import expand, polynomial_str
 from .tableaux import is_strict_partition
 from .verify import TARGETS, run_target, target_bounds
 
@@ -140,13 +141,6 @@ def check_cap(size, cap):
             f"carrier has {size} vertices, above the cap {cap}")
 
 
-def capped_carrier(pi, flavor, n, cap):
-    """factorization_crystal(pi, flavor, n), refused before the build when
-    it has more than cap vertices, so that the cap bounds the work done."""
-    check_cap(factorization_crystal_size(pi, flavor, n), cap)
-    return factorization_crystal(pi, flavor, n)
-
-
 def env_cap():
     """QC_VERTEX_CAP, or DEFAULT_VERTEX_CAP when it is unset; a value that
     is not an integer >= 0 is bad input."""
@@ -173,7 +167,9 @@ def cmd_crystal(args):
     else:
         flavor = insertion_flavor(args.flavor or "oeg").name
         pi = parse_permutation(args.perm or "", flavor)
-        crys = capped_carrier(pi, flavor, args.n, cap)
+        # refused before the build, so that the cap bounds the work done
+        check_cap(factorization_crystal_size(pi, flavor, args.n), cap)
+        crys = factorization_crystal(pi, flavor, args.n)
     if args.json:
         print(json.dumps(crys.to_json(), sort_keys=True))
     else:
@@ -203,7 +199,8 @@ def cmd_bump(args):
 def cmd_expand(args):
     flavor = args.flavor
     pi = parse_permutation(args.perm, flavor)
-    p = character(capped_carrier(pi, flavor, args.n, env_cap()))
+    check_cap(factorization_crystal_size(pi, flavor, args.n), env_cap())
+    p = factorization_weights(pi, flavor, args.n)
     basis = get_flavor(flavor).basis
     try:
         coeffs = expand(p, basis)

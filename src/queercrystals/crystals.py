@@ -7,10 +7,12 @@ operator values are represented by None; the auxiliary zero element is
 never materialized.
 """
 
-from bisect import insort
+from collections import Counter
 from copy import copy
+from functools import partial
 from itertools import chain, permutations, product
 from math import comb
+from operator import ge
 
 from .insertion import Factorization, split_word
 from .permwords import (
@@ -135,12 +137,11 @@ def word_eqbar(w):
 
 
 # ---------------------------------------------------------------------------
-# Factorization crystals
+# Factorization crystals: operators map two adjacent factors to a new pair
 
-def fac_f(fac, i):
-    """Move the largest unpaired letter of factor i into factor i+1: the
-    bracket rule on the two factors is the Morse-Schilling pairing."""
-    a, b = fac[i - 1], fac[i]
+def fac_f(a, b):
+    """Move the largest unpaired letter of factor a into factor b: the
+    bracket rule on two adjacent factors is the Morse-Schilling pairing."""
     rights, _ = _unpaired(a, b)
     if not rights:
         return None
@@ -148,13 +149,11 @@ def fac_f(fac, i):
     y = a[k]
     while y in b:
         y += 1
-    return Factorization._trusted(fac[:i - 1] + (
-        a[:k] + a[k + 1:], tuple(sorted(b + (y,)))) + fac[i + 1:])
+    return a[:k] + a[k + 1:], tuple(sorted(b + (y,)))
 
 
-def fac_e(fac, i):
-    """Move the smallest unpaired letter of factor i+1 into factor i."""
-    a, b = fac[i - 1], fac[i]
+def fac_e(a, b):
+    """Move the smallest unpaired letter of factor b into factor a."""
     _, lefts = _unpaired(a, b)
     if not lefts:
         return None
@@ -162,58 +161,60 @@ def fac_e(fac, i):
     x = b[k]
     while x in a:
         x -= 1
-    return Factorization._trusted(fac[:i - 1] + (
-        tuple(sorted(a + (x,))), b[:k] + b[k + 1:]) + fac[i + 1:])
+    return tuple(sorted(a + (x,))), b[:k] + b[k + 1:]
 
 
-def fac_fq_o(fac):
+def fac_fq_o(w1, w2):
     """Orthogonal queer lowering: first letter of factor 1 moves to factor 2."""
-    w1, w2 = fac[0], fac[1]
     if not w1 or (w2 and w2[0] < w1[0]):
         return None
-    return Factorization._trusted(((w1[1:]), (w1[0],) + w2) + fac[2:])
+    return w1[1:], (w1[0],) + w2
 
 
-def fac_eq_o(fac):
+def fac_eq_o(w1, w2):
     """Orthogonal queer raising: first letter of factor 2 moves to factor 1."""
-    w1, w2 = fac[0], fac[1]
     if not w2 or (w1 and w1[0] < w2[0]):
         return None
-    return Factorization._trusted(((w2[0],) + w1, w2[1:]) + fac[2:])
+    return (w2[0],) + w1, w2[1:]
 
 
-def fac_fq_sp(fac):
-    """Symplectic queer lowering.
-
-    With x the smallest letter of factor 1: move x when x+1 is absent from
-    factor 1, otherwise delete x+1 there and prepend x-1 to factor 2.
-    """
-    w1, w2 = fac[0], fac[1]
+def fac_fq_sp(w1, w2):
+    """Symplectic queer lowering: with x the smallest letter of factor 1,
+    move x when x+1 is absent from factor 1, otherwise delete x+1 there and
+    prepend x-1 to factor 2."""
     if not w1 or (w2 and w2[0] <= w1[0]):
         return None
     x = w1[0]
     if x + 1 in w1:
-        new_w1 = tuple(v for v in w1 if v != x + 1)
-        new_w2 = (x - 1,) + w2
-    else:
-        new_w1 = w1[1:]
-        new_w2 = (x,) + w2
-    return Factorization._trusted((new_w1, new_w2) + fac[2:])
+        return tuple(v for v in w1 if v != x + 1), (x - 1,) + w2
+    return w1[1:], (x,) + w2
 
 
-def fac_eq_sp(fac):
-    """Symplectic queer raising.
-
-    With x the smallest letter of factor 2: move x when even, otherwise
-    delete x there and add x+2 to factor 1.
-    """
-    w1, w2 = fac[0], fac[1]
+def fac_eq_sp(w1, w2):
+    """Symplectic queer raising: with x the smallest letter of factor 2,
+    move x when even, otherwise delete x there and add x+2 to factor 1."""
     if not w2 or (w1 and w1[0] <= w2[0]):
         return None
     x = w2[0]
-    new_w1 = list(w1)
-    insort(new_w1, x if x % 2 == 0 else x + 2)
-    return Factorization._trusted((tuple(new_w1), w2[1:]) + fac[2:])
+    return tuple(sorted(w1 + (x if x % 2 == 0 else x + 2,))), w2[1:]
+
+
+def _lift(gl, queer):
+    """One operator on factorizations from two pair maps: gl at factors
+    (i, i+1) for the label i, queer at factors (1, 2) for QBAR, each read
+    through a table {(a, b): value} that lives and dies with the carrier."""
+    gl_pairs = LazyMap(lambda pair: gl(*pair))
+    queer_pairs = LazyMap(lambda pair: queer(*pair))
+
+    def op(fac, i):
+        if i == QBAR:
+            k, new = 0, queer_pairs[fac[0], fac[1]]
+        else:
+            k, new = i - 1, gl_pairs[fac[i - 1], fac[i]]
+        return None if new is None else Factorization._trusted(
+            fac[:k] + new + fac[k + 2:])
+
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +357,8 @@ class Crystal:
     """
 
     def __init__(self, vertices, n, wt, f, e, queer, name=""):
-        self.vertices = tuple(sorted(set(vertices)))
-        self.vertex_set = frozenset(self.vertices)
+        self.vertex_set = frozenset(vertices)
+        self.vertices = tuple(sorted(self.vertex_set))
         self.n = n
         self.wt = wt
         self.f = f
@@ -482,13 +483,14 @@ class Crystal:
                      if all(killed(x, i) for i in labels))
 
     def to_json(self):
-        verts = [pretty_element(x) for x in self.vertices]
+        # one list per distinct weight, shared by the vertices that have it
+        label, weights = _labeler(), LazyMap(list)
         index = {x: k for k, x in enumerate(self.vertices)}
         return {
             "n": self.n,
             "queer": self.queer,
-            "vertices": verts,
-            "weights": [list(self.wt(x)) for x in self.vertices],
+            "vertices": [label(x) for x in self.vertices],
+            "weights": [weights[self.wt(x)] for x in self.vertices],
             "edges": [
                 [index[x], str(i), index[y]] for x, i, y in self.edges()
             ],
@@ -499,32 +501,40 @@ class Crystal:
         The edges are read once, through the adjacency that found the
         components: out[x] holds f_i(x) in the order of edges()."""
         comps, (out, _) = self.components(), self._adjacency()
+        label, wt_text = _labeler(), LazyMap(lambda wt: ",".join(map(str, wt)))
         chunks = []
         for k, comp in enumerate(comps):
             index = {x: f"v{j}" for j, x in enumerate(comp.vertices)}
             lines = [f'digraph component{k} {{']
-            for x in comp.vertices:
-                wt = ",".join(map(str, comp.wt(x)))
-                lines.append(
-                    f'  {index[x]} [label="{pretty_element(x)}" weight="{wt}"];'
-                )
-            lines += [f'  {index[x]} -> {index[y]} [label="{i}"];'
-                      for x in comp.vertices for i, y in out[x].items()]
+            lines += [f'  {v} [label="{label(x)}" weight="{wt_text[comp.wt(x)]}"];'
+                      for x, v in index.items()]
+            lines += [f'  {v} -> {index[y]} [label="{i}"];'
+                      for x, v in index.items() for i, y in out[x].items()]
             lines.append("}")
             chunks.append("\n".join(lines))
         return "\n".join(chunks) + "\n"
 
 
-def pretty_element(x):
+def _factor_text(factor):
+    return "".join(map(str, factor)) or "-"
+
+
+def pretty_element(x, factor_text=_factor_text):
     if isinstance(x, ShiftedTableau):
         return "[" + " / ".join(
             " ".join(entry_str(v) for v in row) for row in x.rows
         ) + "]"
     if isinstance(x, Factorization):
-        return "/".join(["".join([str(a) for a in f]) or "-" for f in x])
+        return "/".join(map(factor_text, x))
     if isinstance(x, tuple):
         return "".join(map(str, x))
     return str(x)
+
+
+def _labeler():
+    """pretty_element for one output: each distinct factor formatted once."""
+    return partial(pretty_element,
+                   factor_text=LazyMap(_factor_text).__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +558,9 @@ def _fac_crystal(words, n, relation, name):
     carrier is a q_n-crystal, and "K" adds none."""
     fq, eq = {"K": (None, None), "O": (fac_fq_o, fac_eq_o),
               "Sp": (fac_fq_sp, fac_eq_sp)}[relation]
-    f, e = queer_ops(fac_f, fac_e, fq, eq)
     verts = [fac for w in words for fac in split_word(w, n)]
-    return Crystal(verts, n, Factorization.weight, f, e,
-                   queer=relation != "K", name=name)
+    return Crystal(verts, n, Factorization.weight, _lift(fac_f, fq),
+                   _lift(fac_e, eq), queer=relation != "K", name=name)
 
 
 def factorization_crystal(pi, flavor, n):
@@ -562,6 +571,16 @@ def factorization_crystal(pi, flavor, n):
                         f"{flav.carrier}_{n}({pi})")
 
 
+def _descent_groups(pi, flavor):
+    """One word of pi per length and weak descents (w[k-1] >= w[k]), which
+    decide how a word splits into factors (split_word cuts the words that
+    share them at the same positions), as [word, number of such words]."""
+    groups = {}
+    for w in enumerate_words(pi, flavor):
+        groups.setdefault((len(w), *map(ge, w, w[1:])), [w, 0])[1] += 1
+    return groups.values()
+
+
 def factorization_crystal_size(pi, flavor, n):
     """len(factorization_crystal(pi, flavor, n)), counted without building
     it: a word with d weak descents has C(len + k, k) splits into n factors
@@ -569,14 +588,24 @@ def factorization_crystal_size(pi, flavor, n):
     len + 1 positions), and none otherwise; at n = 0 only the empty word
     has a split."""
     total = 0
-    for w in enumerate_words(pi, flavor):
+    for w, count in _descent_groups(pi, flavor):
+        k = n - 1 - sum(map(ge, w, w[1:]))
         if n == 0:
             total += not w
-            continue
-        k = n - 1 - sum(a >= b for a, b in zip(w, w[1:]))
-        if k >= 0:
-            total += comb(len(w) + k, k)
+        elif k >= 0:
+            total += count * comb(len(w) + k, k)
     return total
+
+
+def factorization_weights(pi, flavor, n):
+    """character(factorization_crystal(pi, flavor, n)) without the carrier:
+    the fundamental quasisymmetric expansion of the class's Stanley
+    function in n variables, one split_word per descent group."""
+    weights = Counter()
+    for w, count in _descent_groups(pi, flavor):
+        for fac in split_word(w, n):
+            weights[fac.weight()] += count
+    return weights
 
 
 def _pfaffian(a):

@@ -52,7 +52,7 @@ class Factorization(tuple):
         return tuple(a for f in self for a in f)
 
     def weight(self):
-        return tuple(len(f) for f in self)
+        return tuple(map(len, self))
 
     def __str__(self):
         return "".join("(" + "".join(map(str, f)) + ")" for f in self) or "()"

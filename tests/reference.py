@@ -35,7 +35,10 @@ as `morphism_report`, the list of every violation of a strict crystal
 morphism, against which the library's quasi-isomorphism test, which stops
 at the first, is checked, and as the standard predicate of each kind
 (strictly increasing plain fillings, semistandard shifted ones), against
-which the library's one standard rule is checked.
+which the library's one standard rule is checked, and as the queer
+factorization operators on whole factorizations, against which the
+library's operators on two adjacent factors, lifted through each
+carrier's pair tables, are checked.
 """
 
 import inspect
@@ -49,6 +52,7 @@ from queercrystals.bumping import (
     bump_chain,
 )
 from queercrystals.crystals import (
+    QBAR,
     Crystal,
     _component_certificate,
     crystal_indices,
@@ -1046,6 +1050,69 @@ def fac_e_by_pair(fac, i):
     new_a = list(a)
     insort(new_a, x)
     return Factorization(fac[:i - 1] + (tuple(new_a), new_b) + fac[i + 1:])
+
+
+def fac_fq_o_whole(fac):
+    """Orthogonal queer lowering on a whole factorization: the first
+    letter of factor 1 moves to factor 2."""
+    w1, w2 = fac[0], fac[1]
+    if not w1 or (w2 and w2[0] < w1[0]):
+        return None
+    return Factorization(((w1[1:]), (w1[0],) + w2) + fac[2:])
+
+
+def fac_eq_o_whole(fac):
+    """Orthogonal queer raising: the first letter of factor 2 moves to
+    factor 1."""
+    w1, w2 = fac[0], fac[1]
+    if not w2 or (w1 and w1[0] < w2[0]):
+        return None
+    return Factorization(((w2[0],) + w1, w2[1:]) + fac[2:])
+
+
+def fac_fq_sp_whole(fac):
+    """Symplectic queer lowering: with x the smallest letter of factor 1,
+    move x when x+1 is absent from factor 1, otherwise delete x+1 there
+    and prepend x-1 to factor 2."""
+    w1, w2 = fac[0], fac[1]
+    if not w1 or (w2 and w2[0] <= w1[0]):
+        return None
+    x = w1[0]
+    if x + 1 in w1:
+        new_w1 = tuple(v for v in w1 if v != x + 1)
+        new_w2 = (x - 1,) + w2
+    else:
+        new_w1 = w1[1:]
+        new_w2 = (x,) + w2
+    return Factorization((new_w1, new_w2) + fac[2:])
+
+
+def fac_eq_sp_whole(fac):
+    """Symplectic queer raising: with x the smallest letter of factor 2,
+    move x when even, otherwise delete x there and add x+2 to factor 1."""
+    w1, w2 = fac[0], fac[1]
+    if not w2 or (w1 and w1[0] <= w2[0]):
+        return None
+    x = w2[0]
+    new_w1 = list(w1)
+    insort(new_w1, x if x % 2 == 0 else x + 2)
+    return Factorization((tuple(new_w1), w2[1:]) + fac[2:])
+
+
+def fac_ops_whole(relation):
+    """(f, e) on whole factorizations over every label of a carrier of the
+    relation: the pairing operators at 1..n-1 and, under "O" and "Sp", the
+    queer operators at QBAR."""
+    fq, eq = {"K": (None, None), "O": (fac_fq_o_whole, fac_eq_o_whole),
+              "Sp": (fac_fq_sp_whole, fac_eq_sp_whole)}[relation]
+
+    def f(fac, i):
+        return fq(fac) if i == QBAR else fac_f_by_pair(fac, i)
+
+    def e(fac, i):
+        return eq(fac) if i == QBAR else fac_e_by_pair(fac, i)
+
+    return f, e
 
 
 def explore(seed, n, wt, f, e, queer, cap=DEFAULT_VERTEX_CAP, name=""):

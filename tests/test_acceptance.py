@@ -121,12 +121,10 @@ def test_criterion_1_golden_examples():
     # pairing
     assert pair((1, 3, 4, 5, 8, 10, 11), (2, 6, 9, 12, 13)) == frozenset(
         {(10, 9), (8, 6), (3, 2)})
-    # the operators act on the unpaired 11 and 12
-    fac = Factorization([(1, 3, 4, 5, 8, 10, 11), (2, 6, 9, 12, 13)])
-    assert fac_f(fac, 1) == Factorization(
-        [(1, 3, 4, 5, 8, 10), (2, 6, 9, 11, 12, 13)])
-    assert fac_e(fac, 1) == Factorization(
-        [(1, 3, 4, 5, 8, 10, 11, 12), (2, 6, 9, 13)])
+    # the operators act on the unpaired 11 and 12 of two adjacent factors
+    factors = ((1, 3, 4, 5, 8, 10, 11), (2, 6, 9, 12, 13))
+    assert fac_f(*factors) == ((1, 3, 4, 5, 8, 10), (2, 6, 9, 11, 12, 13))
+    assert fac_e(*factors) == ((1, 3, 4, 5, 8, 10, 11, 12), (2, 6, 9, 13))
     # word operators
     w = (1, 2, 2, 3, 3, 1, 3, 2, 1, 2)
     assert word_f(w, 2) == (1, 2, 3, 3, 3, 1, 3, 2, 1, 2)

@@ -349,6 +349,28 @@ class TestExpandAndClass:
         assert run(capsys, *argv) == (
             3, "", "resource limit: carrier has 9 vertices, above the cap 1\n")
 
+    def test_expand_builds_no_carrier(self, capsys, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("a carrier was built")
+
+        monkeypatch.setattr(crystals.Crystal, "__init__", unbuilt)
+        for flavor, target in (("involution", "(1,3)(2,5)"),
+                               ("fpf", "(1,4)(2,8)(3,7)(5,6)"),
+                               ("reduced", "(1,4)(2,3)")):
+            code, out, err = run(capsys, "expand", target, "--flavor", flavor)
+            assert (code, err) == (0, ""), (flavor, err)
+        assert json.loads(out)["coefficients"] == {"3,2,1": 1}
+
+    def test_expand_gate_runs_before_the_weights(self, capsys, monkeypatch):
+        def uncounted(*args):
+            raise AssertionError("the weights were counted")
+
+        monkeypatch.setattr(cli, "factorization_weights", uncounted)
+        monkeypatch.setenv("QC_VERTEX_CAP", "1")
+        assert run(capsys, "expand", "(1,3)", "--flavor", "involution",
+                   "--n", "3") == (3, "", "resource limit: carrier has 9 "
+                                   "vertices, above the cap 1\n")
+
     def test_class(self, capsys):
         code, out, _ = run(capsys, "class", "243", "--relation", "Sp")
         assert code == 0

@@ -15,12 +15,6 @@ from queercrystals.crystals import (
     dbl_map,
     even_crystal,
     even_words,
-    fac_e,
-    fac_eq_o,
-    fac_eq_sp,
-    fac_f,
-    fac_fq_o,
-    fac_fq_sp,
     factorization_crystal,
     inv_map,
     is_quasi_isomorphism,
@@ -143,37 +137,46 @@ class TestFigures:
 
 
 class TestQueerFactorizationOps:
+    """The factorization operators through a carrier's f and e, which lift
+    the operators on two adjacent factors; the factorizations they act on
+    need not lie in the carrier."""
+
     def test_orthogonal_edge(self):
+        c = factorization_crystal(PI, "involution", 3)
         fac = Factorization([(1, 3, 4), (2,), ()])
-        assert fac_fq_o(fac) == Factorization([(3, 4), (1, 2), ()])
-        assert fac_eq_o(fac_fq_o(fac)) == fac
+        assert c.f(fac, QBAR) == Factorization([(3, 4), (1, 2), ()])
+        assert c.e(c.f(fac, QBAR), QBAR) == fac
 
     def test_gl_edge(self):
+        c = factorization_crystal(PI, "involution", 3)
         fac = Factorization([(1, 3, 4), (2,), ()])
-        assert fac_f(fac, 1) == Factorization([(1, 3), (2, 4), ()])
-        assert fac_e(fac_f(fac, 1), 1) == fac
+        assert c.f(fac, 1) == Factorization([(1, 3), (2, 4), ()])
+        assert c.e(c.f(fac, 1), 1) == fac
 
     def test_symplectic_move_branch(self):
+        c = factorization_crystal(FPI, "fpf", 3)
         fac = Factorization([(2, 4, 5), (3,), ()])
-        assert fac_fq_sp(fac) == Factorization([(4, 5), (2, 3), ()])
+        assert c.f(fac, QBAR) == Factorization([(4, 5), (2, 3), ()])
 
     def test_symplectic_delete_branch(self):
+        c = factorization_crystal(FPI, "fpf", 3)
         fac = Factorization([(4, 5), (), (2, 3)])
-        assert fac_fq_sp(fac) == Factorization([(4,), (3,), (2, 3)])
+        assert c.f(fac, QBAR) == Factorization([(4,), (3,), (2, 3)])
 
     def test_symplectic_odd_raise(self):
+        c = factorization_crystal(FPI, "fpf", 3)
         fac = Factorization([(4,), (3,), (2, 3)])
-        assert fac_eq_sp(fac) == Factorization([(4, 5), (), (2, 3)])
+        assert c.e(fac, QBAR) == Factorization([(4, 5), (), (2, 3)])
 
     def test_inverse_pairing_on_figure(self):
         c = factorization_crystal(FPI, "fpf", 3)
         for x in c.vertices:
-            y = fac_fq_sp(x)
+            y = c.f(x, QBAR)
             if y is not None:
-                assert fac_eq_sp(y) == x
-            z = fac_eq_sp(x)
+                assert c.e(y, QBAR) == x
+            z = c.e(x, QBAR)
             if z is not None:
-                assert fac_fq_sp(z) == x
+                assert c.f(z, QBAR) == x
 
 
 class TestShiftedTableauOps:
@@ -499,9 +502,11 @@ class TestSerialization:
 
     def test_outputs_evaluate_each_edge_once(self, monkeypatch):
         """DOT and then JSON of the 1,296-vertex carrier: each f_i(x) is
-        evaluated once, each output validates the edges once, and each
-        component lists its carrier's vertices in the carrier's order."""
-        calls = {"f": 0, "edges": 0}
+        evaluated once, 5,184 lifted calls; the raw pair operators under
+        them run once per distinct pair of adjacent factors, 925 times;
+        each output validates the edges once; and each component lists its
+        carrier's vertices in the carrier's order."""
+        calls = {"f": 0, "lifted": 0, "edges": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -512,6 +517,13 @@ class TestSerialization:
         for name in ("fac_f", "fac_fq_sp"):
             monkeypatch.setattr(crystals, name,
                                 counted("f", getattr(crystals, name)))
+        lift = crystals._lift
+
+        def counted_lift(gl, queer):
+            op = lift(gl, queer)
+            return counted("lifted", op) if gl is crystals.fac_f else op
+
+        monkeypatch.setattr(crystals, "_lift", counted_lift)
         monkeypatch.setattr(Crystal, "edges", counted("edges", Crystal.edges))
         pi = FpfInvolution([(1, 4), (2, 8), (3, 7), (5, 6)])
         crys = factorization_crystal(pi, "fpf", 4)
@@ -519,7 +531,7 @@ class TestSerialization:
         crys.to_dot()
         assert calls["edges"] == 1
         crys.to_json()
-        assert calls == {"f": 1296 * 4, "edges": 2}
+        assert calls == {"f": 925, "lifted": 1296 * 4, "edges": 2}
         comps = crys.components()
         assert sum(map(len, comps)) == len(crys)
         for comp in comps:

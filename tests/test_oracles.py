@@ -26,15 +26,18 @@ shifted-tableau geometry (columns, reading order, the semistandard
 predicate and the unpaired boxes that the bracket rule leaves, all read
 through the per-shape column record) is checked against row scans through
 ShiftedTableau.entry, and verify's scoped d_i map against dual_equiv.
-The factorization operators, which read the same bracket rule, are
-checked against the greedy pairing.  A crystal's edge tables (edges without a sort,
-string lengths, sources, and the components sharing the tables) are
-checked against the sort-based edge list and walks of the raw operators;
-the factorizations that split_word and the crystal operators build
-without the increasing-factor scan against the checking constructor; and
-the carrier sizes counted before a build, of factorization carriers and
-of shifted-tableau carriers by Schur's Pfaffian, against the built
-carrier and the tableau enumeration.
+The factorization operators, which read the same bracket rule on two adjacent
+factors and act through each carrier's pair tables, are checked against
+the greedy pairing and the queer operators on whole factorizations.  A
+crystal's edge tables (edges without a sort, string lengths, sources, and
+the components sharing the tables) are checked against the sort-based
+edge list and walks of the raw operators; the factorizations that
+split_word and the crystal operators build without the increasing-factor
+scan against the checking constructor; the carrier sizes counted before
+a build, of factorization carriers and of shifted-tableau carriers by
+Schur's Pfaffian, against the built carrier and the tableau enumeration;
+and the weights counted per descent group against the built carrier's
+character.
 """
 
 from itertools import product
@@ -48,8 +51,7 @@ from reference import (
     delete_letter,
     ell_o,
     ell_sp,
-    fac_e_by_pair,
-    fac_f_by_pair,
+    fac_ops_whole,
     fpf_descents,
     inverse,
     marked_indices,
@@ -72,10 +74,9 @@ from queercrystals.bumping import (
 )
 from queercrystals.crystals import (
     _unpaired,
-    fac_e,
-    fac_f,
     factorization_crystal,
     factorization_crystal_size,
+    factorization_weights,
     shifted_tableau_crystal_all,
     shifted_tableau_crystal_size,
     strict_partitions,
@@ -106,6 +107,7 @@ from queercrystals.tableaux import (
     shword_letters,
     standard_shifted_tableaux,
 )
+from queercrystals.symchar import character
 from queercrystals.verify import _bump_corpus, corpus
 
 
@@ -715,27 +717,56 @@ def test_trusted_factorizations_pass_the_check():
 
 
 def test_factorization_operators_match_the_greedy_pairing():
-    """fac_f and fac_e read the bracket rule; the reference reads the
-    greedy pairing.  Every vertex and label of every factorization carrier
-    in table_carriers, then all pairs of subsets of 1..7 as factors 1, 2
-    and as factors 2, 3."""
+    """A carrier's f and e, the operators on two adjacent factors lifted
+    through its pair tables, equal the reference on whole factorizations:
+    the greedy pairing at 1..n-1 and the queer operators at QBAR.  Every
+    vertex and label of the carriers of corpus(flavor, 5) with n = 2..4;
+    then factorizations outside the carrier: all pairs of subsets of 1..7
+    as factors 1, 2 and as factors 2, 3 under f_1 and f_2, and every lift
+    that bump-properties applies f to."""
     cases = 0
-    for crys in table_carriers():
-        if not all(isinstance(x, Factorization) for x in crys.vertices):
-            continue
-        for x in crys.vertices:
-            for i in range(1, crys.n):
-                assert fac_f(x, i) == fac_f_by_pair(x, i), (crys.name, x, i)
-                assert fac_e(x, i) == fac_e_by_pair(x, i), (crys.name, x, i)
-                cases += 1
-    assert cases == 44334
+    for flavor, flav in FLAVORS.items():
+        f_ref, e_ref = fac_ops_whole(flav.relation)
+        for n in (2, 3, 4):
+            for pi in corpus(flavor, 5):
+                crys = factorization_crystal(pi, flavor, n)
+                for x in crys.vertices:
+                    for i in crys.indices:
+                        assert crys.f(x, i) == f_ref(x, i), (crys.name, x, i)
+                        assert crys.e(x, i) == e_ref(x, i), (crys.name, x, i)
+                        cases += 1
+    assert cases == 57716
     subsets = [tuple(c for c in range(1, 8) if mask >> (c - 1) & 1)
                for mask in range(128)]
+    crys = factorization_crystal(Permutation(), "reduced", 3)
+    f_ref, e_ref = fac_ops_whole("K")
     for a, b in product(subsets, repeat=2):
-        for i, fac in ((1, (a, b)), (2, ((), a, b))):
+        for i, fac in ((1, (a, b, ())), (2, ((), a, b))):
             fac = Factorization(fac)
-            assert fac_f(fac, i) == fac_f_by_pair(fac, i), (fac, i)
-            assert fac_e(fac, i) == fac_e_by_pair(fac, i), (fac, i)
+            assert crys.f(fac, i) == f_ref(fac, i), (fac, i)
+            assert crys.e(fac, i) == e_ref(fac, i), (fac, i)
+    # a carrier's f table keeps the raw f it was built with, so replacing
+    # crys.f checks only the direct calls: the lifts outside the carrier
+    lifts = []
+
+    def carrier(pi, flavor, n):
+        crys = factorization_crystal(pi, flavor, n)
+        f, f_ref = crys.f, fac_ops_whole(FLAVORS[flavor].relation)[0]
+
+        def f_checked(x, i):
+            y = f(x, i)
+            assert y == f_ref(x, i), (crys.name, x, i)
+            lifts.append((x, i))
+            return y
+
+        crys.f = f_checked
+        return crys
+
+    # the commutation pass reads corpus(flavor, min(max_len, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "factorization_crystal", carrier)
+        assert verify.run_target("bump-properties", max_len=4).ok
+    assert len(lifts) == 15549
 
 
 def test_factorization_crystal_size_matches_the_carrier():
@@ -747,6 +778,22 @@ def test_factorization_crystal_size_matches_the_carrier():
                     len(factorization_crystal(pi, flavor, n)), (pi, n)
                 cases += 1
     assert cases == 1070
+
+
+def test_factorization_weights_match_the_carrier():
+    """The weights counted per descent group equal the built carrier's
+    character, and they add up to the counted carrier size."""
+    cases = 0
+    for flavor in FLAVORS:
+        for pi in corpus(flavor, 5):
+            for n in range(5):
+                weights = factorization_weights(pi, flavor, n)
+                assert weights == character(
+                    factorization_crystal(pi, flavor, n)), (pi, n)
+                assert sum(weights.values()) == \
+                    factorization_crystal_size(pi, flavor, n), (pi, n)
+                cases += 1
+    assert cases == 845
 
 
 def test_shifted_tableau_crystal_size_matches_the_enumeration():

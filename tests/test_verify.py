@@ -17,7 +17,6 @@ from queercrystals import (
     tableaux,
     verify,
 )
-from queercrystals.insertion import Factorization
 from queercrystals.permwords import FLAVORS, ck_moves
 from queercrystals.verify import (
     TARGETS,
@@ -181,26 +180,28 @@ def test_permutation_word_without_target_exits_1(monkeypatch, capsys):
 
 def raise_the_next_factor(monkeypatch):
     """Plant an f_i that also raises each letter of factor i+1 by one, so
-    that f_i(x) is a factorization of another target, outside the carrier."""
+    that f_i(x) is a factorization of another target, outside the carrier:
+    on two adjacent factors, each letter of the second new factor."""
     real = crystals.fac_f
 
-    def broken(fac, i):
-        y = real(fac, i)
-        return None if y is None else Factorization(
-            y[:i] + (tuple(v + 1 for v in y[i]),) + y[i + 1:])
+    def broken(a, b):
+        y = real(a, b)
+        return None if y is None else (y[0], tuple(v + 1 for v in y[1]))
     monkeypatch.setattr(crystals, "fac_f", broken)
 
 
 def drop_the_smallest_term(monkeypatch):
-    """Plant a character that loses its smallest monomial when it has more
-    than one, so that it has no Schur or Schur-P expansion."""
-    def broken(crys):
-        p = symchar.character(crys)
+    """Plant a character, and weights for qc expand, that lose their
+    smallest monomial when they have more than one, so that they have no
+    Schur or Schur-P expansion."""
+    def dropped(p):
         if len(p) > 1:
             del p[min(p)]
         return p
-    monkeypatch.setattr(verify, "character", broken)
-    monkeypatch.setattr(cli, "character", broken)
+    monkeypatch.setattr(verify, "character",
+                        lambda crys: dropped(symchar.character(crys)))
+    monkeypatch.setattr(cli, "factorization_weights", lambda *args: dropped(
+        crystals.factorization_weights(*args)))
 
 
 # Planted values that a theorem rules out, as qc reports them: exit 1, and
