@@ -8,7 +8,6 @@ never materialized.
 """
 
 from collections import Counter
-from copy import copy
 from functools import partial
 from itertools import chain, permutations, product
 from math import comb
@@ -345,15 +344,13 @@ def shtab_eqbar(t):
 # Crystal container
 
 class Crystal:
-    """A finite crystal with explicit operator maps.
+    """A finite crystal: its vertices, a weight map wt and two operator tables.
 
-    indices lists the operator labels, QBAR first for queer crystals.
-    f(x, i) and e(x, i) are the raw operators, None when undefined; they
-    only fill the tables f_table and e_table, {(x, i): f(x, i)} and
-    {(x, i): e(x, i)}, through which every reader goes.  The tables compute
-    each (x, i) at its first lookup and the components share them.  They
-    live and die with the carrier: a process-wide table would keep every
-    carrier's edges.
+    indices lists the operator labels, QBAR first for queer crystals.  The
+    raw operators f and e, None when undefined, are kept only inside the
+    tables f_table and e_table, {(x, i): f(x, i)} and {(x, i): e(x, i)},
+    which compute each (x, i) at its first lookup.  The tables live and die
+    with the carrier: a process-wide table would keep every carrier's edges.
     """
 
     def __init__(self, vertices, n, wt, f, e, queer, name=""):
@@ -361,8 +358,6 @@ class Crystal:
         self.vertices = tuple(sorted(self.vertex_set))
         self.n = n
         self.wt = wt
-        self.f = f
-        self.e = e
         self.f_table = LazyMap(lambda key: f(*key))
         self.e_table = LazyMap(lambda key: e(*key))
         self.queer = queer
@@ -419,11 +414,9 @@ class Crystal:
         return tuple(lengths)
 
     def components(self):
-        """Weakly connected components as sub-crystals, in the order of their
-        first vertices, found once per carrier.  A component is a view of
-        its carrier: its vertices are the carrier's, filtered in order, and
-        its adjacency is the carrier's restricted to them; a connected
-        carrier's one component shares its vertices and adjacency whole."""
+        """The weakly connected components as tuples of vertices, each in
+        the carrier's order, in the order of their first vertices; found
+        once per carrier."""
         if self._components is not None:
             return self._components
         out, into = self._adjacency()
@@ -439,13 +432,7 @@ class Crystal:
                             where[y] = k
                             frontier.append(y)
             groups[where[v]].append(v)
-        # copies, which share n, wt, the operators and the tables
-        self._components = tuple(copy(self) for _ in groups)
-        if len(groups) > 1:
-            for comp, verts in zip(self._components, groups):
-                comp.vertices, comp.vertex_set = tuple(verts), frozenset(verts)
-                comp._out = {x: out[x] for x in verts}
-                comp._in = {x: into[x] for x in verts}
+        self._components = tuple(map(tuple, groups))
         return self._components
 
     def sources(self):
@@ -504,9 +491,9 @@ class Crystal:
         label, wt_text = _labeler(), LazyMap(lambda wt: ",".join(map(str, wt)))
         chunks = []
         for k, comp in enumerate(comps):
-            index = {x: f"v{j}" for j, x in enumerate(comp.vertices)}
+            index = {x: f"v{j}" for j, x in enumerate(comp)}
             lines = [f'digraph component{k} {{']
-            lines += [f'  {v} [label="{label(x)}" weight="{wt_text[comp.wt(x)]}"];'
+            lines += [f'  {v} [label="{label(x)}" weight="{wt_text[self.wt(x)]}"];'
                       for x, v in index.items()]
             lines += [f'  {v} -> {index[y]} [label="{i}"];'
                       for x, v in index.items() for i, y in out[x].items()]
@@ -835,20 +822,17 @@ def is_quasi_isomorphism(phi, dom, cod):
                     return False
             if dom.string_lengths(x, i) != cod.string_lengths(y, i):
                 return False
-    cod_comps = cod.components()
+    cod_comps = set(map(frozenset, cod.components()))
     for comp in dom.components():
-        images = {phi(x) for x in comp.vertices}
-        if len(images) != len(comp.vertices):
-            return False
-        target = next(
-            (c for c in cod_comps if images <= c.vertex_set), None)
-        if target is None or len(images) != len(target.vertices):
+        # phi maps comp one-to-one onto a whole component of cod
+        images = frozenset(map(phi, comp))
+        if len(images) != len(comp) or images not in cod_comps:
             return False
     return True
 
 
-def _certificate_from(comp, root):
-    out, into = comp._adjacency()
+def _certificate_from(crys, root):
+    out, into = crys._adjacency()
     order = {root: 0}
     queue = [root]
     edges = []
@@ -860,19 +844,19 @@ def _certificate_from(comp, root):
                     order[y] = len(order)
                     queue.append(y)
                 edges.append((xid, direction, str(i), order[y]))
-    return (tuple(edges), tuple(comp.wt(v) for v in queue))
+    return (tuple(edges), tuple(crys.wt(v) for v in queue))
 
 
-def _component_certificate(comp):
-    out, into = comp._adjacency()
+def _component_certificate(crys, comp):
+    out, into = crys._adjacency()
 
     def rootkey(v):
         return (
             tuple(sorted(map(str, into[v]))),
             tuple(sorted(map(str, out[v]))),
-            comp.wt(v),
+            crys.wt(v),
         )
 
-    best = min(rootkey(v) for v in comp.vertices)
-    roots = [v for v in comp.vertices if rootkey(v) == best]
-    return min(_certificate_from(comp, r) for r in roots)
+    best = min(rootkey(v) for v in comp)
+    roots = [v for v in comp if rootkey(v) == best]
+    return min(_certificate_from(crys, r) for r in roots)

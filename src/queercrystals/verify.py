@@ -84,12 +84,12 @@ class VerifyResult:
 # ---------------------------------------------------------------------------
 # Corpora
 
-def corpus(flavor, max_len, window=None):
+def corpus(flavor, max_len):
     """The targets other than the identity that have a word of the flavor of
-    length <= max_len over the letters of window (lo, hi), by default the
-    flavor's window, in the flavor's corpus order."""
+    length <= max_len over the letters of the flavor's window (lo, hi), in
+    the flavor's corpus order."""
     flav = get_flavor(flavor)
-    lo, hi = window or flav.window
+    lo, hi = flav.window
     found = {flav.identity}
     frontier = [(flav.identity, 0)]
     while frontier:
@@ -163,7 +163,7 @@ def _fiber_check(flavor, res, max_len=5, n=3):
                 return res.fail(f"{pi}: P-fiber differs from the {rel}-class",
                                 (str(pi), sorted(fib)[0]))
         crys = factorization_crystal(pi, flavor, n)
-        comps = {c.vertex_set for c in crys.components()}
+        comps = set(map(frozenset, crys.components()))
         byp = {}
         for fac in crys.vertices:
             byp.setdefault(_p_tableau(fac.word(), ins), set()).add(fac)
@@ -176,8 +176,9 @@ def _fiber_check(flavor, res, max_len=5, n=3):
 @lru_cache(maxsize=None)
 def _word_component_certs(n, m):
     out = {}
-    for c in word_crystal(n, m).components():
-        out.setdefault(len(c), []).append(_component_certificate(c))
+    crys = word_crystal(n, m)
+    for c in crys.components():
+        out.setdefault(len(c), []).append(_component_certificate(crys, c))
     return out
 
 
@@ -200,7 +201,7 @@ def _q_morphism_check(flavor, res, max_len=5, n=3):
         certs = _word_component_certs(n, m)
         for comp in crys.components():
             res.checks += 1
-            if _component_certificate(comp) not in certs.get(len(comp), []):
+            if _component_certificate(crys, comp) not in certs.get(len(comp), []):
                 return res.fail(
                     f"{pi}: a component is not normal (no match in W_{n}({m}))",
                     str(pi))
@@ -276,8 +277,7 @@ def check_bump_properties(res, max_len=5, n=3):
     for flavor in FLAVORS:
         for sigma in corpus(flavor, min(max_len, 4)):
             crys = factorization_crystal(sigma, flavor, n)
-            # a lift lies outside sigma's carrier: its f_i is not tabled
-            f, table = crys.f, crys.f_table
+            table = crys.f_table
             targets = _marked_words(enumerate_words(sigma, flavor), flavor)
             # {(fac, pi): its lift}: f_i of one factorization of sigma is
             # another, so each lift is computed once per sigma
@@ -289,11 +289,11 @@ def check_bump_properties(res, max_len=5, n=3):
                         res.checks += 1
                         lhs = table[fac, i]
                         if lhs is None:
-                            if f(bumped, i) is not None:
+                            if table[bumped, i] is not None:
                                 return res.fail(
                                     f"{flavor}: f_{i} definedness vs bump",
                                     (str(pi), fac))
-                        elif lift[lhs, pi] != f(bumped, i):
+                        elif lift[lhs, pi] != table[bumped, i]:
                             return res.fail(
                                 f"{flavor}: bump/f_{i} commutation",
                                 (str(pi), fac))
@@ -440,15 +440,16 @@ def check_schurp_positivity(res, max_len=5, n=None):
 
     A queer flavor takes the targets of its corpus whose support starts
     at 1, one per translation class (translates have isomorphic crystals).
-    The reduced flavor takes every permutation with a word of length at
-    most min(max_len, 4) in the letters 1..3.  Each carrier is built in
+    The reduced flavor takes every permutation with support in 1..4 and a
+    word of length at most min(max_len, 4).  Each carrier is built in
     ell(pi) variables, or in n when n is given; n = 0 builds none.
     """
     runs = [(flav, [pi for pi in corpus(flav.name, max_len)
                     if pi.support()[0] == 1])
             for flav in QUEER_FLAVORS]
     runs.append((get_flavor("reduced"),
-                 corpus("reduced", min(max_len, 4), (1, 3))))
+                 [pi for pi in corpus("reduced", min(max_len, 4))
+                  if pi.support()[-1] <= 4]))
     for flav, targets in runs:
         flavor = flav.name
         basis = BASES[flav.basis][0]

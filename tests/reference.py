@@ -1140,8 +1140,8 @@ def crystals_isomorphic(c1, c2):
     comps2 = c2.components()
     if len(comps1) != len(comps2):
         return False
-    certs1 = sorted(_component_certificate(c) for c in comps1)
-    certs2 = sorted(_component_certificate(c) for c in comps2)
+    certs1 = sorted(_component_certificate(c1, c) for c in comps1)
+    certs2 = sorted(_component_certificate(c2, c) for c in comps2)
     return certs1 == certs2
 
 

@@ -15,7 +15,8 @@ verify's image rule and its
 fixed-point decision from the walk tables against bump, the base
 conjugates that the fpf push memoizes against conjugation by the plain
 product, the schurP-positivity targets against the first target of each
-translation class of the corpora, the bump
+translation class of the corpora and, for the reduced flavor, the corpus
+over the letters 1..3, the bump
 decomposition against plain products of the deleted subwords, the one
 push loop against the step-by-step push chain, the
 conjugation step of fpf involutions and of permutations against pointwise
@@ -30,10 +31,11 @@ The factorization operators, which read the same bracket rule on two adjacent
 factors and act through each carrier's pair tables, are checked against
 the greedy pairing and the queer operators on whole factorizations.  A
 crystal's edge tables (edges without a sort, string lengths, sources, and
-the components sharing the tables) are checked against the sort-based
-edge list and walks of the raw operators; the factorizations that
-split_word and the crystal operators build without the increasing-factor
-scan against the checking constructor; the carrier sizes counted before
+the components partitioning the vertices along the edges) are checked
+against the sort-based edge list and walks of the raw operators, which
+each table keeps as its fn; the factorizations that split_word and the
+crystal operators build without the increasing-factor scan against the
+checking constructor; the carrier sizes counted before
 a build, of factorization carriers and of shifted-tableau carriers by
 Schur's Pfaffian, against the built carrier and the tableau enumeration;
 and the weights counted per descent group against the built carrier's
@@ -109,6 +111,14 @@ from queercrystals.tableaux import (
 )
 from queercrystals.symchar import character
 from queercrystals.verify import _bump_corpus, corpus
+
+
+def corpus_over(flavor, max_len, window):
+    """corpus(flavor, max_len) over the letters of window (lo, hi) instead
+    of the flavor's window."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FLAVORS[flavor], "window", window)
+        return corpus(flavor, max_len)
 
 
 def demazure_right(x, i):
@@ -328,17 +338,37 @@ def test_schurp_targets_are_the_first_of_each_translation_class(
         return 0
 
     monkeypatch.setattr(permwords.Flavor, "ell", ell)
-    monkeypatch.setattr(verify, "corpus", lambda flavor, max_len, w=None:
-                        corpus(flavor, max_len, w or window))
+    for flav in verify.QUEER_FLAVORS:
+        monkeypatch.setattr(flav, "window", window or flav.window)
     for max_len in range(4, 8):
         taken.clear()
         assert verify.run_target("schurP-positivity", max_len=max_len).ok
         for flav in verify.QUEER_FLAVORS:
             first = {}
-            for pi in corpus(flav.name, max_len, window):
+            for pi in corpus(flav.name, max_len):
                 first.setdefault(shift_t(1 - pi.support()[0], pi), pi)
             assert [pi for name, pi in taken if name == flav.name] == list(
                 first.values()), (flav.name, max_len)
+
+
+def test_schurp_reduced_targets_are_the_corpus_over_1_to_3(monkeypatch):
+    # the reduced half takes its corpus with support in 1..4: an element of
+    # S_4 has only words in s_1..s_3, so these are the targets with a word
+    # in the letters 1..3, in the same order
+    taken = []
+
+    def ell(flav, pi):
+        taken.append((flav.name, pi))
+        return 0
+
+    monkeypatch.setattr(permwords.Flavor, "ell", ell)
+    for max_len in range(8):
+        taken.clear()
+        assert verify.run_target("schurP-positivity", max_len=max_len).ok
+        reduced = [pi for name, pi in taken if name == "reduced"]
+        assert reduced == list(
+            corpus_over("reduced", min(max_len, 4), (1, 3))), max_len
+        assert len(reduced) == 19 or max_len < 4
 
 
 def test_walk_kernel_matches_plain_walks():
@@ -393,10 +423,10 @@ def test_bump_chain_matches_step_by_step_pushes():
 
 
 def test_corpus_lengths_agree_with_enumeration():
-    for pi in corpus("involution", 5, (1, 5)):
+    for pi in corpus("involution", 5):
         ws = enumerate_words(pi, "involution")
         assert {len(w) for w in ws} <= {ell_o(pi)}
-    for pi in corpus("fpf", 5, (1, 6)):
+    for pi in corpus("fpf", 5):
         ws = enumerate_words(pi, "fpf")
         assert {len(w) for w in ws} <= {ell_sp(pi)}
 
@@ -434,7 +464,7 @@ def test_hm_recording_constant_under_queer_move():
 
     moved = 0
     for w in wc.vertices:
-        y = wc.f(w, QBAR)
+        y = wc.f_table[w, QBAR]
         if y is not None:
             assert hm_insert(y).Q == hm_insert(w).Q
             moved += 1
@@ -458,7 +488,7 @@ def kernel_targets():
     """(target, its oracle conjugation, its oracle descents): every fpf
     verify corpus widened from letters 1..6 to 1..10, the Permutation
     targets of the reduced and involution corpora, and both identities."""
-    fpf = (FpfInvolution(),) + corpus("fpf", 6, (1, 10))
+    fpf = (FpfInvolution(),) + corpus_over("fpf", 6, (1, 10))
     perms = (Permutation(),) + corpus("reduced", 5) + corpus("involution", 5)
     return ([(pi, conjugate_s_by_window, fpf_descents) for pi in fpf]
             + [(pi, conjugate_s_pointwise, permutation_descents)
@@ -628,7 +658,8 @@ def test_dual_equiv_map_matches_dual_equiv():
 def edges_by_sort(crys):
     """Every edge (x, i, f_i(x)) from the raw operator, sorted by x, str(i)
     and then y."""
-    acc = [(x, i, crys.f(x, i)) for x in crys.vertices for i in crys.indices]
+    f = crys.f_table.fn
+    acc = [(x, i, f((x, i))) for x in crys.vertices for i in crys.indices]
     acc = [edge for edge in acc if edge[2] is not None]
     acc.sort(key=lambda t: (t[0], str(t[1]), t[2]))
     return tuple(acc)
@@ -636,17 +667,18 @@ def edges_by_sort(crys):
 
 def string_lengths_raw(crys, x, i):
     lengths = []
-    for op in (crys.e, crys.f):
-        k, y = 0, op(x, i)
+    for op in (crys.e_table.fn, crys.f_table.fn):
+        k, y = 0, op((x, i))
         while y is not None:
-            k, y = k + 1, op(y, i)
+            k, y = k + 1, op((y, i))
         lengths.append(k)
     return tuple(lengths)
 
 
 def sources_raw(crys):
     return tuple(x for x in crys.vertices
-                 if all(crys.e(x, i) is None for i in crys.indices))
+                 if all(crys.e_table.fn((x, i)) is None
+                        for i in crys.indices))
 
 
 def table_carriers():
@@ -683,15 +715,11 @@ def test_edge_tables_match_raw_operators():
             for i in crys.indices:
                 assert crys.string_lengths(x, i) == \
                     string_lengths_raw(crys, x, i), (crys.name, x, i)
-        for comp in crys.components():
-            assert comp.f_table is crys.f_table
-            assert comp.e_table is crys.e_table
-            # the sorted edges and sources of a component are the carrier's
-            # restricted to its vertices
-            assert comp.edges() == tuple(
-                edge for edge in edges if edge[0] in comp.vertex_set), crys.name
-            assert comp.sources() == tuple(
-                x for x in sources if x in comp.vertex_set), crys.name
+        # the components partition the vertices and no edge joins two
+        where = {x: k for k, comp in enumerate(crys.components())
+                 for x in comp}
+        assert len(where) == len(crys), crys.name
+        assert all(where[x] == where[y] for x, _, y in edges), crys.name
     # every carrier has tables of its own
     tables = [id(t) for crys in carriers for t in (crys.f_table, crys.e_table)]
     assert len(set(tables)) == len(tables)
@@ -717,13 +745,13 @@ def test_trusted_factorizations_pass_the_check():
 
 
 def test_factorization_operators_match_the_greedy_pairing():
-    """A carrier's f and e, the operators on two adjacent factors lifted
-    through its pair tables, equal the reference on whole factorizations:
-    the greedy pairing at 1..n-1 and the queer operators at QBAR.  Every
-    vertex and label of the carriers of corpus(flavor, 5) with n = 2..4;
-    then factorizations outside the carrier: all pairs of subsets of 1..7
-    as factors 1, 2 and as factors 2, 3 under f_1 and f_2, and every lift
-    that bump-properties applies f to."""
+    """A carrier's f and e tables, the operators on two adjacent factors
+    lifted through its pair tables, equal the reference on whole
+    factorizations: the greedy pairing at 1..n-1 and the queer operators at
+    QBAR.  Every vertex and label of the carriers of corpus(flavor, 5) with
+    n = 2..4; then factorizations outside the carrier: all pairs of subsets
+    of 1..7 as factors 1, 2 and as factors 2, 3 under f_1 and f_2, and
+    every lift that bump-properties applies f to."""
     cases = 0
     for flavor, flav in FLAVORS.items():
         f_ref, e_ref = fac_ops_whole(flav.relation)
@@ -732,8 +760,10 @@ def test_factorization_operators_match_the_greedy_pairing():
                 crys = factorization_crystal(pi, flavor, n)
                 for x in crys.vertices:
                     for i in crys.indices:
-                        assert crys.f(x, i) == f_ref(x, i), (crys.name, x, i)
-                        assert crys.e(x, i) == e_ref(x, i), (crys.name, x, i)
+                        assert crys.f_table[x, i] == f_ref(x, i), \
+                            (crys.name, x, i)
+                        assert crys.e_table[x, i] == e_ref(x, i), \
+                            (crys.name, x, i)
                         cases += 1
     assert cases == 57716
     subsets = [tuple(c for c in range(1, 8) if mask >> (c - 1) & 1)
@@ -743,23 +773,26 @@ def test_factorization_operators_match_the_greedy_pairing():
     for a, b in product(subsets, repeat=2):
         for i, fac in ((1, (a, b, ())), (2, ((), a, b))):
             fac = Factorization(fac)
-            assert crys.f(fac, i) == f_ref(fac, i), (fac, i)
-            assert crys.e(fac, i) == e_ref(fac, i), (fac, i)
-    # a carrier's f table keeps the raw f it was built with, so replacing
-    # crys.f checks only the direct calls: the lifts outside the carrier
+            assert crys.f_table[fac, i] == f_ref(fac, i), (fac, i)
+            assert crys.e_table[fac, i] == e_ref(fac, i), (fac, i)
+    # bump-properties reads f of a lift through the f table of the carrier
+    # it lifts from: every value that table computes is checked, and those
+    # at factorizations outside the carrier are the lifts
     lifts = []
 
     def carrier(pi, flavor, n):
         crys = factorization_crystal(pi, flavor, n)
-        f, f_ref = crys.f, fac_ops_whole(FLAVORS[flavor].relation)[0]
+        table = crys.f_table
+        f, f_ref = table.fn, fac_ops_whole(FLAVORS[flavor].relation)[0]
 
-        def f_checked(x, i):
-            y = f(x, i)
-            assert y == f_ref(x, i), (crys.name, x, i)
-            lifts.append((x, i))
+        def f_checked(key):
+            y = f(key)
+            assert y == f_ref(*key), (crys.name, key)
+            if key[0] not in crys.vertex_set:
+                lifts.append(key)
             return y
 
-        crys.f = f_checked
+        table.fn = f_checked
         return crys
 
     # the commutation pass reads corpus(flavor, min(max_len, 4))

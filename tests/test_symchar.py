@@ -86,7 +86,7 @@ class TestSchurFamilies:
         wc = word_crystal(2, 3)
         total = Counter()
         for comp in wc.components():
-            total += character(comp)
+            total += Counter(map(wc.wt, comp))
         assert total == character(wc)
 
 

@@ -28,9 +28,9 @@ from queercrystals.verify import (
 
 
 def test_corpora_nonempty():
-    assert len(corpus("involution", 4, (1, 4))) > 10
-    assert len(corpus("fpf", 4, (1, 6))) > 5
-    assert len(corpus("reduced", 4, (1, 3))) > 10
+    assert len(corpus("involution", 4)) > 10
+    assert len(corpus("fpf", 4)) > 5
+    assert len(corpus("reduced", 4)) > 10
 
 
 # every target at bounds that keep the suite fast
@@ -327,8 +327,9 @@ def test_every_schurp_carrier_component_has_one_highest_weight(monkeypatch):
     res = run_target("schurP-positivity")
     assert res.ok and res.checks == len(carriers) == 81
     for (crys,) in carriers:
+        hw = [x for x, _ in crys.highest_weights()]
         for comp in crys.components():
-            assert len(comp.highest_weights()) == 1, (crys.name, comp.vertices[0])
+            assert len(set(comp).intersection(hw)) == 1, (crys.name, comp[0])
 
 
 class CrystalPass(Exception):
