@@ -435,40 +435,6 @@ class Crystal:
         self._components = tuple(map(tuple, groups))
         return self._components
 
-    def sources(self):
-        """Vertices with every raising operator undefined."""
-        return tuple(
-            x for x in self.vertices
-            if all(self.e_table[x, i] is None for i in self.indices)
-        )
-
-    def reflect(self, x, j):
-        """S_j(x): x moved to the mirror place of its j-string, by f_j or
-        e_j applied |phi_j(x) - epsilon_j(x)| times."""
-        eps, phi = self.string_lengths(x, j)
-        table = self.f_table if phi > eps else self.e_table
-        for _ in range(abs(phi - eps)):
-            x = table[x, j]
-        return x
-
-    def highest_weights(self):
-        """(vertex, weight) pairs of highest-weight elements: the sources
-        that, for a queer crystal, every e_{i'} with 2 <= i < n kills too.
-
-        e_{i'} = S_{w_i}^{-1} e_{1bar} S_{w_i}, where w_i = s_2 ... s_i
-        s_1 ... s_{i-1} and S_w is the product of the reflections
-        (Grantcharov-Jung-Kang-Kashiwara-Kim); S_{w_i} is a bijection, so
-        e_{i'} kills x exactly when e_{1bar} kills S_{w_i}(x).
-        """
-        def killed(x, i):
-            for j in (*range(i - 1, 0, -1), *range(i, 1, -1)):
-                x = self.reflect(x, j)  # S_{w_i} applies its last factor first
-            return self.e_table[x, QBAR] is None
-
-        labels = range(2, self.n) if self.queer else ()
-        return tuple((x, self.wt(x)) for x in self.sources()
-                     if all(killed(x, i) for i in labels))
-
     def to_json(self):
         # one list per distinct weight, shared by the vertices that have it
         label, weights = _labeler(), LazyMap(list)
@@ -593,6 +559,42 @@ def factorization_weights(pi, flavor, n):
         for fac in split_word(w, n):
             weights[fac.weight()] += count
     return weights
+
+
+def _reflect(a, b):
+    """S_i on factors (i, i+1), the only factors e_i and f_i change: the
+    pair moved to the mirror place of its i-string, which has at most
+    len(a) + len(b) + 1 places, as each step moves one letter across."""
+    string = [(a, b)]
+    for op in (fac_e, fac_f):
+        string.reverse()  # e_i walks up from (a, b), then f_i down from it
+        while (y := op(*string[-1])) is not None:
+            string.append(y)
+            if len(string) > len(a) + len(b) + 1:
+                raise RuntimeError(f"the string of the factors {a}, {b} has a cycle")
+    return string[-1 - string.index((a, b))]
+
+
+def highest_weight_factorizations(pi, flavor, n):
+    """The highest weights of factorization_crystal(pi, flavor, n), found
+    without the carrier: the splits that every e_i kills and, for a queer
+    flavor, every e_{i'} = S_{w_i}^{-1} e_{1bar} S_{w_i} with 1 <= i < n,
+    where w_i = s_2 ... s_i s_1 ... s_{i-1} and S_w is the product of the
+    reflections (Grantcharov-Jung-Kang-Kashiwara-Kim); S_{w_i} is a
+    bijection, so e_{i'} kills x exactly when e_{1bar} kills S_{w_i}(x)."""
+    eq = {"O": fac_eq_o, "Sp": fac_eq_sp}.get(get_flavor(flavor).relation)
+
+    def killed(x, i):
+        x = list(x)
+        for j in (*range(i - 1, 0, -1), *range(i, 1, -1)):
+            x[j - 1:j + 1] = _reflect(x[j - 1], x[j])  # last factor first
+        return eq(x[0], x[1]) is None
+
+    for w in enumerate_words(pi, flavor):
+        for x in split_word(w, n):
+            if all(fac_e(a, b) is None for a, b in zip(x, x[1:])) and (
+                    eq is None or all(killed(x, i) for i in range(1, n))):
+                yield x
 
 
 def _pfaffian(a):

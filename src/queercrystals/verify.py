@@ -22,6 +22,8 @@ from .crystals import (
     even_crystal,
     even_words,
     factorization_crystal,
+    factorization_weights,
+    highest_weight_factorizations,
     inv_map,
     is_quasi_isomorphism,
     perm_crystal,
@@ -431,18 +433,14 @@ def check_supersymmetry(res, max_len=4, n=3):
                      f"({', '.join(taken)} targets)")
 
 
-def _hw_counts(crys):
-    return Counter(_trim(wt) for _, wt in crys.highest_weights())
-
-
 def check_schurp_positivity(res, max_len=5, n=None):
     """Schur-P (and Schur) expansion coefficients equal highest-weight counts.
 
     A queer flavor takes the targets of its corpus whose support starts
     at 1, one per translation class (translates have isomorphic crystals).
     The reduced flavor takes every permutation with support in 1..4 and a
-    word of length at most min(max_len, 4).  Each carrier is built in
-    ell(pi) variables, or in n when n is given; n = 0 builds none.
+    word of length at most min(max_len, 4).  Each target is read, with no
+    carrier, in ell(pi) variables, or in n when n is given; n = 0 reads none.
     """
     runs = [(flav, [pi for pi in corpus(flav.name, max_len)
                     if pi.support()[0] == 1])
@@ -457,15 +455,15 @@ def check_schurp_positivity(res, max_len=5, n=None):
             nn = flav.ell(pi) if n is None else n
             if nn == 0:
                 continue
-            crys = factorization_crystal(pi, flavor, nn)
             res.checks += 1
             try:
-                coeffs = expand(character(crys), flav.basis)
+                coeffs = expand(factorization_weights(pi, flavor, nn), flav.basis)
             except ValueError:
                 return res.fail(f"{flavor}: character has no {basis} expansion", str(pi))
             if any(c <= 0 for c in coeffs.values()):
                 return res.fail(f"{flavor}: negative {basis} coefficient", str(pi))
-            if coeffs != _hw_counts(crys):
+            if coeffs != Counter(_trim(x.weight()) for x in
+                                 highest_weight_factorizations(pi, flavor, nn)):
                 return res.fail(f"{flavor}: coefficients != highest weight counts", str(pi))
     res.lines.append("all expansions nonnegative and equal to source counts")
 

@@ -38,7 +38,10 @@ at the first, is checked, and as the standard predicate of each kind
 which the library's one standard rule is checked, and as the queer
 factorization operators on whole factorizations, against which the
 library's operators on two adjacent factors, lifted through each
-carrier's pair tables, are checked.
+carrier's pair tables, are checked, and as the highest weights of a built
+carrier (its sources, the reflections of its strings and the e_{i'} test
+read through its tables), against which the library's highest weights,
+found from the splits with no carrier, are checked.
 """
 
 import inspect
@@ -1132,6 +1135,43 @@ def explore(seed, n, wt, f, e, queer, cap=DEFAULT_VERTEX_CAP, name=""):
                     seen.add(y)
                     frontier.append(y)
     return Crystal(seen, n, wt, f, e, queer, name=name)
+
+
+def sources(crys):
+    """Vertices with every raising operator undefined."""
+    return tuple(
+        x for x in crys.vertices
+        if all(crys.e_table[x, i] is None for i in crys.indices)
+    )
+
+
+def reflect(crys, x, j):
+    """S_j(x): x moved to the mirror place of its j-string, by f_j or
+    e_j applied |phi_j(x) - epsilon_j(x)| times."""
+    eps, phi = crys.string_lengths(x, j)
+    table = crys.f_table if phi > eps else crys.e_table
+    for _ in range(abs(phi - eps)):
+        x = table[x, j]
+    return x
+
+
+def highest_weights(crys):
+    """(vertex, weight) pairs of highest-weight elements: the sources
+    that, for a queer crystal, every e_{i'} with 2 <= i < n kills too.
+
+    e_{i'} = S_{w_i}^{-1} e_{1bar} S_{w_i}, where w_i = s_2 ... s_i
+    s_1 ... s_{i-1} and S_w is the product of the reflections
+    (Grantcharov-Jung-Kang-Kashiwara-Kim); S_{w_i} is a bijection, so
+    e_{i'} kills x exactly when e_{1bar} kills S_{w_i}(x).
+    """
+    def killed(x, i):
+        for j in (*range(i - 1, 0, -1), *range(i, 1, -1)):
+            x = reflect(crys, x, j)  # S_{w_i} applies its last factor first
+        return crys.e_table[x, QBAR] is None
+
+    labels = range(2, crys.n) if crys.queer else ()
+    return tuple((x, crys.wt(x)) for x in sources(crys)
+                 if all(killed(x, i) for i in labels))
 
 
 def crystals_isomorphic(c1, c2):

@@ -5,7 +5,7 @@ import pytest
 import figures
 from reference import (
     crystals_isomorphic, dbl_map_inverse, ell_o, ell_sp, explore,
-    inv_map_inverse, morphism_report, pair)
+    highest_weights, inv_map_inverse, morphism_report, pair, sources)
 
 from queercrystals import crystals
 from queercrystals.crystals import (
@@ -16,6 +16,7 @@ from queercrystals.crystals import (
     even_crystal,
     even_words,
     factorization_crystal,
+    highest_weight_factorizations,
     inv_map,
     is_quasi_isomorphism,
     perm_crystal,
@@ -268,18 +269,20 @@ class TestCrystalGraph:
 
     def test_highest_weights(self):
         c = shifted_tableau_crystal(3, (3, 1))
-        hw = c.highest_weights()
+        hw = highest_weights(c)
         assert hw == ((S([["1", "1", "1"], ["2"]]), (3, 1, 0)),)
         c2 = factorization_crystal(PI, "involution", 3)
-        assert c2.highest_weights() == (
+        assert highest_weights(c2) == (
             (Factorization([(1, 3, 4), (2,), ()]), (3, 1, 0)),)
+        assert list(highest_weight_factorizations(PI, "involution", 3)) == [
+            Factorization([(1, 3, 4), (2,), ()])]
         # the graph has a second source, which is not a highest weight
-        assert len(c.sources()) == 2
+        assert len(sources(c)) == 2
 
     def test_every_component_has_one_highest_weight(self):
         for crys in (word_crystal(2, 4), word_crystal(3, 4),
                      factorization_crystal(PI, "involution", 3)):
-            hw = [x for x, _ in crys.highest_weights()]
+            hw = [x for x, _ in highest_weights(crys)]
             for comp in crys.components():
                 assert len(set(comp).intersection(hw)) == 1
 
@@ -289,8 +292,10 @@ class TestCrystalGraph:
         pi = P.from_cycles([(1, 3), (2, 6), (4, 5)])
         crys = factorization_crystal(pi, "involution", ell_o(pi))
         assert len(crys.components()) == 1
-        assert len(crys.sources()) == 4
-        assert [wt for _, wt in crys.highest_weights()] == [(4, 2, 0, 0, 0, 0)]
+        assert len(sources(crys)) == 4
+        assert [wt for _, wt in highest_weights(crys)] == [(4, 2, 0, 0, 0, 0)]
+        assert [x.weight() for x in highest_weight_factorizations(
+            pi, "involution", ell_o(pi))] == [(4, 2, 0, 0, 0, 0)]
         assert expand(character(crys), "schurP") == {(4, 2): 1}
 
 

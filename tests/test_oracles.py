@@ -30,7 +30,7 @@ ShiftedTableau.entry, and verify's scoped d_i map against dual_equiv.
 The factorization operators, which read the same bracket rule on two adjacent
 factors and act through each carrier's pair tables, are checked against
 the greedy pairing and the queer operators on whole factorizations.  A
-crystal's edge tables (edges without a sort, string lengths, sources, and
+crystal's edge tables (edges without a sort, string lengths, and
 the components partitioning the vertices along the edges) are checked
 against the sort-based edge list and walks of the raw operators, which
 each table keeps as its fn; the factorizations that split_word and the
@@ -38,8 +38,9 @@ crystal operators build without the increasing-factor scan against the
 checking constructor; the carrier sizes counted before
 a build, of factorization carriers and of shifted-tableau carriers by
 Schur's Pfaffian, against the built carrier and the tableau enumeration;
-and the weights counted per descent group against the built carrier's
-character.
+the weights counted per descent group against the built carrier's
+character; and the highest weights found from the splits with no carrier
+against the reference highest weights of the built carrier.
 """
 
 from itertools import product
@@ -55,6 +56,7 @@ from reference import (
     ell_sp,
     fac_ops_whole,
     fpf_descents,
+    highest_weights,
     inverse,
     marked_indices,
     permutation_descents,
@@ -79,6 +81,7 @@ from queercrystals.crystals import (
     factorization_crystal,
     factorization_crystal_size,
     factorization_weights,
+    highest_weight_factorizations,
     shifted_tableau_crystal_all,
     shifted_tableau_crystal_size,
     strict_partitions,
@@ -675,12 +678,6 @@ def string_lengths_raw(crys, x, i):
     return tuple(lengths)
 
 
-def sources_raw(crys):
-    return tuple(x for x in crys.vertices
-                 if all(crys.e_table.fn((x, i)) is None
-                        for i in crys.indices))
-
-
 def table_carriers():
     """The carriers crystal-axioms checks, taken from the target itself, then
     the factorization carriers of every corpus(flavor, 5) target at n = 3, 4,
@@ -709,8 +706,6 @@ def test_edge_tables_match_raw_operators():
         carriers.append(crys)
         edges = edges_by_sort(crys)
         assert crys.edges() == edges, crys.name
-        sources = sources_raw(crys)
-        assert crys.sources() == sources, crys.name
         for x in crys.vertices:
             for i in crys.indices:
                 assert crys.string_lengths(x, i) == \
@@ -827,6 +822,23 @@ def test_factorization_weights_match_the_carrier():
                     factorization_crystal_size(pi, flavor, n), (pi, n)
                 cases += 1
     assert cases == 845
+
+
+def test_highest_weights_match_the_carrier():
+    """The splits that highest_weight_factorizations yields are the
+    reference highest weights of the built carrier, for every target of
+    corpus(flavor, 5) in ell(pi), 3 and 4 variables."""
+    cases = 0
+    for flavor, flav in FLAVORS.items():
+        for pi in corpus(flavor, 5):
+            for n in {flav.ell(pi), 3, 4}:
+                found = list(highest_weight_factorizations(pi, flavor, n))
+                crys = factorization_crystal(pi, flavor, n)
+                assert len(set(found)) == len(found), (pi, n)
+                assert set(found) == {x for x, _ in highest_weights(crys)}, \
+                    (crys.name, n)
+                cases += 1
+    assert cases == 424
 
 
 def test_shifted_tableau_crystal_size_matches_the_enumeration():

@@ -198,10 +198,9 @@ def drop_the_smallest_term(monkeypatch):
         if len(p) > 1:
             del p[min(p)]
         return p
-    monkeypatch.setattr(verify, "character",
-                        lambda crys: dropped(symchar.character(crys)))
-    monkeypatch.setattr(cli, "factorization_weights", lambda *args: dropped(
-        crystals.factorization_weights(*args)))
+    for module in (verify, cli):
+        monkeypatch.setattr(module, "factorization_weights", lambda *args: dropped(
+            crystals.factorization_weights(*args)))
 
 
 # Planted values that a theorem rules out, as qc reports them: exit 1, and
@@ -322,14 +321,97 @@ def test_push_steps_read_no_table_of_the_bumped_flavor_twice(monkeypatch):
 
 
 def test_every_schurp_carrier_component_has_one_highest_weight(monkeypatch):
-    carriers = []
-    record_calls(monkeypatch, verify, "_hw_counts", carriers)
+    # the target reads highest weights with no carrier: each carrier is
+    # built here, at the arguments the target read them at
+    found = []
+
+    def recorded(pi, flavor, n):
+        hw = list(crystals.highest_weight_factorizations(pi, flavor, n))
+        found.append(((pi, flavor, n), hw))
+        return hw
+    monkeypatch.setattr(verify, "highest_weight_factorizations", recorded)
     res = run_target("schurP-positivity")
-    assert res.ok and res.checks == len(carriers) == 81
-    for (crys,) in carriers:
-        hw = [x for x, _ in crys.highest_weights()]
+    assert res.ok and res.checks == len(found) == 81
+    for args, hw in found:
+        crys = crystals.factorization_crystal(*args)
         for comp in crys.components():
             assert len(set(comp).intersection(hw)) == 1, (crys.name, comp[0])
+
+
+SCHURP_PASS = ("schurP-positivity: pass ({} checks)\n"
+               "  all expansions nonnegative and equal to source counts\n")
+
+
+@pytest.mark.parametrize("flags,checks", [([], 81),
+                                          (["--n", "2", "--maxlen", "4"], 59)])
+def test_schurp_positivity_builds_no_carrier(flags, checks, monkeypatch,
+                                             capsys):
+    def stop(*args):
+        raise AssertionError("schurP-positivity built a carrier")
+    monkeypatch.setattr(verify, "factorization_crystal", stop)
+    monkeypatch.setattr(crystals.Crystal, "__init__", stop)
+    assert cli.main(["verify", "schurP-positivity", *flags]) == 0
+    assert capsys.readouterr().out == SCHURP_PASS.format(checks)
+
+
+def reflect_nothing(monkeypatch):
+    """Plant S_i as the identity, so that every e_{i'} tests what e_{1bar}
+    tests."""
+    monkeypatch.setattr(crystals, "_reflect", lambda a, b: (a, b))
+
+
+def raise_no_queer_letter(monkeypatch):
+    """Plant queer raising operators that are nowhere defined."""
+    for name in ("fac_eq_o", "fac_eq_sp"):
+        monkeypatch.setattr(crystals, name, lambda a, b: None)
+
+
+def keep_sources_of_strict_weight(monkeypatch):
+    """Plant, for a queer flavor, the sources of strict-partition weight as
+    its highest weights, in place of the e_{i'} test: it misses a source
+    that an e_{i'} raises only from --maxlen 6 on."""
+    reflect_nothing(monkeypatch)
+    real = crystals.highest_weight_factorizations
+    monkeypatch.setattr(verify, "highest_weight_factorizations", lambda *args: (
+        x for x in real(*args) if not FLAVORS[args[1]].queer
+        or tableaux.is_strict_partition(symchar._trim(x.weight()))))
+
+
+HIGHEST_WEIGHT_PLANTS = [
+    (reflect_nothing, [], 12, "(1,2)(3,5)(4,6)"),
+    (raise_no_queer_letter, [], 2, "(1,2)(3,4)"),
+    (keep_sources_of_strict_weight, ["--maxlen", "5"], 81, None),
+    (keep_sources_of_strict_weight, ["--maxlen", "6"], 31, "(1,3)(2,6)(4,5)"),
+]
+
+
+@pytest.mark.parametrize("plant,flags,checks,counterexample",
+                         HIGHEST_WEIGHT_PLANTS,
+                         ids=["reflect", "queer-raising", "strict-weight-5",
+                              "strict-weight-6"])
+def test_planted_highest_weight_bug(plant, flags, checks, counterexample,
+                                    monkeypatch, capsys):
+    plant(monkeypatch)
+    code = cli.main(["verify", "schurP-positivity", *flags])
+    out = capsys.readouterr().out
+    if counterexample is None:
+        assert (code, out) == (0, SCHURP_PASS.format(checks))
+    else:
+        assert (code, out) == (
+            cli.EXIT_THEOREM_FAIL,
+            f"schurP-positivity: FAIL ({checks} checks)\n"
+            f"  counterexample: {counterexample}\n"
+            "  involution: coefficients != highest weight counts\n")
+
+
+def test_a_string_with_a_cycle_is_a_theorem_failure(monkeypatch, capsys):
+    # an f_i that maps each pair of factors to itself: the walk of a
+    # reflection stops at its bound, with nothing on stdout
+    monkeypatch.setattr(crystals, "fac_f", lambda a, b: (a, b))
+    assert cli.main(["verify", "schurP-positivity", "--maxlen", "3"]) \
+        == cli.EXIT_THEOREM_FAIL
+    assert capsys.readouterr() == ("", "theorem failure: the string of the "
+                                   "factors (1, 3, 5), () has a cycle\n")
 
 
 class CrystalPass(Exception):
