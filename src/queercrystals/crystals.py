@@ -237,7 +237,7 @@ def _value_ribbon(t, v, box):
 
 def shtab_f(t, i):
     """Lowering operator on semistandard shifted tableaux."""
-    letters = shword_letters(t)
+    letters = shword_letters(t, i, i + 1)
     a, b = _positions(letters, i)
     rights, _ = _unpaired(a, b)
     if not rights:
@@ -276,7 +276,7 @@ def shtab_f(t, i):
 
 def shtab_e(t, i):
     """Raising operator on semistandard shifted tableaux."""
-    letters = shword_letters(t)
+    letters = shword_letters(t, i, i + 1)
     a, b = _positions(letters, i)
     _, lefts = _unpaired(a, b)
     if not lefts:
@@ -581,7 +581,12 @@ def highest_weight_factorizations(pi, flavor, n):
     flavor, every e_{i'} = S_{w_i}^{-1} e_{1bar} S_{w_i} with 1 <= i < n,
     where w_i = s_2 ... s_i s_1 ... s_{i-1} and S_w is the product of the
     reflections (Grantcharov-Jung-Kang-Kashiwara-Kim); S_{w_i} is a
-    bijection, so e_{i'} kills x exactly when e_{1bar} kills S_{w_i}(x)."""
+    bijection, so e_{i'} kills x exactly when e_{1bar} kills S_{w_i}(x).
+
+    A split is cut one factor at a time, and a prefix is dropped once e_i
+    raises its last pair (a, b), as e_i reads only factors i and i+1.  When
+    e_i kills (a, b), each letter of b pairs with one of a, so len(b) <=
+    len(a); when it raises (a, b), it raises b with a larger letter too."""
     eq = {"O": fac_eq_o, "Sp": fac_eq_sp}.get(get_flavor(flavor).relation)
 
     def killed(x, i):
@@ -590,10 +595,27 @@ def highest_weight_factorizations(pi, flavor, n):
             x[j - 1:j + 1] = _reflect(x[j - 1], x[j])  # last factor first
         return eq(x[0], x[1]) is None
 
+    def cuts(w, start, fac):
+        """The splits of w that go on from the factors fac at start."""
+        if len(fac) == n:
+            if start == len(w):
+                yield Factorization._trusted(fac)
+            return
+        longest = len(fac[-1]) if fac else len(w)
+        later = n - 1 - len(fac)  # the factors after the next one, b
+        for end in range(start, min(len(w), start + longest) + 1):
+            if end > start + 1 and w[end - 2] >= w[end - 1]:
+                return  # b stops increasing
+            b = w[start:end]
+            if len(w) - end > len(b) * later:
+                continue  # no later factor is longer than b
+            if fac and fac_e(fac[-1], b) is not None:
+                return
+            yield from cuts(w, end, fac + (b,))
+
     for w in enumerate_words(pi, flavor):
-        for x in split_word(w, n):
-            if all(fac_e(a, b) is None for a, b in zip(x, x[1:])) and (
-                    eq is None or all(killed(x, i) for i in range(1, n))):
+        for x in cuts(w, 0, ()):
+            if eq is None or all(killed(x, i) for i in range(1, n)):
                 yield x
 
 

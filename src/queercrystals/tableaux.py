@@ -8,6 +8,7 @@ going up, with row r of a shifted tableau starting in column r.
 """
 
 from functools import lru_cache
+from math import inf
 
 
 def unprimed(k):
@@ -207,27 +208,21 @@ def is_standard(t):
     return used == list(range(1, len(boxes) + 1)) and is_semistandard(t)
 
 
-def shword_letters(t):
-    """The boxes of a shifted tableau in shifted-reading order, each with its
-    unprimed value: a list of ((r, c), value).
+def shword_letters(t, lo=1, hi=inf):
+    """The boxes of a shifted tableau holding lo..hi in shifted-reading
+    order, each with its unprimed value: a list of ((r, c), value).
 
     Reads C_q R_q ... C_1 R_1 where C_i lists the primed entries of column i
-    bottom-to-top and R_i the unprimed entries of row i left-to-right.  One
-    walk over the shape's columns; an odd code is primed.
+    bottom-to-top and R_i the unprimed entries of row i left-to-right, so
+    the order is one sort key: a primed (r, c) at (-c, 0, r) and an
+    unprimed one at (-r, 1, c); an odd code is primed.
     """
-    rows = t.rows
-    cols = _column_rows(t.shape)
-    out = []
-    for i in range(len(cols), 0, -1):
-        for r in cols[i - 1]:
-            x = rows[r - 1][i - r]
-            if x % 2:
-                out.append(((r, i), (x + 1) // 2))
-        if i <= len(rows):
-            for c, x in enumerate(rows[i - 1], i):
-                if not x % 2:
-                    out.append(((i, c), x // 2))
-    return out
+    first, last = primed(lo), unprimed(hi)
+    found = sorted(
+        ((-c, 0, r) if x % 2 else (-r, 1, c), (r, c), (x + 1) // 2)
+        for r, row in enumerate(t.rows, 1) for c, x in enumerate(row, r)
+        if first <= x <= last)
+    return [(box, v) for _, box, v in found]
 
 
 def shword(t):
@@ -409,10 +404,7 @@ def dual_equiv(t, i):
         return t
     if i == 0:
         return star_op(t, 1)
-    w = shword(t)
-    position = {v: k for k, v in enumerate(w)}
-    order = sorted((i, i + 1, i + 2), key=lambda v: position[v])
-    middle = order[1]
+    middle = shword_letters(t, i, i + 2)[1][1]
     if middle == i + 2:
         return star_op(t, i)
     if middle == i:

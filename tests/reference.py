@@ -722,8 +722,9 @@ def row_word(t):
 
 
 def shword_boxes(t):
-    """Boxes of a shifted tableau in shifted-reading order, the two-pass read
-    that the library's one-pass shword_letters replaced.
+    """Boxes of a shifted tableau in shifted-reading order by a walk over
+    the shape's columns: the oracle of the sort key that shword_letters
+    orders the boxes by.
 
     Reads C_q R_q ... C_1 R_1 where C_i lists the primed entries of column i
     bottom-to-top and R_i the unprimed entries of row i left-to-right.

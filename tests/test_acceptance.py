@@ -242,7 +242,8 @@ def test_criterion_9_deep_bounds():
     t0 = time.time()
     # the deep runs that take at most 0.6 s; README lists the slower ones
     for target, max_len, checks in (("conjecture-ib-bound", 6, 69720),
-                                    ("conjecture-fb-bound", 6, 76185)):
+                                    ("conjecture-fb-bound", 6, 76185),
+                                    ("schurP-positivity", 6, 104)):
         res = run_target(target, max_len=max_len)
         print(f"\n{res.summary()}")
         assert not res.ok or res.checks == checks, (target, max_len)

@@ -26,7 +26,10 @@ first word against the closed-form lengths.  The
 shifted-tableau geometry (columns, reading order, the semistandard
 predicate and the unpaired boxes that the bracket rule leaves, all read
 through the per-shape column record) is checked against row scans through
-ShiftedTableau.entry, and verify's scoped d_i map against dual_equiv.
+ShiftedTableau.entry, the boxes of i and i+1 that the reading-order sort
+key finds against the column walk, dual_equiv against its rule by
+positions in the whole reading word, and verify's scoped d_i map against
+dual_equiv.
 The factorization operators, which read the same bracket rule on two adjacent
 factors and act through each carrier's pair tables, are checked against
 the greedy pairing and the queer operators on whole factorizations.  A
@@ -111,6 +114,7 @@ from queercrystals.tableaux import (
     shword,
     shword_letters,
     standard_shifted_tableaux,
+    star_op,
 )
 from queercrystals.symchar import character
 from queercrystals.verify import _bump_corpus, corpus
@@ -658,6 +662,41 @@ def test_dual_equiv_map_matches_dual_equiv():
             assert len(d) == len(keys)
 
 
+def test_range_reads_match_the_column_walk():
+    """The boxes of i and i+1 that the crystal operators read by the sort
+    key are the column walk's boxes of those values, in its order, on
+    every semistandard shifted tableau of at most 7 boxes over 1..4."""
+    cases = 0
+    for m in range(1, 8):
+        for t in shifted_tableau_crystal_all(4, m).vertices:
+            letters = [(b, entry_value(t.entry(*b))) for b in shword_boxes(t)]
+            for i in range(1, 4):
+                assert shword_letters(t, i, i + 1) == [
+                    (b, v) for b, v in letters if v in (i, i + 1)], (t, i)
+                cases += 1
+    assert cases == 14280
+
+
+def test_dual_equiv_matches_the_reading_word_rule():
+    """dual_equiv reads only the boxes of i, i+1 and i+2; the rule it
+    replaced ordered them by their positions in the whole shifted reading
+    word, here the column walk's, on every standard shifted tableau of at
+    most 8 boxes."""
+    cases = 0
+    for m in range(3, 9):
+        for mu in strict_partitions(m):
+            for t in standard_shifted_tableaux(mu):
+                position = {entry_value(t.entry(*b)): k
+                            for k, b in enumerate(shword_boxes(t))}
+                for i in range(1, m - 1):
+                    middle = sorted((i, i + 1, i + 2), key=position.get)[1]
+                    old = (star_op(t, i) if middle == i + 2 else
+                           star_op(t, i + 1) if middle == i else t)
+                    assert dual_equiv(t, i) == old, (t, i)
+                    cases += 1
+    assert cases == 24094
+
+
 def edges_by_sort(crys):
     """Every edge (x, i, f_i(x)) from the raw operator, sorted by x, str(i)
     and then y."""
@@ -827,10 +866,10 @@ def test_factorization_weights_match_the_carrier():
 def test_highest_weights_match_the_carrier():
     """The splits that highest_weight_factorizations yields are the
     reference highest weights of the built carrier, for every target of
-    corpus(flavor, 5) in ell(pi), 3 and 4 variables."""
+    corpus(flavor, 6) in ell(pi), 3 and 4 variables."""
     cases = 0
     for flavor, flav in FLAVORS.items():
-        for pi in corpus(flavor, 5):
+        for pi in corpus(flavor, 6):
             for n in {flav.ell(pi), 3, 4}:
                 found = list(highest_weight_factorizations(pi, flavor, n))
                 crys = factorization_crystal(pi, flavor, n)
@@ -838,7 +877,7 @@ def test_highest_weights_match_the_carrier():
                 assert set(found) == {x for x, _ in highest_weights(crys)}, \
                     (crys.name, n)
                 cases += 1
-    assert cases == 424
+    assert cases == 559
 
 
 def test_shifted_tableau_crystal_size_matches_the_enumeration():

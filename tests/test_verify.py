@@ -1,6 +1,7 @@
 """The verification targets themselves, run at reduced bounds for speed;
 the acceptance suite runs them at the full contract bounds."""
 
+import sys
 from collections import Counter
 from functools import partial
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from queercrystals import (
     bumping,
     cli,
     crystals,
+    insertion,
     permwords,
     symchar,
     tableaux,
@@ -354,6 +356,39 @@ def test_schurp_positivity_builds_no_carrier(flags, checks, monkeypatch,
     assert capsys.readouterr().out == SCHURP_PASS.format(checks)
 
 
+def calls_by_caller(monkeypatch, module, name):
+    """Point module.name at a wrapper that counts its calls by the name of
+    the calling function; returns the Counter."""
+    fn, calls = getattr(module, name), Counter()
+
+    def counted(*args):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return fn(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_schurp_positivity_work_counts(monkeypatch):
+    # exact work at default bounds, which a clock cannot resolve: one
+    # split per descent group for the character, none for the highest
+    # weights, and e_i on the pairs that the pruned search cuts and the
+    # reflections walk
+    splits = [calls_by_caller(monkeypatch, module, "split_word")
+              for module in (insertion, crystals)]
+    raises = calls_by_caller(monkeypatch, crystals, "fac_e")
+    assert run_target("schurP-positivity").checks == 81
+    assert sum(splits, Counter()) == {"factorization_weights": 523}
+    assert sum(raises.values()) == 3912
+
+
+def test_dual_equivalence_work_counts(monkeypatch):
+    # d_i reads the boxes of i..i+2 alone; the whole reading word is read
+    # once per standard tableau, for its descents
+    words = calls_by_caller(monkeypatch, tableaux, "shword")
+    assert run_target("dual-equivalence").checks == 3995
+    assert words == {"shword_descents": 1057}
+
+
 def reflect_nothing(monkeypatch):
     """Plant S_i as the identity, so that every e_{i'} tests what e_{1bar}
     tests."""
@@ -377,8 +412,15 @@ def keep_sources_of_strict_weight(monkeypatch):
         or tableaux.is_strict_partition(symchar._trim(x.weight()))))
 
 
+def raise_no_pair(monkeypatch):
+    """Plant an e_i that is nowhere defined: the pruned search reads it
+    from the module, so it drops no prefix that e_i raises."""
+    monkeypatch.setattr(crystals, "fac_e", lambda a, b: None)
+
+
 HIGHEST_WEIGHT_PLANTS = [
     (reflect_nothing, [], 12, "(1,2)(3,5)(4,6)"),
+    (raise_no_pair, [], 2, "(1,2)(3,4)"),
     (raise_no_queer_letter, [], 2, "(1,2)(3,4)"),
     (keep_sources_of_strict_weight, ["--maxlen", "5"], 81, None),
     (keep_sources_of_strict_weight, ["--maxlen", "6"], 31, "(1,3)(2,6)(4,5)"),
@@ -387,7 +429,8 @@ HIGHEST_WEIGHT_PLANTS = [
 
 @pytest.mark.parametrize("plant,flags,checks,counterexample",
                          HIGHEST_WEIGHT_PLANTS,
-                         ids=["reflect", "queer-raising", "strict-weight-5",
+                         ids=["reflect", "pair-raising", "queer-raising",
+                              "strict-weight-5",
                               "strict-weight-6"])
 def test_planted_highest_weight_bug(plant, flags, checks, counterexample,
                                     monkeypatch, capsys):
