@@ -42,18 +42,6 @@ def crystal_indices(n, queer):
     return (QBAR,) + gl if queer and n >= 2 else gl
 
 
-def queer_ops(f, e, fq, eq):
-    """(f, e) over every label: fq/eq at QBAR, f(x, i)/e(x, i) elsewhere."""
-
-    def f_all(x, i):
-        return fq(x) if i == QBAR else f(x, i)
-
-    def e_all(x, i):
-        return eq(x) if i == QBAR else e(x, i)
-
-    return f_all, e_all
-
-
 # ---------------------------------------------------------------------------
 # The bracket rule that words, factorizations and shifted tableaux share
 
@@ -198,22 +186,25 @@ def fac_eq_sp(w1, w2):
     return tuple(sorted(w1 + (x if x % 2 == 0 else x + 2,))), w2[1:]
 
 
-def _lift(gl, queer):
-    """One operator on factorizations from two pair maps: gl at factors
-    (i, i+1) for the label i, queer at factors (1, 2) for QBAR, each read
-    through a table {(a, b): value} that lives and dies with the carrier."""
-    gl_pairs = LazyMap(lambda pair: gl(*pair))
-    queer_pairs = LazyMap(lambda pair: queer(*pair))
+def _lift(pair_op):
+    """One operator on factorizations from a pair map: op(fac, i) maps
+    factors (i, i+1) and op(fac) factors (1, 2), each pair read through a
+    table {(a, b): value} that lives and dies with the carrier."""
+    pairs = LazyMap(lambda pair: pair_op(*pair))
 
-    def op(fac, i):
-        if i == QBAR:
-            k, new = 0, queer_pairs[fac[0], fac[1]]
-        else:
-            k, new = i - 1, gl_pairs[fac[i - 1], fac[i]]
+    def op(fac, i=1):
+        new = pairs[fac[i - 1], fac[i]]
         return None if new is None else Factorization._trusted(
-            fac[:k] + new + fac[k + 2:])
+            fac[:i - 1] + new + fac[i + 1:])
 
     return op
+
+
+def _queer_pair(relation):
+    """The queer pair maps (lowering, raising) of a relation, read from the
+    module at call time: "O" and "Sp" have theirs, and "K" has none."""
+    return {"K": (None, None), "O": (fac_fq_o, fac_eq_o),
+            "Sp": (fac_fq_sp, fac_eq_sp)}[relation]
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +337,28 @@ def shtab_eqbar(t):
 class Crystal:
     """A finite crystal: its vertices, a weight map wt and two operator tables.
 
-    indices lists the operator labels, QBAR first for queer crystals.  The
-    raw operators f and e, None when undefined, are kept only inside the
-    tables f_table and e_table, {(x, i): f(x, i)} and {(x, i): e(x, i)},
-    which compute each (x, i) at its first lookup.  The tables live and die
+    The raw operators, None when undefined, are f(x, i) and e(x, i) at the
+    labels 1..n-1 and, for a q_n-crystal, the queer fq(x) and eq(x); the
+    carrier is queer exactly when fq is given.  indices lists the labels,
+    QBAR first for a queer crystal with n >= 2.  The operators are kept only
+    inside the tables f_table and e_table, {(x, i): f_i(x)} and
+    {(x, i): e_i(x)}, which compute each (x, i) at its first lookup and are
+    the one place that sends QBAR to fq and eq.  The tables live and die
     with the carrier: a process-wide table would keep every carrier's edges.
     """
 
-    def __init__(self, vertices, n, wt, f, e, queer, name=""):
+    def __init__(self, vertices, n, wt, f, e, fq=None, eq=None, name=""):
         self.vertex_set = frozenset(vertices)
         self.vertices = tuple(sorted(self.vertex_set))
         self.n = n
         self.wt = wt
-        self.f_table = LazyMap(lambda key: f(*key))
-        self.e_table = LazyMap(lambda key: e(*key))
-        self.queer = queer
+        self.f_table = LazyMap(
+            lambda key: fq(key[0]) if key[1] == QBAR else f(*key))
+        self.e_table = LazyMap(
+            lambda key: eq(key[0]) if key[1] == QBAR else e(*key))
+        self.queer = fq is not None
         self.name = name
-        self.indices = crystal_indices(n, queer)
+        self.indices = crystal_indices(n, self.queer)
         self._out = self._in = self._components = None
 
     def __len__(self):
@@ -495,10 +491,9 @@ def _labeler():
 
 def word_crystal(n, m):
     """The crystal of all m-letter words over 1..n."""
-    f, e = queer_ops(word_f, word_e, word_fqbar, word_eqbar)
     return Crystal(
-        product_words(n, m), n, lambda w: word_weight(w, n), f, e,
-        queer=True, name=f"W_{n}({m})")
+        product_words(n, m), n, lambda w: word_weight(w, n), word_f, word_e,
+        word_fqbar, word_eqbar, name=f"W_{n}({m})")
 
 
 def product_words(n, m):
@@ -509,11 +504,11 @@ def _fac_crystal(words, n, relation, name):
     """The crystal on the n-fold increasing factorizations of the words, with
     the relation's operators: "O" and "Sp" add their queer operators, so the
     carrier is a q_n-crystal, and "K" adds none."""
-    fq, eq = {"K": (None, None), "O": (fac_fq_o, fac_eq_o),
-              "Sp": (fac_fq_sp, fac_eq_sp)}[relation]
+    fq, eq = _queer_pair(relation)
+    queer = (_lift(fq), _lift(eq)) if fq else ()
     verts = [fac for w in words for fac in split_word(w, n)]
-    return Crystal(verts, n, Factorization.weight, _lift(fac_f, fq),
-                   _lift(fac_e, eq), queer=relation != "K", name=name)
+    return Crystal(verts, n, Factorization.weight, _lift(fac_f),
+                   _lift(fac_e), *queer, name=name)
 
 
 def factorization_crystal(pi, flavor, n):
@@ -587,7 +582,7 @@ def highest_weight_factorizations(pi, flavor, n):
     raises its last pair (a, b), as e_i reads only factors i and i+1.  When
     e_i kills (a, b), each letter of b pairs with one of a, so len(b) <=
     len(a); when it raises (a, b), it raises b with a larger letter too."""
-    eq = {"O": fac_eq_o, "Sp": fac_eq_sp}.get(get_flavor(flavor).relation)
+    eq = _queer_pair(get_flavor(flavor).relation)[1]
 
     def killed(x, i):
         x = list(x)
@@ -669,9 +664,8 @@ def shifted_tableau_crystal_size(n, shape):
 
 def _shtab_crystal(verts, n, name):
     """The q_n-crystal on the given semistandard shifted tableaux."""
-    f, e = queer_ops(shtab_f, shtab_e, shtab_fqbar, shtab_eqbar)
-    return Crystal(verts, n, lambda t: tab_weight(t, n), f, e, queer=True,
-                   name=name)
+    return Crystal(verts, n, lambda t: tab_weight(t, n), shtab_f, shtab_e,
+                   shtab_fqbar, shtab_eqbar, name=name)
 
 
 def shifted_tableau_crystal(n, shape):

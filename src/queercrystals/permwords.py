@@ -371,9 +371,7 @@ def ck(w, i):
         a, b, c = sorted((x, y, z))
         window = {(a, c, b): (c, a, b), (c, a, b): (a, c, b),
                   (b, c, a): (b, a, c), (b, a, c): (b, c, a)}.get((x, y, z))
-    elif x == z and y == x + 1:
-        window = (y, x, y)
-    elif x == z and y == x - 1:
+    elif x == z and abs(y - x) == 1:
         window = (y, x, y)
     else:
         window = None

@@ -159,11 +159,11 @@ def _fiber_check(flavor, res, max_len=5, n=3):
         for w in words:
             fibers.setdefault(_p_tableau(w, ins), set()).add(w)
         for fib in fibers.values():
-            cls = equivalence_class(next(iter(sorted(fib))), rel)
+            cls = equivalence_class(min(fib), rel)
             res.checks += 1
             if cls != fib:
                 return res.fail(f"{pi}: P-fiber differs from the {rel}-class",
-                                (str(pi), sorted(fib)[0]))
+                                (str(pi), min(fib)))
         crys = factorization_crystal(pi, flavor, n)
         comps = set(map(frozenset, crys.components()))
         byp = {}

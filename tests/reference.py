@@ -58,14 +58,12 @@ from queercrystals.crystals import (
     QBAR,
     Crystal,
     _component_certificate,
-    crystal_indices,
     pretty_element,
 )
 from queercrystals.insertion import Factorization, InsertionResult, hm_insert, insert
 from queercrystals.permwords import (
     DEFAULT_VERTEX_CAP,
     FpfInvolution,
-    LazyMap,
     Permutation,
     VertexCapExceeded,
     enumerate_words,
@@ -1119,15 +1117,18 @@ def fac_ops_whole(relation):
     return f, e
 
 
-def explore(seed, n, wt, f, e, queer, cap=DEFAULT_VERTEX_CAP, name=""):
-    """BFS closure of one element under all operators, capped."""
-    tables = LazyMap(lambda key: f(*key)), LazyMap(lambda key: e(*key))
+def explore(seed, n, wt, f, e, fq=None, eq=None, cap=DEFAULT_VERTEX_CAP,
+            name=""):
+    """BFS closure of one element under all operators, capped: the carrier
+    operators f, e and, when fq is given, the queer fq, eq, read through the
+    tables of a vertexless Crystal."""
+    probe = Crystal((), n, wt, f, e, fq, eq)
     seen = {seed}
     frontier = [seed]
     while frontier:
         x = frontier.pop()
-        for i in crystal_indices(n, queer):
-            for table in tables:
+        for i in probe.indices:
+            for table in (probe.f_table, probe.e_table):
                 y = table[x, i]
                 if y is not None and y not in seen:
                     if len(seen) + 1 > cap:
@@ -1135,7 +1136,7 @@ def explore(seed, n, wt, f, e, queer, cap=DEFAULT_VERTEX_CAP, name=""):
                             f"exploration exceeded cap {cap}")
                     seen.add(y)
                     frontier.append(y)
-    return Crystal(seen, n, wt, f, e, queer, name=name)
+    return Crystal(seen, n, wt, f, e, fq, eq, name=name)
 
 
 def sources(crys):

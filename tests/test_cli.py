@@ -243,6 +243,19 @@ class TestCrystal:
         data = json.loads(out)
         assert len(data["vertices"]) == 1 and not data["edges"]
 
+    @pytest.mark.parametrize("argv,out", [
+        (("--shape", "1"), '{"edges": [], "n": 1, "queer": true, '
+                           '"vertices": ["[1]"], "weights": [[1]]}\n'),
+        (("(1,3)",), '{"edges": [], "n": 1, "queer": true, '
+                     '"vertices": ["12"], "weights": [[2]]}\n'),
+        (("(1,2)", "--flavor", "eg"), '{"edges": [], "n": 1, "queer": false, '
+                                      '"vertices": ["1"], "weights": [[1]]}\n'),
+    ])
+    def test_queer_carriers_below_two_factors(self, capsys, argv, out):
+        # a q_1-crystal has no label at all, 1bar included, and is still queer
+        assert run(capsys, "crystal", *argv, "--n", "1", "--json") == (
+            0, out, "")
+
     @pytest.mark.parametrize("shape", ["3,3", "0", "x", "-1"])
     def test_malformed_shape_exit_2(self, capsys, shape):
         code, out, err = run(capsys, "crystal", "--shape", shape)

@@ -58,9 +58,11 @@ FPI = FpfInvolution([(1, 4), (2, 6), (3, 5)])
 
 
 def ops(crys):
-    """A carrier's operators f(x, i) and e(x, i), read through its tables."""
-    return ((lambda x, i: crys.f_table[x, i]),
-            (lambda x, i: crys.e_table[x, i]))
+    """A queer carrier's operators f(x, i), e(x, i), fq(x) and eq(x), read
+    through its tables."""
+    f, e = crys.f_table, crys.e_table
+    return ((lambda x, i: f[x, i]), (lambda x, i: e[x, i]),
+            (lambda x: f[x, QBAR]), (lambda x: e[x, QBAR]))
 
 
 class TestWordOperators:
@@ -218,7 +220,7 @@ class TestCrystalGraph:
         seed = Factorization([(1, 3, 4), (2,), ()])
         c = factorization_crystal(word_target(seed.word(), "involution"),
                                   "involution", 3)
-        crys = explore(seed, 3, Factorization.weight, *ops(c), queer=True)
+        crys = explore(seed, 3, Factorization.weight, *ops(c))
         assert len(crys) == 24
 
     def test_explore_cap(self):
@@ -226,7 +228,7 @@ class TestCrystalGraph:
         c = factorization_crystal(word_target(seed.word(), "involution"),
                                   "involution", 3)
         with pytest.raises(VertexCapExceeded):
-            explore(seed, 3, Factorization.weight, *ops(c), queer=True, cap=5)
+            explore(seed, 3, Factorization.weight, *ops(c), cap=5)
 
     def test_singleton_crystal(self):
         c = factorization_crystal(P(), "involution", 3)
@@ -313,7 +315,9 @@ class TestAxioms:
                 return None
             return base.f_table[x, i]
 
-        broken = Crystal(base.vertices, 3, base.wt, f, ops(base)[1], queer=True)
+        _, e, _, eq = ops(base)
+        broken = Crystal(base.vertices, 3, base.wt, f, e,
+                         lambda x: f(x, QBAR), eq)
         report = axioms_report(broken)
         assert any("pairing" in line for line in report)
 
@@ -375,8 +379,20 @@ class TestMorphisms:
     def test_weight_breaking_map_fails(self):
         c = word_crystal(2, 2)
         bad = morphism_report(lambda w: w, c, Crystal(
-            c.vertices, 2, lambda w: (0, 0), *ops(c), queer=True))
+            c.vertices, 2, lambda w: (0, 0), *ops(c)))
         assert bad
+
+    def test_string_lengths_catch_a_consistent_cycle(self):
+        """f_1 and e_1 both swap a and b at one weight: the identity
+        commutes with them, is defined where they are and keeps weights,
+        so only the string lengths, the one e-string walk of the predicate,
+        see the broken operator."""
+        swap = {"a": "b", "b": "a"}
+        c = Crystal("ab", 2, lambda x: (1, 1), lambda x, i: swap[x],
+                    lambda x, i: swap[x])
+        with pytest.raises(RuntimeError,
+                           match="^the 1-string at 'a' has a cycle$"):
+            is_quasi_isomorphism(lambda x: x, c, c)
 
     @pytest.mark.parametrize("flavor,carriers", [("involution", 55), ("fpf", 44)])
     def test_q_morphism_carriers_match_the_reference(self, flavor, carriers):
@@ -414,9 +430,9 @@ class TestMorphisms:
         def collapsed(x):
             return q(x0) if x == x1 else q(x)
 
-        def crystal(vertices, f, e, wt, n=2, queer=False):
+        def crystal(vertices, f, e, wt, n=2):
             return Crystal(vertices, n, wt, lambda x, j: f.get(x),
-                           lambda x, j: e.get(x), queer)
+                           lambda x, j: e.get(x))
 
         # two 1-strings a -> b and c -> d; past a, e_1 takes two more steps
         # on one side and one on the other
@@ -426,12 +442,11 @@ class TestMorphisms:
         short_e = crystal("abcd", f, {"b": "a", "d": "c", "a": "y"}, wt)
         planted = [
             (q, dom, Crystal(tab.vertices, 3, lambda y: tab.wt(y)[::-1],
-                             *ops(tab), queer=True)),
-            (q, dom, Crystal(tab.vertices, 3, tab.wt, rerouted, ops(tab)[1],
-                             queer=True)),
+                             *ops(tab))),
+            (q, dom, Crystal(tab.vertices, 3, tab.wt, rerouted,
+                             *ops(tab)[1:])),
             (collapsed, dom, tab),
-            (q, dom, Crystal(tab.vertices, 3, tab.wt, *ops(tab),
-                             queer=False)),
+            (q, dom, Crystal(tab.vertices, 3, tab.wt, *ops(tab)[:2])),
             (lambda x: "y" if x == "z" else x, long_e, short_e),
         ]
         assert is_quasi_isomorphism(q, dom, tab)
@@ -517,11 +532,12 @@ class TestSerialization:
 
     def test_outputs_evaluate_each_edge_once(self, monkeypatch):
         """DOT and then JSON of the 1,296-vertex carrier: each f_i(x) is
-        evaluated once, 5,184 lifted calls; the raw pair operators under
-        them run once per distinct pair of adjacent factors, 925 times;
-        each output validates the edges once; and each component lists its
-        carrier's vertices in the carrier's order."""
-        calls = {"f": 0, "lifted": 0, "edges": 0}
+        evaluated once, 1,296 lifted fac_f calls at each of the labels 1..3
+        and 1,296 lifted fac_fq_sp calls at 1bar; the raw pair operators
+        under them run once per distinct pair of adjacent factors, 925
+        times; each output validates the edges once; and each component
+        lists its carrier's vertices in the carrier's order."""
+        calls = {"f": 0, "lifted": 0, "lifted_q": 0, "edges": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -534,9 +550,11 @@ class TestSerialization:
                                 counted("f", getattr(crystals, name)))
         lift = crystals._lift
 
-        def counted_lift(gl, queer):
-            op = lift(gl, queer)
-            return counted("lifted", op) if gl is crystals.fac_f else op
+        def counted_lift(pair_op):
+            op = lift(pair_op)
+            key = {crystals.fac_f: "lifted",
+                   crystals.fac_fq_sp: "lifted_q"}.get(pair_op)
+            return op if key is None else counted(key, op)
 
         monkeypatch.setattr(crystals, "_lift", counted_lift)
         monkeypatch.setattr(Crystal, "edges", counted("edges", Crystal.edges))
@@ -546,7 +564,8 @@ class TestSerialization:
         crys.to_dot()
         assert calls["edges"] == 1
         crys.to_json()
-        assert calls == {"f": 925, "lifted": 1296 * 4, "edges": 2}
+        assert calls == {"f": 925, "lifted": 1296 * 3, "lifted_q": 1296,
+                         "edges": 2}
         comps = crys.components()
         assert sum(map(len, comps)) == len(crys)
         for comp in comps:

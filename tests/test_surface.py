@@ -10,7 +10,7 @@ ShiftedTableau.from_strings and entry_from_str, which only the repr format
 reads, and VerifyResult.fail, which only a failing target calls, are
 exempt.
 
-Eight structure scans, on the syntax tree alone: no function imports
+Nine structure scans, on the syntax tree alone: no function imports
 inside its body, no module imports a name it never reads, no module but
 permwords names the move table's private functions or reads a .moves
 attribute, no module but permwords calls a Coxeter-Knuth move, only
@@ -18,8 +18,9 @@ verify.run_target builds a VerifyResult and no module but verify imports
 inspect, no class defines again a method of a base class from its own
 module (the target base of permwords and the tableau base of tableaux
 state each of their methods once), the six gl_n crystal operators keep to
-the one bracket rule, and symchar stays off crystals while the weight
-trim and the tableau order stay out of crystals.
+the one bracket rule, a carrier's tables alone send the label 1bar to its
+queer operators, and symchar stays off crystals while the weight trim and
+the tableau order stay out of crystals.
 
 An inventory scan lists every memo that lives for the process and pins
 the list, each entry with the workload hits that keep it.  An import
@@ -468,6 +469,65 @@ def test_the_scan_finds_forked_bracket_rules(tmp_path):
         "    return inner()\n")
     assert bracket_rule_forks(tmp_path) == [
         "crystals.word_e", "crystals.fac_e", "crystals._factor_letters"]
+
+
+def _owned_nodes(tree):
+    """(owner, node) for every node of a module-level function or a method,
+    nested functions and lambdas included: owner is function or
+    Class.method."""
+    for stmt in tree.body:
+        if isinstance(stmt, DEFS):
+            defs = [(stmt.name, stmt)]
+        elif isinstance(stmt, ast.ClassDef):
+            defs = [(f"{stmt.name}.{m.name}", m) for m in stmt.body
+                    if isinstance(m, DEFS)]
+        else:
+            continue
+        for owner, fn in defs:
+            for node in ast.walk(fn):
+                yield owner, node
+
+
+def queer_dispatches(src=SRC):
+    """module.function (line) of every test `== QBAR` or `is QBAR`, on
+    either side, outside crystals.Crystal.__init__: a carrier's tables alone
+    send the label 1bar to its queer operators.  A label filter such as
+    `i != QBAR` is not a dispatch."""
+    out = []
+    for mod, tree in module_trees(src).items():
+        for owner, node in _owned_nodes(tree):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Eq, ast.Is)) for op in node.ops)
+                    and "QBAR" in map(_name, (node.left, *node.comparators))
+                    and f"{mod}.{owner}" != "crystals.Crystal.__init__"):
+                out.append(f"{mod}.{owner} ({node.lineno})")
+    return out
+
+
+def test_crystal_tables_are_the_one_queer_dispatch():
+    assert queer_dispatches() == []
+
+
+def test_the_scan_finds_queer_dispatches(tmp_path):
+    (tmp_path / "crystals.py").write_text(
+        "QBAR = '1bar'\n\n"
+        "class Crystal:\n"
+        "    def __init__(self, f, fq):\n"
+        "        self.f = lambda x, i: fq(x) if i == QBAR else f(x, i)\n\n"
+        "    def step(self, x, i):\n        return QBAR == i\n\n"
+        "def queer_ops(f, fq):\n"
+        "    def f_all(x, i):\n"
+        "        return fq(x) if i == QBAR else f(x, i)\n"
+        "    return f_all\n\n"
+        "def gl_labels(labels):\n"
+        "    return [i for i in labels if i != QBAR]\n")
+    (tmp_path / "cli.py").write_text(
+        "from . import crystals\n\n"
+        "class Crystal:\n    def __init__(self, i):\n"
+        "        self.queer = i is crystals.QBAR\n")
+    assert queer_dispatches(tmp_path) == [
+        "cli.Crystal.__init__ (5)", "crystals.Crystal.step (8)",
+        "crystals.queer_ops (12)"]
 
 
 def _imports_crystals(node):

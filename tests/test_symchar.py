@@ -81,7 +81,7 @@ class TestSchurFamilies:
     def test_singleton_character(self):
         single = Crystal(
             [()], 3, lambda v: (0, 0, 0), lambda v, i: None, lambda v, i: None,
-            queer=True)
+            lambda v: None, lambda v: None)
         assert character(single) == {(0, 0, 0): 1}
 
     def test_character_additive_over_components(self):

@@ -389,6 +389,39 @@ def test_dual_equivalence_work_counts(monkeypatch):
     assert words == {"shword_descents": 1057}
 
 
+CARRIER_OPERATORS = (
+    "fac_f", "fac_e", "fac_fq_o", "fac_eq_o", "fac_fq_sp", "fac_eq_sp",
+    "shtab_f", "shtab_e", "shtab_fqbar", "shtab_eqbar",
+    "word_f", "word_e", "word_fqbar", "word_eqbar")
+
+
+@pytest.mark.parametrize("target,counts", [
+    ("q-morphism-O", {
+        "fac_f": 2088, "fac_e": 2088, "fac_fq_o": 1457, "fac_eq_o": 1457,
+        "shtab_f": 438, "shtab_e": 438, "shtab_fqbar": 219,
+        "shtab_eqbar": 219, "word_f": 726, "word_fqbar": 363,
+        "string_lengths": 8874}),
+    ("crystal-axioms", {
+        "fac_f": 298, "fac_e": 298, "fac_fq_o": 146, "fac_eq_o": 146,
+        "fac_fq_sp": 47, "fac_eq_sp": 47, "shtab_f": 222, "shtab_e": 222,
+        "shtab_fqbar": 101, "shtab_eqbar": 101, "word_f": 938,
+        "word_e": 938, "word_fqbar": 345, "word_eqbar": 345,
+        "string_lengths": 3089}),
+])
+def test_carrier_work_counts(monkeypatch, target, counts):
+    # raw operator calls at default bounds: a carrier's tables compute each
+    # (vertex, label) once, and a factorization carrier each distinct pair
+    # of adjacent factors once per pair map; the W_3(m) certificates of
+    # q-morphism-O read only f edges, so no word_e or word_eqbar runs
+    verify._word_component_certs.cache_clear()
+    calls = {name: calls_by_caller(monkeypatch, crystals, name)
+             for name in CARRIER_OPERATORS}
+    calls["string_lengths"] = calls_by_caller(
+        monkeypatch, crystals.Crystal, "string_lengths")
+    assert run_target(target).ok
+    assert {name: sum(c.values()) for name, c in calls.items() if c} == counts
+
+
 def reflect_nothing(monkeypatch):
     """Plant S_i as the identity, so that every e_{i'} tests what e_{1bar}
     tests."""
