@@ -341,10 +341,12 @@ class Crystal:
     labels 1..n-1 and, for a q_n-crystal, the queer fq(x) and eq(x); the
     carrier is queer exactly when fq is given.  indices lists the labels,
     QBAR first for a queer crystal with n >= 2.  The operators are kept only
-    inside the tables f_table and e_table, {(x, i): f_i(x)} and
-    {(x, i): e_i(x)}, which compute each (x, i) at its first lookup and are
-    the one place that sends QBAR to fq and eq.  The tables live and die
-    with the carrier: a process-wide table would keep every carrier's edges.
+    in the tables f_table and e_table, one row per vertex: f_table[x] is
+    {i: f_i(x)} over the labels where f_i(x) is defined, in str order,
+    computed at its first lookup; the tables are the one place that sends
+    QBAR to fq and eq.  The f-table is the out-adjacency; the in-edges are
+    built once, from edges().  The tables live and die with the carrier: a
+    process-wide table would keep every carrier's edges.
     """
 
     def __init__(self, vertices, n, wt, f, e, fq=None, eq=None, name=""):
@@ -352,29 +354,28 @@ class Crystal:
         self.vertices = tuple(sorted(self.vertex_set))
         self.n = n
         self.wt = wt
-        self.f_table = LazyMap(
-            lambda key: fq(key[0]) if key[1] == QBAR else f(*key))
-        self.e_table = LazyMap(
-            lambda key: eq(key[0]) if key[1] == QBAR else e(*key))
         self.queer = fq is not None
         self.name = name
         self.indices = crystal_indices(n, self.queer)
-        self._out = self._in = self._components = None
+        labels = sorted(self.indices, key=str)
+
+        def rows(op, op_q):
+            return LazyMap(lambda x: {i: y for i in labels if (
+                y := op_q(x) if i == QBAR else op(x, i)) is not None})
+
+        self.f_table, self.e_table = rows(f, fq), rows(e, eq)
+        self._in = self._components = None
 
     def __len__(self):
         return len(self.vertices)
 
     def edges(self):
-        """All labeled edges (x, i, y) with y = f_i(x), in canonical order:
-        by x, then by str(i).  The vertices are sorted and each (x, i) has
-        at most one y, so walking them in that order needs no sort.  Every
-        reader of the edges goes through here, so an f_i(x) outside the
-        carrier is a theorem failure, raised as RuntimeError."""
-        labels = sorted(self.indices, key=str)
-        table = self.f_table
-        edges = tuple(
-            (x, i, y) for x in self.vertices for i in labels
-            if (y := table[x, i]) is not None)
+        """All labeled edges (x, i, y) with y = f_i(x), in canonical order,
+        the order of the sorted vertices and of their rows.  Every reader of
+        the edges goes through here, so an f_i(x) outside the carrier is a
+        theorem failure, raised as RuntimeError."""
+        edges = tuple((x, i, y) for x in self.vertices
+                      for i, y in self.f_table[x].items())
         for x, i, y in edges:
             if y not in self.vertex_set:
                 raise RuntimeError(
@@ -382,15 +383,13 @@ class Crystal:
                     f"is not a vertex of {self.name}")
         return edges
 
-    def _adjacency(self):
-        if self._out is None:
-            out = {x: {} for x in self.vertices}
-            into = {x: {} for x in self.vertices}
+    def _into(self):
+        """The in-edges {y: {i: x}} with f_i(x) = y, built once."""
+        if self._in is None:
+            self._in = {x: {} for x in self.vertices}
             for x, i, y in self.edges():
-                out[x][i] = y
-                into[y][i] = x
-            self._out, self._in = out, into
-        return self._out, self._in
+                self._in[y][i] = x
+        return self._in
 
     def string_lengths(self, x, i):
         """(epsilon_i, phi_i): how often e_i and f_i apply before vanishing.
@@ -400,12 +399,12 @@ class Crystal:
         is a theorem failure, not a resource limit."""
         lengths = []
         for table in (self.e_table, self.f_table):
-            k, y = 0, table[x, i]
+            k, y = 0, table[x].get(i)
             while y is not None:
                 k += 1
                 if k == len(self.vertices):
                     raise RuntimeError(f"the {i}-string at {x!r} has a cycle")
-                y = table[y, i]
+                y = table[y].get(i)
             lengths.append(k)
         return tuple(lengths)
 
@@ -415,7 +414,7 @@ class Crystal:
         once per carrier."""
         if self._components is not None:
             return self._components
-        out, into = self._adjacency()
+        out, into = self.f_table, self._into()
         where, groups = {}, []  # vertex -> the index of its component
         for v in self.vertices:
             if v not in where:  # v is the first vertex of a new component
@@ -446,10 +445,10 @@ class Crystal:
         }
 
     def to_dot(self):
-        """One DOT digraph per component, concatenated deterministically.
-        The edges are read once, through the adjacency that found the
-        components: out[x] holds f_i(x) in the order of edges()."""
-        comps, (out, _) = self.components(), self._adjacency()
+        """One DOT digraph per component, concatenated deterministically:
+        its edges are the rows of the f-table, which components() checked
+        through edges()."""
+        comps, out = self.components(), self.f_table
         label, wt_text = _labeler(), LazyMap(lambda wt: ",".join(map(str, wt)))
         chunks = []
         for k, comp in enumerate(comps):
@@ -511,12 +510,17 @@ def _fac_crystal(words, n, relation, name):
                    _lift(fac_e), *queer, name=name)
 
 
+def factorization_crystal_name(pi, flavor, n):
+    """The name of factorization_crystal(pi, flavor, n), as R^O_3(pi)."""
+    return f"{get_flavor(flavor).carrier}_{n}({pi})"
+
+
 def factorization_crystal(pi, flavor, n):
     """The crystal of n-fold increasing factorizations of the flavor's words
     for pi: a gl_n-crystal for reduced words, a q_n-crystal otherwise."""
-    flav = get_flavor(flavor)
-    return _fac_crystal(enumerate_words(pi, flavor), n, flav.relation,
-                        f"{flav.carrier}_{n}({pi})")
+    return _fac_crystal(enumerate_words(pi, flavor), n,
+                        get_flavor(flavor).relation,
+                        factorization_crystal_name(pi, flavor, n))
 
 
 def _descent_groups(pi, flavor):
@@ -774,16 +778,16 @@ def axioms_report(crys):
         k = {QBAR: 1}.get(i, i)
         delta[i] = tuple((j == k) - (j == k - 1) for j in range(crys.n))
     for x in crys.vertices:
-        wtx = crys.wt(x)
+        wtx, fx, ex = crys.wt(x), f[x], e[x]
         for i in crys.indices:
-            y = f[x, i]
+            y = fx.get(i)
             if y is not None:
-                if e[y, i] != x:
+                if e[y].get(i) != x:
                     bad.append(f"pairing: e_{i}(f_{i}(x)) != x at {pretty_element(x)}")
                 if tuple(a + d for a, d in zip(wtx, delta[i])) != crys.wt(y):
                     bad.append(f"weight shift across f_{i} at {pretty_element(x)}")
-            z = e[x, i]
-            if z is not None and f[z, i] != x:
+            z = ex.get(i)
+            if z is not None and f[z].get(i) != x:
                 bad.append(f"pairing: f_{i}(e_{i}(x)) != x at {pretty_element(x)}")
         for i in gl:
             eps, phi = crys.string_lengths(x, i)
@@ -798,7 +802,7 @@ def axioms_report(crys):
                 bad.append(f"queer string bound at {pretty_element(x)}")
             if (wtx[0] != 0 or wtx[1] != 0) and eps + phi != 1:
                 bad.append(f"queer string equality at {pretty_element(x)}")
-            c = e[x, QBAR]
+            c = e[x].get(QBAR)
             if c is not None:
                 for i in far:
                     if crys.string_lengths(x, i) != \
@@ -808,9 +812,9 @@ def axioms_report(crys):
             for i in far:
                 for q in (e, f):
                     for g in (e, f):
-                        gx, qx = g[x, i], q[x, QBAR]
-                        qgx = None if gx is None else q[gx, QBAR]
-                        gqx = None if qx is None else g[qx, i]
+                        gx, qx = g[x].get(i), q[x].get(QBAR)
+                        qgx = None if gx is None else q[gx].get(QBAR)
+                        gqx = None if qx is None else g[qx].get(i)
                         if qgx != gqx:
                             bad.append(
                                 f"queer commutation at {pretty_element(x)}, i={i}")
@@ -832,12 +836,10 @@ def is_quasi_isomorphism(phi, dom, cod):
         y = phi(x)
         if y not in cod.vertex_set or dom.wt(x) != cod.wt(y):
             return False
+        for dom_op, cod_op in ops:
+            if {i: phi(v) for i, v in dom_op[x].items()} != cod_op[y]:
+                return False
         for i in dom.indices:
-            for dom_op, cod_op in ops:
-                ox, oy = dom_op[x, i], cod_op[y, i]
-                if (ox is None) != (oy is None) or (
-                        ox is not None and phi(ox) != oy):
-                    return False
             if dom.string_lengths(x, i) != cod.string_lengths(y, i):
                 return False
     cod_comps = set(map(frozenset, cod.components()))
@@ -850,7 +852,7 @@ def is_quasi_isomorphism(phi, dom, cod):
 
 
 def _certificate_from(crys, root):
-    out, into = crys._adjacency()
+    out, into = crys.f_table, crys._into()
     order = {root: 0}
     queue = [root]
     edges = []
@@ -866,14 +868,11 @@ def _certificate_from(crys, root):
 
 
 def _component_certificate(crys, comp):
-    out, into = crys._adjacency()
+    out, into = crys.f_table, crys._into()
 
-    def rootkey(v):
-        return (
-            tuple(sorted(map(str, into[v]))),
-            tuple(sorted(map(str, out[v]))),
-            crys.wt(v),
-        )
+    def rootkey(v):  # the labels in and out of v, each in str order
+        return (tuple(sorted(map(str, into[v]))), tuple(map(str, out[v])),
+                crys.wt(v))
 
     best = min(rootkey(v) for v in comp)
     roots = [v for v in comp if rootkey(v) == best]

@@ -324,8 +324,8 @@ _fpf_cache = {}
 def enumerate_words(pi, flavor):
     """All words of the flavor for the target pi, sorted.
 
-    The ascent walk run backwards: a word ends in a descent i of pi that the
-    flavor's step moves, and its earlier letters form a word of step(pi, i).
+    The ascent walk run backwards: a word ends in a descent i of pi that is
+    an ascent of prev = step(pi, i), and the rest of it is a word of prev.
     """
     flav = get_flavor(flavor)
     need = flav.invalid(pi)
@@ -338,10 +338,9 @@ def enumerate_words(pi, flavor):
         else:
             acc = []
             for i in pi.descents():
-                # the fpf step, conjugation by s_i, fixes a pair {i, i+1}
-                if flav.name != "fpf" or pi(i) != i + 1:
-                    acc.extend(w + (i,) for w in
-                               enumerate_words(flav.step(pi, i), flavor))
+                prev = flav.step(pi, i)
+                if not prev.is_descent(i):
+                    acc.extend(w + (i,) for w in enumerate_words(prev, flavor))
             got = tuple(sorted(acc))
         flav.cache[pi] = got
     return got

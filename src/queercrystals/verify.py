@@ -22,6 +22,7 @@ from .crystals import (
     even_crystal,
     even_words,
     factorization_crystal,
+    factorization_crystal_name,
     factorization_weights,
     highest_weight_factorizations,
     inv_map,
@@ -285,17 +286,18 @@ def check_bump_properties(res, max_len=5, n=3):
             # another, so each lift is computed once per sigma
             lift = LazyMap(lambda key: bumping.bump_factorization(*key, flavor))
             for fac in crys.vertices:
+                row = table[fac]
                 for pi in targets:
-                    bumped = lift[fac, pi]
+                    bumped = table[lift[fac, pi]]
                     for i in crys.indices:
                         res.checks += 1
-                        lhs = table[fac, i]
+                        lhs = row.get(i)
                         if lhs is None:
-                            if table[bumped, i] is not None:
+                            if i in bumped:
                                 return res.fail(
                                     f"{flavor}: f_{i} definedness vs bump",
                                     (str(pi), fac))
-                        elif lift[lhs, pi] != table[bumped, i]:
+                        elif lift[lhs, pi] != bumped.get(i):
                             return res.fail(
                                 f"{flavor}: bump/f_{i} commutation",
                                 (str(pi), fac))
@@ -412,24 +414,23 @@ def check_reduction_lemma(res, max_m=5, n=3):
 
 def check_supersymmetry(res, max_len=4, n=3):
     """Characters of q_n-crystals are symmetric and supersymmetric."""
-    carriers = [word_crystal(2, 4), word_crystal(3, 4),
-                shifted_tableau_crystal_all(3, 4)]
-    cap = 40  # factorization carriers per flavor: the first of its corpus
+    characters = [(crys.name, character(crys)) for crys in (
+        word_crystal(2, 4), word_crystal(3, 4), shifted_tableau_crystal_all(3, 4))]
+    cap = 40  # factorization characters per flavor, of the first targets
     taken = []
     for flav in QUEER_FLAVORS:
         targets = corpus(flav.name, max_len)
-        carriers += [factorization_crystal(pi, flav.name, n)
-                     for pi in targets[:cap]]
+        characters += [(factorization_crystal_name(pi, flav.name, n),
+                        factorization_weights(pi, flav.name, n))
+                       for pi in targets[:cap]]
         taken.append(f"{min(len(targets), cap)} of {len(targets)} {flav.name}")
-    for crys in carriers:
-        ch = character(crys)
+    for name, ch in characters:
         res.checks += 1
         if not is_symmetric(ch):
-            return res.fail(f"{crys.name}: character not symmetric", crys.name)
+            return res.fail(f"{name}: character not symmetric", name)
         if not is_supersymmetric(ch):
-            return res.fail(f"{crys.name}: character not supersymmetric",
-                            crys.name)
-    res.lines.append(f"{len(carriers)} characters symmetric and supersymmetric "
+            return res.fail(f"{name}: character not supersymmetric", name)
+    res.lines.append(f"{len(characters)} characters symmetric and supersymmetric "
                      f"({', '.join(taken)} targets)")
 
 

@@ -1127,10 +1127,9 @@ def explore(seed, n, wt, f, e, fq=None, eq=None, cap=DEFAULT_VERTEX_CAP,
     frontier = [seed]
     while frontier:
         x = frontier.pop()
-        for i in probe.indices:
-            for table in (probe.f_table, probe.e_table):
-                y = table[x, i]
-                if y is not None and y not in seen:
+        for table in (probe.f_table, probe.e_table):
+            for y in table[x].values():
+                if y not in seen:
                     if len(seen) + 1 > cap:
                         raise VertexCapExceeded(
                             f"exploration exceeded cap {cap}")
@@ -1141,10 +1140,7 @@ def explore(seed, n, wt, f, e, fq=None, eq=None, cap=DEFAULT_VERTEX_CAP,
 
 def sources(crys):
     """Vertices with every raising operator undefined."""
-    return tuple(
-        x for x in crys.vertices
-        if all(crys.e_table[x, i] is None for i in crys.indices)
-    )
+    return tuple(x for x in crys.vertices if not crys.e_table[x])
 
 
 def reflect(crys, x, j):
@@ -1153,7 +1149,7 @@ def reflect(crys, x, j):
     eps, phi = crys.string_lengths(x, j)
     table = crys.f_table if phi > eps else crys.e_table
     for _ in range(abs(phi - eps)):
-        x = table[x, j]
+        x = table[x].get(j)
     return x
 
 
@@ -1169,7 +1165,7 @@ def highest_weights(crys):
     def killed(x, i):
         for j in (*range(i - 1, 0, -1), *range(i, 1, -1)):
             x = reflect(crys, x, j)  # S_{w_i} applies its last factor first
-        return crys.e_table[x, QBAR] is None
+        return crys.e_table[x].get(QBAR) is None
 
     labels = range(2, crys.n) if crys.queer else ()
     return tuple((x, crys.wt(x)) for x in sources(crys)
@@ -1204,7 +1200,7 @@ def morphism_report(phi, dom, cod):
         for i in dom.indices:
             for op, dom_op, cod_op in (("f", dom.f_table, cod.f_table),
                                        ("e", dom.e_table, cod.e_table)):
-                ox, oy = dom_op[x, i], cod_op[y, i]
+                ox, oy = dom_op[x].get(i), cod_op[y].get(i)
                 if (ox is None) != (oy is None):
                     bad.append(f"{op}_{i} definedness at {pretty_element(x)}")
                 elif ox is not None and phi(ox) != oy:

@@ -471,7 +471,7 @@ def test_hm_recording_constant_under_queer_move():
 
     moved = 0
     for w in wc.vertices:
-        y = wc.f_table[w, QBAR]
+        y = wc.f_table[w].get(QBAR)
         if y is not None:
             assert hm_insert(y).Q == hm_insert(w).Q
             moved += 1
@@ -697,22 +697,28 @@ def test_dual_equiv_matches_the_reading_word_rule():
     assert cases == 24094
 
 
+def raw_rows(crys):
+    """Fresh tables (e, f) over the carrier's raw row operators, each row
+    {i: e_i(x)} or {i: f_i(x)} computed once."""
+    return LazyMap(crys.e_table.fn), LazyMap(crys.f_table.fn)
+
+
 def edges_by_sort(crys):
-    """Every edge (x, i, f_i(x)) from the raw operator, sorted by x, str(i)
+    """Every edge (x, i, f_i(x)) from the raw rows, sorted by x, str(i)
     and then y."""
     f = crys.f_table.fn
-    acc = [(x, i, f((x, i))) for x in crys.vertices for i in crys.indices]
-    acc = [edge for edge in acc if edge[2] is not None]
+    acc = [(x, i, y) for x in crys.vertices for i, y in f(x).items()]
     acc.sort(key=lambda t: (t[0], str(t[1]), t[2]))
     return tuple(acc)
 
 
-def string_lengths_raw(crys, x, i):
+def string_lengths_raw(rows, x, i):
+    """(epsilon_i, phi_i) walked through the raw_rows of a carrier."""
     lengths = []
-    for op in (crys.e_table.fn, crys.f_table.fn):
-        k, y = 0, op((x, i))
+    for row in rows:
+        k, y = 0, row[x].get(i)
         while y is not None:
-            k, y = k + 1, op((y, i))
+            k, y = k + 1, row[y].get(i)
         lengths.append(k)
     return tuple(lengths)
 
@@ -745,10 +751,11 @@ def test_edge_tables_match_raw_operators():
         carriers.append(crys)
         edges = edges_by_sort(crys)
         assert crys.edges() == edges, crys.name
+        rows = raw_rows(crys)
         for x in crys.vertices:
             for i in crys.indices:
                 assert crys.string_lengths(x, i) == \
-                    string_lengths_raw(crys, x, i), (crys.name, x, i)
+                    string_lengths_raw(rows, x, i), (crys.name, x, i)
         # the components partition the vertices and no edge joins two
         where = {x: k for k, comp in enumerate(crys.components())
                  for x in comp}
@@ -766,11 +773,9 @@ def test_trusted_factorizations_pass_the_check():
     for crys in table_carriers():
         if not all(isinstance(x, Factorization) for x in crys.vertices):
             continue
-        results = [crys.f_table[x, i] for x in crys.vertices
-                   for i in crys.indices]
-        results += [crys.e_table[x, i] for x in crys.vertices
-                    for i in crys.indices]
-        for r in (*crys.vertices, *filter(None, results)):
+        results = [y for table in (crys.f_table, crys.e_table)
+                   for x in crys.vertices for y in table[x].values()]
+        for r in (*crys.vertices, *results):
             assert type(r) is Factorization
             assert all(type(f) is tuple for f in r)
             assert Factorization(tuple(r)) == r
@@ -794,9 +799,9 @@ def test_factorization_operators_match_the_greedy_pairing():
                 crys = factorization_crystal(pi, flavor, n)
                 for x in crys.vertices:
                     for i in crys.indices:
-                        assert crys.f_table[x, i] == f_ref(x, i), \
+                        assert crys.f_table[x].get(i) == f_ref(x, i), \
                             (crys.name, x, i)
-                        assert crys.e_table[x, i] == e_ref(x, i), \
+                        assert crys.e_table[x].get(i) == e_ref(x, i), \
                             (crys.name, x, i)
                         cases += 1
     assert cases == 57716
@@ -807,11 +812,12 @@ def test_factorization_operators_match_the_greedy_pairing():
     for a, b in product(subsets, repeat=2):
         for i, fac in ((1, (a, b, ())), (2, ((), a, b))):
             fac = Factorization(fac)
-            assert crys.f_table[fac, i] == f_ref(fac, i), (fac, i)
-            assert crys.e_table[fac, i] == e_ref(fac, i), (fac, i)
+            assert crys.f_table[fac].get(i) == f_ref(fac, i), (fac, i)
+            assert crys.e_table[fac].get(i) == e_ref(fac, i), (fac, i)
     # bump-properties reads f of a lift through the f table of the carrier
-    # it lifts from: every value that table computes is checked, and those
-    # at factorizations outside the carrier are the lifts
+    # it lifts from: every row that table computes is checked whole, and
+    # the values of those at factorizations outside the carrier are the
+    # lifts
     lifts = []
 
     def carrier(pi, flavor, n):
@@ -819,12 +825,13 @@ def test_factorization_operators_match_the_greedy_pairing():
         table = crys.f_table
         f, f_ref = table.fn, fac_ops_whole(FLAVORS[flavor].relation)[0]
 
-        def f_checked(key):
-            y = f(key)
-            assert y == f_ref(*key), (crys.name, key)
-            if key[0] not in crys.vertex_set:
-                lifts.append(key)
-            return y
+        def f_checked(x):
+            row = f(x)
+            assert row == {i: y for i in crys.indices
+                           if (y := f_ref(x, i)) is not None}, (crys.name, x)
+            if x not in crys.vertex_set:
+                lifts.extend((x, i) for i in crys.indices)
+            return row
 
         table.fn = f_checked
         return crys

@@ -145,6 +145,15 @@ class TestWordClasses:
         assert all(flav.invalid(flav.identity) is None
                    for flav in FLAVORS.values())
 
+    def test_enumeration_reads_the_walk_rule(self, monkeypatch):
+        # a word ends in a letter that extends the target before it: a
+        # step that fixes every target extends nothing, so the backward
+        # recursion stops at once and finds no word
+        flav = FLAVORS["fpf"]
+        monkeypatch.setattr(flav, "step", lambda pi, i: pi)
+        monkeypatch.setattr(flav, "cache", {})
+        assert enumerate_words(FpfInvolution([(1, 4), (2, 3)]), "fpf") == ()
+
     def test_atoms(self):
         assert atoms(simple(1), "involution") == frozenset({simple(1)})
         pi = P.from_cycles([(2, 5)])

@@ -195,7 +195,7 @@ def raise_the_next_factor(monkeypatch):
 def drop_the_smallest_term(monkeypatch):
     """Plant a character, and weights for qc expand, that lose their
     smallest monomial when they have more than one, so that they have no
-    Schur or Schur-P expansion."""
+    Schur or Schur-P expansion and are not symmetric."""
     def dropped(p):
         if len(p) > 1:
             del p[min(p)]
@@ -221,6 +221,10 @@ NO_EXPANSION = [
      "schurP-positivity: FAIL (2 checks)\n"
      "  counterexample: (1,2)(3,4)\n"
      "  involution: character has no Schur-P expansion\n", ""),
+    (["verify", "supersymmetry"],
+     "supersymmetry: FAIL (4 checks)\n"
+     "  counterexample: R^O_3((1,2))\n"
+     "  R^O_3((1,2)): character not symmetric\n", ""),
     (["expand", "(1,3)(2,5)", "--n", "3"], "",
      "theorem failure: the character of (1,3)(2,5) has no schurP expansion: "
      "leading exponent (0, 1, 3) is not a shape; wrong basis?\n"),
@@ -237,7 +241,7 @@ def test_operator_value_outside_its_carrier_exits_1(argv, err, monkeypatch,
 
 
 @pytest.mark.parametrize("argv,out,err", NO_EXPANSION,
-                         ids=["schurP-positivity", "expand"])
+                         ids=["schurP-positivity", "supersymmetry", "expand"])
 def test_character_without_expansion_exits_1(argv, out, err, monkeypatch,
                                              capsys):
     drop_the_smallest_term(monkeypatch)
@@ -410,7 +414,7 @@ CARRIER_OPERATORS = (
 ])
 def test_carrier_work_counts(monkeypatch, target, counts):
     # raw operator calls at default bounds: a carrier's tables compute each
-    # (vertex, label) once, and a factorization carrier each distinct pair
+    # vertex's row once, and a factorization carrier each distinct pair
     # of adjacent factors once per pair map; the W_3(m) certificates of
     # q-morphism-O read only f edges, so no word_e or word_eqbar runs
     verify._word_component_certs.cache_clear()
