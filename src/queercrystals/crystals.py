@@ -11,9 +11,8 @@ from collections import Counter
 from functools import partial
 from itertools import chain, permutations, product
 from math import comb
-from operator import ge
 
-from .insertion import Factorization, split_word
+from .insertion import Factorization, forced_cuts, split_cuts, split_word
 from .permwords import (
     LazyMap,
     Permutation,
@@ -524,39 +523,32 @@ def factorization_crystal(pi, flavor, n):
 
 
 def _descent_groups(pi, flavor):
-    """One word of pi per length and weak descents (w[k-1] >= w[k]), which
-    decide how a word splits into factors (split_word cuts the words that
-    share them at the same positions), as [word, number of such words]."""
-    groups = {}
-    for w in enumerate_words(pi, flavor):
-        groups.setdefault((len(w), *map(ge, w, w[1:])), [w, 0])[1] += 1
-    return groups.values()
+    """The forced cuts of pi's words, which decide where a word splits into
+    factors, each with the number of words that have them."""
+    return Counter(map(forced_cuts, enumerate_words(pi, flavor))).items()
 
 
 def factorization_crystal_size(pi, flavor, n):
     """len(factorization_crystal(pi, flavor, n)), counted without building
-    it: a word with d weak descents has C(len + k, k) splits into n factors
-    when k = n - 1 - d >= 0 (the k free cuts form a multiset of the
-    len + 1 positions), and none otherwise; at n = 0 only the empty word
-    has a split."""
+    it: a word of length l with k = n + 1 - len(forced cuts) free cuts has
+    C(l + k, k) splits into n factors when k >= 0, and none otherwise."""
     total = 0
-    for w, count in _descent_groups(pi, flavor):
-        k = n - 1 - sum(map(ge, w, w[1:]))
-        if n == 0:
-            total += not w
-        elif k >= 0:
-            total += count * comb(len(w) + k, k)
+    for forced, count in _descent_groups(pi, flavor):
+        k = n + 1 - len(forced)
+        if k >= 0:
+            total += count * comb(forced[-1] + k, k)
     return total
 
 
 def factorization_weights(pi, flavor, n):
     """character(factorization_crystal(pi, flavor, n)) without the carrier:
     the fundamental quasisymmetric expansion of the class's Stanley
-    function in n variables, one split_word per descent group."""
+    function in n variables, the gaps of each descent group's split cuts
+    counted once per word of the group."""
     weights = Counter()
-    for w, count in _descent_groups(pi, flavor):
-        for fac in split_word(w, n):
-            weights[fac.weight()] += count
+    for forced, count in _descent_groups(pi, flavor):
+        for c in split_cuts(forced, n):
+            weights[tuple(b - a for a, b in zip(c, c[1:]))] += count
     return weights
 
 
@@ -594,7 +586,7 @@ def highest_weight_factorizations(pi, flavor, n):
             x[j - 1:j + 1] = _reflect(x[j - 1], x[j])  # last factor first
         return eq(x[0], x[1]) is None
 
-    def cuts(w, start, fac):
+    def cuts(w, forced, start, fac):
         """The splits of w that go on from the factors fac at start."""
         if len(fac) == n:
             if start == len(w):
@@ -602,18 +594,17 @@ def highest_weight_factorizations(pi, flavor, n):
             return
         longest = len(fac[-1]) if fac else len(w)
         later = n - 1 - len(fac)  # the factors after the next one, b
-        for end in range(start, min(len(w), start + longest) + 1):
-            if end > start + 1 and w[end - 2] >= w[end - 1]:
-                return  # b stops increasing
+        stop = next((k for k in forced if k > start), start)  # b increases
+        for end in range(start, min(stop, start + longest) + 1):
             b = w[start:end]
             if len(w) - end > len(b) * later:
                 continue  # no later factor is longer than b
             if fac and fac_e(fac[-1], b) is not None:
                 return
-            yield from cuts(w, end, fac + (b,))
+            yield from cuts(w, forced, end, fac + (b,))
 
     for w in enumerate_words(pi, flavor):
-        for x in cuts(w, 0, ()):
+        for x in cuts(w, forced_cuts(w), 0, ()):
             if eq is None or all(killed(x, i) for i in range(1, n)):
                 yield x
 

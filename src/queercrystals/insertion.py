@@ -32,7 +32,7 @@ class Factorization(tuple):
     def __new__(cls, factors=()):
         factors = tuple(tuple(f) for f in factors)
         for f in factors:
-            if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
+            if len(forced_cuts(f)) > 2:  # a forced cut besides its ends
                 raise ValueError(f"factor {f} is not strictly increasing")
         return super().__new__(cls, factors)
 
@@ -58,25 +58,34 @@ class Factorization(tuple):
         return "".join("(" + "".join(map(str, f)) + ")" for f in self) or "()"
 
 
-def split_word(w, n):
-    """All ways to cut w into n strictly increasing, possibly empty factors.
+def forced_cuts(w):
+    """The places where every split of w into strictly increasing factors
+    cuts: its two ends (one place when w is empty) and each weak descent k,
+    w[k-1] >= w[k]."""
+    if not w:
+        return (0,)
+    return (0, *[k for k in range(1, len(w)) if w[k - 1] >= w[k]], len(w))
 
-    Every weak descent w_k >= w_{k+1} needs a cut between its letters and
-    the remaining cuts may fall anywhere, so the factorizations correspond
-    to the multisets of n - 1 cut positions holding all weak descents.
-    """
+
+def split_cuts(forced, n):
+    """The cut points [0, c_1, ..., c_{n-1}, len(w)], in weakly increasing
+    order, of each split into n strictly increasing, possibly empty factors
+    of a word w with the forced cuts.  The n + 1 points hold the forced
+    ones, and the other k = n + 1 - len(forced) form a multiset of the
+    len(w) + 1 places, so there are C(len(w) + k, k) splits, and none when
+    k < 0 (at n = 0 only the empty word splits, into no factors)."""
+    k = n + 1 - len(forced)
+    if k >= 0:
+        for free in combinations_with_replacement(range(forced[-1] + 1), k):
+            yield sorted(forced + free)
+
+
+def split_word(w, n):
+    """All ways to cut w into n strictly increasing, possibly empty factors."""
     w = tuple(w)
-    if n == 0:
-        return (Factorization(),) if not w else ()
-    forced = [k for k in range(1, len(w)) if w[k - 1] >= w[k]]
-    if len(forced) > n - 1:
-        return ()
     out = []
-    for free in combinations_with_replacement(range(len(w) + 1),
-                                              n - 1 - len(forced)):
-        cuts = (0, *sorted(forced + list(free)), len(w))
-        out.append(Factorization._trusted(
-            w[a:b] for a, b in zip(cuts, cuts[1:])))
+    for c in split_cuts(forced_cuts(w), n):
+        out.append(Factorization._trusted([w[a:b] for a, b in zip(c, c[1:])]))
     return tuple(out)
 
 

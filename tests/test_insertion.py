@@ -12,10 +12,12 @@ from reference import (
 from queercrystals.insertion import (
     Factorization,
     eg_insert,
+    forced_cuts,
     hm_insert,
     insert,
     oeg_insert,
     speg_insert,
+    split_cuts,
     split_word,
 )
 from queercrystals.permwords import (
@@ -56,6 +58,16 @@ class TestFactorization:
         # the descent forces a cut after the 2
         assert all(s[0] in ((), (2,)) for s in splits)
         assert split_word((), 2) == (Factorization(((), ())),)
+        # the forced cuts: the ends and the weak descents, a repeated
+        # letter included
+        assert forced_cuts((2, 1, 3, 3)) == (0, 1, 3, 4)
+        assert forced_cuts(()) == (0,)
+        assert list(split_cuts((0, 1, 3), 2)) == [[0, 1, 3]]
+        assert list(split_cuts((0, 1, 3), 1)) == []
+        # at n = 0 only the empty word splits, into no factors
+        assert list(split_cuts((0,), 0)) == [[0]]
+        assert list(split_cuts((0, 2), 0)) == []
+        assert split_word((), 0) == (Factorization(),)
 
     def test_inserters_take_factors_not_flat_words(self):
         with pytest.raises(TypeError):

@@ -25,7 +25,8 @@ the tableau order stay out of crystals.
 An inventory scan lists every memo that lives for the process and pins
 the list, each entry with the workload hits that keep it.  An import
 check keeps dataclasses, inspect and typing off the import path of the
-CLI.
+CLI, and the package root binds no library name.  README's library sketch
+runs and gives the values its comments state.
 """
 
 import ast
@@ -45,7 +46,7 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 def module_trees(src=SRC):
     return {p.stem: ast.parse(p.read_text(), filename=str(p))
-            for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
+            for p in sorted(src.glob("*.py"))}
 
 
 def class_methods(trees):
@@ -206,8 +207,7 @@ def test_the_scan_finds_results_and_signature_reads(tmp_path):
 
 
 def unread_imports(src=SRC):
-    """module.name of every name that a module imports and never reads;
-    __init__.py, whose imports are re-exports, is not scanned."""
+    """module.name of every name that a module imports and never reads."""
     out = []
     for mod, tree in module_trees(src).items():
         reads = {node.id for node in ast.walk(tree)
@@ -235,7 +235,38 @@ def test_the_scan_finds_unread_imports(tmp_path):
         "from functools import partial, reduce\n\n"
         "def f(x: partial):\n    return os.sep, x\n")
     (tmp_path / "__init__.py").write_text("from .a import f\n")
-    assert unread_imports(tmp_path) == ["a.reduce", "a.system"]
+    assert unread_imports(tmp_path) == ["__init__.f", "a.reduce", "a.system"]
+
+
+def test_the_package_root_binds_only_its_modules():
+    """Library names are imported from their modules, so the root holds
+    only __version__, dunders and the submodules that Python binds there."""
+    package = importlib.import_module("queercrystals")
+    for path in SRC.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            importlib.import_module(f"queercrystals.{path.stem}")
+    assert [name for name, value in vars(package).items()
+            if not name.startswith("__")
+            and not isinstance(value, type(package))] == []
+
+
+def readme_sketch():
+    """The python block under README's "Library sketch" heading."""
+    text = (TESTS.parent / "README.md").read_text()
+    block = text.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
+def test_the_readme_sketch_runs():
+    ns = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(readme_sketch(), ns)
+    assert len(ns["crys"]) == 24 and len(ns["comps"]) == 1
+    assert ns["hw"] == [((1, 3, 4), (2,), ())]
+    assert ns["moved"] == (3, 2, 4, 5)
+    assert ns["ch"][(2, 1, 1)] == 4
+    assert ns["poly"].startswith("x1^3*x2 + x1^3*x3 + ")
+    assert ns["coeffs"] == {(3, 1): 1}
 
 
 def redefined_base_methods(src=SRC):

@@ -374,14 +374,16 @@ def calls_by_caller(monkeypatch, module, name):
 
 def test_schurp_positivity_work_counts(monkeypatch):
     # exact work at default bounds, which a clock cannot resolve: one
-    # split per descent group for the character, none for the highest
-    # weights, and e_i on the pairs that the pruned search cuts and the
-    # reflections walk
-    splits = [calls_by_caller(monkeypatch, module, "split_word")
-              for module in (insertion, crystals)]
+    # listing of split cuts per descent group for the character and no
+    # split built, none for the highest weights, and e_i on the pairs that
+    # the pruned search cuts and the reflections walk
+    cuts, splits = ([calls_by_caller(monkeypatch, module, name)
+                     for module in (insertion, crystals)]
+                    for name in ("split_cuts", "split_word"))
     raises = calls_by_caller(monkeypatch, crystals, "fac_e")
     assert run_target("schurP-positivity").checks == 81
-    assert sum(splits, Counter()) == {"factorization_weights": 523}
+    assert sum(cuts, Counter()) == {"factorization_weights": 523}
+    assert sum(splits, Counter()) == {}
     assert sum(raises.values()) == 3912
 
 
